@@ -9,7 +9,6 @@ from .so3 import (
     Rotor,
     is_special_orthogonal,
     make_rotor,
-    matrix_product,
     matrix_to_rotor,
     rotor_to_matrix,
     rotor_to_matrix_inv,
@@ -83,7 +82,6 @@ from .topology import (
     ChargeReport,
     charge_density,
     hedgehog_charge_profile,
-    product_field,
     total_charge,
 )
 

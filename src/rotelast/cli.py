@@ -80,6 +80,8 @@ def _add_moduli_args(p: argparse.ArgumentParser) -> None:
 
 
 def _load_config(path: str) -> dict:
+    """Read ``key=value`` lines; ``true``/``false`` become booleans and every
+    other value stays a string that argparse converts with the option's type."""
     out = {}
     with open(path) as f:
         for line in f:
@@ -88,37 +90,14 @@ def _load_config(path: str) -> dict:
                 continue
             if "=" not in line:
                 raise ValueError(f"bad config line: {line!r}")
-            key, val = line.split("=", 1)
-            out[key.strip().replace("-", "_")] = val.strip()
+            key, val = (part.strip() for part in line.split("=", 1))
+            if val.lower() in ("true", "false"):
+                val = val.lower() == "true"
+            out[key.replace("-", "_")] = val
     return out
 
 
-def _coerce(raw: str):
-    low = raw.lower()
-    if low in ("true", "false"):
-        return low == "true"
-    for conv in (int, float):
-        try:
-            return conv(raw)
-        except ValueError:
-            pass
-    return raw
-
-
-def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
-    """Fill unset args from the config file; explicit flags win."""
-    if not getattr(args, "config", None):
-        return
-    cfg = _load_config(args.config)
-    for key, raw in cfg.items():
-        if not hasattr(args, key):
-            raise ValueError(f"unknown config key: {key}")
-        if getattr(args, key) is None:
-            setattr(args, key, _coerce(raw))
-
-
-def cmd_static(args, parser) -> int:
-    _apply_config(args, parser)
+def cmd_static(args) -> int:
     m = _moduli_from_args(args)
     try:
         profile = solve_static(m, slope0=args.slope0, r_max=args.rmax, tol=args.tol)
@@ -145,8 +124,7 @@ def cmd_static(args, parser) -> int:
     return 0
 
 
-def cmd_evolve(args, parser) -> int:
-    _apply_config(args, parser)
+def cmd_evolve(args) -> int:
     initial = load_profile_csv(args.from_profile)
     uniform = resample_uniform(initial, n=args.n_grid)
     if uniform.w_t is None:
@@ -177,8 +155,7 @@ def cmd_evolve(args, parser) -> int:
     return 0
 
 
-def cmd_charge(args, parser) -> int:
-    _apply_config(args, parser)
+def cmd_charge(args) -> int:
     profile = load_profile_csv(args.from_profile)
     field = lift_hedgehog(profile)
     report = total_charge(field, ball_radius=args.radius, grid_spacing=args.spacing,
@@ -196,8 +173,7 @@ def cmd_charge(args, parser) -> int:
     return 0
 
 
-def cmd_residual(args, parser) -> int:
-    _apply_config(args, parser)
+def cmd_residual(args) -> int:
     profile = load_profile_csv(args.from_profile)
     field = lift_hedgehog(profile)
     h = args.h
@@ -222,8 +198,7 @@ def cmd_residual(args, parser) -> int:
     return 0
 
 
-def cmd_decompose(args, parser) -> int:
-    _apply_config(args, parser)
+def cmd_decompose(args) -> int:
     vals = [float(v) for v in args.matrix.split(",")]
     if len(vals) != 9:
         raise ValueError("--matrix needs 9 comma-separated entries (row major)")
@@ -244,8 +219,7 @@ def cmd_decompose(args, parser) -> int:
     return 0
 
 
-def cmd_equilibria(args, parser) -> int:
-    _apply_config(args, parser)
+def cmd_equilibria(args) -> int:
     m = _moduli_from_args(args)
     eqs = equilibria(m)
     _emit(
@@ -268,8 +242,7 @@ def cmd_equilibria(args, parser) -> int:
     return 0
 
 
-def cmd_identity_check(args, parser) -> int:
-    _apply_config(args, parser)
+def cmd_identity_check(args) -> int:
     field = random_smooth_field(seed=args.seed)
     results = []
     spacings = [args.h, args.h / 2.0] if args.refine else [args.h]
@@ -287,7 +260,9 @@ def cmd_identity_check(args, parser) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
+    """The command line parser; ``config`` values become the subcommands'
+    defaults, so explicit flags still take precedence."""
     parser = argparse.ArgumentParser(
         prog="rotelast",
         description="Rotational elasticity experiments: soliton profiles, dynamics, "
@@ -366,14 +341,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_identity_check)
 
+    for p in sub.choices.values():
+        p.set_defaults(**(config or {}))
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args, parser)
+        if args.config:
+            # precedence: defaults < config file < flags
+            config = _load_config(args.config)
+            for key in config:
+                if key not in vars(args) or key in ("command", "func"):
+                    raise ValueError(f"unknown config key: {key}")
+            args = build_parser(config).parse_args(argv)
+        return args.func(args)
     except (ValueError, OSError) as exc:
         return _fail_usage(str(exc))
 

@@ -7,8 +7,9 @@ is polynomial in (alpha, beta) and reads
 
 with H the derivatives of the quadratic Lagrangian with respect to the Nye
 blocks and G built from first derivatives of the rotor.  The P-form
-(:func:`residual_eqs`) contains 1/alpha and exists for the equivalence
-property; it raises near the singular gauge |alpha| < 1e-8.
+(:func:`residual_eqs`) is the G-form times the matrix P of :func:`p_matrix`,
+which contains 1/alpha; it exists for the equivalence property and raises
+near the singular gauge |alpha| < 1e-8.
 
 All evaluators accept batched FieldPoints, so whole grids can be processed
 in one vectorized call (:func:`residual_grid`).
@@ -19,7 +20,8 @@ from __future__ import annotations
 import numpy as np
 
 from .fields import FieldPoint, RotorField
-from .kinematics import Moduli, RotorGrid, nye_matrix, nye_velocity_vector
+from .kinematics import (Moduli, RotorGrid, central_diff, central_diff2, nye_matrix,
+                         nye_velocity_vector)
 from .so3 import LEVI_CIVITA, Rotor
 
 __all__ = [
@@ -45,32 +47,32 @@ class SingularGaugeError(ValueError):
     """The 1/alpha parametrization degenerates near alpha = 0."""
 
 
-def _alpha_beta(r) -> tuple[float, np.ndarray]:
-    if isinstance(r, Rotor):
-        return r.alpha, r.beta
-    alpha, beta = r
-    return float(alpha), np.asarray(beta, dtype=float)
+def _alpha_beta(r) -> tuple[np.ndarray, np.ndarray]:
+    alpha, beta = (r.alpha, r.beta) if isinstance(r, Rotor) else r
+    return np.asarray(alpha, dtype=float), np.asarray(beta, dtype=float)
 
 
 def p_matrix(r) -> np.ndarray:
     """``P_ij = eps_ijl beta^l + (1/alpha)(delta_ij (1 - beta^2) + beta_i beta_j)``.
 
-    Accepts a Rotor or an (alpha, beta) pair; requires |alpha| >= 1e-8.
+    Accepts a Rotor or an (alpha, beta) pair, batched over leading axes;
+    requires |alpha| >= 1e-8 everywhere.
     """
     alpha, beta = _alpha_beta(r)
-    if abs(alpha) < ALPHA_MIN:
-        raise SingularGaugeError(f"p_matrix singular at alpha = {alpha!r}")
-    b2 = float(beta @ beta)
+    if np.min(np.abs(alpha)) < ALPHA_MIN:
+        raise SingularGaugeError(f"P singular: min |alpha| = {np.min(np.abs(alpha))!r}")
+    b2 = np.einsum("...i,...i->...", beta, beta)
     return (
-        np.einsum("ijl,l->ij", LEVI_CIVITA, beta)
-        + (np.eye(3) * (1.0 - b2) + np.outer(beta, beta)) / alpha
+        np.einsum("ijl,...l->...ij", LEVI_CIVITA, beta)
+        + ((1.0 - b2)[..., None, None] * np.eye(3) + beta[..., :, None] * beta[..., None, :])
+        / alpha[..., None, None]
     )
 
 
 def p_inverse(r) -> np.ndarray:
-    """``(P^-1)^jk = alpha delta^jk - eps^jkn beta_n`` (regular for all rotors)."""
+    """``(P^-1)^jk = alpha delta^jk - eps^jkn beta_n`` (regular for all rotors; batched)."""
     alpha, beta = _alpha_beta(r)
-    return alpha * np.eye(3) - np.einsum("jkn,n->jk", LEVI_CIVITA, beta)
+    return alpha[..., None, None] * np.eye(3) - np.einsum("jkn,...n->...jk", LEVI_CIVITA, beta)
 
 
 def g_tensor_space(fp: FieldPoint) -> np.ndarray:
@@ -161,42 +163,11 @@ def residual_eqs2_at(fp: FieldPoint, m: Moduli) -> np.ndarray:
 def residual_eqs_at(fp: FieldPoint, m: Moduli) -> np.ndarray:
     """P-form residual (free index j); requires |alpha| >= 1e-8 everywhere.
 
-    The Q blocks carrying the 1/alpha structure are built as ``Q = G P``,
-    which makes the right-multiplication by P^-1 recover the G-form
-    residual identically.
+    Its Q blocks are ``Q = G P``, so the P-form is the G-form residual
+    contracted with P, and right-multiplication by P^-1 recovers the G-form.
     """
-    if np.min(np.abs(fp.alpha)) < ALPHA_MIN:
-        raise SingularGaugeError("residual_eqs evaluated too close to alpha = 0")
-    a = nye_matrix(fp)
-    a_t = nye_velocity_vector(fp)
-    h_t, h_s = h_tensors(a, a_t, m)
-
-    dA = _d_nye(fp)
-    d_tr = np.einsum("...llk->...k", dA)
-    div_h = 2.0 * m.lambda1 * d_tr + m.lambda2 * (
-        np.einsum("...ikk->...i", dA) - np.einsum("...kik->...i", dA)
-    )
-    dt_h_t = 2.0 * _dt_nye_velocity(fp)
-
-    inv_alpha = 1.0 / fp.alpha
-    b2 = np.einsum("...i,...i->...", fp.beta, fp.beta)
-    p = (
-        np.einsum("ijl,...l->...ij", LEVI_CIVITA, fp.beta)
-        + inv_alpha[..., None, None]
-        * ((1.0 - b2)[..., None, None] * np.eye(3) + fp.beta[..., :, None] * fp.beta[..., None, :])
-    )
-    # Q_tij = G_ti^l P_lj and Q_kij = G_ki^l P_lj
-    g_s = g_tensor_space(fp)  # [..., k, j, i]
-    g_t = g_tensor_time(fp)  # [..., j, i]
-    q_t = np.einsum("...il,...lj->...ij", g_t, p)
-    q_s = np.einsum("...kil,...lj->...kij", g_s, p)
-
-    lead = np.einsum("...i,...ij->...j", dt_h_t - div_h, p)
-    coupling = 2.0 * (
-        np.einsum("...i,...ij->...j", h_t, q_t)
-        - np.einsum("...ik,...kij->...j", h_s, q_s)
-    )
-    return lead + coupling
+    p = p_matrix((fp.alpha, fp.beta))
+    return np.einsum("...i,...ij->...j", residual_eqs2_at(fp, m), p)
 
 
 def residual_eqs2(field: RotorField, point, time: float = 0.0, *, moduli: Moduli) -> np.ndarray:
@@ -212,8 +183,8 @@ def residual_eqs(field: RotorField, point, time: float = 0.0, *, moduli: Moduli)
 def grid_field_point(grid: RotorGrid, margin: int = 2) -> FieldPoint:
     """Batched FieldPoint over the interior of a grid, by central differences.
 
-    Needs ``margin >= 2`` cells on every side (nested stencils for second
-    derivatives).  Time blocks are zero: grids are static snapshots.
+    Needs ``margin >= 2`` cells on every side.  Time blocks are zero: grids
+    are static snapshots.
     """
     if margin < 2:
         raise ValueError("margin must be at least 2")
@@ -222,64 +193,26 @@ def grid_field_point(grid: RotorGrid, margin: int = 2) -> FieldPoint:
     h = grid.spacing
     a = grid.alpha
     b = grid.beta
-    c = (slice(margin, -margin),) * 3
-
-    def diff1(arr, ax):
-        sl = [slice(None)] * arr.ndim
-        up, dn = list(sl), list(sl)
-        up[ax] = slice(2, None)
-        dn[ax] = slice(0, -2)
-        out = (arr[tuple(up)] - arr[tuple(dn)]) / (2 * h)
-        pad = [slice(1, -1)] * 3 + [slice(None)] * (arr.ndim - 3)
-        pad[ax] = slice(None)
-        return out[tuple(pad)]
-
-    def diff2(arr, ax):
-        sl = [slice(None)] * arr.ndim
-        up, mid, dn = list(sl), list(sl), list(sl)
-        up[ax] = slice(2, None)
-        mid[ax] = slice(1, -1)
-        dn[ax] = slice(0, -2)
-        out = (arr[tuple(up)] - 2 * arr[tuple(mid)] + arr[tuple(dn)]) / (h * h)
-        pad = [slice(1, -1)] * 3 + [slice(None)] * (arr.ndim - 3)
-        pad[ax] = slice(None)
-        return out[tuple(pad)]
-
-    def diff_mixed(arr, ax1, ax2):
-        # four-point cross stencil
-        sl = [slice(1, -1)] * 3 + [slice(None)] * (arr.ndim - 3)
-
-        def shifted(s1, s2):
-            idx = list(sl)
-            idx[ax1] = slice(1 + s1, arr.shape[ax1] - 1 + s1)
-            idx[ax2] = slice(1 + s2, arr.shape[ax2] - 1 + s2)
-            return arr[tuple(idx)]
-
-        return (shifted(1, 1) - shifted(1, -1) - shifted(-1, 1) + shifted(-1, -1)) / (4 * h * h)
-
-    inner1 = (slice(margin - 1, -(margin - 1)),) * 3
-
     shp = tuple(n - 2 * margin for n in grid.dims)
     d_alpha = np.empty(shp + (3,))
     d_beta = np.empty(shp + (3, 3))
     dd_alpha = np.empty(shp + (3, 3))
     dd_beta = np.empty(shp + (3, 3, 3))
-    for ax in range(3):
-        d_alpha[..., ax] = diff1(a, ax)[inner1]
-        d_beta[..., :, ax] = diff1(b, ax)[inner1]
-        dd_alpha[..., ax, ax] = diff2(a, ax)[inner1]
-        dd_beta[..., :, ax, ax] = diff2(b, ax)[inner1]
-    for ax1 in range(3):
-        for ax2 in range(ax1 + 1, 3):
-            ma = diff_mixed(a, ax1, ax2)[inner1]
-            mb = diff_mixed(b, ax1, ax2)[inner1]
-            dd_alpha[..., ax1, ax2] = ma
-            dd_alpha[..., ax2, ax1] = ma
-            dd_beta[..., :, ax1, ax2] = mb
-            dd_beta[..., :, ax2, ax1] = mb
+    for j in range(3):
+        d_alpha[..., j] = central_diff(a, j, h, margin)
+        d_beta[..., :, j] = central_diff(b, j, h, margin)
+        for k in range(j, 3):
+            daa = central_diff2(a, j, k, h, margin)
+            dbb = central_diff2(b, j, k, h, margin)
+            dd_alpha[..., j, k] = daa
+            dd_beta[..., :, j, k] = dbb
+            if k != j:  # each diagonal block is written once
+                dd_alpha[..., k, j] = daa
+                dd_beta[..., :, k, j] = dbb
 
     zero_v = np.zeros(shp + (3,))
     zero_s = np.zeros(shp)
+    c = (slice(margin, -margin),) * 3
     return FieldPoint(
         alpha=a[c],
         beta=b[c],
@@ -298,7 +231,7 @@ def residual_grid(grid: RotorGrid, m: Moduli, margin: int = 2):
     """Residual of the G-form equations over a grid interior.
 
     Returns ``(points, residuals)`` with residuals of shape
-    ``(nx-2m, ny-2m, nz-2m, 3)`` evaluated by nested central differences.
+    ``(nx-2m, ny-2m, nz-2m, 3)`` evaluated by central differences.
     """
     fp = grid_field_point(grid, margin=margin)
     res = residual_eqs2_at(fp, m)

@@ -106,26 +106,16 @@ class RotorField:
         alpha, beta = self.alpha_beta(x, t)
         return rotor_matrix(alpha, beta)
 
-    def du(self, x, t: float = 0.0) -> np.ndarray:
-        """Spatial gradient of the matrix field, ``[..., i, j, k] = d_k u_ij``.
-
-        Obtained by the chain rule from the rotor derivative blocks; the
-        matrix is linear in ``(beta beta^T, beta^2, alpha beta)``.
-        """
-        fp = self.field_point(x, t)
-        return _du_from_blocks(fp.alpha, fp.beta, fp.d_alpha, fp.d_beta)
-
     def u_and_du(self, x, t: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-        """Matrix and gradient from a single field evaluation."""
+        """Matrix and its spatial gradient ``[..., i, j, k] = d_k u_ij``.
+
+        The gradient follows by the chain rule from the rotor derivative
+        blocks of one field evaluation; the matrix is linear in
+        ``(beta beta^T, beta^2, alpha beta)``.
+        """
         fp = self.field_point(x, t)
         return (rotor_matrix(fp.alpha, fp.beta),
                 _du_from_blocks(fp.alpha, fp.beta, fp.d_alpha, fp.d_beta))
-
-
-def _factor_u_du(field, x, t):
-    if hasattr(field, "u_and_du"):
-        return field.u_and_du(x, t)
-    return field.u(x, t), field.du(x, t)
 
 
 def _du_from_blocks(alpha, beta, d_alpha, d_beta):
@@ -311,15 +301,6 @@ class TranslatedField(RotorField):
     def field_point(self, x, t: float = 0.0) -> FieldPoint:
         return self.base.field_point(np.asarray(x, dtype=float) - self.offset, t)
 
-    def u(self, x, t: float = 0.0) -> np.ndarray:
-        return self.base.u(np.asarray(x, dtype=float) - self.offset, t)
-
-    def du(self, x, t: float = 0.0) -> np.ndarray:
-        return self.base.du(np.asarray(x, dtype=float) - self.offset, t)
-
-    def u_and_du(self, x, t: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-        return self.base.u_and_du(np.asarray(x, dtype=float) - self.offset, t)
-
 
 class ConstantField(RotorField):
     """Spatially and temporally constant rotor."""
@@ -357,33 +338,24 @@ class ProductField:
             out = out @ f.u(x, t)
         return out
 
-    def du(self, x, t: float = 0.0) -> np.ndarray:
-        return self.u_and_du(x, t)[1]
-
     def u_and_du(self, x, t: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-        pairs = [_factor_u_du(f, x, t) for f in self.factors]
-        us = [p[0] for p in pairs]
-        dus = [p[1] for p in pairs]
-        shp = us[0].shape[:-2]
-        total = np.zeros(shp + (3, 3, 3))
-        n = len(us)
-        for m in range(n):
-            left = None
-            for a in range(0, m):
-                left = us[a] if left is None else left @ us[a]
-            right = None
-            for b in range(m + 1, n):
-                right = us[b] if right is None else right @ us[b]
-            term = dus[m]
+        """Matrix and gradient; the product rule runs over prefix and suffix products."""
+        pairs = [f.u_and_du(x, t) for f in self.factors]
+        # prefix[m] = u_0 ... u_{m-1} and suffix[m] = u_{m+1} ... u_{n-1}; None is the identity
+        prefix, suffix = [None], [None]
+        for (u, _), (v, _) in zip(pairs[:-1], reversed(pairs[1:])):
+            prefix.append(u if prefix[-1] is None else prefix[-1] @ u)
+            suffix.append(v if suffix[-1] is None else v @ suffix[-1])
+        suffix.reverse()
+        terms = []
+        for (_, du), left, right in zip(pairs, prefix, suffix):
             if left is not None:
-                term = np.einsum("...ia,...ajk->...ijk", left, term)
+                du = np.einsum("...ia,...ajk->...ijk", left, du)
             if right is not None:
-                term = np.einsum("...iak,...aj->...ijk", term, right)
-            total += term
-        u_total = us[0]
-        for u_next in us[1:]:
-            u_total = u_total @ u_next
-        return u_total, total
+                du = np.einsum("...iak,...aj->...ijk", du, right)
+            terms.append(du)
+        u_last = pairs[-1][0]
+        return (u_last if prefix[-1] is None else prefix[-1] @ u_last), sum(terms)
 
     def alpha_beta(self, x, t: float = 0.0):
         return matrix_to_rotor(self.u(x, t))

@@ -242,26 +242,36 @@ class RotorGrid:
         dims = tuple(int(d) for d in dims)
         axes = [np.asarray(origin, dtype=float)[d] + spacing * np.arange(dims[d]) for d in range(3)]
         pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-        if hasattr(field, "field_point"):
-            fp = field.field_point(pts, time)
-            alpha, beta = fp.alpha, fp.beta
-        else:
-            alpha, beta = field.alpha_beta(pts, time)
+        alpha, beta = field.alpha_beta(pts, time)
         return cls(alpha=alpha, beta=beta, spacing=spacing, origin=origin)
 
 
-def _central_diff(arr: np.ndarray, axis: int, h: float) -> np.ndarray:
-    """Second-order central difference along a grid axis (interior only).
+def _shifted(arr: np.ndarray, margin: int, offset) -> np.ndarray:
+    """``arr`` over the nodes ``margin`` cells inside every face of the grid
+    axes, displaced by ``offset`` cells along each of them."""
+    return arr[tuple(slice(margin + o, n - margin + o) for n, o in zip(arr.shape, offset))]
 
-    The output drops one layer on each side of every axis so that stacked
-    derivatives stay index-aligned; callers track the margin.
+
+def central_diff(arr: np.ndarray, axis: int, h: float, margin: int = 1) -> np.ndarray:
+    """Second-order central first derivative along a grid axis.
+
+    ``arr`` has the three grid axes first; trailing axes are carried along.
+    The output covers the nodes at least ``margin`` cells from every face,
+    so stacked derivatives stay index-aligned; callers track the margin.
     """
-    sl = [slice(1, -1)] * 3 + [slice(None)] * (arr.ndim - 3)
-    up = list(sl)
-    dn = list(sl)
-    up[axis] = slice(2, None)
-    dn[axis] = slice(0, -2)
-    return (arr[tuple(up)] - arr[tuple(dn)]) / (2.0 * h)
+    e = np.eye(3, dtype=int)[axis]
+    return (_shifted(arr, margin, e) - _shifted(arr, margin, -e)) / (2.0 * h)
+
+
+def central_diff2(arr: np.ndarray, ax1: int, ax2: int, h: float, margin: int = 1) -> np.ndarray:
+    """Second-order central ``d_ax1 d_ax2``: three-point stencil on the
+    diagonal, four-point cross stencil off it; layout as :func:`central_diff`."""
+    e1, e2 = np.eye(3, dtype=int)[[ax1, ax2]]
+    if ax1 == ax2:
+        return (_shifted(arr, margin, e1) - 2 * _shifted(arr, margin, (0, 0, 0))
+                + _shifted(arr, margin, -e1)) / (h * h)
+    return (_shifted(arr, margin, e1 + e2) - _shifted(arr, margin, e1 - e2)
+            - _shifted(arr, margin, e2 - e1) + _shifted(arr, margin, -e1 - e2)) / (4 * h * h)
 
 
 def nye_fd_grid(grid: RotorGrid) -> np.ndarray:
@@ -271,11 +281,10 @@ def nye_fd_grid(grid: RotorGrid) -> np.ndarray:
     ``1..n-2`` of the grid.
     """
     u = grid.u_array()
-    h = grid.spacing
     core = u[1:-1, 1:-1, 1:-1]
     A = np.empty(core.shape[:3] + (3, 3))
     for k in range(3):
-        du = _central_diff(u, axis=k, h=h)
+        du = central_diff(u, k, grid.spacing)
         w = np.einsum("...ia,...ja->...ij", core, du)  # u d_k u^T
         A[..., :, k] = 0.5 * np.einsum("lij,...ij->...l", LEVI_CIVITA, w)
     return A
@@ -290,20 +299,8 @@ def nye_fd(grid: RotorGrid, index) -> np.ndarray:
     for d, n in zip((i, j, k), grid.dims):
         if d < 1 or d > n - 2:
             raise IndexError(f"index {(i, j, k)} not interior to grid of dims {grid.dims}")
-    h = grid.spacing
-    u0 = rotor_matrix(grid.alpha[i, j, k], grid.beta[i, j, k])
-    A = np.empty((3, 3))
-    for ax, (ip, im) in enumerate((
-        ((i + 1, j, k), (i - 1, j, k)),
-        ((i, j + 1, k), (i, j - 1, k)),
-        ((i, j, k + 1), (i, j, k - 1)),
-    )):
-        up = rotor_matrix(grid.alpha[ip], grid.beta[ip])
-        um = rotor_matrix(grid.alpha[im], grid.beta[im])
-        du = (up - um) / (2.0 * h)
-        w = u0 @ du.T
-        A[:, ax] = 0.5 * np.einsum("lij,ij->l", LEVI_CIVITA, w)
-    return A
+    near = (slice(i - 1, i + 2), slice(j - 1, j + 2), slice(k - 1, k + 2))
+    return nye_fd_grid(RotorGrid(grid.alpha[near], grid.beta[near], grid.spacing, grid.origin))[0, 0, 0]
 
 
 def check_identity_TT(grid: RotorGrid) -> float:
@@ -328,8 +325,7 @@ def check_identity_TT(grid: RotorGrid) -> float:
     S = 0.5 * (T - np.swapaxes(T, -1, -2))
     D = 0.5 * (T + np.swapaxes(T, -1, -2)) - (tau / 3.0)[..., None, None] * np.eye(3)
     v = np.einsum("ijk,...ij->...k", LEVI_CIVITA, T)
-    h = grid.spacing
-    div_v = sum(_central_diff(v, axis=k, h=h)[..., k] for k in range(3))
+    div_v = sum(central_diff(v, k, grid.spacing)[..., k] for k in range(3))
     c = (slice(1, -1),) * 3
     lhs = np.einsum("...ij,...ij->...", D, D)[c]
     rhs = (np.einsum("...ij,...ij->...", S, S) + tau * tau / 6.0)[c] + 2.0 * div_v

@@ -14,7 +14,8 @@ second-order leapfrog with a clamped far boundary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -59,7 +60,11 @@ class InstabilityError(RuntimeError):
 
 @dataclass
 class RadialProfile:
-    """Sampled radial profile w(r) with solver metadata."""
+    """Sampled radial profile w(r) with solver metadata.
+
+    ``dense`` is the solver's continuous solution ``r -> (w, w')``; only
+    :func:`solve_static` sets it.
+    """
 
     r: np.ndarray
     w: np.ndarray
@@ -67,6 +72,7 @@ class RadialProfile:
     slope0: float
     tol: float
     w_t: np.ndarray | None = None
+    dense: Callable[[np.ndarray], np.ndarray] | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         self.r = np.asarray(self.r, dtype=float)
@@ -179,9 +185,7 @@ def solve_static(m: Moduli, slope0: float, r_max: float, tol: float = 1e-10,
     # w(0) = 0 is the exact boundary value for any positive leading power
     r = np.concatenate(([0.0], r))
     w = np.concatenate(([0.0], y[0]))
-    profile = RadialProfile(r=r, w=w, moduli=m, slope0=slope0, tol=tol)
-    profile.dense = sol.sol  # type: ignore[attr-defined]
-    return profile
+    return RadialProfile(r=r, w=w, moduli=m, slope0=slope0, tol=tol, dense=sol.sol)
 
 
 def resample_uniform(profile: RadialProfile, n: int, r_max: float | None = None) -> RadialProfile:
@@ -209,7 +213,7 @@ def static_residual(profile: RadialProfile, n_probe: int = 400) -> float:
     Probe intervals are log-spaced: near the origin the solution behaves
     like a fractional power of r, which graded intervals resolve.
     """
-    dense = getattr(profile, "dense", None)
+    dense = profile.dense
     if dense is None:
         raise ValueError("profile carries no dense solution")
     l1 = profile.moduli.lambda1
@@ -424,13 +428,14 @@ def load_profile_csv(path) -> RadialProfile:
         if magic != f"# {PROFILE_MAGIC}":
             raise ValueError(f"not a radial profile file: {magic!r}")
         lam = f.readline().split()
-        lambda1, lambda2 = float(lam[2]), float(lam[4])
-        f.readline()  # c-triple line; couplings determine the dynamics
+        c = f.readline().split()
         meta = f.readline().split()
         slope0, tol = float(meta[2]), float(meta[4])
         header = f.readline().strip()
         data = np.loadtxt(f, delimiter=",", ndmin=2)
-    m = Moduli.from_couplings(lambda1, lambda2)
+    # Moduli checks that the stored c-triple and couplings agree
+    m = Moduli(c1=float(c[2]), c2=float(c[4]), c3=float(c[6]),
+               lambda1=float(lam[2]), lambda2=float(lam[4]))
     w_t = data[:, 2] if header == "r,w,w_t" else None
     return RadialProfile(r=data[:, 0], w=data[:, 1], w_t=w_t, moduli=m,
                          slope0=slope0, tol=tol)

@@ -23,7 +23,6 @@ __all__ = [
     "make_rotor",
     "rotor_to_matrix",
     "rotor_to_matrix_inv",
-    "matrix_product",
     "is_special_orthogonal",
     "rotor_matrix",
     "matrix_to_rotor",
@@ -105,11 +104,6 @@ def rotor_to_matrix(r: Rotor) -> np.ndarray:
 def rotor_to_matrix_inv(r: Rotor) -> np.ndarray:
     """Inverse matrix; same closed form with the alpha term negated."""
     return rotor_matrix(-r.alpha, r.beta)
-
-
-def matrix_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Ordinary matrix product (batched over leading axes)."""
-    return np.asarray(a) @ np.asarray(b)
 
 
 def is_special_orthogonal(m: np.ndarray, tol: float) -> bool:

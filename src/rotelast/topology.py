@@ -26,14 +26,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import HedgehogField, ProductField
+from .fields import HedgehogField
 from .so3 import LEVI_CIVITA
 
 __all__ = [
     "ChargeReport",
     "charge_density",
     "total_charge",
-    "product_field",
     "hedgehog_charge_profile",
 ]
 
@@ -76,10 +75,7 @@ class ChargeReport:
 def charge_density(field, point, time: float = 0.0):
     """Triple-product charge density at a point (batched over leading axes)."""
     x = np.asarray(point, dtype=float)
-    if hasattr(field, "u_and_du"):
-        u, du = field.u_and_du(x, time)
-    else:
-        u, du = field.u(x, time), field.du(x, time)
+    u, du = field.u_and_du(x, time)
     m = np.einsum("...ia,...jak->...kij", u, du)  # M_k = u d_k u^T
     val = _NORM * np.einsum("ijk,...iab,...jbc,...kca->...", LEVI_CIVITA, m, m, m)
     return float(val) if val.ndim == 0 else val
@@ -148,7 +144,3 @@ def total_charge(field, ball_radius: float, grid_spacing: float,
     return ChargeReport(charge=q_fine, ball_radius=float(ball_radius),
                         grid_spacing=float(grid_spacing), estimated_error=err)
 
-
-def product_field(factors) -> ProductField:
-    """Ordered matrix-product field of several rotor fields."""
-    return ProductField(factors)

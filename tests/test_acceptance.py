@@ -254,7 +254,7 @@ class TestAcceptance:
         ball, rho, sep = 13.0, 1.5, 6.05
         left, right = np.array([+sep, 0.0, 0.0]), np.array([-sep, 0.0, 0.0])
         centers = [left, right]
-        product = rl.product_field([rl.TranslatedField(soliton_field, c) for c in centers])
+        product = rl.ProductField([rl.TranslatedField(soliton_field, c) for c in centers])
 
         per_core = core_charge_in_ball(soliton_field, ball, sep)
         surface = product_surface_term(soliton_field, left, right, np.zeros(3), ball)

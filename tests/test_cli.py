@@ -76,6 +76,16 @@ class TestStatic:
         assert summary["r_max"] == 12  # explicit flag wins over config
         assert summary["lambda1"] == 1.0
 
+    def test_config_sets_float_option_and_flag(self, tmp_path, capsys):
+        # options with a non-None default and store_true flags come from the file
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = 7\nh = 0.4\nextent = 1.2\nrefine = true\n")
+        code, out, _ = run_cli(capsys, "identity-check", "--config", str(cfg))
+        assert code == 0
+        payload = json.loads(out)
+        assert [r["h"] for r in payload["results"]] == [0.4, 0.2]
+        assert "richardson_ratio" in payload
+
     def test_unknown_config_key_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("nonsense = 1\n")

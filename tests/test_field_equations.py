@@ -57,10 +57,26 @@ class TestPMatrix:
                 continue
             prod = rl.p_matrix(r) @ rl.p_inverse(r)
             assert np.abs(prod - np.eye(3)).max() <= 1e-12
+        # batched over leading axes, entry by entry equal to the single-rotor form
+        rotors = [r for r in (random_rotor(rng) for _ in range(40)) if abs(r.alpha) >= 1e-6]
+        alpha = np.array([r.alpha for r in rotors]).reshape(2, -1)
+        beta = np.array([r.beta for r in rotors]).reshape(2, -1, 3)
+        p = rl.p_matrix((alpha, beta))
+        assert p.shape == alpha.shape + (3, 3)
+        for n, r in enumerate(rotors):
+            single = rl.p_matrix(r)
+            assert np.abs(p.reshape(-1, 3, 3)[n] - single).max() <= 1e-14 * np.abs(single).max()
+        prod = p @ rl.p_inverse((alpha, beta))
+        assert np.abs(prod - np.eye(3)).max() <= 1e-12
 
     def test_singular_gauge(self):
         with pytest.raises(SingularGaugeError):
             rl.p_matrix(rl.make_rotor([1.0, 0.0, 0.0]))
+        # one singular point in a batch is enough
+        alpha = np.array([0.6, 0.5e-8])
+        beta = np.array([[0.8, 0.0, 0.0], [0.0, np.sqrt(1.0 - alpha[1] ** 2), 0.0]])
+        with pytest.raises(SingularGaugeError):
+            rl.p_matrix((alpha, beta))
 
 
 class TestPInverse:

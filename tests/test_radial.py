@@ -274,6 +274,24 @@ class TestProfileSerialization:
         p2 = rl.load_profile_csv(path)
         assert np.array_equal(p2.w_t, p.w_t)
 
+    def test_roundtrip_keeps_c_triple(self, tmp_path):
+        # (0.4, 0.6, 0.5) is not the representative that from_couplings picks
+        for m in (rl.Moduli.from_constants(0.4, 0.6, 0.5), rl.Moduli.from_couplings(0.9, 1.3)):
+            p = rl.RadialProfile(r=np.linspace(0.0, 3.0, 20), w=np.zeros(20), moduli=m,
+                                 slope0=1.0, tol=1e-9)
+            path, again = tmp_path / "first.csv", tmp_path / "again.csv"
+            rl.save_profile_csv(p, path)
+            loaded = rl.load_profile_csv(path)
+            assert loaded.moduli == m
+            rl.save_profile_csv(loaded, again)
+            assert again.read_bytes() == path.read_bytes()
+            with pytest.raises(ValueError, match="no dense solution"):
+                rl.static_residual(loaded)
+        # a c-triple that contradicts the stored couplings is rejected
+        path.write_text(path.read_text().replace("# c1 0.0 ", "# c1 0.5 "))
+        with pytest.raises(ValueError, match="inconsistent"):
+            rl.load_profile_csv(path)
+
     def test_resample_uniform(self, soliton_profile):
         uni = rl.resample_uniform(soliton_profile, n=501, r_max=40.0)
         assert uni.r[0] == 0.0 and uni.r[-1] == 40.0

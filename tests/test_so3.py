@@ -91,17 +91,17 @@ class TestInverse:
 class TestMatrixProduct:
     def test_identity_neutral(self, rng):
         m = rng.normal(size=(3, 3))
-        assert np.array_equal(rl.matrix_product(np.eye(3), m), m)
+        assert np.array_equal(np.eye(3) @ m, m)
 
     def test_orthogonal_times_transpose(self, rng):
         u = rl.rotor_to_matrix(random_rotor(rng))
-        assert np.abs(rl.matrix_product(u, u.T) - np.eye(3)).max() <= 1e-14
+        assert np.abs(u @ u.T - np.eye(3)).max() <= 1e-14
 
     def test_pi_rotations_compose_to_third_axis(self):
         ux = rl.rotor_to_matrix(rl.make_rotor([1.0, 0, 0]))
         uy = rl.rotor_to_matrix(rl.make_rotor([0, 1.0, 0]))
         uz = rl.rotor_to_matrix(rl.make_rotor([0, 0, 1.0]))
-        assert np.allclose(rl.matrix_product(ux, uy), uz)
+        assert np.allclose(ux @ uy, uz)
 
     def test_quaternion_composition_oracle(self, rng):
         # the matrix map reverses composition order: u(p*q) = u(q) u(p)
@@ -109,7 +109,7 @@ class TestMatrixProduct:
             p, q = random_rotor(rng), random_rotor(rng)
             a, b = quat_mul((p.alpha, p.beta), (q.alpha, q.beta))
             direct = rotor_matrix(a, b)
-            composed = rl.matrix_product(rl.rotor_to_matrix(q), rl.rotor_to_matrix(p))
+            composed = rl.rotor_to_matrix(q) @ rl.rotor_to_matrix(p)
             assert np.abs(direct - composed).max() <= 1e-12
 
 

@@ -51,7 +51,7 @@ class TestChargeDensity:
         # is pointwise unchanged
         base = degree_one_field()
         rot = rl.ConstantField(random_rotor(rng, max_norm=0.8))
-        prod = rl.product_field([rot, base])
+        prod = rl.ProductField([rot, base])
         pts = rng.normal(size=(8, 3)) * 2.0
         assert np.abs(rl.charge_density(prod, pts) - rl.charge_density(base, pts)).max() <= 1e-12
 
@@ -95,7 +95,7 @@ class TestTotalCharge:
     def test_left_rotation_invariance(self, rng):
         base = degree_one_field()
         rot = rl.ConstantField(random_rotor(rng, max_norm=0.8))
-        prod = rl.product_field([rot, base])
+        prod = rl.ProductField([rot, base])
         rep = rl.total_charge(prod, ball_radius=10.0, grid_spacing=0.25, force_3d=True)
         assert rep.charge == pytest.approx(-1.0, abs=5e-3)
 
@@ -110,47 +110,52 @@ class TestTotalCharge:
 class TestProductField:
     def test_single_factor_identical(self, rng):
         base = degree_one_field()
-        prod = rl.product_field([base])
+        prod = rl.ProductField([base])
         pts = rng.normal(size=(5, 3))
         assert np.abs(prod.u(pts) - base.u(pts)).max() == 0.0
-        assert np.abs(prod.du(pts) - base.du(pts)).max() == 0.0
+        assert np.abs(prod.u_and_du(pts)[1] - base.u_and_du(pts)[1]).max() == 0.0
 
     def test_identity_factor_absorbed(self, rng):
         base = degree_one_field()
         ident = rl.ConstantField(rl.make_rotor([0, 0, 0]))
-        prod = rl.product_field([base, ident])
+        prod = rl.ProductField([base, ident])
         pts = rng.normal(size=(5, 3))
         assert np.abs(prod.u(pts) - base.u(pts)).max() == 0.0
-        assert np.abs(prod.du(pts) - base.du(pts)).max() == 0.0
+        assert np.abs(prod.u_and_du(pts)[1] - base.u_and_du(pts)[1]).max() == 0.0
 
     def test_product_rule_against_finite_differences(self):
         f1 = rl.TranslatedField(degree_one_field(), [0.4, 0.0, -0.2])
         f2 = tanh_hedgehog(0.0, np.pi / 4, 1.5)
-        prod = rl.product_field([f1, f2])
+        # four factors: the inner ones have both prefix and suffix products
+        four = [f1, rl.ConstantField(rl.make_rotor([0.2, -0.3, 0.1])),
+                rl.TranslatedField(degree_one_field(0.8), [-0.5, 0.3, 0.1]),
+                rl.TranslatedField(f2, [0.1, 0.2, 0.3])]
         x = np.array([0.9, -0.3, 0.7])
         h = 1e-6
-        for k in range(3):
-            dx = np.zeros(3)
-            dx[k] = h
-            fd = (prod.u(x + dx) - prod.u(x - dx)) / (2 * h)
-            assert np.abs(prod.du(x)[..., k] - fd).max() <= 1e-8
+        for factors in ([f1, f2], four):
+            prod = rl.ProductField(factors)
+            for k in range(3):
+                dx = np.zeros(3)
+                dx[k] = h
+                fd = (prod.u(x + dx) - prod.u(x - dx)) / (2 * h)
+                assert np.abs(prod.u_and_du(x)[1][..., k] - fd).max() <= 1e-8
 
     def test_charge_additive_for_separated_factors(self):
         # degree-(-1) cores at +/- 5: total charge -2 up to the stated 0.1
         core = degree_one_field(scale=0.8)
         f1 = rl.TranslatedField(core, [5.0, 0.0, 0.0])
         f2 = rl.TranslatedField(core, [-5.0, 0.0, 0.0])
-        prod = rl.product_field([f1, f2])
+        prod = rl.ProductField([f1, f2])
         rep = rl.total_charge(prod, ball_radius=12.0, grid_spacing=0.3)
         assert abs(rep.charge - (-2.0)) <= 0.1
 
     def test_empty_product_rejected(self):
         with pytest.raises(ValueError):
-            rl.product_field([])
+            rl.ProductField([])
 
     def test_rotor_extraction_sign_alignment(self):
         base = degree_one_field()
-        prod = rl.product_field([base, rl.ConstantField(rl.make_rotor([0, 0, 0]))])
+        prod = rl.ProductField([base, rl.ConstantField(rl.make_rotor([0, 0, 0]))])
         line = np.stack([np.linspace(0.2, 4.0, 50), np.zeros(50), np.zeros(50)], axis=-1)
         alpha, beta = prod.alpha_beta_aligned(line)
         four = np.concatenate([alpha[:, None], beta], axis=1)
