@@ -5,8 +5,8 @@ identity-check.  Moduli are given either as the c-triple (--c1 --c2 --c3)
 or the couplings (--lambda1 --lambda2), never both.  Flags override an
 optional key=value config file (--config); identical configuration and
 seed produce bit-identical outputs.  Exit codes: 0 success, 2 bad usage or
-configuration, 3 solver divergence (with a diagnostic JSON record on
-stdout).
+configuration, 3 solver failure (divergence, instability or a failed
+integration, with a one-line diagnostic JSON record on stdout).
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from .kinematics import (
 from .field_equations import residual_grid
 from .radial import (
     DivergenceError,
+    InstabilityError,
     equilibria,
     evolve_dynamic,
     lift_hedgehog,
@@ -55,6 +56,16 @@ def _fail_usage(message: str) -> int:
     print(json.dumps({"schema_version": SCHEMA_VERSION, "error": "usage", "detail": message},
                      sort_keys=True), file=sys.stderr)
     return 2
+
+
+def _fail_runtime(exc: RuntimeError) -> int:
+    record = {"schema_version": SCHEMA_VERSION, "error": "solver_failure", "detail": str(exc)}
+    if isinstance(exc, DivergenceError):
+        record.update(error="divergence", radius=exc.radius)
+    elif isinstance(exc, InstabilityError):
+        record["error"] = "instability"
+    print(json.dumps(record, sort_keys=True))
+    return 3
 
 
 def _moduli_from_args(args) -> Moduli:
@@ -99,12 +110,7 @@ def _load_config(path: str) -> dict:
 
 def cmd_static(args) -> int:
     m = _moduli_from_args(args)
-    try:
-        profile = solve_static(m, slope0=args.slope0, r_max=args.rmax, tol=args.tol)
-    except DivergenceError as exc:
-        print(json.dumps({"schema_version": SCHEMA_VERSION, "error": "divergence",
-                          "detail": str(exc), "radius": exc.radius}, sort_keys=True))
-        return 3
+    profile = solve_static(m, slope0=args.slope0, r_max=args.rmax, tol=args.tol)
     if args.output:
         save_profile_csv(profile, args.output)
     _emit(
@@ -131,10 +137,7 @@ def cmd_evolve(args) -> int:
         uniform.w_t = np.zeros_like(uniform.w)
     dr = uniform.r[1] - uniform.r[0]
     dt = args.dt if args.dt is not None else 0.5 * dr / np.sqrt(uniform.moduli.lambda1)
-    try:
-        result = evolve_dynamic(uniform, dt=dt, t_end=args.t_end)
-    except ValueError as exc:
-        return _fail_usage(str(exc))
+    result = evolve_dynamic(uniform, dt=dt, t_end=args.t_end)
     final = result.profile(len(result.times) - 1)
     if args.output:
         save_profile_csv(final, args.output)
@@ -280,6 +283,9 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
         p.add_argument("--config", default=None,
                        help="key=value file; explicit flags take precedence")
         p.add_argument("--seed", type=int, default=0, help="seed for randomized commands")
+        # options named in ``required`` may come from the config file, so main()
+        # checks them after the merge rather than argparse before it
+        p.set_defaults(required=())
 
     p = sub.add_parser("static", help="solve the static radial profile")
     common(p)
@@ -293,38 +299,38 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
 
     p = sub.add_parser("evolve", help="integrate the radial dynamics")
     common(p)
-    p.add_argument("--from-profile", required=True, help="initial profile CSV")
+    p.add_argument("--from-profile", help="initial profile CSV (required)")
     p.add_argument("--dt", type=float, default=None, help="time step (default 0.5 dr/sqrt(l1))")
     p.add_argument("--t-end", type=float, default=10.0)
     p.add_argument("--n-grid", type=int, default=4001, help="uniform radial grid size")
     p.add_argument("-o", "--output", default=None, help="final profile CSV path")
     p.add_argument("--summary", default=None, help="summary JSON path")
-    p.set_defaults(func=cmd_evolve)
+    p.set_defaults(func=cmd_evolve, required=("from_profile",))
 
     p = sub.add_parser("charge", help="topological charge of a lifted profile")
     common(p)
-    p.add_argument("--from-profile", required=True)
+    p.add_argument("--from-profile", help="profile CSV (required)")
     p.add_argument("--radius", type=float, default=40.0, help="integration ball radius")
     p.add_argument("--spacing", type=float, default=0.01, help="quadrature resolution")
     p.add_argument("--full-3d", action="store_true",
                    help="force the 3-d midpoint quadrature instead of the radial fast path")
     p.add_argument("-o", "--output", default=None, help="charge JSON path")
-    p.set_defaults(func=cmd_charge)
+    p.set_defaults(func=cmd_charge, required=("from_profile",))
 
     p = sub.add_parser("residual", help="field-equation residual of a lifted profile on a grid")
     common(p)
-    p.add_argument("--from-profile", required=True)
+    p.add_argument("--from-profile", help="profile CSV (required)")
     p.add_argument("--h", type=float, default=0.2, help="grid spacing")
     p.add_argument("--rmin", type=float, default=1.0, help="annulus inner radius")
     p.add_argument("--rmax-annulus", type=float, default=5.0, help="annulus outer radius")
     p.add_argument("-o", "--output", default=None, help="residual JSON path")
-    p.set_defaults(func=cmd_residual)
+    p.set_defaults(func=cmd_residual, required=("from_profile",))
 
     p = sub.add_parser("decompose", help="irreducible parts and invariants of a 3x3 matrix")
     common(p)
-    p.add_argument("--matrix", required=True, help="9 comma-separated entries, row major")
+    p.add_argument("--matrix", help="9 comma-separated entries, row major (required)")
     p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=cmd_decompose)
+    p.set_defaults(func=cmd_decompose, required=("matrix",))
 
     p = sub.add_parser("equilibria", help="fixed points of the autonomous radial system")
     common(p)
@@ -353,12 +359,17 @@ def main(argv=None) -> int:
             # precedence: defaults < config file < flags
             config = _load_config(args.config)
             for key in config:
-                if key not in vars(args) or key in ("command", "func"):
+                if key not in vars(args) or key in ("command", "func", "required"):
                     raise ValueError(f"unknown config key: {key}")
             args = build_parser(config).parse_args(argv)
+        missing = ["--" + key.replace("_", "-") for key in args.required if getattr(args, key) is None]
+        if missing:
+            raise ValueError(f"the following arguments are required: {', '.join(missing)}")
         return args.func(args)
     except (ValueError, OSError) as exc:
         return _fail_usage(str(exc))
+    except RuntimeError as exc:
+        return _fail_runtime(exc)
 
 
 if __name__ == "__main__":

@@ -22,7 +22,7 @@ import numpy as np
 from .fields import FieldPoint, RotorField
 from .kinematics import (Moduli, RotorGrid, central_diff, central_diff2, nye_matrix,
                          nye_velocity_vector)
-from .so3 import LEVI_CIVITA, Rotor
+from .so3 import Rotor, eps_dot
 
 __all__ = [
     "SingularGaugeError",
@@ -63,7 +63,7 @@ def p_matrix(r) -> np.ndarray:
         raise SingularGaugeError(f"P singular: min |alpha| = {np.min(np.abs(alpha))!r}")
     b2 = np.einsum("...i,...i->...", beta, beta)
     return (
-        np.einsum("ijl,...l->...ij", LEVI_CIVITA, beta)
+        eps_dot(beta)
         + ((1.0 - b2)[..., None, None] * np.eye(3) + beta[..., :, None] * beta[..., None, :])
         / alpha[..., None, None]
     )
@@ -72,33 +72,29 @@ def p_matrix(r) -> np.ndarray:
 def p_inverse(r) -> np.ndarray:
     """``(P^-1)^jk = alpha delta^jk - eps^jkn beta_n`` (regular for all rotors; batched)."""
     alpha, beta = _alpha_beta(r)
-    return alpha[..., None, None] * np.eye(3) - np.einsum("jkn,...n->...jk", LEVI_CIVITA, beta)
+    return alpha[..., None, None] * np.eye(3) - eps_dot(beta)
 
 
 def g_tensor_space(fp: FieldPoint) -> np.ndarray:
     """``G_kj^i = eps_jil d_k(alpha beta_l) + beta^i d_k beta_j - beta_j d_k beta^i``.
 
+    Since ``a_i b_j - a_j b_i = -eps_jin (a x b)_n``, this is
+    ``eps_jil w_lk`` with ``w_lk = d_k(alpha beta_l) - (beta x d_k beta)_l``.
     Returned with index order ``[..., k, j, i]``; antisymmetric in (i, j).
     """
-    dab = (
+    w = (
         fp.d_alpha[..., None, :] * fp.beta[..., :, None]
         + fp.alpha[..., None, None] * fp.d_beta
-    )  # [..., l, k] = d_k(alpha beta_l)
-    return (
-        np.einsum("jil,...lk->...kji", LEVI_CIVITA, dab)
-        + np.einsum("...i,...jk->...kji", fp.beta, fp.d_beta)
-        - np.einsum("...j,...ik->...kji", fp.beta, fp.d_beta)
-    )
+        - np.cross(fp.beta[..., :, None], fp.d_beta, axis=-2)
+    )  # [..., l, k]
+    return np.moveaxis(eps_dot(w, axis=-2), -1, -3)
 
 
 def g_tensor_time(fp: FieldPoint) -> np.ndarray:
-    """Time block ``G_tj^i``, index order ``[..., j, i]``; antisymmetric."""
-    dab = fp.dt_alpha[..., None] * fp.beta + fp.alpha[..., None] * fp.dt_beta
-    return (
-        np.einsum("jil,...l->...ji", LEVI_CIVITA, dab)
-        + np.einsum("...i,...j->...ji", fp.beta, fp.dt_beta)
-        - np.einsum("...j,...i->...ji", fp.beta, fp.dt_beta)
-    )
+    """Time block ``G_tj^i = eps_jil w_l``, ``w = d_t(alpha beta) - beta x d_t beta``;
+    index order ``[..., j, i]``; antisymmetric."""
+    w = fp.dt_alpha[..., None] * fp.beta + fp.alpha[..., None] * fp.dt_beta - np.cross(fp.beta, fp.dt_beta)
+    return eps_dot(w)
 
 
 def h_tensors(a: np.ndarray, a_t: np.ndarray, m: Moduli) -> tuple[np.ndarray, np.ndarray]:
@@ -117,21 +113,27 @@ def h_tensors(a: np.ndarray, a_t: np.ndarray, m: Moduli) -> tuple[np.ndarray, np
 
 
 def _d_nye(fp: FieldPoint) -> np.ndarray:
-    """Spatial gradient of the Nye tensor, ``[..., l, m, k] = d_k A_lm``."""
+    """Spatial gradient of the Nye tensor, ``[..., l, m, k] = d_k A_lm``.
+
+    ``d_k A_lm = 2 (d_k beta x d_m beta + beta x d_k d_m beta)_l
+    + 2 (d_k beta_l d_m alpha + beta_l d_k d_m alpha - d_k alpha d_m beta_l
+    - alpha d_k d_m beta_l)``; the cross products run over axis -3.
+    """
+    b, db, ddb = fp.beta, fp.d_beta, fp.dd_beta
     return 2.0 * (
-        np.einsum("lij,...ik,...jm->...lmk", LEVI_CIVITA, fp.d_beta, fp.d_beta)
-        + np.einsum("lij,...i,...jmk->...lmk", LEVI_CIVITA, fp.beta, fp.dd_beta)
-        + np.einsum("...lk,...m->...lmk", fp.d_beta, fp.d_alpha)
-        + np.einsum("...l,...km->...lmk", fp.beta, fp.dd_alpha)
-        - np.einsum("...k,...lm->...lmk", fp.d_alpha, fp.d_beta)
-        - np.einsum("...,...lkm->...lmk", fp.alpha, fp.dd_beta)
+        np.cross(db[..., :, None, :], db[..., :, :, None], axis=-3)
+        + np.cross(b[..., :, None, None], ddb, axis=-3)
+        + db[..., :, None, :] * fp.d_alpha[..., None, :, None]
+        + b[..., :, None, None] * np.swapaxes(fp.dd_alpha, -1, -2)[..., None, :, :]
+        - fp.d_alpha[..., None, None, :] * db[..., :, :, None]
+        - fp.alpha[..., None, None, None] * np.swapaxes(ddb, -1, -2)
     )
 
 
 def _dt_nye_velocity(fp: FieldPoint) -> np.ndarray:
     """``d_t A_lt``; the first-derivative cross terms cancel identically."""
     return 2.0 * (
-        np.einsum("lij,...i,...j->...l", LEVI_CIVITA, fp.beta, fp.dtt_beta)
+        np.cross(fp.beta, fp.dtt_beta)
         + fp.beta * fp.dtt_alpha[..., None]
         - fp.alpha[..., None] * fp.dtt_beta
     )
@@ -183,11 +185,11 @@ def residual_eqs(field: RotorField, point, time: float = 0.0, *, moduli: Moduli)
 def grid_field_point(grid: RotorGrid, margin: int = 2) -> FieldPoint:
     """Batched FieldPoint over the interior of a grid, by central differences.
 
-    Needs ``margin >= 2`` cells on every side.  Time blocks are zero: grids
-    are static snapshots.
+    Needs ``margin >= 1`` cell on every side, the reach of the stencils.
+    Time blocks are zero: grids are static snapshots.
     """
-    if margin < 2:
-        raise ValueError("margin must be at least 2")
+    if margin < 1:
+        raise ValueError("margin must be at least 1")
     if min(grid.dims) < 2 * margin + 1:
         raise ValueError("grid too small for the requested margin")
     h = grid.spacing

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .so3 import LEVI_CIVITA, Rotor, align_rotor_signs, matrix_to_rotor, rotor_matrix
+from .so3 import Rotor, align_rotor_signs, eps_dot, matrix_to_rotor, rotor_matrix
 
 __all__ = [
     "FieldPoint",
@@ -119,18 +119,12 @@ class RotorField:
 
 
 def _du_from_blocks(alpha, beta, d_alpha, d_beta):
-    eye = np.eye(3)
     bdb = np.einsum("...l,...lk->...k", beta, d_beta)  # d_k (beta^2) / 2
-    term_tr = -4.0 * np.einsum("...k,ij->...ijk", bdb, eye)
-    term_bb = 2.0 * (
-        np.einsum("...ik,...j->...ijk", d_beta, beta)
-        + np.einsum("...i,...jk->...ijk", beta, d_beta)
-    )
-    term_eps = 2.0 * (
-        np.einsum("...k,ijm,...m->...ijk", d_alpha, LEVI_CIVITA, beta)
-        + np.einsum("...,ijm,...mk->...ijk", alpha, LEVI_CIVITA, d_beta)
-    )
-    return term_tr + term_bb + term_eps
+    term_tr = -4.0 * np.einsum("...k,ij->...ijk", bdb, np.eye(3))
+    term_bb = 2.0 * (d_beta[..., :, None, :] * beta[..., None, :, None]
+                     + beta[..., :, None, None] * d_beta[..., None, :, :])
+    d_alpha_beta = d_alpha[..., None, :] * beta[..., :, None] + alpha[..., None, None] * d_beta
+    return term_tr + term_bb + 2.0 * eps_dot(d_alpha_beta, axis=-2)
 
 
 class AnalyticRotorField(RotorField):
@@ -349,10 +343,10 @@ class ProductField:
         suffix.reverse()
         terms = []
         for (_, du), left, right in zip(pairs, prefix, suffix):
-            if left is not None:
-                du = np.einsum("...ia,...ajk->...ijk", left, du)
-            if right is not None:
-                du = np.einsum("...iak,...aj->...ijk", du, right)
+            if left is not None:  # left_ia du_ajk, with (j, k) as one axis
+                du = (left @ du.reshape(du.shape[:-2] + (9,))).reshape(du.shape)
+            if right is not None:  # du_iak right_aj = (right^T)_ja du_iak
+                du = np.swapaxes(right, -1, -2)[..., None, :, :] @ du
             terms.append(du)
         u_last = pairs[-1][0]
         return (u_last if prefix[-1] is None else prefix[-1] @ u_last), sum(terms)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import FieldPoint, RotorField
-from .so3 import LEVI_CIVITA, Rotor, rotor_matrix
+from .so3 import Rotor, eps_ddot, rotor_matrix
 
 __all__ = [
     "Moduli",
@@ -134,8 +134,8 @@ def nye_matrix(fp: FieldPoint) -> np.ndarray:
     ``A_lk = 2 (eps_lij beta^i d_k beta^j + beta_l d_k alpha - alpha d_k beta_l)``.
     """
     term = (
-        np.einsum("lij,...i,...jk->...lk", LEVI_CIVITA, fp.beta, fp.d_beta)
-        + np.einsum("...l,...k->...lk", fp.beta, fp.d_alpha)
+        np.cross(fp.beta[..., :, None], fp.d_beta, axis=-2)
+        + fp.beta[..., :, None] * fp.d_alpha[..., None, :]
         - fp.alpha[..., None, None] * fp.d_beta
     )
     return 2.0 * term
@@ -144,7 +144,7 @@ def nye_matrix(fp: FieldPoint) -> np.ndarray:
 def nye_velocity_vector(fp: FieldPoint) -> np.ndarray:
     """Deformation velocity ``A_lt``, same contraction with d_t in place of d_k."""
     term = (
-        np.einsum("lij,...i,...j->...l", LEVI_CIVITA, fp.beta, fp.dt_beta)
+        np.cross(fp.beta, fp.dt_beta)
         + fp.beta * fp.dt_alpha[..., None]
         - fp.alpha[..., None] * fp.dt_beta
     )
@@ -286,7 +286,7 @@ def nye_fd_grid(grid: RotorGrid) -> np.ndarray:
     for k in range(3):
         du = central_diff(u, k, grid.spacing)
         w = np.einsum("...ia,...ja->...ij", core, du)  # u d_k u^T
-        A[..., :, k] = 0.5 * np.einsum("lij,...ij->...l", LEVI_CIVITA, w)
+        A[..., :, k] = 0.5 * eps_ddot(w)
     return A
 
 
@@ -324,7 +324,7 @@ def check_identity_TT(grid: RotorGrid) -> float:
     tau = np.trace(T, axis1=-2, axis2=-1)
     S = 0.5 * (T - np.swapaxes(T, -1, -2))
     D = 0.5 * (T + np.swapaxes(T, -1, -2)) - (tau / 3.0)[..., None, None] * np.eye(3)
-    v = np.einsum("ijk,...ij->...k", LEVI_CIVITA, T)
+    v = eps_ddot(T)
     div_v = sum(central_diff(v, k, grid.spacing)[..., k] for k in range(3))
     c = (slice(1, -1),) * 3
     lhs = np.einsum("...ij,...ij->...", D, D)[c]

@@ -26,6 +26,8 @@ __all__ = [
     "is_special_orthogonal",
     "rotor_matrix",
     "matrix_to_rotor",
+    "eps_dot",
+    "eps_ddot",
 ]
 
 UNIT_TOL = 1e-12
@@ -34,6 +36,32 @@ UNIT_TOL = 1e-12
 LEVI_CIVITA = np.zeros((3, 3, 3))
 LEVI_CIVITA[0, 1, 2] = LEVI_CIVITA[1, 2, 0] = LEVI_CIVITA[2, 0, 1] = 1.0
 LEVI_CIVITA[0, 2, 1] = LEVI_CIVITA[2, 1, 0] = LEVI_CIVITA[1, 0, 2] = -1.0
+
+# Contractions with the symbol are written out by component: an einsum
+# against LEVI_CIVITA multiplies all 27 entries, 21 of them zero.  The
+# two-vector contraction eps_lij a_i b_j is ``np.cross``.
+
+
+def eps_dot(v: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Antisymmetric matrix ``[..., i, j] = eps_ijm v_m``, batched.
+
+    ``axis`` is the axis of ``v`` that carries m; it is replaced by the
+    pair (i, j), so ``v[..., m, k]`` with ``axis=-2`` gives ``[..., i, j, k]``.
+    """
+    v = np.asarray(v, dtype=float)
+    axis %= v.ndim
+    v = np.moveaxis(v, axis, 0)
+    out = np.zeros((3, 3) + v.shape[1:])
+    out[0, 1], out[1, 2], out[2, 0] = v[2], v[0], v[1]
+    out[1, 0], out[2, 1], out[0, 2] = -v[2], -v[0], -v[1]
+    return np.moveaxis(out, (0, 1), (axis, axis + 1))
+
+
+def eps_ddot(w: np.ndarray) -> np.ndarray:
+    """Axial contraction ``[..., l] = eps_lij w_ij`` of a batch of 3x3 matrices."""
+    w = np.asarray(w, dtype=float)
+    return np.stack([w[..., 1, 2] - w[..., 2, 1], w[..., 2, 0] - w[..., 0, 2],
+                     w[..., 0, 1] - w[..., 1, 0]], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -91,7 +119,7 @@ def rotor_matrix(alpha, beta) -> np.ndarray:
     u = (
         (1.0 - 2.0 * b2)[..., None, None] * eye
         + 2.0 * beta[..., :, None] * beta[..., None, :]
-        + 2.0 * alpha[..., None, None] * np.einsum("ijk,...k->...ij", LEVI_CIVITA, beta)
+        + 2.0 * alpha[..., None, None] * eps_dot(beta)
     )
     return u
 
@@ -118,9 +146,13 @@ def is_special_orthogonal(m: np.ndarray, tol: float) -> bool:
 def matrix_to_rotor(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Recover (alpha, beta) from special orthogonal matrices, batched.
 
-    The sign ambiguity of the double cover is resolved per point by the
-    largest-magnitude component of the 4-vector (alpha made non-negative
-    where possible); callers that need sign continuity along a path should
+    The largest of the squared components ``alpha^2``, ``beta_i^2`` (read
+    off the diagonal) is the pivot; the other three components follow from
+    the products ``4 q_p q_r`` by dividing by ``2 q_p`` (Shepperd 1978;
+    Markley 2008), where ``2 alpha beta`` is the axial vector of the skew
+    part of u and ``2 beta_i beta_j`` the off-diagonal of its symmetric part.
+    The sign ambiguity of the double cover is resolved per point by taking
+    alpha >= 0; callers that need sign continuity along a path should
     realign with :func:`align_rotor_signs`.
 
     Returns ``alpha (...,)`` and ``beta (..., 3)``.
@@ -128,68 +160,40 @@ def matrix_to_rotor(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     u = np.asarray(u, dtype=float)
     tr = np.trace(u, axis1=-2, axis2=-1)
     # squared components from the diagonal; clip guards roundoff
-    a2 = np.clip((1.0 + tr) / 4.0, 0.0, 1.0)
-    b2 = np.clip((1.0 + 2.0 * np.einsum("...ii->...i", u) - tr[..., None]) / 4.0, 0.0, 1.0)
-    # off-diagonal products; axial of the skew part of u equals 2 a b
-    skew = 0.5 * np.einsum("kij,...ij->...k", LEVI_CIVITA, u)
-    sym = 0.5 * (u + np.swapaxes(u, -1, -2))
-    quads = np.stack(
-        [
-            a2,
-            b2[..., 0],
-            b2[..., 1],
-            b2[..., 2],
-        ],
-        axis=-1,
-    )
-    pivot = np.argmax(quads, axis=-1)
-    alpha = np.empty(u.shape[:-2])
-    beta = np.empty(u.shape[:-2] + (3,))
-
-    flat_u = u.reshape(-1, 3, 3)
-    flat_piv = pivot.reshape(-1)
-    flat_a = alpha.reshape(-1)
-    flat_b = beta.reshape(-1, 3)
-    flat_skew = skew.reshape(-1, 3)
-    flat_sym = sym.reshape(-1, 3, 3)
-    flat_a2 = a2.reshape(-1)
-    flat_b2 = b2.reshape(-1, 3)
-    for n in range(flat_u.shape[0]):
-        p = flat_piv[n]
-        if p == 0:
-            a = np.sqrt(flat_a2[n])
-            b = flat_skew[n] / (2.0 * a)
-        else:
-            i = p - 1
-            bi = np.sqrt(flat_b2[n, i])
-            # sym offdiag: (u + u^T)/2 with identity part removed gives 2 b_i b_j
-            b = np.empty(3)
-            b[i] = bi
-            for j in range(3):
-                if j != i:
-                    b[j] = flat_sym[n, i, j] / (2.0 * bi)
-            a = flat_skew[n, i] / (2.0 * b[i]) if abs(b[i]) > 0 else 0.0
-            # prefer the alpha >= 0 branch for reproducibility
-            if a < 0.0:
-                a, b = -a, -b
-        flat_a[n] = a
-        flat_b[n] = b
-    return alpha, beta
+    quads = np.clip(np.concatenate([(1.0 + tr)[..., None],
+                                    1.0 + 2.0 * np.einsum("...ii->...i", u) - tr[..., None]],
+                                   axis=-1) / 4.0, 0.0, 1.0)
+    # products[p, r] = 4 q_p q_r for p != r, with q = (alpha, beta)
+    products = np.zeros(u.shape[:-2] + (4, 4))
+    products[..., 0, 1:] = products[..., 1:, 0] = 0.5 * eps_ddot(u)
+    products[..., 1:, 1:] = 0.5 * (u + np.swapaxes(u, -1, -2))
+    pivot = np.argmax(quads, axis=-1)[..., None]
+    q_pivot = np.sqrt(np.take_along_axis(quads, pivot, axis=-1))
+    q = np.take_along_axis(products, pivot[..., None], axis=-2)[..., 0, :] / (2.0 * q_pivot)
+    np.put_along_axis(q, pivot, q_pivot, axis=-1)
+    q = np.where(q[..., :1] < 0.0, -q, q)
+    return q[..., 0], q[..., 1:]
 
 
 def align_rotor_signs(alpha: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Fix double-cover signs along the leading (scan) axis.
+    """Fix double-cover signs along the flattened scan order.
 
     For each sample after the first, the sign maximizing the 4-vector dot
-    product with the previous sample is chosen.
+    product with the previous (already realigned) sample is chosen; a zero
+    dot product keeps the sample as it is.  The signs are therefore a
+    running product of the signs of consecutive raw dot products, restarted
+    at +1 wherever that dot product is zero.
     """
     alpha = np.array(alpha, dtype=float)
     beta = np.array(beta, dtype=float)
     flat_a = alpha.reshape(-1)
     flat_b = beta.reshape(-1, 3)
-    for n in range(1, flat_a.size):
-        dot = flat_a[n] * flat_a[n - 1] + flat_b[n] @ flat_b[n - 1]
-        if dot < 0.0:
-            flat_a[n] = -flat_a[n]
-            flat_b[n] = -flat_b[n]
+    dot = flat_a[1:] * flat_a[:-1] + np.einsum("ni,ni->n", flat_b[1:], flat_b[:-1])
+    flips = np.concatenate(([0], np.cumsum(dot < 0.0)))
+    # a zero (or NaN) dot product restarts the running product; sample 0 starts it
+    restarts = np.concatenate(([True], ~(dot != 0.0)))
+    last_restart = np.maximum.accumulate(np.where(restarts, np.arange(flat_a.size), 0))
+    sign = np.where((flips - flips[last_restart]) % 2 == 1, -1.0, 1.0)
+    flat_a *= sign
+    flat_b *= sign[:, None]
     return alpha, beta

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import rotelast as rl
+import rotelast.cli
 from rotelast.cli import main
 
 
@@ -186,3 +187,88 @@ class TestIdentityCheckCommand:
         assert code == 0
         grid = rl.load_grid_csv(grid_path)
         assert min(grid.dims) >= 5
+
+
+class TestRuntimeFailures:
+    """Solver failures exit 3 with a one-line JSON record on stdout, never a traceback."""
+
+    def test_instability_exit_3(self, tmp_path, capsys, monkeypatch):
+        path, _ = make_soliton_csv(tmp_path, capsys, rmax="10")
+
+        def unstable(*args, **kwargs):
+            raise rl.InstabilityError("non-finite w at t = 0.25")
+
+        monkeypatch.setattr(rotelast.cli, "evolve_dynamic", unstable)
+        code, out, _ = run_cli(capsys, "evolve", "--from-profile", str(path), "--n-grid", "101")
+        assert code == 3
+        assert len(out.splitlines()) == 1
+        record = json.loads(out)
+        assert record == {"schema_version": 1, "error": "instability",
+                          "detail": "non-finite w at t = 0.25"}
+
+    def test_static_integration_failure_exit_3(self, capsys, monkeypatch):
+        def failing(*args, **kwargs):
+            raise RuntimeError("static integration failed: step size too small")
+
+        monkeypatch.setattr(rotelast.cli, "solve_static", failing)
+        code, out, _ = run_cli(capsys, "static", "--lambda1", "1", "--lambda2", "1")
+        assert code == 3
+        assert len(out.splitlines()) == 1
+        assert json.loads(out) == {"schema_version": 1, "error": "solver_failure",
+                                   "detail": "static integration failed: step size too small"}
+
+
+class TestRequiredOptionsFromConfig:
+    """--from-profile and --matrix may come from --config; a flag still wins."""
+
+    @pytest.fixture()
+    def profiles(self, tmp_path, capsys):
+        good, _ = make_soliton_csv(tmp_path, capsys, rmax="10")
+        return good, tmp_path / "missing.csv"
+
+    @pytest.mark.parametrize("command, extra", [
+        ("evolve", ("--t-end", "0.5", "--n-grid", "201")),
+        ("charge", ("--radius", "5", "--spacing", "0.1")),
+        ("residual", ("--h", "0.5", "--rmin", "1", "--rmax-annulus", "2")),
+    ])
+    def test_from_profile(self, tmp_path, capsys, profiles, command, extra):
+        good, missing = profiles
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"from-profile = {good}\n")
+        code, out, _ = run_cli(capsys, command, "--config", str(cfg), *extra)
+        assert code == 0
+        assert json.loads(out)["command"] == command
+        # the flag overrides the file: a missing path given on the command line fails
+        code, _, err = run_cli(capsys, command, "--config", str(cfg), "--from-profile", str(missing),
+                               *extra)
+        assert code == 2
+        assert "missing.csv" in json.loads(err)["detail"]
+        # and a good flag wins over a bad file
+        cfg.write_text(f"from-profile = {missing}\n")
+        code, _, _ = run_cli(capsys, command, "--config", str(cfg), "--from-profile", str(good), *extra)
+        assert code == 0
+
+    def test_matrix(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("matrix = 1,2,3,4,5,6,7,8,9\n")
+        code, out, _ = run_cli(capsys, "decompose", "--config", str(cfg))
+        assert code == 0
+        assert json.loads(out)["trace_part"] == 15.0
+        code, out, _ = run_cli(capsys, "decompose", "--config", str(cfg), "--matrix", "1,0,0,0,1,0,0,0,2")
+        assert code == 0
+        assert json.loads(out)["trace_part"] == 4.0
+
+    @pytest.mark.parametrize("argv, flag", [
+        (("evolve",), "--from-profile"), (("charge",), "--from-profile"),
+        (("residual",), "--from-profile"), (("decompose",), "--matrix"),
+    ])
+    def test_missing_everywhere_exit_2(self, tmp_path, capsys, argv, flag):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = 1\n")
+        for extra in ((), ("--config", str(cfg))):
+            code, out, err = run_cli(capsys, *argv, *extra)
+            assert code == 2
+            assert out == ""
+            record = json.loads(err)
+            assert record["error"] == "usage"
+            assert flag in record["detail"]

@@ -315,3 +315,32 @@ class TestFieldPointConsistency:
         for _ in range(20):
             fp = f.field_point(rng.normal(size=3))
             assert fp.constraint_residual() <= 1e-10
+
+
+class TestGridMargin:
+    """Every stencil reaches one cell, so margin 1 is enough and adds a ring of nodes."""
+
+    @pytest.fixture()
+    def grid(self):
+        return rl.RotorGrid.from_field(rl.random_smooth_field(seed=43), dims=(9, 8, 10),
+                                       spacing=0.3, origin=(-1.2, -1.0, -1.4))
+
+    def test_margin_one_blocks_equal_margin_two_on_overlap(self, grid):
+        wide, narrow = rl.grid_field_point(grid, margin=1), rl.grid_field_point(grid, margin=2)
+        inner = (slice(1, -1),) * 3
+        for name in ("alpha", "beta", "d_alpha", "d_beta", "dd_alpha", "dd_beta",
+                     "dt_alpha", "dt_beta", "dtt_alpha", "dtt_beta"):
+            a, b = getattr(wide, name), getattr(narrow, name)
+            assert a.shape[:3] == tuple(n - 2 for n in grid.dims)
+            assert np.array_equal(a[inner], b), name
+
+    def test_margin_one_residual_grid(self, grid, unit_moduli):
+        pts1, res1 = rl.residual_grid(grid, unit_moduli, margin=1)
+        pts2, res2 = rl.residual_grid(grid, unit_moduli, margin=2)
+        inner = (slice(1, -1),) * 3
+        assert res1.shape == (7, 6, 8, 3)
+        assert np.array_equal(pts1[inner], pts2) and np.array_equal(res1[inner], res2)
+
+    def test_margin_zero_rejected(self, grid):
+        with pytest.raises(ValueError, match="margin"):
+            rl.grid_field_point(grid, margin=0)

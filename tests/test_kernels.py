@@ -1,0 +1,333 @@
+"""The hand-contracted tensor kernels against their Levi-Civita einsum forms.
+
+Each oracle below is the dense einsum against ``LEVI_CIVITA`` (or the
+per-point loop) that the library kernel replaces.  Kernels must agree with
+them to 1e-12 relative to the largest entry on seeded batches from three
+sources: points of ``random_smooth_field``, an ordered two-factor
+``ProductField``, and the central-difference ``grid_field_point`` batch.
+The rotor-extraction kernels must reproduce their loops bit for bit.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
+
+import rotelast as rl
+from rotelast.field_equations import _d_nye
+from rotelast.fields import _du_from_blocks
+from rotelast.so3 import (LEVI_CIVITA, align_rotor_signs, eps_ddot, eps_dot, matrix_to_rotor,
+                          rotor_matrix)
+from rotelast.topology import _eps_triple_trace
+
+REL = 1e-12
+
+
+def assert_close(new, oracle):
+    new, oracle = np.asarray(new), np.asarray(oracle)
+    assert new.shape == oracle.shape
+    assert np.abs(new - oracle).max() <= REL * np.abs(oracle).max()
+
+
+# ---------------------------------------------------------------------------
+# oracles: the einsum forms and loops the kernels replace
+
+
+def eps_triple_trace_oracle(m):
+    return np.einsum("ijk,...iab,...jbc,...kca->...", LEVI_CIVITA, m, m, m)
+
+
+def charge_density_oracle(field, x):
+    u, du = field.u_and_du(x)
+    m = np.einsum("...ia,...jak->...kij", u, du)
+    return np.einsum("ijk,...iab,...jbc,...kca->...", LEVI_CIVITA, m, m, m) / (96.0 * np.pi**2)
+
+
+def du_oracle(alpha, beta, d_alpha, d_beta):
+    eye = np.eye(3)
+    bdb = np.einsum("...l,...lk->...k", beta, d_beta)
+    term_tr = -4.0 * np.einsum("...k,ij->...ijk", bdb, eye)
+    term_bb = 2.0 * (np.einsum("...ik,...j->...ijk", d_beta, beta)
+                     + np.einsum("...i,...jk->...ijk", beta, d_beta))
+    term_eps = 2.0 * (np.einsum("...k,ijm,...m->...ijk", d_alpha, LEVI_CIVITA, beta)
+                      + np.einsum("...,ijm,...mk->...ijk", alpha, LEVI_CIVITA, d_beta))
+    return term_tr + term_bb + term_eps
+
+
+def d_nye_oracle(fp):
+    return 2.0 * (
+        np.einsum("lij,...ik,...jm->...lmk", LEVI_CIVITA, fp.d_beta, fp.d_beta)
+        + np.einsum("lij,...i,...jmk->...lmk", LEVI_CIVITA, fp.beta, fp.dd_beta)
+        + np.einsum("...lk,...m->...lmk", fp.d_beta, fp.d_alpha)
+        + np.einsum("...l,...km->...lmk", fp.beta, fp.dd_alpha)
+        - np.einsum("...k,...lm->...lmk", fp.d_alpha, fp.d_beta)
+        - np.einsum("...,...lkm->...lmk", fp.alpha, fp.dd_beta)
+    )
+
+
+def g_space_oracle(fp):
+    dab = fp.d_alpha[..., None, :] * fp.beta[..., :, None] + fp.alpha[..., None, None] * fp.d_beta
+    return (np.einsum("jil,...lk->...kji", LEVI_CIVITA, dab)
+            + np.einsum("...i,...jk->...kji", fp.beta, fp.d_beta)
+            - np.einsum("...j,...ik->...kji", fp.beta, fp.d_beta))
+
+
+def g_time_oracle(fp):
+    dab = fp.dt_alpha[..., None] * fp.beta + fp.alpha[..., None] * fp.dt_beta
+    return (np.einsum("jil,...l->...ji", LEVI_CIVITA, dab)
+            + np.einsum("...i,...j->...ji", fp.beta, fp.dt_beta)
+            - np.einsum("...j,...i->...ji", fp.beta, fp.dt_beta))
+
+
+def nye_oracle(fp):
+    return 2.0 * (np.einsum("lij,...i,...jk->...lk", LEVI_CIVITA, fp.beta, fp.d_beta)
+                  + np.einsum("...l,...k->...lk", fp.beta, fp.d_alpha)
+                  - fp.alpha[..., None, None] * fp.d_beta)
+
+
+def nye_velocity_oracle(fp):
+    return 2.0 * (np.einsum("lij,...i,...j->...l", LEVI_CIVITA, fp.beta, fp.dt_beta)
+                  + fp.beta * fp.dt_alpha[..., None] - fp.alpha[..., None] * fp.dt_beta)
+
+
+def product_u_and_du_oracle(field, x):
+    pairs = [f.u_and_du(x) for f in field.factors]
+    u = pairs[0][0]
+    for v, _ in pairs[1:]:
+        u = u @ v
+    terms = []
+    for m, (_, du) in enumerate(pairs):
+        for v, _ in reversed(pairs[:m]):
+            du = np.einsum("...ia,...ajk->...ijk", v, du)
+        for v, _ in pairs[m + 1:]:
+            du = np.einsum("...iak,...aj->...ijk", du, v)
+        terms.append(du)
+    return u, sum(terms)
+
+
+def matrix_to_rotor_oracle(u):
+    u = np.asarray(u, dtype=float)
+    tr = np.trace(u, axis1=-2, axis2=-1)
+    a2 = np.clip((1.0 + tr) / 4.0, 0.0, 1.0)
+    b2 = np.clip((1.0 + 2.0 * np.einsum("...ii->...i", u) - tr[..., None]) / 4.0, 0.0, 1.0)
+    skew = 0.5 * np.einsum("kij,...ij->...k", LEVI_CIVITA, u)
+    sym = 0.5 * (u + np.swapaxes(u, -1, -2))
+    pivot = np.argmax(np.concatenate([a2[..., None], b2], axis=-1), axis=-1)
+    alpha = np.empty(u.shape[:-2])
+    beta = np.empty(u.shape[:-2] + (3,))
+    flat_a, flat_b = alpha.reshape(-1), beta.reshape(-1, 3)
+    flat_skew, flat_sym = skew.reshape(-1, 3), sym.reshape(-1, 3, 3)
+    flat_a2, flat_b2 = a2.reshape(-1), b2.reshape(-1, 3)
+    for n, p in enumerate(pivot.reshape(-1)):
+        if p == 0:
+            a = np.sqrt(flat_a2[n])
+            b = flat_skew[n] / (2.0 * a)
+        else:
+            i = p - 1
+            b = np.empty(3)
+            b[i] = np.sqrt(flat_b2[n, i])
+            for j in range(3):
+                if j != i:
+                    b[j] = flat_sym[n, i, j] / (2.0 * b[i])
+            a = flat_skew[n, i] / (2.0 * b[i]) if abs(b[i]) > 0 else 0.0
+            if a < 0.0:
+                a, b = -a, -b
+        flat_a[n] = a
+        flat_b[n] = b
+    return alpha, beta
+
+
+def align_rotor_signs_oracle(alpha, beta):
+    alpha = np.array(alpha, dtype=float)
+    beta = np.array(beta, dtype=float)
+    flat_a, flat_b = alpha.reshape(-1), beta.reshape(-1, 3)
+    for n in range(1, flat_a.size):
+        if flat_a[n] * flat_a[n - 1] + flat_b[n] @ flat_b[n - 1] < 0.0:
+            flat_a[n] = -flat_a[n]
+            flat_b[n] = -flat_b[n]
+    return alpha, beta
+
+
+def same_bits(new, oracle):
+    return all(np.asarray(a).shape == np.asarray(b).shape
+               and np.asarray(a).tobytes() == np.asarray(b).tobytes() for a, b in zip(new, oracle))
+
+
+# ---------------------------------------------------------------------------
+# seeded inputs
+
+
+def tanh_core(scale):
+    return rl.HedgehogField(lambda r: np.pi / 2 - np.pi * np.tanh(r / scale),
+                            lambda r: -np.pi / scale / np.cosh(r / scale) ** 2,
+                            lambda r: 2 * np.pi / scale**2 * np.tanh(r / scale) / np.cosh(r / scale) ** 2)
+
+
+@pytest.fixture(scope="module")
+def smooth_batch():
+    field = rl.random_smooth_field(seed=11)
+    x = np.random.default_rng(101).uniform(-1.6, 1.6, size=(400, 3))
+    return field, x, field.field_point(x)
+
+
+@pytest.fixture(scope="module")
+def two_core_product():
+    rng = np.random.default_rng(102)
+    centres = np.array([[5.0, 0.0, 0.0], [-5.0, 0.0, 0.0]]) + rng.uniform(-0.5, 0.5, size=(2, 3))
+    field = rl.ProductField([rl.TranslatedField(tanh_core(0.8), c) for c in centres])
+    return field, rng.uniform(-8.0, 8.0, size=(500, 3))
+
+
+@pytest.fixture(scope="module")
+def grid_batch():
+    grid = rl.RotorGrid.from_field(rl.random_smooth_field(seed=12), dims=(9, 10, 11),
+                                   spacing=0.25, origin=(-1.0, -1.1, -1.2))
+    return rl.grid_field_point(grid)
+
+
+def with_time_blocks(fp, seed):
+    """The same batch with seeded time derivatives kept tangent to the unit constraint."""
+    rng = np.random.default_rng(seed)
+    dtb, dttb = rng.normal(size=(2,) + fp.beta.shape)
+    return rl.FieldPoint(alpha=fp.alpha, beta=fp.beta, d_beta=fp.d_beta, d_alpha=fp.d_alpha,
+                         dt_beta=dtb, dt_alpha=-np.einsum("...l,...l->...", fp.beta, dtb) / fp.alpha,
+                         dd_beta=fp.dd_beta, dd_alpha=fp.dd_alpha, dtt_beta=dttb,
+                         dtt_alpha=rng.normal(size=fp.alpha.shape))
+
+
+# ---------------------------------------------------------------------------
+
+
+class TestEpsContractions:
+    def test_eps_dot_every_axis(self):
+        v = np.random.default_rng(1).normal(size=(4, 3, 5))
+        assert np.array_equal(eps_dot(v, axis=1), np.einsum("ijm,amb->aijb", LEVI_CIVITA, v))
+        assert np.array_equal(eps_dot(v, axis=-2), np.einsum("ijm,amb->aijb", LEVI_CIVITA, v))
+        w = np.moveaxis(v, 1, -1)
+        assert np.array_equal(eps_dot(w), np.einsum("ijm,...m->...ij", LEVI_CIVITA, w))
+
+    def test_eps_ddot(self):
+        w = np.random.default_rng(2).normal(size=(6, 2, 3, 3))
+        assert np.array_equal(eps_ddot(w), np.einsum("lij,...ij->...l", LEVI_CIVITA, w))
+
+
+class TestChargeDensityKernel:
+    def test_smooth_field(self, smooth_batch):
+        field, x, _ = smooth_batch
+        assert_close(rl.charge_density(field, x), charge_density_oracle(field, x))
+
+    def test_two_core_product(self, two_core_product):
+        field, x = two_core_product
+        assert_close(rl.charge_density(field, x), charge_density_oracle(field, x))
+
+    @settings(max_examples=60, deadline=None)
+    @given(arrays(np.float64, st.tuples(st.integers(1, 6), st.just(3), st.just(3), st.just(3)),
+                  elements=st.floats(-10.0, 10.0)))
+    def test_triple_trace_identity_for_any_matrices(self, m):
+        # 3 tr(M_x [M_y, M_z]) is the eps form for arbitrary, not only antisymmetric, M_k
+        oracle = eps_triple_trace_oracle(m)
+        scale = max(1.0, float(np.max(np.abs(m))) ** 3)
+        assert np.abs(_eps_triple_trace(m) - oracle).max() <= REL * scale
+
+
+class TestFieldKernels:
+    def test_du_from_blocks_smooth_field(self, smooth_batch):
+        _, _, fp = smooth_batch
+        blocks = (fp.alpha, fp.beta, fp.d_alpha, fp.d_beta)
+        assert_close(_du_from_blocks(*blocks), du_oracle(*blocks))
+
+    def test_du_from_blocks_grid(self, grid_batch):
+        blocks = (grid_batch.alpha, grid_batch.beta, grid_batch.d_alpha, grid_batch.d_beta)
+        assert_close(_du_from_blocks(*blocks), du_oracle(*blocks))
+
+    def test_product_u_and_du(self, two_core_product):
+        field, x = two_core_product
+        u, du = field.u_and_du(x)
+        u_ref, du_ref = product_u_and_du_oracle(field, x)
+        assert_close(u, u_ref)
+        assert_close(du, du_ref)
+
+    def test_three_factor_product_u_and_du(self, two_core_product):
+        field, x = two_core_product
+        rot = rl.ConstantField(rl.make_rotor([0.3, -0.2, 0.5], sign=-1))
+        three = rl.ProductField([field.factors[0], rot, field.factors[1]])
+        u, du = three.u_and_du(x)
+        u_ref, du_ref = product_u_and_du_oracle(three, x)
+        assert_close(u, u_ref)
+        assert_close(du, du_ref)
+
+
+@pytest.mark.parametrize("source", ["smooth", "grid"])
+class TestNyeKernels:
+    @pytest.fixture()
+    def fp(self, source, smooth_batch, grid_batch):
+        return with_time_blocks(smooth_batch[2] if source == "smooth" else grid_batch, seed=7)
+
+    def test_d_nye(self, fp):
+        assert_close(_d_nye(fp), d_nye_oracle(fp))
+
+    def test_g_tensor_space(self, fp):
+        assert_close(rl.g_tensor_space(fp), g_space_oracle(fp))
+
+    def test_g_tensor_time(self, fp):
+        assert_close(rl.g_tensor_time(fp), g_time_oracle(fp))
+
+    def test_nye_matrix(self, fp):
+        assert_close(rl.nye_matrix(fp), nye_oracle(fp))
+
+    def test_nye_velocity_vector(self, fp):
+        assert_close(rl.nye_velocity_vector(fp), nye_velocity_oracle(fp))
+
+
+class TestRotorExtraction:
+    # exact rotations with tied pivots and alpha = 0: the identity, pi about x
+    # and about (1, 1, 0)/sqrt 2 (alpha = 0, tie between beta_x and beta_y),
+    # pi/2 about z (alpha^2 = beta_z^2) and 2 pi/3 about (1, 1, 1) (four-way tie)
+    EXACT = np.array([
+        np.eye(3),
+        np.diag([1.0, -1.0, -1.0]),
+        [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, -1.0]],
+        [[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]],
+        [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
+    ])
+
+    def test_exact_rotations_with_ties_and_zero_alpha(self):
+        u = np.concatenate([self.EXACT, np.swapaxes(self.EXACT, -1, -2)])
+        assert same_bits(matrix_to_rotor(u), matrix_to_rotor_oracle(u))
+
+    def test_random_and_zero_alpha_rotors(self):
+        rng = np.random.default_rng(103)
+        b = rng.normal(size=(300, 3))
+        b /= np.linalg.norm(b, axis=1, keepdims=True)
+        scale = rng.uniform(0.0, 1.0, size=300)
+        scale[::3] = 1.0  # |beta| = 1: alpha = 0
+        beta = b * scale[:, None]
+        alpha = np.sqrt(1.0 - scale**2) * rng.choice([-1.0, 1.0], size=300)
+        u = rotor_matrix(alpha, beta).reshape(20, 15, 3, 3)
+        assert same_bits(matrix_to_rotor(u), matrix_to_rotor_oracle(u))
+
+    def test_product_field_grid(self, two_core_product):
+        field, x = two_core_product
+        u = field.u(x.reshape(10, 50, 3))
+        assert same_bits(matrix_to_rotor(u), matrix_to_rotor_oracle(u))
+
+    def test_align_signs_random_flips(self, two_core_product):
+        field, _ = two_core_product
+        line = np.linspace(-7.0, 7.0, 400)[:, None] * np.array([1.0, 0.1, -0.05])
+        alpha, beta = field.alpha_beta(line)
+        flip = np.random.default_rng(104).choice([-1.0, 1.0], size=400)
+        alpha, beta = alpha * flip, beta * flip[:, None]
+        assert same_bits(align_rotor_signs(alpha, beta), align_rotor_signs_oracle(alpha, beta))
+
+    def test_align_signs_restart_at_zero_dot(self):
+        # consecutive orthogonal 4-vectors have a zero dot product: the loop keeps the sample
+        q = np.array([[1, 0, 0, 0], [-1, 0, 0, 0], [0, 1, 0, 0], [0, -1, 0, 0], [0, -1, 0, 0],
+                      [0, 0, 0, 1], [0, 0, 0, -1], [0.6, 0, -0.8, 0], [-0.6, 0, 0.8, 0]], dtype=float)
+        alpha, beta = q[:, 0].reshape(3, 3), q[:, 1:].reshape(3, 3, 3)
+        new = align_rotor_signs(alpha, beta)
+        assert same_bits(new, align_rotor_signs_oracle(alpha, beta))
+        assert new[0].shape == (3, 3) and new[1].shape == (3, 3, 3)
+
+    def test_align_signs_single_sample(self):
+        assert same_bits(align_rotor_signs(-0.5, [0.5, 0.5, -0.5]),
+                         align_rotor_signs_oracle(-0.5, [0.5, 0.5, -0.5]))
