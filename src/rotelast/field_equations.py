@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fields import FieldPoint, RotorField
+from .fields import FieldPoint, RotorField, _nye_bracket
 from .kinematics import (Moduli, RotorGrid, central_diff, central_diff2, nye_matrix,
                          nye_velocity_vector)
 from .so3 import Rotor, eps_dot
@@ -132,11 +132,7 @@ def _d_nye(fp: FieldPoint) -> np.ndarray:
 
 def _dt_nye_velocity(fp: FieldPoint) -> np.ndarray:
     """``d_t A_lt``; the first-derivative cross terms cancel identically."""
-    return 2.0 * (
-        np.cross(fp.beta, fp.dtt_beta)
-        + fp.beta * fp.dtt_alpha[..., None]
-        - fp.alpha[..., None] * fp.dtt_beta
-    )
+    return _nye_bracket(fp.alpha, fp.beta, fp.dtt_alpha[..., None], fp.dtt_beta[..., None])[..., 0]
 
 
 def residual_eqs2_at(fp: FieldPoint, m: Moduli) -> np.ndarray:

@@ -12,6 +12,7 @@ Array index conventions (matching the matrix convention in :mod:`so3`):
 ``d_alpha``     ``[..., k]    = d_k alpha``
 ``dd_beta``     ``[..., l, j, k] = d_j d_k beta_l``
 ``dd_alpha``    ``[..., j, k] = d_j d_k alpha``
+``nye``         ``[..., l, k] = A_lk``
 ``du``          ``[..., i, j, k] = d_k u_ij``
 ==============  =========================================
 """
@@ -22,10 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .so3 import Rotor, align_rotor_signs, eps_dot, matrix_to_rotor, rotor_matrix
+from .so3 import Rotor, align_rotor_signs, matrix_to_rotor, rotor_matrix
 
 __all__ = [
     "FieldPoint",
+    "nye_matrix",
     "RotorField",
     "AnalyticRotorField",
     "HedgehogField",
@@ -54,10 +56,6 @@ class FieldPoint:
     dd_alpha: np.ndarray
     dtt_beta: np.ndarray
     dtt_alpha: np.ndarray
-
-    @property
-    def rotor(self) -> Rotor:
-        return Rotor(beta=np.asarray(self.beta, dtype=float), alpha=float(self.alpha))
 
     def constraint_residual(self) -> float:
         """Max violation of the unit constraint and its first derivatives.
@@ -91,8 +89,34 @@ def _zeros_like_blocks(alpha, beta):
     )
 
 
+def _nye_bracket(alpha, beta, d_alpha, d_beta):
+    """``2 (beta x d beta + beta d alpha - alpha d beta)`` along one or more directions.
+
+    ``d_beta[..., l, k]`` and ``d_alpha[..., k]`` carry the directions on
+    the last axis: spatial derivatives give the Nye tensor, d_t its velocity
+    column and d_t^2 that column's time derivative.
+    """
+    return 2.0 * (
+        np.cross(beta[..., :, None], d_beta, axis=-2)
+        + beta[..., :, None] * d_alpha[..., None, :]
+        - alpha[..., None, None] * d_beta
+    )
+
+
+def nye_matrix(fp: FieldPoint) -> np.ndarray:
+    """Nye tensor from rotor derivative blocks (batched).
+
+    ``A_lk = 2 (eps_lij beta^i d_k beta^j + beta_l d_k alpha - alpha d_k beta_l)``.
+    """
+    return _nye_bracket(fp.alpha, fp.beta, fp.d_alpha, fp.d_beta)
+
+
 class RotorField:
-    """Base class; subclasses implement :meth:`field_point`."""
+    """Base class; subclasses implement :meth:`field_point`.
+
+    The pair (u, A) of :meth:`u_and_nye` is the only first-order output;
+    the gradient of u follows from it.
+    """
 
     def field_point(self, x, t: float = 0.0) -> FieldPoint:
         raise NotImplementedError
@@ -106,25 +130,19 @@ class RotorField:
         alpha, beta = self.alpha_beta(x, t)
         return rotor_matrix(alpha, beta)
 
+    def u_and_nye(self, x, t: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+        """Matrix and Nye tensor ``[..., l, k] = A_lk`` from one field evaluation."""
+        fp = self.field_point(x, t)
+        return rotor_matrix(fp.alpha, fp.beta), nye_matrix(fp)
+
     def u_and_du(self, x, t: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
         """Matrix and its spatial gradient ``[..., i, j, k] = d_k u_ij``.
 
-        The gradient follows by the chain rule from the rotor derivative
-        blocks of one field evaluation; the matrix is linear in
-        ``(beta beta^T, beta^2, alpha beta)``.
+        Column by column ``d_k u_{.j} = A_{.k} x u_{.j}``: ``d_k u u^T`` is
+        the cross-product matrix of the Nye column ``A_{.k}``.
         """
-        fp = self.field_point(x, t)
-        return (rotor_matrix(fp.alpha, fp.beta),
-                _du_from_blocks(fp.alpha, fp.beta, fp.d_alpha, fp.d_beta))
-
-
-def _du_from_blocks(alpha, beta, d_alpha, d_beta):
-    bdb = np.einsum("...l,...lk->...k", beta, d_beta)  # d_k (beta^2) / 2
-    term_tr = -4.0 * np.einsum("...k,ij->...ijk", bdb, np.eye(3))
-    term_bb = 2.0 * (d_beta[..., :, None, :] * beta[..., None, :, None]
-                     + beta[..., :, None, None] * d_beta[..., None, :, :])
-    d_alpha_beta = d_alpha[..., None, :] * beta[..., :, None] + alpha[..., None, None] * d_beta
-    return term_tr + term_bb + 2.0 * eps_dot(d_alpha_beta, axis=-2)
+        u, a = self.u_and_nye(x, t)
+        return u, np.cross(a[..., :, None, :], u[..., :, :, None], axis=-3)
 
 
 class AnalyticRotorField(RotorField):
@@ -199,19 +217,18 @@ class HedgehogField(RotorField):
     """Spherically symmetric ansatz ``beta = x_hat cos w(r)``, ``alpha = sin w(r)``.
 
     Derivatives are analytic in the profile; ``w``, ``wp``, ``wpp`` are
-    callables of r (vectorized).  Optional ``wdot``/``wddot`` give the
-    first/second time derivatives of w on the same radial slice, making
-    the field a snapshot of a dynamic configuration.
+    callables of r (vectorized).  An optional ``wdot`` gives the time
+    derivative of w on the same radial slice, making the field a snapshot
+    of a dynamic configuration (with w_tt = 0).
 
     The rotor direction is undefined at r = 0; evaluation there raises.
     """
 
-    def __init__(self, w, wp, wpp, wdot=None, wddot=None):
+    def __init__(self, w, wp, wpp, wdot=None):
         self.w = w
         self.wp = wp
         self.wpp = wpp
         self.wdot = wdot
-        self.wddot = wddot
 
     def field_point(self, x, t: float = 0.0) -> FieldPoint:
         x = np.asarray(x, dtype=float)
@@ -264,12 +281,8 @@ class HedgehogField(RotorField):
             wd = np.zeros(shp)
             dtb = np.zeros(shp + (3,))
             dta = np.zeros(shp)
-        if self.wddot is not None:
-            wdd = np.asarray(self.wddot(r), dtype=float)
-        else:
-            wdd = np.zeros(shp)
-        dttb = -xhat * (c * wd * wd + s * wdd)[..., None]
-        dtta = -s * wd * wd + c * wdd
+        dttb = -xhat * (c * wd * wd)[..., None]
+        dtta = -s * wd * wd
 
         return FieldPoint(
             alpha=s,
@@ -310,14 +323,15 @@ class ConstantField(RotorField):
         return FieldPoint(alpha=alpha, beta=beta, **_zeros_like_blocks(alpha, beta))
 
 
-class ProductField:
+class ProductField(RotorField):
     """Ordered matrix product of rotor fields.
 
-    Works at the matrix level throughout: ``u = u1 u2 ... uN`` and the
-    gradient follows by the product rule.  Rotor values, when requested,
-    are recovered from the matrix (double-cover sign chosen as in
-    :func:`rotelast.so3.matrix_to_rotor`); derivative blocks of the rotor
-    parametrization are not provided.
+    Works at the matrix level throughout: ``u = u1 u2 ... uN``, and the Nye
+    tensor follows from the product rule ``A = sum_m (u1 ... u_{m-1}) A_m``
+    (the axial vector of ``d_k u u^T`` rotates with the left factors).
+    Rotor values, when requested, are recovered from the matrix
+    (double-cover sign chosen as in :func:`rotelast.so3.matrix_to_rotor`);
+    derivative blocks of the rotor parametrization are not provided.
     """
 
     def __init__(self, factors):
@@ -332,24 +346,14 @@ class ProductField:
             out = out @ f.u(x, t)
         return out
 
-    def u_and_du(self, x, t: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-        """Matrix and gradient; the product rule runs over prefix and suffix products."""
-        pairs = [f.u_and_du(x, t) for f in self.factors]
-        # prefix[m] = u_0 ... u_{m-1} and suffix[m] = u_{m+1} ... u_{n-1}; None is the identity
-        prefix, suffix = [None], [None]
-        for (u, _), (v, _) in zip(pairs[:-1], reversed(pairs[1:])):
-            prefix.append(u if prefix[-1] is None else prefix[-1] @ u)
-            suffix.append(v if suffix[-1] is None else v @ suffix[-1])
-        suffix.reverse()
-        terms = []
-        for (_, du), left, right in zip(pairs, prefix, suffix):
-            if left is not None:  # left_ia du_ajk, with (j, k) as one axis
-                du = (left @ du.reshape(du.shape[:-2] + (9,))).reshape(du.shape)
-            if right is not None:  # du_iak right_aj = (right^T)_ja du_iak
-                du = np.swapaxes(right, -1, -2)[..., None, :, :] @ du
-            terms.append(du)
-        u_last = pairs[-1][0]
-        return (u_last if prefix[-1] is None else prefix[-1] @ u_last), sum(terms)
+    def u_and_nye(self, x, t: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+        """Matrix and Nye tensor; ``left`` runs over the prefix products."""
+        left, a = self.factors[0].u_and_nye(x, t)
+        for f in self.factors[1:]:
+            u, a_f = f.u_and_nye(x, t)
+            a = a + left @ a_f
+            left = left @ u
+        return left, a
 
     def alpha_beta(self, x, t: float = 0.0):
         return matrix_to_rotor(self.u(x, t))

@@ -17,8 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import FieldPoint, RotorField
-from .so3 import Rotor, eps_ddot, rotor_matrix
+# nye_matrix lives next to FieldPoint (fields builds u_and_nye from it) and is re-exported here
+from .fields import FieldPoint, RotorField, _nye_bracket, nye_matrix
+from .so3 import eps_ddot, rotor_matrix
 
 __all__ = [
     "Moduli",
@@ -128,27 +129,9 @@ def quadratic_invariants(t: np.ndarray) -> tuple[float, float]:
     return trace_sq, axial_sq
 
 
-def nye_matrix(fp: FieldPoint) -> np.ndarray:
-    """Nye tensor from rotor derivative blocks (batched).
-
-    ``A_lk = 2 (eps_lij beta^i d_k beta^j + beta_l d_k alpha - alpha d_k beta_l)``.
-    """
-    term = (
-        np.cross(fp.beta[..., :, None], fp.d_beta, axis=-2)
-        + fp.beta[..., :, None] * fp.d_alpha[..., None, :]
-        - fp.alpha[..., None, None] * fp.d_beta
-    )
-    return 2.0 * term
-
-
 def nye_velocity_vector(fp: FieldPoint) -> np.ndarray:
-    """Deformation velocity ``A_lt``, same contraction with d_t in place of d_k."""
-    term = (
-        np.cross(fp.beta, fp.dt_beta)
-        + fp.beta * fp.dt_alpha[..., None]
-        - fp.alpha[..., None] * fp.dt_beta
-    )
-    return 2.0 * term
+    """Deformation velocity ``A_lt``, the bracket of :func:`nye_matrix` with d_t in place of d_k."""
+    return _nye_bracket(fp.alpha, fp.beta, fp.dt_alpha[..., None], fp.dt_beta[..., None])[..., 0]
 
 
 def nye_analytic(field: RotorField, point, time: float = 0.0) -> np.ndarray:
@@ -221,12 +204,6 @@ class RotorGrid:
     @property
     def dims(self) -> tuple[int, int, int]:
         return self.alpha.shape
-
-    def rotor_at(self, i: int, j: int, k: int) -> Rotor:
-        return Rotor(beta=self.beta[i, j, k].copy(), alpha=float(self.alpha[i, j, k]))
-
-    def point(self, i: int, j: int, k: int) -> np.ndarray:
-        return self.origin + self.spacing * np.array([i, j, k], dtype=float)
 
     def points(self) -> np.ndarray:
         """All grid point coordinates, shape dims + (3,)."""

@@ -422,7 +422,12 @@ def save_profile_csv(profile: RadialProfile, path) -> None:
 
 
 def load_profile_csv(path) -> RadialProfile:
-    """Read a profile written by :func:`save_profile_csv`."""
+    """Read a profile written by :func:`save_profile_csv`.
+
+    The column header must be ``r,w`` or ``r,w,w_t``, every row must have
+    that many columns, and there must be at least two rows; anything else
+    raises ``ValueError``.
+    """
     with open(path) as f:
         magic = f.readline().strip()
         if magic != f"# {PROFILE_MAGIC}":
@@ -432,10 +437,18 @@ def load_profile_csv(path) -> RadialProfile:
         meta = f.readline().split()
         slope0, tol = float(meta[2]), float(meta[4])
         header = f.readline().strip()
-        data = np.loadtxt(f, delimiter=",", ndmin=2)
+        rows = [line for line in f if line.strip()]
+    columns = {"r,w": 2, "r,w,w_t": 3}.get(header)
+    if columns is None:
+        raise ValueError(f"bad column header {header!r}: expected 'r,w' or 'r,w,w_t'")
+    if len(rows) < 2:
+        raise ValueError(f"a profile needs at least two rows, found {len(rows)}")
+    data = np.loadtxt(rows, delimiter=",", ndmin=2)
+    if data.shape[1] != columns:
+        raise ValueError(f"header {header!r} names {columns} columns, the rows have {data.shape[1]}")
     # Moduli checks that the stored c-triple and couplings agree
     m = Moduli(c1=float(c[2]), c2=float(c[4]), c3=float(c[6]),
                lambda1=float(lam[2]), lambda2=float(lam[4]))
-    w_t = data[:, 2] if header == "r,w,w_t" else None
+    w_t = data[:, 2] if columns == 3 else None
     return RadialProfile(r=data[:, 0], w=data[:, 1], w_t=w_t, moduli=m,
                          slope0=slope0, tol=tol)

@@ -75,11 +75,6 @@ class Rotor:
         """Return ``|alpha^2 + |beta|^2 - 1|``."""
         return abs(self.alpha**2 + float(self.beta @ self.beta) - 1.0)
 
-    def normalized(self) -> "Rotor":
-        """Rescale the 4-vector (alpha, beta) onto the unit sphere."""
-        n = np.sqrt(self.alpha**2 + float(self.beta @ self.beta))
-        return Rotor(beta=self.beta / n, alpha=self.alpha / n)
-
 
 def make_rotor(beta, sign: int = +1) -> Rotor:
     """Build a rotor from ``beta``, with ``alpha = sign*sqrt(1 - |beta|^2)``.

@@ -5,14 +5,15 @@ connection built from the orthogonal matrix field u,
 
     rho = (1 / 96 pi^2) eps^ijk tr(M_i M_j M_k),   M_i = u d_i(u^T) .
 
-Of the 27 terms of the symbol only the six permutations of (x, y, z)
-survive, and the trace is invariant under cyclic shifts, so for any three
-matrices
+Each M_k is the antisymmetric matrix of the Nye column A_{.k}, and the
+trace of three such matrices is a triple product, so
 
-    eps^ijk tr(M_i M_j M_k) = 3 tr(M_x M_y M_z) - 3 tr(M_x M_z M_y)
-                            = 3 tr(M_x [M_y, M_z]) ,
+    M_k = eps_dot(A_{.k}),              (M_k)_ab = eps_abm A_mk
+    tr(M_i M_j M_k) = eps_mnp A_mi A_nj A_pk
+    eps^ijk tr(M_i M_j M_k) = 6 det A ,
 
-which :func:`charge_density` evaluates with two batched matrix products.
+and :func:`charge_density` evaluates ``rho = det(A) / 16 pi^2`` as the
+triple product of the columns ``A_{.x} . (A_{.y} x A_{.z})``.
 
 For maps that settle to a constant rotation at the ball boundary the
 integral converges to an integer (the degree of the lifted 3-sphere map);
@@ -44,7 +45,7 @@ __all__ = [
     "hedgehog_charge_profile",
 ]
 
-_NORM = 1.0 / (96.0 * np.pi**2)
+_NORM = 1.0 / (16.0 * np.pi**2)
 
 
 @dataclass(frozen=True)
@@ -80,18 +81,12 @@ class ChargeReport:
                    grid_spacing=d["grid_spacing"], estimated_error=d["estimated_error"])
 
 
-def _eps_triple_trace(m: np.ndarray) -> np.ndarray:
-    """``eps^ijk tr(M_i M_j M_k) = 3 tr(M_x [M_y, M_z])`` for ``m[..., k, :, :] = M_k``."""
-    m_x, m_y, m_z = np.moveaxis(m, -3, 0)
-    return 3.0 * np.einsum("...ij,...ji->...", m_x, m_y @ m_z - m_z @ m_y)
-
-
 def charge_density(field, point, time: float = 0.0):
-    """Triple-product charge density at a point (batched over leading axes)."""
+    """Triple-product charge density ``det(A) / 16 pi^2`` at a point (batched over leading axes)."""
     x = np.asarray(point, dtype=float)
-    u, du = field.u_and_du(x, time)
-    d_u_t = np.swapaxes(du, -1, -3)  # [..., k, a, j] = d_k u_ja
-    val = _NORM * _eps_triple_trace(u[..., None, :, :] @ d_u_t)  # M_k = u d_k u^T
+    a = field.u_and_nye(x, time)[1]
+    a_x, a_y, a_z = np.moveaxis(a, -1, 0)
+    val = _NORM * np.einsum("...i,...i->...", a_x, np.cross(a_y, a_z))
     return float(val) if val.ndim == 0 else val
 
 

@@ -109,6 +109,24 @@ class TestCharge:
         assert payload["charge"] == pytest.approx(0.3966, abs=2e-3)
         assert payload["schema_version"] == 1
 
+    def test_malformed_profile_exit_2(self, tmp_path, capsys):
+        path, _ = make_soliton_csv(tmp_path, capsys, rmax="10")
+        lines = path.read_text().splitlines(keepends=True)
+        assert lines[4] == "r,w\n"
+        bad = {
+            "velocity header over two-column rows": lines[:4] + ["r,w,w_t\n"] + lines[5:],
+            "header without rows": lines[:5],
+            "unknown velocity column name": lines[:4] + ["r,w,wt\n"] + lines[5:],
+        }
+        for name, text in bad.items():
+            bad_path = tmp_path / "bad.csv"
+            bad_path.write_text("".join(text))
+            code, out, err = run_cli(capsys, "charge", "--from-profile", str(bad_path),
+                                     "--radius", "5", "--spacing", "0.1")
+            assert code == 2, name
+            assert out == "", name
+            assert json.loads(err)["error"] == "usage", name
+
 
 class TestEquilibria:
     def test_reference_couplings(self, capsys):
@@ -119,6 +137,20 @@ class TestEquilibria:
         assert sinh_values[0] == pytest.approx(-2 * np.sqrt(2), abs=1e-9)
         assert sinh_values[1] == 0.0
         assert sinh_values[2] == pytest.approx(2 * np.sqrt(2), abs=1e-9)
+
+    def test_config_file_with_flag_precedence(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("lambda1 = 1\nlambda2 = 2\n")
+        code, out, _ = run_cli(capsys, "equilibria", "--config", str(cfg))
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["lambda1"], payload["lambda2"]) == (1.0, 2.0)
+        assert len(payload["equilibria"]) == 1  # cosh f* = 0: only the trivial fixed point
+        code, out, _ = run_cli(capsys, "equilibria", "--config", str(cfg), "--lambda2", "1.25")
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["lambda1"], payload["lambda2"]) == (1.0, 1.25)  # the flag wins
+        assert len(payload["equilibria"]) == 3
 
 
 class TestDecompose:

@@ -15,10 +15,8 @@ from hypothesis.extra.numpy import arrays
 
 import rotelast as rl
 from rotelast.field_equations import _d_nye
-from rotelast.fields import _du_from_blocks
 from rotelast.so3 import (LEVI_CIVITA, align_rotor_signs, eps_ddot, eps_dot, matrix_to_rotor,
                           rotor_matrix)
-from rotelast.topology import _eps_triple_trace
 
 REL = 1e-12
 
@@ -221,24 +219,20 @@ class TestChargeDensityKernel:
         assert_close(rl.charge_density(field, x), charge_density_oracle(field, x))
 
     @settings(max_examples=60, deadline=None)
-    @given(arrays(np.float64, st.tuples(st.integers(1, 6), st.just(3), st.just(3), st.just(3)),
+    @given(arrays(np.float64, st.tuples(st.integers(1, 6), st.just(3), st.just(3)),
                   elements=st.floats(-10.0, 10.0)))
-    def test_triple_trace_identity_for_any_matrices(self, m):
-        # 3 tr(M_x [M_y, M_z]) is the eps form for arbitrary, not only antisymmetric, M_k
-        oracle = eps_triple_trace_oracle(m)
-        scale = max(1.0, float(np.max(np.abs(m))) ** 3)
-        assert np.abs(_eps_triple_trace(m) - oracle).max() <= REL * scale
+    def test_triple_trace_identity_for_any_matrices(self, a):
+        # with M_k = eps_dot(A_{.k}), eps^ijk tr(M_i M_j M_k) = 6 det A for any 3x3 A
+        m = np.moveaxis(eps_dot(a, axis=-2), -1, -3)  # m[..., k, :, :] = M_k
+        scale = max(1.0, float(np.max(np.abs(a))) ** 3)
+        assert np.abs(eps_triple_trace_oracle(m) - 6.0 * np.linalg.det(a)).max() <= REL * scale
 
 
 class TestFieldKernels:
     def test_du_from_blocks_smooth_field(self, smooth_batch):
-        _, _, fp = smooth_batch
-        blocks = (fp.alpha, fp.beta, fp.d_alpha, fp.d_beta)
-        assert_close(_du_from_blocks(*blocks), du_oracle(*blocks))
-
-    def test_du_from_blocks_grid(self, grid_batch):
-        blocks = (grid_batch.alpha, grid_batch.beta, grid_batch.d_alpha, grid_batch.d_beta)
-        assert_close(_du_from_blocks(*blocks), du_oracle(*blocks))
+        # u_and_du takes the gradient from the Nye tensor; the oracle is the chain rule
+        field, x, fp = smooth_batch
+        assert_close(field.u_and_du(x)[1], du_oracle(fp.alpha, fp.beta, fp.d_alpha, fp.d_beta))
 
     def test_product_u_and_du(self, two_core_product):
         field, x = two_core_product
