@@ -177,9 +177,11 @@ def cmd_charge(args) -> int:
 
 
 def cmd_residual(args) -> int:
+    h = args.h
+    if not h > 0:
+        raise ValueError(f"--h must be positive, got {h}")
     profile = load_profile_csv(args.from_profile)
     field = lift_hedgehog(profile)
-    h = args.h
     # cell-centered even-count lattice: origin never on a grid node
     n = int(np.ceil(2 * (args.rmax_annulus + 3 * h) / h))
     n += n % 2
@@ -246,6 +248,8 @@ def cmd_equilibria(args) -> int:
 
 
 def cmd_identity_check(args) -> int:
+    if not args.h > 0:
+        raise ValueError(f"--h must be positive, got {args.h}")
     field = random_smooth_field(seed=args.seed)
     results = []
     spacings = [args.h, args.h / 2.0] if args.refine else [args.h]

@@ -5,6 +5,13 @@ consumer needs, either exactly (analytic ansatz) or by central differences
 (grids).  All evaluators are batched: points have shape ``(..., 3)`` and
 results carry the same leading axes.
 
+``field_point(x, t, order)`` builds the blocks up to derivative ``order``
+(0, 1 or 2, default 2) and leaves the higher ones ``None``.  Each consumer
+asks for what it reads: the rotor values (:meth:`RotorField.alpha_beta`,
+hence grids and matrix products) need order 0; the Nye tensor, its
+velocity column and the charge density need order 1; only the field
+equations need order 2.
+
 Array index conventions (matching the matrix convention in :mod:`so3`):
 
 ==============  =========================================
@@ -42,29 +49,32 @@ __all__ = [
 class FieldPoint:
     """Rotor value plus derivative blocks at one point (or a batch).
 
-    Second-derivative blocks default to zeros, which is correct for the
-    static/constant cases; analytic fields fill them in.
+    Blocks above the derivative order that was built are ``None``: the
+    first-order blocks are ``d_*`` and ``dt_*``, the second-order ones
+    ``dd_*`` and ``dtt_*``.
     """
 
     alpha: np.ndarray
     beta: np.ndarray
-    d_beta: np.ndarray
-    d_alpha: np.ndarray
-    dt_beta: np.ndarray
-    dt_alpha: np.ndarray
-    dd_beta: np.ndarray
-    dd_alpha: np.ndarray
-    dtt_beta: np.ndarray
-    dtt_alpha: np.ndarray
+    d_beta: np.ndarray | None = None
+    d_alpha: np.ndarray | None = None
+    dt_beta: np.ndarray | None = None
+    dt_alpha: np.ndarray | None = None
+    dd_beta: np.ndarray | None = None
+    dd_alpha: np.ndarray | None = None
+    dtt_beta: np.ndarray | None = None
+    dtt_alpha: np.ndarray | None = None
 
     def constraint_residual(self) -> float:
-        """Max violation of the unit constraint and its first derivatives.
+        """Max violation of the unit constraint and, if built, its first derivatives.
 
         Checks ``|alpha^2 + beta^2 - 1|`` together with
         ``alpha d_k alpha + beta_l d_k beta_l`` (and the time analogue),
         which must vanish for any valid rotor field.
         """
         unit = np.abs(self.alpha**2 + np.einsum("...i,...i->...", self.beta, self.beta) - 1.0)
+        if self.d_beta is None:
+            return float(unit.max())
         dsp = np.abs(
             self.alpha[..., None] * self.d_alpha
             + np.einsum("...l,...lk->...k", self.beta, self.d_beta)
@@ -75,18 +85,9 @@ class FieldPoint:
         return float(max(unit.max(), dsp.max(), dt.max()))
 
 
-def _zeros_like_blocks(alpha, beta):
-    shp = np.shape(alpha)
-    return dict(
-        d_beta=np.zeros(shp + (3, 3)),
-        d_alpha=np.zeros(shp + (3,)),
-        dt_beta=np.zeros(shp + (3,)),
-        dt_alpha=np.zeros(shp),
-        dd_beta=np.zeros(shp + (3, 3, 3)),
-        dd_alpha=np.zeros(shp + (3, 3)),
-        dtt_beta=np.zeros(shp + (3,)),
-        dtt_alpha=np.zeros(shp),
-    )
+def _check_order(order) -> None:
+    if order not in (0, 1, 2):
+        raise ValueError(f"derivative order must be 0, 1 or 2, got {order!r}")
 
 
 def _nye_bracket(alpha, beta, d_alpha, d_beta):
@@ -118,11 +119,11 @@ class RotorField:
     the gradient of u follows from it.
     """
 
-    def field_point(self, x, t: float = 0.0) -> FieldPoint:
+    def field_point(self, x, t: float = 0.0, order: int = 2) -> FieldPoint:
         raise NotImplementedError
 
     def alpha_beta(self, x, t: float = 0.0):
-        fp = self.field_point(x, t)
+        fp = self.field_point(x, t, order=0)
         return fp.alpha, fp.beta
 
     def u(self, x, t: float = 0.0) -> np.ndarray:
@@ -130,9 +131,13 @@ class RotorField:
         alpha, beta = self.alpha_beta(x, t)
         return rotor_matrix(alpha, beta)
 
+    def nye(self, x, t: float = 0.0) -> np.ndarray:
+        """Nye tensor ``[..., l, k] = A_lk`` from an order-1 field evaluation."""
+        return nye_matrix(self.field_point(x, t, order=1))
+
     def u_and_nye(self, x, t: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
         """Matrix and Nye tensor ``[..., l, k] = A_lk`` from one field evaluation."""
-        fp = self.field_point(x, t)
+        fp = self.field_point(x, t, order=1)
         return rotor_matrix(fp.alpha, fp.beta), nye_matrix(fp)
 
     def u_and_du(self, x, t: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
@@ -166,51 +171,45 @@ class AnalyticRotorField(RotorField):
         self._dt_beta = dt_beta
         self._dtt_beta = dtt_beta
 
-    def field_point(self, x, t: float = 0.0) -> FieldPoint:
+    def field_point(self, x, t: float = 0.0, order: int = 2) -> FieldPoint:
+        _check_order(order)
         x = np.asarray(x, dtype=float)
         b = np.asarray(self._beta(x, t), dtype=float)
-        db = np.asarray(self._d_beta(x, t), dtype=float)
-        ddb = np.asarray(self._dd_beta(x, t), dtype=float)
-        shp = b.shape[:-1]
-        if self._dt_beta is not None:
-            dtb = np.asarray(self._dt_beta(x, t), dtype=float)
-        else:
-            dtb = np.zeros(shp + (3,))
-        if self._dtt_beta is not None:
-            dttb = np.asarray(self._dtt_beta(x, t), dtype=float)
-        else:
-            dttb = np.zeros(shp + (3,))
-
         b2 = np.einsum("...i,...i->...", b, b)
         if np.any(b2 >= 1.0):
             raise ValueError("analytic field left the unit ball: |beta| >= 1")
         a = np.sqrt(1.0 - b2)
+        fp = FieldPoint(alpha=a, beta=b)
+        if order == 0:
+            return fp
+        db = np.asarray(self._d_beta(x, t), dtype=float)
+        dtb = self._time_block(self._dt_beta, x, t, b.shape)
         # alpha-derivatives from alpha d alpha = -beta . d beta
         da = -np.einsum("...l,...lk->...k", b, db) / a[..., None]
         dta = -np.einsum("...l,...l->...", b, dtb) / a
+        fp.d_beta, fp.d_alpha, fp.dt_beta, fp.dt_alpha = db, da, dtb, dta
+        if order == 1:
+            return fp
+        ddb = np.asarray(self._dd_beta(x, t), dtype=float)
+        dttb = self._time_block(self._dtt_beta, x, t, b.shape)
         # d_j d_k alpha from differentiating the constraint once more
-        dda = (
+        fp.dd_alpha = (
             -np.einsum("...lj,...lk->...jk", db, db)
             - np.einsum("...l,...ljk->...jk", b, ddb)
             - da[..., :, None] * da[..., None, :]
         ) / a[..., None, None]
-        dtta = (
+        fp.dtt_alpha = (
             -np.einsum("...l,...l->...", dtb, dtb)
             - np.einsum("...l,...l->...", b, dttb)
             - dta * dta
         ) / a
-        return FieldPoint(
-            alpha=a,
-            beta=b,
-            d_beta=db,
-            d_alpha=da,
-            dt_beta=dtb,
-            dt_alpha=dta,
-            dd_beta=ddb,
-            dd_alpha=dda,
-            dtt_beta=dttb,
-            dtt_alpha=dtta,
-        )
+        fp.dd_beta, fp.dtt_beta = ddb, dttb
+        return fp
+
+    @staticmethod
+    def _time_block(fn, x, t, shape) -> np.ndarray:
+        """A time derivative of beta; ``None`` means static (zeros)."""
+        return np.zeros(shape) if fn is None else np.asarray(fn(x, t), dtype=float)
 
 
 class HedgehogField(RotorField):
@@ -219,7 +218,8 @@ class HedgehogField(RotorField):
     Derivatives are analytic in the profile; ``w``, ``wp``, ``wpp`` are
     callables of r (vectorized).  An optional ``wdot`` gives the time
     derivative of w on the same radial slice, making the field a snapshot
-    of a dynamic configuration (with w_tt = 0).
+    of a dynamic configuration (with w_tt = 0).  ``wp`` and ``wdot`` are
+    evaluated only from order 1 on, ``wpp`` only at order 2.
 
     The rotor direction is undefined at r = 0; evaluation there raises.
     """
@@ -230,72 +230,59 @@ class HedgehogField(RotorField):
         self.wpp = wpp
         self.wdot = wdot
 
-    def field_point(self, x, t: float = 0.0) -> FieldPoint:
+    def field_point(self, x, t: float = 0.0, order: int = 2) -> FieldPoint:
+        _check_order(order)
         x = np.asarray(x, dtype=float)
         r = np.sqrt(np.einsum("...i,...i->...", x, x))
         if np.any(r == 0.0):
             raise ValueError("hedgehog field is direction-dependent at the origin")
         w = np.asarray(self.w(r), dtype=float)
-        wp = np.asarray(self.wp(r), dtype=float)
-        wpp = np.asarray(self.wpp(r), dtype=float)
         c, s = np.cos(w), np.sin(w)
         xhat = x / r[..., None]
+        # alpha = sin(w(r)), beta_l = x_l g(r) with g = cos(w)/r
+        fp = FieldPoint(alpha=s, beta=xhat * c[..., None])
+        if order == 0:
+            return fp
+        wp = np.asarray(self.wp(r), dtype=float)
         eye = np.eye(3)
-
-        # beta_l = x_l g(r) with g = cos(w)/r
         g = c / r
         cp = -s * wp
-        cpp = -c * wp * wp - s * wpp
         gp = cp / r - c / r**2
-        gpp = cpp / r - 2.0 * cp / r**2 + 2.0 * c / r**3
-
-        b = xhat * c[..., None]
-        db = (
+        sp = c * wp
+        fp.d_beta = (
             g[..., None, None] * eye
             + (gp / r)[..., None, None] * x[..., :, None] * x[..., None, :]
         )
+        fp.d_alpha = sp[..., None] * xhat
+        if self.wdot is not None:
+            wd = np.asarray(self.wdot(r), dtype=float)
+            fp.dt_beta = -xhat * (s * wd)[..., None]
+            fp.dt_alpha = c * wd
+        else:
+            shp = np.shape(r)
+            wd = np.zeros(shp)
+            fp.dt_beta, fp.dt_alpha = np.zeros(shp + (3,)), np.zeros(shp)
+        if order == 1:
+            return fp
+        wpp = np.asarray(self.wpp(r), dtype=float)
+        cpp = -c * wp * wp - s * wpp
+        gpp = cpp / r - 2.0 * cp / r**2 + 2.0 * c / r**3
         # d_j d_k beta_l, symmetric in (j, k)
-        ddb = (
+        fp.dd_beta = (
             np.einsum("...,lk,...j->...ljk", gp, eye, xhat)
             + np.einsum("...,lj,...k->...ljk", gp / r, eye, x)
             + np.einsum("...,jk,...l->...ljk", gp / r, eye, x)
             + np.einsum("...,...l,...k,...j->...ljk", gpp / r - gp / r**2, x, x, xhat)
         )
-
-        # alpha = sin(w(r))
-        sp = c * wp
         spp = -s * wp * wp + c * wpp
-        da = sp[..., None] * xhat
-        dda = (
+        fp.dd_alpha = (
             spp[..., None, None] * xhat[..., :, None] * xhat[..., None, :]
             + (sp / r)[..., None, None]
             * (eye - xhat[..., :, None] * xhat[..., None, :])
         )
-
-        shp = np.shape(r)
-        if self.wdot is not None:
-            wd = np.asarray(self.wdot(r), dtype=float)
-            dtb = -xhat * (s * wd)[..., None]
-            dta = c * wd
-        else:
-            wd = np.zeros(shp)
-            dtb = np.zeros(shp + (3,))
-            dta = np.zeros(shp)
-        dttb = -xhat * (c * wd * wd)[..., None]
-        dtta = -s * wd * wd
-
-        return FieldPoint(
-            alpha=s,
-            beta=b,
-            d_beta=db,
-            d_alpha=da,
-            dt_beta=dtb,
-            dt_alpha=dta,
-            dd_beta=ddb,
-            dd_alpha=dda,
-            dtt_beta=dttb,
-            dtt_alpha=dtta,
-        )
+        fp.dtt_beta = -xhat * (c * wd * wd)[..., None]
+        fp.dtt_alpha = -s * wd * wd
+        return fp
 
 
 class TranslatedField(RotorField):
@@ -305,8 +292,8 @@ class TranslatedField(RotorField):
         self.base = base
         self.offset = np.asarray(offset, dtype=float)
 
-    def field_point(self, x, t: float = 0.0) -> FieldPoint:
-        return self.base.field_point(np.asarray(x, dtype=float) - self.offset, t)
+    def field_point(self, x, t: float = 0.0, order: int = 2) -> FieldPoint:
+        return self.base.field_point(np.asarray(x, dtype=float) - self.offset, t, order)
 
 
 class ConstantField(RotorField):
@@ -315,12 +302,18 @@ class ConstantField(RotorField):
     def __init__(self, rotor: Rotor):
         self.rotor_value = rotor
 
-    def field_point(self, x, t: float = 0.0) -> FieldPoint:
-        x = np.asarray(x, dtype=float)
-        shp = x.shape[:-1]
-        alpha = np.full(shp, self.rotor_value.alpha)
-        beta = np.broadcast_to(self.rotor_value.beta, shp + (3,)).copy()
-        return FieldPoint(alpha=alpha, beta=beta, **_zeros_like_blocks(alpha, beta))
+    def field_point(self, x, t: float = 0.0, order: int = 2) -> FieldPoint:
+        _check_order(order)
+        shp = np.shape(x)[:-1]
+        fp = FieldPoint(alpha=np.full(shp, self.rotor_value.alpha),
+                        beta=np.broadcast_to(self.rotor_value.beta, shp + (3,)).copy())
+        if order >= 1:
+            fp.d_beta, fp.d_alpha = np.zeros(shp + (3, 3)), np.zeros(shp + (3,))
+            fp.dt_beta, fp.dt_alpha = np.zeros(shp + (3,)), np.zeros(shp)
+        if order == 2:
+            fp.dd_beta, fp.dd_alpha = np.zeros(shp + (3, 3, 3)), np.zeros(shp + (3, 3))
+            fp.dtt_beta, fp.dtt_alpha = np.zeros(shp + (3,)), np.zeros(shp)
+        return fp
 
 
 class ProductField(RotorField):
@@ -345,6 +338,14 @@ class ProductField(RotorField):
         for f in self.factors[1:]:
             out = out @ f.u(x, t)
         return out
+
+    def nye(self, x, t: float = 0.0) -> np.ndarray:
+        """Nye tensor by the product rule of :meth:`u_and_nye`, without the last factor's matrix."""
+        *head, last = self.factors
+        if not head:
+            return last.nye(x, t)
+        left, a = ProductField(head).u_and_nye(x, t)
+        return a + left @ last.nye(x, t)
 
     def u_and_nye(self, x, t: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
         """Matrix and Nye tensor; ``left`` runs over the prefix products."""

@@ -135,13 +135,13 @@ def nye_velocity_vector(fp: FieldPoint) -> np.ndarray:
 
 
 def nye_analytic(field: RotorField, point, time: float = 0.0) -> np.ndarray:
-    """Nye tensor of an analytic rotor field at a point."""
-    return nye_matrix(field.field_point(np.asarray(point, dtype=float), time))
+    """Nye tensor of a rotor field at a point (batched), from :meth:`RotorField.nye`."""
+    return field.nye(np.asarray(point, dtype=float), time)
 
 
 def nye_velocity(field: RotorField, point, time: float = 0.0) -> np.ndarray:
     """Velocity column A_lt of an analytic rotor field at a point."""
-    return nye_velocity_vector(field.field_point(np.asarray(point, dtype=float), time))
+    return nye_velocity_vector(field.field_point(np.asarray(point, dtype=float), time, order=1))
 
 
 def potential_density(a: np.ndarray, m: Moduli):

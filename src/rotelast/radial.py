@@ -193,6 +193,8 @@ def resample_uniform(profile: RadialProfile, n: int, r_max: float | None = None)
 
     The dynamic solver needs a uniform grid including the origin.
     """
+    if n < 3:
+        raise ValueError(f"resampling needs at least 3 points, got n = {n}")
     r_max = profile.r[-1] if r_max is None else min(r_max, profile.r[-1])
     spline = CubicSpline(profile.r, profile.w)
     r = np.linspace(0.0, r_max, n)
@@ -266,6 +268,8 @@ def evolve_dynamic(initial: RadialProfile, dt: float, t_end: float,
     w(0) = 0; the far boundary value is clamped.  Enforces the CFL-type
     bound ``dt <= dr / sqrt(l1)`` and raises on non-finite values.
     """
+    if not (dt > 0 and t_end >= 0):
+        raise ValueError(f"need dt > 0 and t_end >= 0, got dt = {dt}, t_end = {t_end}")
     m = initial.moduli
     r = initial.r
     dr = r[1] - r[0]

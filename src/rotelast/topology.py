@@ -84,7 +84,7 @@ class ChargeReport:
 def charge_density(field, point, time: float = 0.0):
     """Triple-product charge density ``det(A) / 16 pi^2`` at a point (batched over leading axes)."""
     x = np.asarray(point, dtype=float)
-    a = field.u_and_nye(x, time)[1]
+    a = field.nye(x, time)
     a_x, a_y, a_z = np.moveaxis(a, -1, 0)
     val = _NORM * np.einsum("...i,...i->...", a_x, np.cross(a_y, a_z))
     return float(val) if val.ndim == 0 else val

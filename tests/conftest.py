@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import rotelast as rl
+
+# property tests draw the same examples on every run, with no per-example time limit
+settings.register_profile("rotelast", derandomize=True, deadline=None)
+settings.load_profile("rotelast")
 
 
 @pytest.fixture(scope="session")

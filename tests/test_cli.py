@@ -221,6 +221,28 @@ class TestIdentityCheckCommand:
         assert min(grid.dims) >= 5
 
 
+class TestBadNumericOptions:
+    """Values that used to raise a traceback or run zero steps exit 2 with the usage record."""
+
+    @pytest.mark.parametrize("argv", [
+        ("residual", "--h", "0"),
+        ("identity-check", "--h", "0"),
+        ("evolve", "--dt", "0"),
+        ("evolve", "--n-grid", "1"),
+        ("evolve", "--dt", "-0.01"),
+        ("evolve", "--t-end", "-1"),
+    ], ids=" ".join)
+    def test_exit_2(self, tmp_path, capsys, argv):
+        path, _ = make_soliton_csv(tmp_path, capsys, rmax="10")
+        out_path = tmp_path / "out.json"
+        profile = () if argv[0] == "identity-check" else ("--from-profile", str(path))
+        code, out, err = run_cli(capsys, *argv, *profile, "-o", str(out_path))
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "usage"
+        assert not out_path.exists()
+
+
 class TestRuntimeFailures:
     """Solver failures exit 3 with a one-line JSON record on stdout, never a traceback."""
 

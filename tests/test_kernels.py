@@ -218,7 +218,7 @@ class TestChargeDensityKernel:
         field, x = two_core_product
         assert_close(rl.charge_density(field, x), charge_density_oracle(field, x))
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(arrays(np.float64, st.tuples(st.integers(1, 6), st.just(3), st.just(3)),
                   elements=st.floats(-10.0, 10.0)))
     def test_triple_trace_identity_for_any_matrices(self, a):

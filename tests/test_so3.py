@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import rotelast as rl
-from rotelast.so3 import rotor_matrix
+from rotelast.so3 import align_rotor_signs, matrix_to_rotor, rotor_matrix
 
 from conftest import random_rotor
 
@@ -146,3 +148,63 @@ class TestMatrixToRotor:
         a, b = rl.matrix_to_rotor(rl.rotor_to_matrix(r))
         assert abs(a) <= 1e-12
         assert min(np.abs(b - r.beta).max(), np.abs(b + r.beta).max()) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# properties of the rotor algebra
+
+
+def _normalize(q):
+    """Rows scaled to unit 4-vectors ``(alpha, beta)``; rows too short to scale become the identity."""
+    norm = np.linalg.norm(q, axis=-1, keepdims=True)
+    return np.where(norm > 1e-3, q / np.where(norm > 1e-3, norm, 1.0), [1.0, 0.0, 0.0, 0.0])
+
+
+def unit_rotors(max_rows=8):
+    """Batches of unit rotors as ``(n, 4)`` rows ``(alpha, beta)``."""
+    return arrays(np.float64, st.tuples(st.integers(1, max_rows), st.just(4)),
+                  elements=st.floats(-1.0, 1.0)).map(_normalize)
+
+
+class TestRotorAlgebraProperties:
+    @given(unit_rotors())
+    def test_rotor_matrix_lands_in_so3(self, q):
+        u = rotor_matrix(q[:, 0], q[:, 1:])
+        assert np.abs(u @ np.swapaxes(u, -1, -2) - np.eye(3)).max() <= 1e-12
+        assert np.abs(np.linalg.det(u) - 1.0).max() <= 1e-12
+
+    @given(unit_rotors())
+    def test_matrix_to_rotor_roundtrips_up_to_sign(self, q):
+        alpha, beta = matrix_to_rotor(rotor_matrix(q[:, 0], q[:, 1:]))
+        back = np.concatenate([alpha[:, None], beta], axis=1)
+        assert np.all(alpha >= 0.0)
+        assert np.minimum(np.abs(back - q).max(axis=1), np.abs(back + q).max(axis=1)).max() <= 1e-12
+
+    @given(arrays(np.float64, (3, 3), elements=st.floats(-1e3, 1e3)))
+    def test_decompose_recomposes(self, m):
+        parts = rl.decompose(m)
+        scale = max(1.0, float(np.abs(m).max()))
+        assert np.abs(parts.recompose() - m).max() <= 1e-14 * scale
+        assert np.array_equal(parts.antisym_part, -parts.antisym_part.T)
+        assert np.array_equal(parts.sym_traceless_part, parts.sym_traceless_part.T)
+        assert abs(np.trace(parts.sym_traceless_part)) <= 1e-14 * scale
+
+    @given(unit_rotors(max_rows=12))
+    def test_align_rotor_signs_gives_non_negative_steps(self, q):
+        alpha, beta = align_rotor_signs(q[:, 0], q[:, 1:])
+        out = np.concatenate([alpha[:, None], beta], axis=1)
+        assert np.all(np.einsum("ni,ni->n", out[1:], out[:-1]) >= 0.0)
+        # each sample keeps its rotation: it is the input or its negative
+        assert all(np.array_equal(o, x) or np.array_equal(o, -x) for o, x in zip(out, q))
+
+    @given(arrays(np.float64, 3, elements=st.floats(-1.0, 1.0)), st.floats(0.01, 1.0),
+           arrays(np.float64, 16, elements=st.sampled_from([-1.0, 1.0])))
+    def test_align_rotor_signs_recovers_a_smooth_path(self, axis, step, signs):
+        # a rotation about a fixed axis, sampled every `step` radians, with random sign flips
+        norm = np.linalg.norm(axis)
+        axis = axis / norm if norm > 1e-3 else np.array([0.0, 0.0, 1.0])
+        theta = step * np.arange(16)
+        path = np.concatenate([np.cos(theta)[:, None], np.sin(theta)[:, None] * axis], axis=1)
+        alpha, beta = align_rotor_signs(signs * path[:, 0], signs[:, None] * path[:, 1:])
+        out = np.concatenate([alpha[:, None], beta], axis=1)
+        assert np.array_equal(out, signs[0] * path)
