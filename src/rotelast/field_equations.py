@@ -13,6 +13,29 @@ near the singular gauge |alpha| < 1e-8.
 
 All evaluators accept batched FieldPoints, so whole grids can be processed
 in one vectorized call (:func:`residual_grid`).
+
+The residual reads four 3-vectors of the 27-entry ``d_k A_lm`` and
+``G_kj^i``, and :func:`residual_eqs2_at` builds each in closed form.  With
+``c = curl beta``:
+
+* row divergence, ``sum_k d_k A_ik = 2 (beta x Lap beta + beta Lap alpha
+  - alpha Lap beta)_i``: ``d_k beta x d_k beta`` vanishes and
+  ``d_k beta_i d_k alpha - d_k alpha d_k beta_i`` cancels, leaving the Nye
+  bracket along the Laplacians;
+* column divergence, ``sum_k d_k A_ki = S_i + F_i``, and
+* trace gradient, ``d_i tr A = S_i - F_i``, where
+  ``S_i = 2 (beta . grad d_i alpha - beta . d_i c - alpha d_i div beta)``
+  and ``F_i = 2 ((c - grad alpha) . d_i beta + div beta d_i alpha)``:
+  contracting ``l`` with ``k`` or with ``m`` turns the cross products into
+  curls, the Hessian terms are symmetric in the swapped pair so they agree,
+  and the first-derivative terms change sign;
+* coupling, ``sum_jk H^jk G_kj^i = sum_k (w_{.k} x H_{.k})_i`` and
+  ``sum_j H^jt G_tj^i = (w_t x H_t)_i``: ``G_kj^i = eps_jil w_lk`` with the
+  axial ``w_lk = d_k(alpha beta_l) - (beta x d_k beta)_l``, and
+  ``eps_ilj w_l H_j`` is a cross product.
+
+:func:`_d_nye` (``d_k A_lm`` in full) and :func:`g_tensor_space` are the
+unfused reference forms of these contractions; the residual calls neither.
 """
 
 from __future__ import annotations
@@ -22,7 +45,7 @@ import numpy as np
 from .fields import FieldPoint, RotorField, _nye_bracket
 from .kinematics import (Moduli, RotorGrid, central_diff, central_diff2, nye_matrix,
                          nye_velocity_vector)
-from .so3 import Rotor, eps_dot
+from .so3 import Rotor, eps_ddot, eps_dot
 
 __all__ = [
     "SingularGaugeError",
@@ -75,6 +98,19 @@ def p_inverse(r) -> np.ndarray:
     return alpha[..., None, None] * np.eye(3) - eps_dot(beta)
 
 
+def _axial(alpha, beta, d_alpha, d_beta) -> np.ndarray:
+    """``w_lk = d_k(alpha beta_l) - (beta x d_k beta)_l`` along one or more directions.
+
+    The directions sit on the last axis, as in :func:`fields._nye_bracket`:
+    spatial derivatives give ``G_kj^i = eps_jil w_lk``, d_t the time block.
+    """
+    return (
+        beta[..., :, None] * d_alpha[..., None, :]
+        + alpha[..., None, None] * d_beta
+        - np.cross(beta[..., :, None], d_beta, axis=-2)
+    )
+
+
 def g_tensor_space(fp: FieldPoint) -> np.ndarray:
     """``G_kj^i = eps_jil d_k(alpha beta_l) + beta^i d_k beta_j - beta_j d_k beta^i``.
 
@@ -82,19 +118,14 @@ def g_tensor_space(fp: FieldPoint) -> np.ndarray:
     ``eps_jil w_lk`` with ``w_lk = d_k(alpha beta_l) - (beta x d_k beta)_l``.
     Returned with index order ``[..., k, j, i]``; antisymmetric in (i, j).
     """
-    w = (
-        fp.d_alpha[..., None, :] * fp.beta[..., :, None]
-        + fp.alpha[..., None, None] * fp.d_beta
-        - np.cross(fp.beta[..., :, None], fp.d_beta, axis=-2)
-    )  # [..., l, k]
+    w = _axial(fp.alpha, fp.beta, fp.d_alpha, fp.d_beta)  # [..., l, k]
     return np.moveaxis(eps_dot(w, axis=-2), -1, -3)
 
 
 def g_tensor_time(fp: FieldPoint) -> np.ndarray:
     """Time block ``G_tj^i = eps_jil w_l``, ``w = d_t(alpha beta) - beta x d_t beta``;
     index order ``[..., j, i]``; antisymmetric."""
-    w = fp.dt_alpha[..., None] * fp.beta + fp.alpha[..., None] * fp.dt_beta - np.cross(fp.beta, fp.dt_beta)
-    return eps_dot(w)
+    return eps_dot(_axial(fp.alpha, fp.beta, fp.dt_alpha[..., None], fp.dt_beta[..., None])[..., 0])
 
 
 def h_tensors(a: np.ndarray, a_t: np.ndarray, m: Moduli) -> tuple[np.ndarray, np.ndarray]:
@@ -118,6 +149,7 @@ def _d_nye(fp: FieldPoint) -> np.ndarray:
     ``d_k A_lm = 2 (d_k beta x d_m beta + beta x d_k d_m beta)_l
     + 2 (d_k beta_l d_m alpha + beta_l d_k d_m alpha - d_k alpha d_m beta_l
     - alpha d_k d_m beta_l)``; the cross products run over axis -3.
+    The unfused reference for :func:`_nye_divergences`; no kernel calls it.
     """
     b, db, ddb = fp.beta, fp.d_beta, fp.dd_beta
     return 2.0 * (
@@ -130,32 +162,50 @@ def _d_nye(fp: FieldPoint) -> np.ndarray:
     )
 
 
+def _nye_divergences(fp: FieldPoint) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``sum_k d_k A_ik``, ``sum_k d_k A_ki`` and ``d_i tr A`` without building ``d_k A_lm``.
+
+    The row divergence is the Nye bracket along the Laplacians; with
+    ``c = curl beta`` the column divergence and the trace gradient are
+    ``S + F`` and ``S - F``: Hessian terms plus or minus first-derivative
+    terms (see the module docstring).
+    """
+    a, b, da, db, dda, ddb = fp.alpha, fp.beta, fp.d_alpha, fp.d_beta, fp.dd_alpha, fp.dd_beta
+    lap_alpha = np.trace(dda, axis1=-2, axis2=-1)
+    lap_beta = np.einsum("...ljj->...l", ddb)
+    row = _nye_bracket(a, b, lap_alpha[..., None], lap_beta[..., None])[..., 0]
+
+    div = np.trace(db, axis1=-2, axis2=-1)
+    curl = eps_ddot(np.swapaxes(db, -1, -2))
+    d_curl = eps_ddot(np.swapaxes(ddb, -1, -3))  # [..., i, n] = d_i (curl beta)_n
+    hess = 2.0 * (
+        np.einsum("...k,...ki->...i", b, dda)
+        - np.einsum("...n,...in->...i", b, d_curl)
+        - a[..., None] * np.einsum("...lli->...i", ddb)
+    )
+    first = 2.0 * (np.einsum("...l,...li->...i", curl - da, db) + div[..., None] * da)
+    return row, hess + first, hess - first
+
+
 def _dt_nye_velocity(fp: FieldPoint) -> np.ndarray:
     """``d_t A_lt``; the first-derivative cross terms cancel identically."""
     return _nye_bracket(fp.alpha, fp.beta, fp.dtt_alpha[..., None], fp.dtt_beta[..., None])[..., 0]
 
 
+def _coupling(fp: FieldPoint, h_t: np.ndarray, h_s: np.ndarray) -> np.ndarray:
+    """``H^jt G_tj^i - H^jk G_kj^i = w_t x H_t - sum_k w_{.k} x H_{.k}``, since ``G = eps w``."""
+    w_t = _axial(fp.alpha, fp.beta, fp.dt_alpha[..., None], fp.dt_beta[..., None])[..., 0]
+    w_s = _axial(fp.alpha, fp.beta, fp.d_alpha, fp.d_beta)
+    return np.cross(w_t, h_t) - np.cross(w_s, h_s, axis=-2).sum(axis=-1)
+
+
 def residual_eqs2_at(fp: FieldPoint, m: Moduli) -> np.ndarray:
     """G-form residual vector at a FieldPoint (batched)."""
-    a = nye_matrix(fp)
-    a_t = nye_velocity_vector(fp)
-    h_t, h_s = h_tensors(a, a_t, m)
-
-    dA = _d_nye(fp)  # [..., l, m, k] = d_k A_lm
-    d_tr = np.einsum("...llk->...k", dA)
+    h_t, h_s = h_tensors(nye_matrix(fp), nye_velocity_vector(fp), m)
+    row, col, d_tr = _nye_divergences(fp)
     # d_k H^ik = 2 l1 d_i tr A + l2 d_k (A_ik - A_ki)
-    div_h = 2.0 * m.lambda1 * d_tr + m.lambda2 * (
-        np.einsum("...ikk->...i", dA) - np.einsum("...kik->...i", dA)
-    )
-    dt_h_t = 2.0 * _dt_nye_velocity(fp)
-
-    g_s = g_tensor_space(fp)  # [..., k, j, i]
-    g_t = g_tensor_time(fp)  # [..., j, i]
-    coupling = 2.0 * (
-        np.einsum("...j,...ji->...i", h_t, g_t)
-        - np.einsum("...jk,...kji->...i", h_s, g_s)
-    )
-    return dt_h_t - div_h + coupling
+    div_h = 2.0 * m.lambda1 * d_tr + m.lambda2 * (row - col)
+    return 2.0 * _dt_nye_velocity(fp) - div_h + 2.0 * _coupling(fp, h_t, h_s)
 
 
 def residual_eqs_at(fp: FieldPoint, m: Moduli) -> np.ndarray:

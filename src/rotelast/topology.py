@@ -105,8 +105,9 @@ def hedgehog_charge_profile(w0: float, w1: float) -> float:
 def _charge_midpoint_3d(field, ball_radius: float, h: float, time: float,
                         chunk: int = 200_000) -> float:
     n = int(np.ceil(2.0 * ball_radius / h))
-    # cell centers; never contains the exact origin
-    axis = -ball_radius + h * (np.arange(n) + 0.5)
+    n += n % 2
+    # even count of cell centres, symmetric about the origin: none lands on it
+    axis = h * (np.arange(n) - (n - 1) / 2)
     total = 0.0
     xy = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
     r2_max = ball_radius * ball_radius

@@ -109,6 +109,17 @@ class TestCharge:
         assert payload["charge"] == pytest.approx(0.3966, abs=2e-3)
         assert payload["schema_version"] == 1
 
+    def test_full_3d_odd_coarse_cell_count(self, tmp_path, capsys):
+        # the h = 0.8 pass spans 2R/h = 15 cells; the lattice must still miss the core
+        path, _ = make_soliton_csv(tmp_path, capsys)
+        code, out, _ = run_cli(capsys, "charge", "--from-profile", str(path), "--radius", "6",
+                               "--spacing", "0.4", "--full-3d")
+        assert code == 0
+        field = rl.lift_hedgehog(rl.load_profile_csv(path))
+        exact = rl.hedgehog_charge_profile(float(field.w(0.0)), float(field.w(6.0)))
+        # midpoint error around the singular core is first order, about -0.28 h
+        assert 0.0 < exact - json.loads(out)["charge"] < 0.3 * 0.4
+
     def test_malformed_profile_exit_2(self, tmp_path, capsys):
         path, _ = make_soliton_csv(tmp_path, capsys, rmax="10")
         lines = path.read_text().splitlines(keepends=True)

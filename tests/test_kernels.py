@@ -5,7 +5,11 @@ per-point loop) that the library kernel replaces.  Kernels must agree with
 them to 1e-12 relative to the largest entry on seeded batches from three
 sources: points of ``random_smooth_field``, an ordered two-factor
 ``ProductField``, and the central-difference ``grid_field_point`` batch.
-The rotor-extraction kernels must reproduce their loops bit for bit.
+The field-equation residual and its closed-form contractions are checked
+against the unfused ``d_k A_lm`` and ``G`` on those batches and on two with
+time blocks: a travelling ``AnalyticRotorField`` and a hedgehog with
+``wdot``.  The rotor-extraction kernels must reproduce their loops bit for
+bit.
 """
 
 import numpy as np
@@ -14,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import rotelast as rl
-from rotelast.field_equations import _d_nye
+from rotelast.field_equations import _coupling, _d_nye, _nye_divergences
 from rotelast.so3 import (LEVI_CIVITA, align_rotor_signs, eps_ddot, eps_dot, matrix_to_rotor,
                           rotor_matrix)
 
@@ -75,6 +79,20 @@ def g_time_oracle(fp):
     return (np.einsum("jil,...l->...ji", LEVI_CIVITA, dab)
             + np.einsum("...i,...j->...ji", fp.beta, fp.dt_beta)
             - np.einsum("...j,...i->...ji", fp.beta, fp.dt_beta))
+
+
+def residual_oracle(fp, m):
+    """The G-form residual from the full ``d_k A_lm`` and ``G`` tensors."""
+    h_t, h_s = rl.h_tensors(rl.nye_matrix(fp), rl.nye_velocity_vector(fp), m)
+    d_nye = _d_nye(fp)  # [..., l, m, k] = d_k A_lm
+    div_h = 2.0 * m.lambda1 * np.einsum("...llk->...k", d_nye) + m.lambda2 * (
+        np.einsum("...ikk->...i", d_nye) - np.einsum("...kik->...i", d_nye))
+    # d_t A_lt: the first-derivative cross terms cancel
+    dt_a_t = 2.0 * (np.einsum("lij,...i,...j->...l", LEVI_CIVITA, fp.beta, fp.dtt_beta)
+                    + fp.beta * fp.dtt_alpha[..., None] - fp.alpha[..., None] * fp.dtt_beta)
+    coupling = 2.0 * (np.einsum("...j,...ji->...i", h_t, rl.g_tensor_time(fp))
+                      - np.einsum("...jk,...kji->...i", h_s, rl.g_tensor_space(fp)))
+    return 2.0 * dt_a_t - div_h + coupling
 
 
 def nye_oracle(fp):
@@ -183,6 +201,43 @@ def grid_batch():
     return rl.grid_field_point(grid)
 
 
+def travelling_field(seed, amplitude=0.3, n_modes=3):
+    """Superposed travelling waves ``beta = sum_m a e_m sin(k_m . x - om_m t + phi_m)``."""
+    rng = np.random.default_rng(seed)
+    ks = rng.normal(size=(n_modes, 3))
+    es = rng.normal(size=(n_modes, 3))
+    es *= amplitude / np.linalg.norm(es, axis=1, keepdims=True) / n_modes
+    oms, phis = rng.uniform(0.5, 2.0, size=(2, n_modes))
+
+    def phase(x, t):
+        return x @ ks.T - oms * t + phis  # [..., m]
+
+    return rl.AnalyticRotorField(
+        beta=lambda x, t: np.sin(phase(x, t)) @ es,
+        d_beta=lambda x, t: np.einsum("...m,ml,mk->...lk", np.cos(phase(x, t)), es, ks),
+        dd_beta=lambda x, t: np.einsum("...m,ml,mj,mk->...ljk", -np.sin(phase(x, t)), es, ks, ks),
+        dt_beta=lambda x, t: (-oms * np.cos(phase(x, t))) @ es,
+        dtt_beta=lambda x, t: (-oms**2 * np.sin(phase(x, t))) @ es,
+    )
+
+
+def breathing_hedgehog():
+    """Hedgehog snapshot with a nonzero ``wdot``."""
+    return rl.HedgehogField(lambda r: np.sin(r) * np.exp(-r / 3),
+                            lambda r: (np.cos(r) - np.sin(r) / 3) * np.exp(-r / 3),
+                            lambda r: (-np.sin(r) * 8 / 9 - np.cos(r) * 2 / 3) * np.exp(-r / 3),
+                            wdot=lambda r: 0.7 * np.cos(r))
+
+
+@pytest.fixture(scope="module")
+def residual_batches(smooth_batch, grid_batch):
+    x = np.random.default_rng(105).uniform(-3.0, 3.0, size=(400, 3))
+    return {"smooth": smooth_batch[2],
+            "travelling": travelling_field(seed=13).field_point(x, 0.3),
+            "hedgehog": breathing_hedgehog().field_point(x),
+            "grid": grid_batch}
+
+
 def with_time_blocks(fp, seed):
     """The same batch with seeded time derivatives kept tangent to the unit constraint."""
     rng = np.random.default_rng(seed)
@@ -271,6 +326,39 @@ class TestNyeKernels:
 
     def test_nye_velocity_vector(self, fp):
         assert_close(rl.nye_velocity_vector(fp), nye_velocity_oracle(fp))
+
+
+@pytest.mark.parametrize("source", ["smooth", "travelling", "hedgehog", "grid"])
+class TestResidualKernel:
+    @pytest.fixture()
+    def fp(self, source, residual_batches):
+        return residual_batches[source]
+
+    def test_time_blocks_present(self, source, fp):
+        moving = np.abs(fp.dt_beta).max() > 0 and np.abs(fp.dtt_beta).max() > 0
+        assert moving == (source in ("travelling", "hedgehog"))
+
+    @pytest.mark.parametrize("couplings", [(1.0, 1.0), (0.4, 2.3)])
+    def test_residual_eqs2_at(self, fp, couplings):
+        m = rl.Moduli.from_couplings(*couplings)
+        assert_close(rl.residual_eqs2_at(fp, m), residual_oracle(fp, m))
+
+    def test_row_divergence(self, fp):
+        assert_close(_nye_divergences(fp)[0], np.einsum("...ikk->...i", _d_nye(fp)))
+
+    def test_column_divergence(self, fp):
+        assert_close(_nye_divergences(fp)[1], np.einsum("...kik->...i", _d_nye(fp)))
+
+    def test_trace_gradient(self, fp):
+        assert_close(_nye_divergences(fp)[2], np.einsum("...llk->...k", _d_nye(fp)))
+
+    def test_coupling(self, fp):
+        # any H, not only the Lagrangian's: the identity is G = eps w
+        rng = np.random.default_rng(106)
+        h_t, h_s = rng.normal(size=fp.beta.shape), rng.normal(size=fp.d_beta.shape)
+        oracle = (np.einsum("...j,...ji->...i", h_t, rl.g_tensor_time(fp))
+                  - np.einsum("...jk,...kji->...i", h_s, rl.g_tensor_space(fp)))
+        assert_close(_coupling(fp, h_t, h_s), oracle)
 
 
 class TestRotorExtraction:

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import rotelast as rl
 
@@ -14,6 +15,20 @@ def tanh_hedgehog(w_from, w_to, scale):
     w = lambda r: w_from + dw * np.tanh(r / scale)
     wp = lambda r: dw / scale / np.cosh(r / scale) ** 2
     wpp = lambda r: -2 * dw / scale**2 * np.tanh(r / scale) / np.cosh(r / scale) ** 2
+    return rl.HedgehogField(w, wp, wpp)
+
+
+def smoothstep_hedgehog(w_from, w_to, r_c):
+    """Hedgehog whose profile runs from w_from at 0 to w_to at r_c and stays there.
+
+    The quintic smoothstep ``t^3 (10 - 15 t + 6 t^2)`` has zero first and
+    second derivatives at both ends, so the profile is C2 across ``r_c``.
+    """
+    dw = w_to - w_from
+    t = lambda r: np.clip(r / r_c, 0.0, 1.0)
+    w = lambda r: w_from + dw * t(r) ** 3 * (10.0 - 15.0 * t(r) + 6.0 * t(r) ** 2)
+    wp = lambda r: dw / r_c * 30.0 * t(r) ** 2 * (1.0 - t(r)) ** 2
+    wpp = lambda r: dw / r_c**2 * 60.0 * t(r) * (1.0 - t(r)) * (1.0 - 2.0 * t(r))
     return rl.HedgehogField(w, wp, wpp)
 
 
@@ -67,6 +82,18 @@ class TestTotalCharge:
         rep = rl.total_charge(f, ball_radius=25.0, grid_spacing=0.01)
         assert rep.charge == pytest.approx(-1.0, abs=1e-6)
         assert abs(rep.charge - round(rep.charge)) <= max(3 * rep.estimated_error, 1e-6)
+
+    @settings(max_examples=20)
+    @given(j=st.integers(-2, 2), winding=st.integers(-2, 2), r_c=st.floats(0.5, 4.5))
+    def test_constant_boundary_charge_is_integer(self, j, winding, r_c):
+        # beta = 0 at w = pi/2 + n pi: regular at the core, a constant rotation for r >= r_c
+        k = j + winding
+        f = smoothstep_hedgehog(np.pi / 2 + j * np.pi, np.pi / 2 + k * np.pi, r_c)
+        R = 5.0
+        expected = rl.hedgehog_charge_profile(float(f.w(0.0)), float(f.w(R)))
+        assert expected == pytest.approx(k - j, abs=1e-12)
+        rep = rl.total_charge(f, ball_radius=R, grid_spacing=0.01)
+        assert abs(rep.charge - expected) <= max(3 * rep.estimated_error, 1e-9)
 
     def test_fast_path_matches_3d_quadrature(self):
         # validates the radial reduction against the full midpoint rule
