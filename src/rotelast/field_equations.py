@@ -11,8 +11,13 @@ blocks and G built from first derivatives of the rotor.  The P-form
 which contains 1/alpha; it exists for the equivalence property and raises
 near the singular gauge |alpha| < 1e-8.
 
-All evaluators accept batched FieldPoints, so whole grids can be processed
-in one vectorized call (:func:`residual_grid`).
+All evaluators accept batched FieldPoints.  :func:`residual_grid` feeds
+them a grid in x-slabs of about ``kinematics._SLAB_POINTS`` (4096) interior
+points, each read with ``margin`` halo planes per side, so the FieldPoint
+blocks (60 doubles per point) and the kernel's temporaries never exist for
+more than one slab: beyond the grid and its outputs, memory stays bounded by
+the slab, and the pointwise kernels give results bit-identical to one
+whole-grid batch.
 
 The residual reads four 3-vectors of the 27-entry ``d_k A_lm`` and
 ``G_kj^i``, and :func:`residual_eqs2_at` builds each in closed form.  With
@@ -43,7 +48,7 @@ from __future__ import annotations
 import numpy as np
 
 from .fields import FieldPoint, RotorField, _nye_bracket
-from .kinematics import (Moduli, RotorGrid, central_diff, central_diff2, nye_matrix,
+from .kinematics import (Moduli, RotorGrid, _slabs, central_diff, central_diff2, nye_matrix,
                          nye_velocity_vector)
 from .so3 import Rotor, eps_ddot, eps_dot
 
@@ -228,16 +233,20 @@ def residual_eqs(field: RotorField, point, time: float = 0.0, *, moduli: Moduli)
     return residual_eqs_at(field.field_point(np.asarray(point, dtype=float), time), moduli)
 
 
+def _check_margin(grid: RotorGrid, margin: int) -> None:
+    if margin < 1:
+        raise ValueError("margin must be at least 1")
+    if min(grid.dims) < 2 * margin + 1:
+        raise ValueError("grid too small for the requested margin")
+
+
 def grid_field_point(grid: RotorGrid, margin: int = 2) -> FieldPoint:
     """Batched FieldPoint over the interior of a grid, by central differences.
 
     Needs ``margin >= 1`` cell on every side, the reach of the stencils.
     Time blocks are zero: grids are static snapshots.
     """
-    if margin < 1:
-        raise ValueError("margin must be at least 1")
-    if min(grid.dims) < 2 * margin + 1:
-        raise ValueError("grid too small for the requested margin")
+    _check_margin(grid, margin)
     h = grid.spacing
     a = grid.alpha
     b = grid.beta
@@ -279,9 +288,19 @@ def residual_grid(grid: RotorGrid, m: Moduli, margin: int = 2):
     """Residual of the G-form equations over a grid interior.
 
     Returns ``(points, residuals)`` with residuals of shape
-    ``(nx-2m, ny-2m, nz-2m, 3)`` evaluated by central differences.
+    ``(nx-2m, ny-2m, nz-2m, 3)`` evaluated by central differences.  The
+    interior is processed in x-slabs that read ``margin`` halo planes per
+    side: each slab's :func:`grid_field_point` and kernel temporaries exist
+    only while it runs, so memory beyond the grid and the outputs stays
+    bounded by the slab, and the results equal one whole-grid call bit for
+    bit.
     """
-    fp = grid_field_point(grid, margin=margin)
-    res = residual_eqs2_at(fp, m)
-    pts = grid.points()[(slice(margin, -margin),) * 3]
+    _check_margin(grid, margin)
+    nx, ny, nz = grid.dims
+    axes = [grid.origin[d] + grid.spacing * np.arange(n)[margin:-margin] for d, n in enumerate(grid.dims)]
+    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    res = np.empty(pts.shape)
+    for lo, hi in _slabs(nx, (ny - 2 * margin) * (nz - 2 * margin), halo=margin):
+        fp = grid_field_point(grid._planes(lo - margin, hi + margin), margin=margin)
+        res[lo - margin:hi - margin] = residual_eqs2_at(fp, m)
     return pts, res

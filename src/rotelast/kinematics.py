@@ -176,6 +176,32 @@ def linearized_lagrangian(beta_dot, grad_beta, m: Moduli) -> float:
 # ---------------------------------------------------------------------------
 # grids
 
+# Whole-grid consumers work through a grid in slabs of whole planes, each of
+# about this many output points (under twice as many), so their temporaries
+# stay bounded by the slab rather than the grid (see _slabs).
+_SLAB_POINTS = 4096
+
+
+def _slabs(n: int, plane_points: int, halo: int = 0, min_planes: int = 1):
+    """Split the planes ``halo .. n - halo - 1`` of an axis into ``(lo, hi)`` slabs.
+
+    The slabs share the planes evenly, as many of them as fit at a thickness
+    of ``_SLAB_POINTS // plane_points`` planes and of at least ``min_planes``
+    (a consumer that recomputes work on its halo planes bounds that overhead
+    with it): each slab is that thick or thicker, but under twice that,
+    unless the axis holds fewer planes.  Every kernel applied to a slab is
+    pointwise, so slab by slab results are bit-identical to whole-grid ones.
+    """
+    planes = n - 2 * halo
+    thickness = max(_SLAB_POINTS // max(plane_points, 1), min_planes)
+    count = max(planes // thickness, 1) if planes > 0 else 0
+    for i in range(count):
+        yield halo + i * planes // count, halo + (i + 1) * planes // count
+
+
+def _unit_defect(alpha: np.ndarray, beta: np.ndarray) -> float:
+    return np.abs(alpha**2 + np.einsum("...i,...i->...", beta, beta) - 1.0).max()
+
 
 class RotorGrid:
     """Uniform Cartesian grid of rotors, stored as (alpha, beta) arrays.
@@ -183,7 +209,8 @@ class RotorGrid:
     ``alpha`` has shape ``dims`` and ``beta`` shape ``dims + (3,)``; the
     point of index ``(i, j, k)`` sits at ``origin + h * (i, j, k)``.  Alpha
     is stored explicitly so fields crossing alpha = 0 stay smooth in the
-    joint representation.
+    joint representation.  The unit constraint is checked on every node,
+    slab by slab.
     """
 
     def __init__(self, alpha: np.ndarray, beta: np.ndarray, spacing: float, origin):
@@ -193,7 +220,8 @@ class RotorGrid:
             raise ValueError("alpha must be (nx,ny,nz), beta (nx,ny,nz,3)")
         if spacing <= 0:
             raise ValueError("spacing must be positive")
-        defect = np.abs(alpha**2 + np.einsum("...i,...i->...", beta, beta) - 1.0).max()
+        nx, ny, nz = alpha.shape
+        defect = np.max([_unit_defect(alpha[lo:hi], beta[lo:hi]) for lo, hi in _slabs(nx, ny * nz)])
         if defect > 1e-10:
             raise ValueError(f"stored rotors violate the unit constraint by {defect:.3e}")
         self.alpha = alpha
@@ -214,12 +242,27 @@ class RotorGrid:
         """Orthogonal matrices at every node, shape dims + (3, 3)."""
         return rotor_matrix(self.alpha, self.beta)
 
+    def _planes(self, lo: int, hi: int) -> "RotorGrid":
+        """The x-planes ``lo .. hi - 1`` as a grid of views, not checked again."""
+        sub = object.__new__(RotorGrid)
+        sub.alpha, sub.beta = self.alpha[lo:hi], self.beta[lo:hi]
+        sub.spacing = self.spacing
+        sub.origin = self.origin + self.spacing * np.array([lo, 0.0, 0.0])
+        return sub
+
     @classmethod
     def from_field(cls, field, dims, spacing: float, origin, time: float = 0.0) -> "RotorGrid":
+        """Sample ``field.alpha_beta`` on the grid, one x-slab of points at a time.
+
+        Only a slab's coordinates and field temporaries exist at once; the
+        values equal those of one whole-grid call bit for bit.
+        """
         dims = tuple(int(d) for d in dims)
         axes = [np.asarray(origin, dtype=float)[d] + spacing * np.arange(dims[d]) for d in range(3)]
-        pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-        alpha, beta = field.alpha_beta(pts, time)
+        alpha, beta = np.empty(dims), np.empty(dims + (3,))
+        for lo, hi in _slabs(dims[0], dims[1] * dims[2]):
+            pts = np.stack(np.meshgrid(axes[0][lo:hi], *axes[1:], indexing="ij"), axis=-1)
+            alpha[lo:hi], beta[lo:hi] = field.alpha_beta(pts, time)
         return cls(alpha=alpha, beta=beta, spacing=spacing, origin=origin)
 
 
@@ -293,9 +336,23 @@ def check_identity_TT(grid: RotorGrid) -> float:
     tensor needs one neighbour layer, div v a second), and the maximum of
     |lhs - rhs| over the remaining interior is returned.  For smooth fields
     it decays at second order in the spacing.
+
+    The grid is processed in x-slabs that each read two halo planes per
+    side (the Nye tensor is recomputed on the inner one), so the memory
+    held at once is bounded by the slab; the maximum over the slabs equals
+    the whole-grid one exactly.
     """
     if min(grid.dims) < 5:
         raise ValueError("identity check needs a grid of at least 5 cells per axis")
+    nx, ny, nz = grid.dims
+    # neighbouring slabs both compute the Nye tensor on the plane either side of
+    # their boundary: at least 12 planes a slab keep those 2 planes to 1/6 of the work
+    slabs = _slabs(nx, (ny - 4) * (nz - 4), halo=2, min_planes=12)
+    return float(np.max([_identity_residual(grid._planes(lo - 2, hi + 2)) for lo, hi in slabs]))
+
+
+def _identity_residual(grid: RotorGrid) -> float:
+    """:func:`check_identity_TT` over one grid, margin 2."""
     A = nye_fd_grid(grid)
     T = torsion_from_nye(A)
     tau = np.trace(T, axis1=-2, axis2=-1)
@@ -328,10 +385,16 @@ def save_grid_csv(grid: RotorGrid, path) -> None:
         f.write(f"# spacing {f_(grid.spacing)}\n")
         f.write(f"# origin {f_(grid.origin[0])} {f_(grid.origin[1])} {f_(grid.origin[2])}\n")
         f.write("alpha,beta_x,beta_y,beta_z\n")
-        a = np.transpose(grid.alpha, (2, 1, 0)).reshape(-1)
-        b = np.transpose(grid.beta, (2, 1, 0, 3)).reshape(-1, 3)
-        for n in range(a.size):
-            f.write(f"{f_(a[n])},{f_(b[n,0])},{f_(b[n,1])},{f_(b[n,2])}\n")
+        for lo, hi in _slabs(nz, nx * ny):  # z-slabs: whole runs of rows
+            rows = np.concatenate([grid.alpha[:, :, lo:hi, None], grid.beta[:, :, lo:hi]], axis=-1)
+            f.write(_csv_rows(np.transpose(rows, (2, 1, 0, 3)).reshape(-1, 4)))
+
+
+def _csv_rows(table: np.ndarray) -> str:
+    """CSV lines of a 2-d table, each value as ``repr(float(x))``, formatted in one pass."""
+    table = np.asarray(table, dtype=float)
+    line = ",".join(["%r"] * table.shape[1]) + "\n"
+    return line * table.shape[0] % tuple(table.ravel().tolist())
 
 
 def load_grid_csv(path) -> RotorGrid:

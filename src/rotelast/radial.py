@@ -22,7 +22,7 @@ from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline
 
 from .fields import HedgehogField
-from .kinematics import Moduli
+from .kinematics import Moduli, _csv_rows, _slabs
 
 __all__ = [
     "DivergenceError",
@@ -418,11 +418,9 @@ def save_profile_csv(profile: RadialProfile, path) -> None:
         f.write(f"# c1 {f_(m.c1)} c2 {f_(m.c2)} c3 {f_(m.c3)}\n")
         f.write(f"# slope0 {f_(profile.slope0)} tol {f_(profile.tol)}\n")
         f.write("r,w,w_t\n" if has_vel else "r,w\n")
-        for i in range(profile.r.size):
-            if has_vel:
-                f.write(f"{f_(profile.r[i])},{f_(profile.w[i])},{f_(profile.w_t[i])}\n")
-            else:
-                f.write(f"{f_(profile.r[i])},{f_(profile.w[i])}\n")
+        columns = (profile.r, profile.w, profile.w_t) if has_vel else (profile.r, profile.w)
+        for lo, hi in _slabs(profile.r.size, 1):
+            f.write(_csv_rows(np.stack([c[lo:hi] for c in columns], axis=-1)))
 
 
 def load_profile_csv(path) -> RadialProfile:

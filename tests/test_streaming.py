@@ -1,0 +1,206 @@
+"""Slab-streamed grid consumers against their whole-grid forms.
+
+``RotorGrid.from_field``, the unit-constraint check, ``residual_grid``,
+``check_identity_TT`` and the CSV writers work through a grid in slabs of
+about ``kinematics._SLAB_POINTS`` points.  Every kernel they apply is
+pointwise, so each result must equal, bit for bit, the same computation on
+the whole grid at once, which these tests write out.  The slab size is
+shrunk here so that small grids span several slabs, of unequal thickness
+where the planes do not divide evenly; grids thinner than one slab are
+checked too.  Under ``tracemalloc`` (which
+sees numpy's allocations) the residual and the identity check must stay
+far below their whole-grid peaks.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+import rotelast as rl
+from rotelast import field_equations, kinematics
+from rotelast.kinematics import _slabs
+from rotelast.so3 import eps_ddot
+
+
+@pytest.fixture()
+def slab_points(monkeypatch):
+    """Set the slab budget for one test: ``slab_points(n)``."""
+    return lambda n: monkeypatch.setattr(kinematics, "_SLAB_POINTS", n)
+
+
+def two_core_product():
+    return rl.ProductField([rl.TranslatedField(rl.random_smooth_field(seed=4), [0.4, -0.2, 0.1]),
+                            rl.random_smooth_field(seed=8)])
+
+
+def tanh_hedgehog():
+    return rl.HedgehogField(lambda r: np.pi / 2 - np.pi * np.tanh(r),
+                            lambda r: -np.pi / np.cosh(r) ** 2,
+                            lambda r: 2 * np.pi * np.tanh(r) / np.cosh(r) ** 2)
+
+
+def soliton_grid(soliton_field, dims, h=0.15):
+    # about centred, with an offset that keeps the hedgehog's origin off the nodes
+    dims = np.array(dims)
+    return rl.RotorGrid.from_field(soliton_field, dims=dims, spacing=h, origin=0.013 - (dims / 2 - 0.5) * h)
+
+
+def whole_identity_residual(grid):
+    """The identity check's formula on the whole grid in one batch."""
+    T = rl.torsion_from_nye(rl.nye_fd_grid(grid))
+    tau = np.trace(T, axis1=-2, axis2=-1)
+    S = 0.5 * (T - np.swapaxes(T, -1, -2))
+    D = 0.5 * (T + np.swapaxes(T, -1, -2)) - (tau / 3.0)[..., None, None] * np.eye(3)
+    v = eps_ddot(T)
+    div_v = sum(kinematics.central_diff(v, k, grid.spacing)[..., k] for k in range(3))
+    c = (slice(1, -1),) * 3
+    lhs = np.einsum("...ij,...ij->...", D, D)[c]
+    rhs = (np.einsum("...ij,...ij->...", S, S) + tau * tau / 6.0)[c] + 2.0 * div_v
+    return float(np.abs(lhs - rhs).max())
+
+
+class TestSlabs:
+    @pytest.mark.parametrize("n, plane, halo, min_planes", [
+        (30, 7, 0, 1), (31, 7, 2, 1), (30, 100, 1, 1), (30, 1, 2, 12), (41, 1, 2, 12),
+        (5, 1, 2, 12), (4, 10, 2, 1)])
+    def test_slabs_tile_the_planes_evenly(self, slab_points, n, plane, halo, min_planes):
+        slab_points(20)
+        slabs = list(_slabs(n, plane, halo, min_planes))
+        assert [i for lo, hi in slabs for i in range(lo, hi)] == list(range(halo, n - halo))
+        planes, target = n - 2 * halo, max(20 // plane, min_planes)
+        thickness = [hi - lo for lo, hi in slabs]
+        assert max(thickness, default=0) - min(thickness, default=0) <= 1
+        assert all(min(target, planes) <= t < max(2 * target, planes + 1) for t in thickness)
+
+
+class TestFromField:
+    @pytest.mark.parametrize("make", [tanh_hedgehog, lambda: rl.random_smooth_field(seed=21),
+                                      two_core_product], ids=["hedgehog", "random", "product"])
+    @pytest.mark.parametrize("budget", [1, 70, 10**9], ids=["plane", "uneven", "one-slab"])
+    def test_fill_equals_whole_grid_evaluation(self, slab_points, make, budget):
+        slab_points(budget)  # 70 points: two 5 x 7 planes, so slabs of 2, 2, 2 and 3 planes
+        field = make()
+        grid = rl.RotorGrid.from_field(field, dims=(9, 5, 7), spacing=0.21, origin=[-0.83, -0.47, -0.61])
+        alpha, beta = field.alpha_beta(grid.points())
+        assert np.array_equal(grid.alpha, alpha)
+        assert np.array_equal(grid.beta, beta)
+
+    def test_non_unit_field_raises_from_streamed_fill(self, slab_points):
+        class Stretched(rl.RotorField):
+            """A unit field except on the last x-plane, where alpha is 2."""
+
+            def field_point(self, x, t=0.0, order=2):
+                fp = rl.random_smooth_field(seed=3).field_point(x, t, order=0)
+                fp.alpha = np.where(x[..., 0] > 0.45, 2.0, fp.alpha)
+                return fp
+
+        slab_points(8)
+        with pytest.raises(ValueError, match="violate the unit constraint"):
+            rl.RotorGrid.from_field(Stretched(), dims=(6, 2, 2), spacing=0.1, origin=[0.0, 0.0, 0.0])
+
+
+class TestResidualGrid:
+    @pytest.mark.parametrize("margin", [1, 2])
+    @pytest.mark.parametrize("planes", [1, 3, 100], ids=["plane", "uneven", "one-slab"])
+    def test_residual_equals_whole_grid_kernel(self, slab_points, soliton_field, unit_moduli,
+                                               margin, planes):
+        # 3 planes: 14 interior planes (margin 2) split 3, 3, 4, 4 and 16 (margin 1) 3, 3, 3, 3, 4
+        grid = soliton_grid(soliton_field, (18, 13, 11))
+        slab_points(planes * (13 - 2 * margin) * (11 - 2 * margin))
+        pts, res = rl.residual_grid(grid, unit_moduli, margin=margin)
+        whole = field_equations.residual_eqs2_at(field_equations.grid_field_point(grid, margin), unit_moduli)
+        assert np.array_equal(res, whole)
+        assert np.array_equal(pts, grid.points()[(slice(margin, -margin),) * 3])
+
+    def test_margin_still_checked(self, soliton_field, unit_moduli):
+        grid = soliton_grid(soliton_field, (8, 5, 3))
+        with pytest.raises(ValueError, match="margin must be at least 1"):
+            rl.residual_grid(grid, unit_moduli, margin=0)
+        with pytest.raises(ValueError, match="grid too small"):
+            rl.residual_grid(grid, unit_moduli, margin=2)  # 3 nodes along z
+
+
+class TestIdentityCheck:
+    @pytest.mark.parametrize("nx", [9, 31, 43], ids=["thinner-than-a-slab", "two-uneven", "three"])
+    def test_identity_equals_whole_grid(self, slab_points, nx):
+        # at least 12 planes per slab: 31 and 43 nodes give 27 = 13 + 14 and 39 = 3 x 13 output planes
+        slab_points(1)
+        grid = rl.RotorGrid.from_field(rl.random_smooth_field(seed=5), dims=(nx, 7, 6), spacing=0.12,
+                                       origin=[-1.1, -0.3, -0.4])
+        assert rl.check_identity_TT(grid) == whole_identity_residual(grid)
+
+    def test_identity_default_slabs(self, soliton_field):
+        grid = soliton_grid(soliton_field, (40, 21, 19), h=0.3)  # 18 + 18 planes of 17 x 15
+        assert rl.check_identity_TT(grid) == whole_identity_residual(grid)
+
+
+class TestCsvRows:
+    @staticmethod
+    def grid_rows_per_row(grid):
+        f_ = lambda x: repr(float(x))
+        a = np.transpose(grid.alpha, (2, 1, 0)).reshape(-1)
+        b = np.transpose(grid.beta, (2, 1, 0, 3)).reshape(-1, 3)
+        return "".join(f"{f_(a[n])},{f_(b[n, 0])},{f_(b[n, 1])},{f_(b[n, 2])}\n" for n in range(a.size))
+
+    @pytest.mark.parametrize("budget", [1, 50, 10**9])
+    def test_grid_csv_matches_the_per_row_formatter(self, tmp_path, slab_points, budget):
+        grid = rl.RotorGrid.from_field(two_core_product(), dims=(5, 4, 7), spacing=0.3,
+                                       origin=[-0.6, -0.45, -0.9])
+        grid.alpha[0, 0, 0], grid.beta[0, 0, 0] = -0.0, [1e-300, 1.0, 0.0]  # the writer does not check
+        slab_points(budget)
+        rl.save_grid_csv(grid, tmp_path / "g.csv")
+        body = (tmp_path / "g.csv").read_text().split("alpha,beta_x,beta_y,beta_z\n", 1)[1]
+        assert body == self.grid_rows_per_row(grid)
+
+    @pytest.mark.parametrize("with_velocity", [False, True])
+    def test_profile_csv_matches_the_per_row_formatter(self, tmp_path, slab_points, unit_moduli,
+                                                       with_velocity):
+        r = np.linspace(0.0, 7.0, 101) ** 1.5
+        p = rl.RadialProfile(r=r, w=np.sin(r) * 1e-5, moduli=unit_moduli, slope0=1.0, tol=1e-9,
+                             w_t=np.cos(r) if with_velocity else None)
+        slab_points(40)
+        rl.save_profile_csv(p, tmp_path / "p.csv")
+        body = (tmp_path / "p.csv").read_text().split("\n", 5)[5]
+        cols = (p.r, p.w, p.w_t) if with_velocity else (p.r, p.w)
+        assert body == "".join(",".join(repr(float(c[i])) for c in cols) + "\n" for i in range(r.size))
+
+
+class TestMemoryBound:
+    """Peak traced allocation of the streamed consumers on a 40^3 grid.
+
+    Whole-grid batching peaks at about 48 MB (residual), 21 MB (identity
+    check) and 4.7 MB over the grid (fill) here; the slabs keep the first
+    two under 12 MB and the fill under 2 MB over the grid.
+    """
+
+    BOUND = 12e6
+
+    @staticmethod
+    def traced_peak(fn):
+        """Peak traced bytes allocated while ``fn`` runs, and its result."""
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            out = fn()
+            return tracemalloc.get_traced_memory()[1] - base, out
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+
+    def test_fill_peak(self, soliton_field):
+        peak, grid = self.traced_peak(lambda: soliton_grid(soliton_field, (40, 40, 40), h=0.1))
+        assert peak - grid.alpha.nbytes - grid.beta.nbytes < 2e6
+
+    def test_residual_grid_peak(self, soliton_field, unit_moduli):
+        grid = soliton_grid(soliton_field, (40, 40, 40), h=0.1)
+        peak, (pts, res) = self.traced_peak(lambda: rl.residual_grid(grid, unit_moduli))
+        assert peak - pts.nbytes - res.nbytes < self.BOUND
+
+    def test_identity_check_peak(self, soliton_field):
+        grid = soliton_grid(soliton_field, (40, 40, 40), h=0.1)
+        peak, _ = self.traced_peak(lambda: rl.check_identity_TT(grid))
+        assert peak < self.BOUND

@@ -16,6 +16,14 @@ the metrics.  It then prints each metric's ratio (this record over the
 earlier one) against the newest other ``BENCH_*.json`` by recording time,
 and says so when that record was made with another seed or run length.
 
+Per workload it also derives points per second for every traced callable
+that reports a point count (``points_per_s``: points over self seconds).
+After the workloads it runs each command of the command line once, in a
+fresh process, and records its wall time and peak RSS (``ru_maxrss`` of
+that process); ``CLI_RUNS`` lists the settings.  ``residual`` runs at
+the criterion-3 settings (h = 0.1, annulus 1 to 5), ``charge`` at the 3-d
+quadrature of criterion 5 (R = 6, h = 0.1); the commands add about 12 s.
+
 Run nothing else on the machine meanwhile: the metrics are wall times.
 """
 
@@ -24,12 +32,25 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import os
 import subprocess
 import sys
+import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 1
+# each command once, in order: later ones read the profile that ``static`` writes
+CLI_RUNS = (
+    ("static", ["--lambda1", "1", "--lambda2", "1", "-o", "profile.csv"]),
+    ("evolve", ["--from-profile", "profile.csv", "-o", "final.csv", "--summary", "evolve.json"]),
+    ("charge", ["--from-profile", "profile.csv", "--full-3d", "--radius", "6", "--spacing", "0.1"]),
+    ("residual", ["--from-profile", "profile.csv", "--h", "0.1", "--rmin", "1", "--rmax-annulus", "5"]),
+    ("decompose", ["--matrix", "1,2,3,4,5,6,7,8,9"]),
+    ("equilibria", ["--lambda1", "1", "--lambda2", "1.25"]),
+    ("identity-check", ["--refine", "--dump-grid", "grid.csv"]),
+)
 
 
 def run_workload(workload: str, seconds: int, trace: int) -> tuple[dict, dict]:
@@ -42,6 +63,40 @@ def run_workload(workload: str, seconds: int, trace: int) -> tuple[dict, dict]:
         raise SystemExit(f"{' '.join(cmd)} exited with code {proc.returncode}")
     *_, record, result = proc.stdout.strip().splitlines()
     return json.loads(record), json.loads(result)
+
+
+def run_cli(command: str, argv: list, cwd: str) -> dict:
+    """One command in a process of its own: its wall time and its own peak RSS."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    with open(Path(cwd) / "stderr.txt", "w") as err:
+        start = time.perf_counter()
+        proc = subprocess.Popen([sys.executable, "-m", "rotelast.cli", command, *argv], cwd=cwd, env=env,
+                                stdout=subprocess.DEVNULL, stderr=err)
+        _, status, usage = os.wait4(proc.pid, 0)  # the rusage of this child alone
+        wall = time.perf_counter() - start
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    if proc.returncode != 0:
+        sys.stderr.write((Path(cwd) / "stderr.txt").read_text())
+        raise SystemExit(f"rotelast {command} exited with code {proc.returncode}")
+    return {"argv": argv, "wall_s": wall, "peak_rss_mb": usage.ru_maxrss / 1024.0}
+
+
+def record_cli() -> dict:
+    with tempfile.TemporaryDirectory() as tmp:
+        out = {}
+        for command, argv in CLI_RUNS:
+            print(f"rotelast {command} ...", file=sys.stderr, flush=True)
+            out[command] = run_cli(command, argv, tmp)
+        return out
+
+
+def points_per_second(per_layer: dict) -> dict:
+    rates = {}
+    for metric, points in per_layer.items():
+        name = metric.removesuffix(".points")
+        if name != metric and per_layer.get(f"{name}.self_s"):
+            rates[f"{name}.points_per_s"] = points / per_layer[f"{name}.self_s"]
+    return rates
 
 
 def src_dirty() -> bool | None:
@@ -67,6 +122,7 @@ def record_bench(label: str) -> dict:
             entry["failed"] += result["failed"]
             if trace == 0:
                 entry["studies"] = len(record["study_s_samples"])
+        entry["points_per_s"] = points_per_second(entry["per_layer"])
         workloads[name] = entry
     return {
         "label": label,
@@ -83,6 +139,7 @@ def record_bench(label: str) -> dict:
         "seconds_per_run": seconds,
         "units": {m["name"]: m["unit"] for m in bench["end_to_end"] + bench["per_layer"]},
         "workloads": workloads,
+        "cli": record_cli(),
     }
 
 
@@ -99,12 +156,19 @@ def print_ratios(new: dict, old: dict) -> None:
             print(f"  note: {key} {old[key]} -> {new[key]}; the runs differ in more than the code")
     for workload, entry in new["workloads"].items():
         before = old["workloads"].get(workload, {})
-        for key in ("end_to_end", "per_layer"):
-            for metric, value in entry[key].items():
-                prev = before.get(key, {}).get(metric)
-                was = "n/a" if prev is None else f"{prev:.4g}"
-                ratio = f"{value / prev:.3f}" if prev else "n/a"
-                print(f"  {workload:16s} {metric:48s} {was:>12} -> {value:<12.4g} {ratio:>7}")
+        for key in ("end_to_end", "per_layer", "points_per_s"):
+            for metric, value in entry.get(key, {}).items():
+                print_ratio(workload, metric, before.get(key, {}).get(metric), value)
+    for command, entry in new.get("cli", {}).items():
+        before = old.get("cli", {}).get(command, {})
+        for metric in ("wall_s", "peak_rss_mb"):
+            print_ratio(f"cli {command}", metric, before.get(metric), entry[metric])
+
+
+def print_ratio(where: str, metric: str, prev, value) -> None:
+    was = "n/a" if prev is None else f"{prev:.4g}"
+    ratio = f"{value / prev:.3f}" if prev else "n/a"
+    print(f"  {where:16s} {metric:48s} {was:>12} -> {value:<12.4g} {ratio:>7}")
 
 
 def main() -> int:
