@@ -39,7 +39,7 @@ from .radial import (
     save_profile_csv,
     solve_static,
 )
-from .topology import total_charge
+from .topology import _centred_axis, total_charge
 
 SCHEMA_VERSION = 1
 
@@ -163,16 +163,7 @@ def cmd_charge(args) -> int:
     field = lift_hedgehog(profile)
     report = total_charge(field, ball_radius=args.radius, grid_spacing=args.spacing,
                           force_3d=args.full_3d)
-    _emit(
-        {
-            "command": "charge",
-            "charge": report.charge,
-            "ball_radius": report.ball_radius,
-            "grid_spacing": report.grid_spacing,
-            "estimated_error": report.estimated_error,
-        },
-        args.output,
-    )
+    _emit({"command": "charge", **vars(report)}, args.output)
     return 0
 
 
@@ -183,10 +174,8 @@ def cmd_residual(args) -> int:
     profile = load_profile_csv(args.from_profile)
     field = lift_hedgehog(profile)
     # cell-centered even-count lattice: origin never on a grid node
-    n = int(np.ceil(2 * (args.rmax_annulus + 3 * h) / h))
-    n += n % 2
-    grid = RotorGrid.from_field(field, dims=(n, n, n), spacing=h,
-                                origin=-(n / 2 - 0.5) * h * np.ones(3))
+    axis = _centred_axis(args.rmax_annulus + 3 * h, h)
+    grid = RotorGrid.from_field(field, dims=(axis.size,) * 3, spacing=h, origin=np.full(3, axis[0]))
     pts, res = residual_grid(grid, profile.moduli)
     rr = np.linalg.norm(pts, axis=-1)
     mask = (rr >= args.rmin) & (rr <= args.rmax_annulus)
@@ -205,8 +194,8 @@ def cmd_residual(args) -> int:
 
 def cmd_decompose(args) -> int:
     vals = [float(v) for v in args.matrix.split(",")]
-    if len(vals) != 9:
-        raise ValueError("--matrix needs 9 comma-separated entries (row major)")
+    if len(vals) != 9 or not np.all(np.isfinite(vals)):
+        raise ValueError("--matrix needs 9 finite comma-separated entries (row major)")
     mat = np.array(vals).reshape(3, 3)
     parts = decompose(mat)
     trace_sq, axial_sq = quadratic_invariants(mat)
@@ -366,9 +355,12 @@ def main(argv=None) -> int:
                 if key not in vars(args) or key in ("command", "func", "required"):
                     raise ValueError(f"unknown config key: {key}")
             args = build_parser(config).parse_args(argv)
-        missing = ["--" + key.replace("_", "-") for key in args.required if getattr(args, key) is None]
-        if missing:
-            raise ValueError(f"the following arguments are required: {', '.join(missing)}")
+        # every option, given as a flag or in the config file, passes the same checks
+        bad = [f"--{k.replace('_', '-')} is required" for k in args.required if getattr(args, k) is None]
+        bad += [f"--{key.replace('_', '-')} must be finite, got {val}" for key, val in vars(args).items()
+                if isinstance(val, float) and not np.isfinite(val)]
+        if bad:
+            raise ValueError("; ".join(bad))
         return args.func(args)
     except (ValueError, OSError) as exc:
         return _fail_usage(str(exc))

@@ -48,8 +48,8 @@ from __future__ import annotations
 import numpy as np
 
 from .fields import FieldPoint, RotorField, _nye_bracket
-from .kinematics import (Moduli, RotorGrid, _slabs, central_diff, central_diff2, nye_matrix,
-                         nye_velocity_vector)
+from .kinematics import (Moduli, RotorGrid, _slabs, _trace_skew, central_diff, central_diff2,
+                         nye_matrix, nye_velocity_vector)
 from .so3 import Rotor, eps_ddot, eps_dot
 
 __all__ = [
@@ -142,8 +142,7 @@ def h_tensors(a: np.ndarray, a_t: np.ndarray, m: Moduli) -> tuple[np.ndarray, np
     a = np.asarray(a, dtype=float)
     a_t = np.asarray(a_t, dtype=float)
     h_t = 2.0 * a_t
-    tr = np.trace(a, axis1=-2, axis2=-1)
-    skew = 0.5 * (a - np.swapaxes(a, -1, -2))
+    tr, skew = _trace_skew(a)
     h_s = 2.0 * m.lambda1 * tr[..., None, None] * np.eye(3) + 2.0 * m.lambda2 * skew
     return h_t, h_s
 
@@ -248,31 +247,29 @@ def grid_field_point(grid: RotorGrid, margin: int = 2) -> FieldPoint:
     """
     _check_margin(grid, margin)
     h = grid.spacing
-    a = grid.alpha
-    b = grid.beta
     shp = tuple(n - 2 * margin for n in grid.dims)
-    d_alpha = np.empty(shp + (3,))
-    d_beta = np.empty(shp + (3, 3))
-    dd_alpha = np.empty(shp + (3, 3))
-    dd_beta = np.empty(shp + (3, 3, 3))
-    for j in range(3):
-        d_alpha[..., j] = central_diff(a, j, h, margin)
-        d_beta[..., :, j] = central_diff(b, j, h, margin)
-        for k in range(j, 3):
-            daa = central_diff2(a, j, k, h, margin)
-            dbb = central_diff2(b, j, k, h, margin)
-            dd_alpha[..., j, k] = daa
-            dd_beta[..., :, j, k] = dbb
-            if k != j:  # each diagonal block is written once
-                dd_alpha[..., k, j] = daa
-                dd_beta[..., :, k, j] = dbb
 
+    def blocks(arr):
+        """Gradient ``[..., j]`` and symmetric Hessian ``[..., j, k]`` of a grid array."""
+        d = np.empty(shp + arr.shape[3:] + (3,))
+        dd = np.empty(shp + arr.shape[3:] + (3, 3))
+        for j in range(3):
+            d[..., j] = central_diff(arr, j, h, margin)
+            for k in range(j, 3):
+                block = central_diff2(arr, j, k, h, margin)
+                dd[..., j, k] = block
+                if k != j:  # each diagonal block is written once
+                    dd[..., k, j] = block
+        return d, dd
+
+    d_alpha, dd_alpha = blocks(grid.alpha)
+    d_beta, dd_beta = blocks(grid.beta)
     zero_v = np.zeros(shp + (3,))
     zero_s = np.zeros(shp)
     c = (slice(margin, -margin),) * 3
     return FieldPoint(
-        alpha=a[c],
-        beta=b[c],
+        alpha=grid.alpha[c],
+        beta=grid.beta[c],
         d_beta=d_beta,
         d_alpha=d_alpha,
         dt_beta=zero_v,

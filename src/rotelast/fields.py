@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .so3 import Rotor, align_rotor_signs, matrix_to_rotor, rotor_matrix
+from .so3 import Rotor, _unit_defect, align_rotor_signs, matrix_to_rotor, rotor_matrix
 
 __all__ = [
     "FieldPoint",
@@ -72,7 +72,7 @@ class FieldPoint:
         ``alpha d_k alpha + beta_l d_k beta_l`` (and the time analogue),
         which must vanish for any valid rotor field.
         """
-        unit = np.abs(self.alpha**2 + np.einsum("...i,...i->...", self.beta, self.beta) - 1.0)
+        unit = _unit_defect(self.alpha, self.beta)
         if self.d_beta is None:
             return float(unit.max())
         dsp = np.abs(
@@ -176,8 +176,8 @@ class AnalyticRotorField(RotorField):
         x = np.asarray(x, dtype=float)
         b = np.asarray(self._beta(x, t), dtype=float)
         b2 = np.einsum("...i,...i->...", b, b)
-        if np.any(b2 >= 1.0):
-            raise ValueError("analytic field left the unit ball: |beta| >= 1")
+        if not np.all(b2 < 1.0):  # NaN fails the bound too
+            raise ValueError("analytic field left the unit ball: |beta| >= 1 or NaN")
         a = np.sqrt(1.0 - b2)
         fp = FieldPoint(alpha=a, beta=b)
         if order == 0:
@@ -380,30 +380,29 @@ def random_smooth_field(seed: int, amplitude: float = 0.35, support_radius: floa
     cs *= amplitude / np.abs(cs).sum(axis=0).max()
     R2 = support_radius**2
 
-    def envelope(x):
-        r2 = np.einsum("...i,...i->...", x, x)
-        return np.exp(-r2 / R2)
-
-    def beta(x, t=0.0):
-        env = envelope(x)
-        out = 0.0
-        for k, p, c in zip(ks, phis, cs):
-            out = out + np.multiply.outer(np.cos(x @ k + p), c)
-        return env[..., None] * out
-
-    def d_beta(x, t=0.0):
-        env = envelope(x)
-        denv = -2.0 * x / R2 * env[..., None]  # [..., k]
-        val = 0.0
-        dval = 0.0
+    def series(x, order):
+        """The envelope and the mode sum with its derivatives up to ``order``."""
+        sums = [0.0] * (order + 1)
         for k, p, c in zip(ks, phis, cs):
             ph = x @ k + p
-            val = val + np.multiply.outer(np.cos(ph), c)
-            dval = dval + np.einsum("...,l,k->...lk", -np.sin(ph), c, k)
+            sums[0] = sums[0] + np.multiply.outer(np.cos(ph), c)
+            if order >= 1:
+                sums[1] = sums[1] + np.einsum("...,l,k->...lk", -np.sin(ph), c, k)
+            if order == 2:
+                sums[2] = sums[2] + np.einsum("...,l,j,k->...ljk", -np.cos(ph), c, k, k)
+        return np.exp(-np.einsum("...i,...i->...", x, x) / R2), sums
+
+    def beta(x, t=0.0):
+        env, (val,) = series(x, 0)
+        return env[..., None] * val
+
+    def d_beta(x, t=0.0):
+        env, (val, dval) = series(x, 1)
+        denv = -2.0 * x / R2 * env[..., None]  # [..., k]
         return env[..., None, None] * dval + np.einsum("...l,...k->...lk", val, denv)
 
     def dd_beta(x, t=0.0):
-        env = envelope(x)
+        env, (val, dval, ddval) = series(x, 2)
         denv = -2.0 * x / R2 * env[..., None]
         # d_j d_k env = (-2/R^2) (d_jk env + x_k d_j env * (-2/R^2) ... ) expand directly
         eye = np.eye(3)
@@ -411,14 +410,6 @@ def random_smooth_field(seed: int, amplitude: float = 0.35, support_radius: floa
             np.einsum("jk,...->...jk", eye, env)
             + np.einsum("...k,...j->...jk", x, denv)
         )
-        val = 0.0
-        dval = 0.0
-        ddval = 0.0
-        for k, p, c in zip(ks, phis, cs):
-            ph = x @ k + p
-            val = val + np.multiply.outer(np.cos(ph), c)
-            dval = dval + np.einsum("...,l,k->...lk", -np.sin(ph), c, k)
-            ddval = ddval + np.einsum("...,l,j,k->...ljk", -np.cos(ph), c, k, k)
         return (
             env[..., None, None, None] * ddval
             + np.einsum("...lj,...k->...ljk", dval, denv)

@@ -13,13 +13,15 @@ potential energy density.
 
 from __future__ import annotations
 
+import re
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 # nye_matrix lives next to FieldPoint (fields builds u_and_nye from it) and is re-exported here
 from .fields import FieldPoint, RotorField, _nye_bracket, nye_matrix
-from .so3 import eps_ddot, rotor_matrix
+from .so3 import _unit_defect, eps_ddot, rotor_matrix
 
 __all__ = [
     "Moduli",
@@ -41,9 +43,6 @@ __all__ = [
     "save_grid_csv",
     "load_grid_csv",
 ]
-
-RECOMPOSE_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class Moduli:
@@ -95,13 +94,17 @@ class NyeDecomposition:
         return (self.trace_part / 3.0) * np.eye(3) + self.antisym_part + self.sym_traceless_part
 
 
+def _trace_skew(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Trace and skew part ``(m - m^T) / 2`` of a batch of 3x3 matrices."""
+    return np.trace(m, axis1=-2, axis2=-1), 0.5 * (m - np.swapaxes(m, -1, -2))
+
+
 def decompose(m: np.ndarray) -> NyeDecomposition:
     """Split m into trace scalar, skew part, and symmetric traceless part."""
     m = np.asarray(m, dtype=float)
-    tr = float(np.trace(m))
-    skew = 0.5 * (m - m.T)
+    tr, skew = _trace_skew(m)
     symtl = 0.5 * (m + m.T) - (tr / 3.0) * np.eye(3)
-    return NyeDecomposition(trace_part=tr, antisym_part=skew, sym_traceless_part=symtl)
+    return NyeDecomposition(trace_part=float(tr), antisym_part=skew, sym_traceless_part=symtl)
 
 
 def torsion_from_nye(a: np.ndarray) -> np.ndarray:
@@ -120,9 +123,8 @@ def quadratic_invariants(t: np.ndarray) -> tuple[float, float]:
     are non-negative.
     """
     t = np.asarray(t, dtype=float)
-    skew = 0.5 * (t - np.swapaxes(t, -1, -2))
+    tr, skew = _trace_skew(t)
     trace_sq = np.einsum("...ij,...ij->...", skew, skew)
-    tr = np.trace(t, axis1=-2, axis2=-1)
     axial_sq = tr * tr / 3.0
     if t.ndim == 2:
         return float(trace_sq), float(axial_sq)
@@ -147,8 +149,7 @@ def nye_velocity(field: RotorField, point, time: float = 0.0) -> np.ndarray:
 def potential_density(a: np.ndarray, m: Moduli):
     """Quadratic potential density ``lambda1 (tr A)^2 + lambda2 |skew A|^2``."""
     a = np.asarray(a, dtype=float)
-    tr = np.trace(a, axis1=-2, axis2=-1)
-    skew = 0.5 * (a - np.swapaxes(a, -1, -2))
+    tr, skew = _trace_skew(a)
     val = m.lambda1 * tr * tr + m.lambda2 * np.einsum("...ij,...ij->...", skew, skew)
     return float(val) if a.ndim == 2 else val
 
@@ -199,10 +200,6 @@ def _slabs(n: int, plane_points: int, halo: int = 0, min_planes: int = 1):
         yield halo + i * planes // count, halo + (i + 1) * planes // count
 
 
-def _unit_defect(alpha: np.ndarray, beta: np.ndarray) -> float:
-    return np.abs(alpha**2 + np.einsum("...i,...i->...", beta, beta) - 1.0).max()
-
-
 class RotorGrid:
     """Uniform Cartesian grid of rotors, stored as (alpha, beta) arrays.
 
@@ -221,8 +218,8 @@ class RotorGrid:
         if spacing <= 0:
             raise ValueError("spacing must be positive")
         nx, ny, nz = alpha.shape
-        defect = np.max([_unit_defect(alpha[lo:hi], beta[lo:hi]) for lo, hi in _slabs(nx, ny * nz)])
-        if defect > 1e-10:
+        defect = np.max([_unit_defect(alpha[lo:hi], beta[lo:hi]).max() for lo, hi in _slabs(nx, ny * nz)])
+        if not defect <= 1e-10:  # NaN fails the bound too
             raise ValueError(f"stored rotors violate the unit constraint by {defect:.3e}")
         self.alpha = alpha
         self.beta = beta
@@ -355,8 +352,7 @@ def _identity_residual(grid: RotorGrid) -> float:
     """:func:`check_identity_TT` over one grid, margin 2."""
     A = nye_fd_grid(grid)
     T = torsion_from_nye(A)
-    tau = np.trace(T, axis1=-2, axis2=-1)
-    S = 0.5 * (T - np.swapaxes(T, -1, -2))
+    tau, S = _trace_skew(T)
     D = 0.5 * (T + np.swapaxes(T, -1, -2)) - (tau / 3.0)[..., None, None] * np.eye(3)
     v = eps_ddot(T)
     div_v = sum(central_diff(v, k, grid.spacing)[..., k] for k in range(3))
@@ -367,9 +363,53 @@ def _identity_residual(grid: RotorGrid) -> float:
 
 
 # ---------------------------------------------------------------------------
-# serialization (format shared with the command line front end)
+# serialization (format shared with the command line front end and radial)
 
 GRID_MAGIC = "rotor-grid-csv 1"
+
+
+def _write_table(path, magic: str, meta, header: str, columns) -> None:
+    """Write ``# magic``, a ``# key values`` line per dict of ``meta``, the header and the
+    rows of ``columns`` (one shape, rows in C order, formatted in slabs along axis 0).
+    Numbers go out as ``repr(float(x))``, the shortest round-trip decimal; strings as is."""
+    fmt = lambda v: " ".join(x if isinstance(x, str) else repr(float(x)) for x in np.ravel(v))
+    with open(path, "w", newline="\n") as f:
+        f.write(f"# {magic}\n")
+        for line in meta:
+            f.write("#" + "".join(f" {key} {fmt(v)}" for key, v in line.items()) + "\n")
+        f.write(header + "\n")
+        row = ",".join(["%r"] * len(columns)) + "\n"
+        for lo, hi in _slabs(len(columns[0]), np.size(columns[0][0])):
+            table = np.stack([np.ravel(c[lo:hi]) for c in columns], axis=-1, dtype=float)
+            f.write(row * len(table) % tuple(table.ravel().tolist()))
+
+
+def _read_table(path, magic: str, layout, headers, rows) -> tuple[dict, np.ndarray]:
+    """Read a :func:`_write_table` file with the meta keys and value counts of ``layout``
+    (``{"dims": 3}`` a line), one of ``headers`` and ``rows(meta) = (least, most)`` rows;
+    any other file raises ``ValueError`` naming the problem.  Returns the meta values
+    (float lists by key) and the rows."""
+    meta = {}
+    with open(path) as f:
+        line = f.readline().strip()
+        if line != f"# {magic}":
+            raise ValueError(f"not a {magic!r} file: first line {line!r}")
+        for keys in layout:
+            line = f.readline().strip()
+            match = re.fullmatch("#" + "".join(rf"\s+{key}\s+(?P<{key}>\S+(?:\s+\S+){{{n - 1}}})"
+                                               for key, n in keys.items()), line)
+            if match is None:
+                raise ValueError(f"bad meta line {line!r}: expected {keys} (key: number of values)")
+            meta.update({key: [float(v) for v in text.split()] for key, text in match.groupdict().items()})
+        header = f.readline().strip()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # no rows at all: the row count check reports it
+            data = np.loadtxt(f, delimiter=",", ndmin=2)
+    least, most = rows(meta)
+    if header not in headers or not least <= len(data) <= most or data.shape[1] != len(header.split(",")):
+        raise ValueError(f"expected a header {' or '.join(headers)} over {least} to {most} rows, found "
+                         f"{header!r} over {len(data)} rows of {data.shape[1]} columns")
+    return meta, data
 
 
 def save_grid_csv(grid: RotorGrid, path) -> None:
@@ -377,40 +417,18 @@ def save_grid_csv(grid: RotorGrid, path) -> None:
 
     Rows run in x-fastest order: index i varies fastest, then j, then k.
     """
-    nx, ny, nz = grid.dims
-    f_ = lambda x: repr(float(x))  # shortest round-trip decimal for 64-bit floats
-    with open(path, "w", newline="\n") as f:
-        f.write(f"# {GRID_MAGIC}\n")
-        f.write(f"# dims {nx} {ny} {nz}\n")
-        f.write(f"# spacing {f_(grid.spacing)}\n")
-        f.write(f"# origin {f_(grid.origin[0])} {f_(grid.origin[1])} {f_(grid.origin[2])}\n")
-        f.write("alpha,beta_x,beta_y,beta_z\n")
-        for lo, hi in _slabs(nz, nx * ny):  # z-slabs: whole runs of rows
-            rows = np.concatenate([grid.alpha[:, :, lo:hi, None], grid.beta[:, :, lo:hi]], axis=-1)
-            f.write(_csv_rows(np.transpose(rows, (2, 1, 0, 3)).reshape(-1, 4)))
-
-
-def _csv_rows(table: np.ndarray) -> str:
-    """CSV lines of a 2-d table, each value as ``repr(float(x))``, formatted in one pass."""
-    table = np.asarray(table, dtype=float)
-    line = ",".join(["%r"] * table.shape[1]) + "\n"
-    return line * table.shape[0] % tuple(table.ravel().tolist())
+    meta = ({"dims": [str(n) for n in grid.dims]}, {"spacing": grid.spacing}, {"origin": grid.origin})
+    # the transposed (k, j, i) views run x-fastest in C order
+    columns = [grid.alpha.T] + [grid.beta[..., d].T for d in range(3)]
+    _write_table(path, GRID_MAGIC, meta, "alpha,beta_x,beta_y,beta_z", columns)
 
 
 def load_grid_csv(path) -> RotorGrid:
-    """Read a grid written by :func:`save_grid_csv`."""
-    with open(path) as f:
-        magic = f.readline().strip()
-        if magic != f"# {GRID_MAGIC}":
-            raise ValueError(f"not a rotor grid file: {magic!r}")
-        dims = tuple(int(v) for v in f.readline().split()[2:5])
-        spacing = float(f.readline().split()[2])
-        origin = np.array([float(v) for v in f.readline().split()[2:5]])
-        header = f.readline().strip()
-        if header != "alpha,beta_x,beta_y,beta_z":
-            raise ValueError("bad column header")
-        data = np.loadtxt(f, delimiter=",").reshape(-1, 4)
-    nx, ny, nz = dims
+    """Read a grid written by :func:`save_grid_csv`; a malformed file, or one
+    without ``nx ny nz`` rows of four columns, raises ``ValueError``."""
+    meta, data = _read_table(path, GRID_MAGIC, ({"dims": 3}, {"spacing": 1}, {"origin": 3}),
+                             ("alpha,beta_x,beta_y,beta_z",), rows=lambda m: (int(np.prod(m["dims"])),) * 2)
+    nx, ny, nz = (int(v) for v in meta["dims"])
     alpha = np.transpose(data[:, 0].reshape(nz, ny, nx), (2, 1, 0))
     beta = np.transpose(data[:, 1:].reshape(nz, ny, nx, 3), (2, 1, 0, 3))
-    return RotorGrid(alpha=alpha, beta=beta, spacing=spacing, origin=origin)
+    return RotorGrid(alpha=alpha, beta=beta, spacing=meta["spacing"][0], origin=meta["origin"])

@@ -22,7 +22,7 @@ from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline
 
 from .fields import HedgehogField
-from .kinematics import Moduli, _csv_rows, _slabs
+from .kinematics import Moduli, _read_table, _write_table
 
 __all__ = [
     "DivergenceError",
@@ -410,17 +410,10 @@ PROFILE_MAGIC = "radial-profile-csv 1"
 def save_profile_csv(profile: RadialProfile, path) -> None:
     """Write r,w[,w_t] rows with a metadata header."""
     m = profile.moduli
-    has_vel = profile.w_t is not None
-    f_ = lambda x: repr(float(x))  # shortest round-trip decimal for 64-bit floats
-    with open(path, "w", newline="\n") as f:
-        f.write(f"# {PROFILE_MAGIC}\n")
-        f.write(f"# lambda1 {f_(m.lambda1)} lambda2 {f_(m.lambda2)}\n")
-        f.write(f"# c1 {f_(m.c1)} c2 {f_(m.c2)} c3 {f_(m.c3)}\n")
-        f.write(f"# slope0 {f_(profile.slope0)} tol {f_(profile.tol)}\n")
-        f.write("r,w,w_t\n" if has_vel else "r,w\n")
-        columns = (profile.r, profile.w, profile.w_t) if has_vel else (profile.r, profile.w)
-        for lo, hi in _slabs(profile.r.size, 1):
-            f.write(_csv_rows(np.stack([c[lo:hi] for c in columns], axis=-1)))
+    columns = (profile.r, profile.w) if profile.w_t is None else (profile.r, profile.w, profile.w_t)
+    meta = ({"lambda1": m.lambda1, "lambda2": m.lambda2}, {"c1": m.c1, "c2": m.c2, "c3": m.c3},
+            {"slope0": profile.slope0, "tol": profile.tol})
+    _write_table(path, PROFILE_MAGIC, meta, ",".join(("r", "w", "w_t")[:len(columns)]), columns)
 
 
 def load_profile_csv(path) -> RadialProfile:
@@ -430,27 +423,10 @@ def load_profile_csv(path) -> RadialProfile:
     that many columns, and there must be at least two rows; anything else
     raises ``ValueError``.
     """
-    with open(path) as f:
-        magic = f.readline().strip()
-        if magic != f"# {PROFILE_MAGIC}":
-            raise ValueError(f"not a radial profile file: {magic!r}")
-        lam = f.readline().split()
-        c = f.readline().split()
-        meta = f.readline().split()
-        slope0, tol = float(meta[2]), float(meta[4])
-        header = f.readline().strip()
-        rows = [line for line in f if line.strip()]
-    columns = {"r,w": 2, "r,w,w_t": 3}.get(header)
-    if columns is None:
-        raise ValueError(f"bad column header {header!r}: expected 'r,w' or 'r,w,w_t'")
-    if len(rows) < 2:
-        raise ValueError(f"a profile needs at least two rows, found {len(rows)}")
-    data = np.loadtxt(rows, delimiter=",", ndmin=2)
-    if data.shape[1] != columns:
-        raise ValueError(f"header {header!r} names {columns} columns, the rows have {data.shape[1]}")
+    layout = ({"lambda1": 1, "lambda2": 1}, {"c1": 1, "c2": 1, "c3": 1}, {"slope0": 1, "tol": 1})
+    meta, data = _read_table(path, PROFILE_MAGIC, layout, ("r,w", "r,w,w_t"), rows=lambda meta: (2, np.inf))
+    v = {key: value for key, (value,) in meta.items()}
     # Moduli checks that the stored c-triple and couplings agree
-    m = Moduli(c1=float(c[2]), c2=float(c[4]), c3=float(c[6]),
-               lambda1=float(lam[2]), lambda2=float(lam[4]))
-    w_t = data[:, 2] if columns == 3 else None
-    return RadialProfile(r=data[:, 0], w=data[:, 1], w_t=w_t, moduli=m,
-                         slope0=slope0, tol=tol)
+    m = Moduli(c1=v["c1"], c2=v["c2"], c3=v["c3"], lambda1=v["lambda1"], lambda2=v["lambda2"])
+    w_t = data[:, 2] if data.shape[1] == 3 else None
+    return RadialProfile(r=data[:, 0], w=data[:, 1], w_t=w_t, moduli=m, slope0=v["slope0"], tol=v["tol"])

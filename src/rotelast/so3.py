@@ -73,7 +73,12 @@ class Rotor:
 
     def unit_defect(self) -> float:
         """Return ``|alpha^2 + |beta|^2 - 1|``."""
-        return abs(self.alpha**2 + float(self.beta @ self.beta) - 1.0)
+        return float(_unit_defect(self.alpha, self.beta))
+
+
+def _unit_defect(alpha, beta) -> np.ndarray:
+    """``|alpha^2 + |beta|^2 - 1|`` of a batch of rotors: every unit-constraint check reads it."""
+    return np.abs(alpha**2 + np.einsum("...i,...i->...", beta, beta) - 1.0)
 
 
 def make_rotor(beta, sign: int = +1) -> Rotor:
@@ -86,7 +91,7 @@ def make_rotor(beta, sign: int = +1) -> Rotor:
     Raises
     ------
     ValueError
-        If ``|beta|^2 > 1 + 1e-12`` (beta outside unit ball).
+        If ``|beta|^2 > 1 + 1e-12`` (beta outside unit ball) or beta is NaN.
     """
     beta = np.asarray(beta, dtype=float)
     if beta.shape != (3,):
@@ -94,7 +99,7 @@ def make_rotor(beta, sign: int = +1) -> Rotor:
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
     b2 = float(beta @ beta)
-    if b2 > 1.0 + UNIT_TOL:
+    if not b2 <= 1.0 + UNIT_TOL:  # NaN fails the bound too
         raise ValueError(f"beta outside unit ball: |beta|^2 = {b2!r}")
     alpha = sign * np.sqrt(max(0.0, 1.0 - b2))
     return Rotor(beta=beta, alpha=float(alpha))

@@ -32,7 +32,7 @@ which :func:`total_charge` uses as a fast path (validated against the full
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -64,21 +64,12 @@ class ChargeReport:
             raise ValueError("estimated_error must be non-negative")
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "charge": self.charge,
-                "ball_radius": self.ball_radius,
-                "grid_spacing": self.grid_spacing,
-                "estimated_error": self.estimated_error,
-            },
-            sort_keys=True,
-        )
+        return json.dumps(vars(self), sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "ChargeReport":
         d = json.loads(text)
-        return cls(charge=d["charge"], ball_radius=d["ball_radius"],
-                   grid_spacing=d["grid_spacing"], estimated_error=d["estimated_error"])
+        return cls(**{f.name: d[f.name] for f in fields(cls)})
 
 
 def charge_density(field, point, time: float = 0.0):
@@ -102,12 +93,17 @@ def hedgehog_charge_profile(w0: float, w1: float) -> float:
     return float(antider(w1) - antider(w0))
 
 
+def _centred_axis(half_width: float, h: float) -> np.ndarray:
+    """Centres of the even count ``ceil(2 half_width / h)`` (rounded up) of cells of
+    width h that cover ``[-half_width, half_width]``: symmetric, none lands on 0."""
+    n = int(np.ceil(2.0 * half_width / h))
+    n += n % 2
+    return h * (np.arange(n) - (n - 1) / 2)
+
+
 def _charge_midpoint_3d(field, ball_radius: float, h: float, time: float,
                         chunk: int = 200_000) -> float:
-    n = int(np.ceil(2.0 * ball_radius / h))
-    n += n % 2
-    # even count of cell centres, symmetric about the origin: none lands on it
-    axis = h * (np.arange(n) - (n - 1) / 2)
+    axis = _centred_axis(ball_radius, h)
     total = 0.0
     xy = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
     r2_max = ball_radius * ball_radius

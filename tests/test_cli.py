@@ -254,6 +254,34 @@ class TestBadNumericOptions:
         assert not out_path.exists()
 
 
+class TestNonFiniteOptions:
+    """A non-finite number, from a flag or from the config file, exits 2 with the usage record."""
+
+    @pytest.mark.parametrize("form", ["flag", "config"])
+    @pytest.mark.parametrize("command, option, value", [
+        ("charge", "spacing", "inf"),
+        ("charge", "radius", "inf"),
+        ("residual", "rmax-annulus", "inf"),
+        ("identity-check", "extent", "inf"),
+        ("evolve", "t-end", "inf"),
+        ("decompose", "matrix", "1,2,nan,4,5,6,7,8,9"),
+    ])
+    def test_exit_2(self, tmp_path, capsys, command, option, value, form):
+        path, _ = make_soliton_csv(tmp_path, capsys, rmax="10")
+        profile = ("--from-profile", str(path)) if command in ("charge", "residual", "evolve") else ()
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{option} = {value}\n")
+        given = ("--config", str(cfg)) if form == "config" else (f"--{option}", value)
+        out_path = tmp_path / "out.json"
+        code, out, err = run_cli(capsys, command, *profile, *given, "-o", str(out_path))
+        assert code == 2
+        assert out == ""
+        record = json.loads(err)
+        assert record["error"] == "usage"
+        assert f"--{option}" in record["detail"]
+        assert not out_path.exists()
+
+
 class TestRuntimeFailures:
     """Solver failures exit 3 with a one-line JSON record on stdout, never a traceback."""
 

@@ -155,6 +155,12 @@ class TestNyeAnalytic:
             x = np.asarray(x, dtype=float)
             assert np.abs(rl.nye_analytic(field, x) - nye_hedgehog_oracle(x, w, wp)).max() <= 1e-13
 
+    def test_nan_beta_rejected(self):
+        f = rl.AnalyticRotorField(beta=lambda x, t: np.where(x[..., :1] > 0, np.nan, 0.1 * x),
+                                  d_beta=None, dd_beta=None)
+        with pytest.raises(ValueError, match="left the unit ball"):
+            f.alpha_beta(np.array([[-0.5, 0.0, 0.0], [0.5, 0.0, 0.0]]))
+
 
 class TestNyeVelocity:
     def test_static_field(self):
@@ -398,3 +404,38 @@ class TestGridSerialization:
     def test_unit_constraint_enforced(self):
         with pytest.raises(ValueError, match="unit constraint"):
             rl.RotorGrid(np.full((3, 3, 3), 0.9), np.zeros((3, 3, 3, 3)), 0.1, [0, 0, 0])
+
+    def test_nan_rotor_rejected(self):
+        alpha = np.ones((3, 3, 3))
+        alpha[1, 2, 0] = np.nan
+        with pytest.raises(ValueError, match="unit constraint"):
+            rl.RotorGrid(alpha, np.zeros((3, 3, 3, 3)), 0.1, [0, 0, 0])
+
+    @staticmethod
+    def malformed(lines):
+        """Each edit of a saved 3 x 4 x 5 grid file, and what the error must name."""
+        rows = lines[5:]
+        return {
+            "missing row": (lines[:-1], r"over 60 to 60 rows, found .* over 59 rows"),
+            "fifth column in one row": (lines[:7] + [lines[7].replace("\n", ",0.5\n")] + lines[8:],
+                                        "number of columns changed from 4 to 5"),
+            "fifth column in every row": (lines[:5] + [r.replace("\n", ",0.5\n") for r in rows],
+                                          "over 60 rows of 5 columns"),
+            "swapped meta lines": ([lines[0], lines[2], lines[1]] + lines[3:], "bad meta line '# spacing"),
+            "two dims": ([lines[0], "# dims 3 4\n"] + lines[2:], "bad meta line '# dims 3 4'"),
+            "wrong magic": (["# rotor-grid-csv 2\n"] + lines[1:], "not a 'rotor-grid-csv 1' file"),
+            "bad header": (lines[:4] + ["alpha,beta\n"] + rows, "found 'alpha,beta'"),
+            "no rows": (lines[:5], "over 0 rows"),
+        }
+
+    @pytest.mark.parametrize("case", ["missing row", "fifth column in one row", "fifth column in every row",
+                                      "swapped meta lines", "two dims", "wrong magic", "bad header", "no rows"])
+    def test_malformed_file_named(self, tmp_path, case):
+        path = tmp_path / "grid.csv"
+        grid = rl.RotorGrid.from_field(rl.random_smooth_field(seed=3), dims=(3, 4, 5), spacing=0.1,
+                                       origin=[0.0, 0.0, 0.0])
+        rl.save_grid_csv(grid, path)
+        lines, message = self.malformed(path.read_text().splitlines(keepends=True))[case]
+        path.write_text("".join(lines))
+        with pytest.raises(ValueError, match=message):
+            rl.load_grid_csv(path)

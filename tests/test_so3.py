@@ -35,6 +35,11 @@ class TestMakeRotor:
         with pytest.raises(ValueError, match="unit ball"):
             rl.make_rotor([1.0, 0.1, 0.0])
 
+    @pytest.mark.parametrize("beta", [[np.nan, 0.0, 0.0], [0.1, np.inf, 0.0]])
+    def test_non_finite_rejected(self, beta):
+        with pytest.raises(ValueError, match="unit ball"):
+            rl.make_rotor(beta)
+
     def test_unit_invariant_random(self, rng):
         for _ in range(200):
             assert random_rotor(rng).unit_defect() <= 1e-12

@@ -136,34 +136,59 @@ class TestIdentityCheck:
 
 
 class TestCsvRows:
+    """Whole files of both writers against a per-line f-string oracle.
+
+    Each writer formats its rows in slabs and its meta lines through the
+    shared table writer; the oracle writes every line on its own, each
+    number as ``repr(float(x))``.  The edge values are a negative zero, the
+    least subnormal, a huge float and integer-valued moduli (stored as
+    ``1.0``, not ``1``).
+    """
+
+    EDGES = (-0.0, 5e-324, 1e308)
+
     @staticmethod
-    def grid_rows_per_row(grid):
+    def grid_file_per_line(grid):
         f_ = lambda x: repr(float(x))
+        nx, ny, nz = grid.dims
+        ox, oy, oz = grid.origin
+        head = (f"# rotor-grid-csv 1\n# dims {nx} {ny} {nz}\n# spacing {f_(grid.spacing)}\n"
+                f"# origin {f_(ox)} {f_(oy)} {f_(oz)}\nalpha,beta_x,beta_y,beta_z\n")
         a = np.transpose(grid.alpha, (2, 1, 0)).reshape(-1)
         b = np.transpose(grid.beta, (2, 1, 0, 3)).reshape(-1, 3)
-        return "".join(f"{f_(a[n])},{f_(b[n, 0])},{f_(b[n, 1])},{f_(b[n, 2])}\n" for n in range(a.size))
+        return head + "".join(f"{f_(a[n])},{f_(b[n, 0])},{f_(b[n, 1])},{f_(b[n, 2])}\n" for n in range(a.size))
+
+    @staticmethod
+    def profile_file_per_line(p):
+        f_ = lambda x: repr(float(x))
+        m = p.moduli
+        cols = (p.r, p.w) if p.w_t is None else (p.r, p.w, p.w_t)
+        head = (f"# radial-profile-csv 1\n# lambda1 {f_(m.lambda1)} lambda2 {f_(m.lambda2)}\n"
+                f"# c1 {f_(m.c1)} c2 {f_(m.c2)} c3 {f_(m.c3)}\n# slope0 {f_(p.slope0)} tol {f_(p.tol)}\n"
+                + ("r,w\n" if p.w_t is None else "r,w,w_t\n"))
+        return head + "".join(",".join(f_(c[i]) for c in cols) + "\n" for i in range(p.r.size))
 
     @pytest.mark.parametrize("budget", [1, 50, 10**9])
     def test_grid_csv_matches_the_per_row_formatter(self, tmp_path, slab_points, budget):
         grid = rl.RotorGrid.from_field(two_core_product(), dims=(5, 4, 7), spacing=0.3,
                                        origin=[-0.6, -0.45, -0.9])
-        grid.alpha[0, 0, 0], grid.beta[0, 0, 0] = -0.0, [1e-300, 1.0, 0.0]  # the writer does not check
+        # the writer does not check
+        grid.alpha[0, 0, 0], grid.beta[0, 0, 0] = -0.0, [1e-300, 1.0, 0.0]
+        grid.alpha[1, 0, 0], grid.beta[1, 0, 0], grid.origin = self.EDGES[1], self.EDGES, np.array(self.EDGES)
         slab_points(budget)
         rl.save_grid_csv(grid, tmp_path / "g.csv")
-        body = (tmp_path / "g.csv").read_text().split("alpha,beta_x,beta_y,beta_z\n", 1)[1]
-        assert body == self.grid_rows_per_row(grid)
+        assert (tmp_path / "g.csv").read_bytes() == self.grid_file_per_line(grid).encode()
 
     @pytest.mark.parametrize("with_velocity", [False, True])
-    def test_profile_csv_matches_the_per_row_formatter(self, tmp_path, slab_points, unit_moduli,
-                                                       with_velocity):
-        r = np.linspace(0.0, 7.0, 101) ** 1.5
-        p = rl.RadialProfile(r=r, w=np.sin(r) * 1e-5, moduli=unit_moduli, slope0=1.0, tol=1e-9,
+    def test_profile_csv_matches_the_per_row_formatter(self, tmp_path, slab_points, with_velocity):
+        r = np.concatenate([[0.0, 5e-324], np.linspace(0.1, 7.0, 99) ** 1.5, [1e308]])
+        w = np.sin(r[:-1]) * 1e-5
+        moduli = rl.Moduli.from_couplings(1, 2)  # integer-valued: stored as 1.0 and 2.0
+        p = rl.RadialProfile(r=r, w=np.concatenate([w, [-0.0]]), moduli=moduli, slope0=1, tol=1e-9,
                              w_t=np.cos(r) if with_velocity else None)
         slab_points(40)
         rl.save_profile_csv(p, tmp_path / "p.csv")
-        body = (tmp_path / "p.csv").read_text().split("\n", 5)[5]
-        cols = (p.r, p.w, p.w_t) if with_velocity else (p.r, p.w)
-        assert body == "".join(",".join(repr(float(c[i])) for c in cols) + "\n" for i in range(r.size))
+        assert (tmp_path / "p.csv").read_bytes() == self.profile_file_per_line(p).encode()
 
 
 class TestMemoryBound:

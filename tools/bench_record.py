@@ -16,6 +16,9 @@ the metrics.  It then prints each metric's ratio (this record over the
 earlier one) against the newest other ``BENCH_*.json`` by recording time,
 and says so when that record was made with another seed or run length.
 
+It also records ``src_lines``, the line count of each ``src/rotelast/*.py``
+(as ``wc -l`` counts them) and their total, and prints their ratios too.
+
 Per workload it also derives points per second for every traced callable
 that reports a point count (``points_per_s``: points over self seconds).
 After the workloads it runs each command of the command line once, in a
@@ -99,6 +102,12 @@ def points_per_second(per_layer: dict) -> dict:
     return rates
 
 
+def src_lines() -> dict:
+    """Newline count of each ``src/rotelast/*.py`` file, as ``wc -l`` reports it, and the total."""
+    files = {p.name: p.read_bytes().count(b"\n") for p in sorted((ROOT / "src" / "rotelast").glob("*.py"))}
+    return {"files": files, "total": sum(files.values())}
+
+
 def src_dirty() -> bool | None:
     """Whether ``src/`` differs from the git HEAD; None outside a git checkout."""
     proc = subprocess.run(["git", "status", "--porcelain", "--", "src"], cwd=ROOT,
@@ -130,6 +139,7 @@ def record_bench(label: str) -> dict:
         "git_sha": env["git_sha"],
         "src_differs_from_git_sha": src_dirty(),
         "source_sha256": env["source_sha256"],
+        "src_lines": src_lines(),
         "python": env["python"],
         "numpy": env["numpy"],
         "scipy": env["scipy"],
@@ -159,6 +169,10 @@ def print_ratios(new: dict, old: dict) -> None:
         for key in ("end_to_end", "per_layer", "points_per_s"):
             for metric, value in entry.get(key, {}).items():
                 print_ratio(workload, metric, before.get(key, {}).get(metric), value)
+    lines, before = new["src_lines"], old.get("src_lines", {})
+    print_ratio("src_lines", "total", before.get("total"), lines["total"])
+    for name, count in lines["files"].items():
+        print_ratio("src_lines", name, before.get("files", {}).get(name), count)
     for command, entry in new.get("cli", {}).items():
         before = old.get("cli", {}).get(command, {})
         for metric in ("wall_s", "peak_rss_mb"):
