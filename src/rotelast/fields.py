@@ -82,7 +82,7 @@ class FieldPoint:
         dt = np.abs(
             self.alpha * self.dt_alpha + np.einsum("...l,...l->...", self.beta, self.dt_beta)
         )
-        return float(max(unit.max(), dsp.max(), dt.max()))
+        return float(np.max([unit.max(), dsp.max(), dt.max()]))  # np.max keeps a NaN
 
 
 def _check_order(order) -> None:

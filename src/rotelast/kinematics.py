@@ -60,11 +60,12 @@ class Moduli:
     lambda2: float
 
     def __post_init__(self):
-        if min(self.c1, self.c2, self.c3) < 0:
+        # written so that NaN fails every bound
+        if not all(c >= 0 for c in (self.c1, self.c2, self.c3)):
             raise ValueError("elastic moduli must be non-negative")
-        if abs(self.lambda1 - (4.0 / 3.0) * (self.c3 + 0.5 * self.c1)) > 1e-12 * max(1.0, abs(self.lambda1)):
+        if not abs(self.lambda1 - (4.0 / 3.0) * (self.c3 + 0.5 * self.c1)) <= 1e-12 * max(1.0, abs(self.lambda1)):
             raise ValueError("lambda1 inconsistent with (c1, c3)")
-        if abs(self.lambda2 - (self.c1 + self.c2)) > 1e-12 * max(1.0, abs(self.lambda2)):
+        if not abs(self.lambda2 - (self.c1 + self.c2)) <= 1e-12 * max(1.0, abs(self.lambda2)):
             raise ValueError("lambda2 inconsistent with (c1, c2)")
 
     @classmethod
@@ -76,7 +77,7 @@ class Moduli:
     def from_couplings(cls, lambda1: float, lambda2: float) -> "Moduli":
         """Build from the couplings; the c-triple (0, lambda2, 3 lambda1/4) is
         one non-negative representative (only the couplings enter dynamics)."""
-        if lambda1 < 0 or lambda2 < 0:
+        if not (lambda1 >= 0 and lambda2 >= 0):
             raise ValueError("couplings must be non-negative")
         return cls(c1=0.0, c2=lambda2, c3=0.75 * lambda1,
                    lambda1=lambda1, lambda2=lambda2)
@@ -215,7 +216,7 @@ class RotorGrid:
         beta = np.asarray(beta, dtype=float)
         if alpha.ndim != 3 or beta.shape != alpha.shape + (3,):
             raise ValueError("alpha must be (nx,ny,nz), beta (nx,ny,nz,3)")
-        if spacing <= 0:
+        if not spacing > 0:
             raise ValueError("spacing must be positive")
         nx, ny, nz = alpha.shape
         defect = np.max([_unit_defect(alpha[lo:hi], beta[lo:hi]).max() for lo, hi in _slabs(nx, ny * nz)])

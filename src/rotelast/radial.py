@@ -9,7 +9,8 @@ with the nonlinearity ``U(w) = sin(2w) [(l2 - l1) + (l2 - 2 l1) cos(2w)]``.
 The static case is an ODE with a regular singular point at the origin; the
 solver starts from a leading-power series there and integrates outward with
 an adaptive embedded Runge-Kutta scheme.  Dynamics uses a fixed-step
-second-order leapfrog with a clamped far boundary.
+second-order leapfrog on a three-point stencil with a clamped far boundary.
+U is evaluated through ``t = tan w`` (one vectorized tan per node).
 """
 
 from __future__ import annotations
@@ -87,6 +88,8 @@ class RadialProfile:
             self.w_t = np.asarray(self.w_t, dtype=float)
             if self.w_t.shape != self.w.shape:
                 raise ValueError("w_t must match w")
+            if not np.all(np.isfinite(self.w_t)):
+                raise ValueError("w_t must be finite")
 
 
 @dataclass(frozen=True)
@@ -99,17 +102,32 @@ class Equilibrium:
 
 
 def potential_U(w, m: Moduli):
-    """Radial nonlinearity ``U(w) = sin 2w [(l2 - l1) + (l2 - 2 l1) cos 2w]``."""
+    """Radial nonlinearity ``U(w) = sin 2w [(l2 - l1) + (l2 - 2 l1) cos 2w]``.
+
+    Evaluated through ``t = tan w``: with ``sin 2w = 2t / (1 + t^2)`` and
+    ``cos 2w = (1 - t^2) / (1 + t^2)`` it is
+    ``U = 2t [(2 l2 - 3 l1) + l1 t^2] / (1 + t^2)^2``, one vectorized tan
+    instead of a sin and a cos.  |tan w| stays below about 1e17 for every
+    finite double, so ``t^4`` cannot overflow; a non-finite w gives NaN.
+    """
     w = np.asarray(w, dtype=float)
-    val = np.sin(2.0 * w) * ((m.lambda2 - m.lambda1) + (m.lambda2 - 2.0 * m.lambda1) * np.cos(2.0 * w))
+    t = np.tan(w)
+    sq = t * t
+    val = 2.0 * t * ((2.0 * m.lambda2 - 3.0 * m.lambda1) + m.lambda1 * sq) / (1.0 + sq) ** 2
     return float(val) if val.ndim == 0 else val
 
 
 def potential_U_integral(w, m: Moduli):
-    """Antiderivative ``V(w) = int_0^w U(s) ds``, used by the energy monitor."""
+    """Antiderivative ``V(w) = int_0^w U(s) ds``, used by the energy monitor.
+
+    In the tan form ``t = tan w``:
+    ``V = (l2 - l1) t^2 / (1 + t^2) + (l2 - 2 l1) t^2 / (1 + t^2)^2``.
+    """
     w = np.asarray(w, dtype=float)
-    l1, l2 = m.lambda1, m.lambda2
-    val = (l2 - l1) * (1.0 - np.cos(2.0 * w)) / 2.0 + (l2 - 2.0 * l1) * (1.0 - np.cos(4.0 * w)) / 8.0
+    t = np.tan(w)
+    sq = t * t
+    frac = sq / (1.0 + sq)
+    val = (m.lambda2 - m.lambda1) * frac + (m.lambda2 - 2.0 * m.lambda1) * frac / (1.0 + sq)
     return float(val) if val.ndim == 0 else val
 
 
@@ -222,14 +240,15 @@ def static_residual(profile: RadialProfile, n_probe: int = 400) -> float:
     r_lo = profile.r[0] if profile.r[0] > 0 else profile.r[1]
     rs = np.geomspace(r_lo, profile.r[-1], n_probe)
     xg, wg = np.polynomial.legendre.leggauss(5)
-    worst = 0.0
-    for a, b in zip(rs[:-1], rs[1:]):
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        quad = half * np.sum(wg * potential_U(dense(mid + half * xg)[0], profile.moduli))
-        ya, yb = dense(a), dense(b)
-        defect = l1 * (b * b * yb[1] - a * a * ya[1]) + quad
-        worst = max(worst, abs(defect) / max(1.0, abs(l1 * b * b * yb[1])))
-    return worst
+    a, b = rs[:-1], rs[1:]
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    # one dense evaluation on every Gauss node and one on the probe radii
+    nodes = mid[:, None] + half[:, None] * xg
+    u = potential_U(dense(nodes.ravel())[0], profile.moduli).reshape(nodes.shape)
+    quad = half * np.sum(wg * u, axis=1)
+    dw = dense(rs)[1]
+    defect = l1 * (b * b * dw[1:] - a * a * dw[:-1]) + quad
+    return float(np.max(np.abs(defect) / np.maximum(1.0, np.abs(l1 * b * b * dw[1:]))))
 
 
 @dataclass
@@ -282,16 +301,24 @@ def evolve_dynamic(initial: RadialProfile, dt: float, t_end: float,
 
     w = initial.w.copy()
     v = initial.w_t.copy() if initial.w_t is not None else np.zeros_like(w)
-    l1 = m.lambda1
-    rsq = r * r
+    # conservative radial Laplacian as a three-point stencil on the interior:
+    # l1 (r^2 w_r)_r / r^2 = hi (w_{i+1} - w_i) - lo (w_i - w_{i-1}), with
+    # lo, hi = l1 r_{i-+1/2}^2 / (dr^2 r_i^2); the endpoints are set by the b.c.
     r_half_sq = (0.5 * (r[:-1] + r[1:])) ** 2
+    inv_rsq = 1.0 / (r[1:-1] * r[1:-1])
+    lo = m.lambda1 * r_half_sq[:-1] * inv_rsq / (dr * dr)
+    hi = m.lambda1 * r_half_sq[1:] * inv_rsq / (dr * dr)
+    diff, flux = np.empty(len(r) - 1), np.empty(len(r) - 2)
 
-    def accel(wc):
-        # conservative form of the radial Laplacian; endpoints handled by b.c.
-        acc = np.zeros_like(wc)
-        flux = r_half_sq * (wc[1:] - wc[:-1]) / dr
-        acc[1:-1] = l1 * (flux[1:] - flux[:-1]) / (dr * rsq[1:-1])
-        acc[1:-1] += potential_U(wc[1:-1], m) / rsq[1:-1]
+    def accel(wc, acc):
+        # writes the interior of acc in place; its endpoints stay 0
+        inner = acc[1:-1]
+        np.multiply(potential_U(wc[1:-1], m), inv_rsq, out=inner)
+        np.subtract(wc[1:], wc[:-1], out=diff)
+        np.multiply(hi, diff[1:], out=flux)
+        np.add(inner, flux, out=inner)
+        np.multiply(lo, diff[:-1], out=flux)
+        np.subtract(inner, flux, out=inner)
         return acc
 
     n_steps = int(round(t_end / dt))
@@ -301,17 +328,26 @@ def evolve_dynamic(initial: RadialProfile, dt: float, t_end: float,
     vs = [v.copy()]
     energies = [discrete_energy(r, w, v, m)]
 
-    w_prev = w - dt * v + 0.5 * dt * dt * accel(w)
+    # acc always holds accel(w) of the current level, shared by the next
+    # step and the snapshot velocity
+    acc = accel(w, np.zeros_like(w))
+    w_prev = w - dt * v + 0.5 * dt * dt * acc
+    w_next, kick = np.empty_like(w), np.empty_like(w)
+    dt2, w_far = dt * dt, initial.w[-1]
     for n in range(1, n_steps + 1):
-        w_next = 2.0 * w - w_prev + dt * dt * accel(w)
+        np.multiply(w, 2.0, out=w_next)
+        np.subtract(w_next, w_prev, out=w_next)
+        np.multiply(acc, dt2, out=kick)
+        np.add(w_next, kick, out=w_next)
         w_next[0] = 0.0
-        w_next[-1] = initial.w[-1]
-        w_prev, w = w, w_next
+        w_next[-1] = w_far
+        w_prev, w, w_next = w, w_next, w_prev
         if not np.all(np.isfinite(w)):
             raise InstabilityError(f"non-finite w at t = {n * dt:.6g}")
+        accel(w, acc)
         if n % snap_every == 0 or n == n_steps:
             # second-order velocity at the current level
-            v_now = (w - w_prev) / dt + 0.5 * dt * accel(w)
+            v_now = (w - w_prev) / dt + 0.5 * dt * acc
             times.append(n * dt)
             ws.append(w.copy())
             vs.append(v_now)

@@ -60,7 +60,7 @@ class ChargeReport:
     def __post_init__(self):
         if not np.isfinite(self.charge):
             raise ValueError("charge must be finite")
-        if self.estimated_error < 0:
+        if not self.estimated_error >= 0:
             raise ValueError("estimated_error must be non-negative")
 
     def to_json(self) -> str:

@@ -154,6 +154,13 @@ class TestConsumerOrders:
         fp.d_alpha = fp.d_alpha + 1e-6
         assert fp.constraint_residual() >= 1e-7
 
+    def test_constraint_residual_reports_nan(self, points):
+        # Python's max(0.0, nan, 0.0) is 0.0; the residual must not hide a NaN block
+        fp = rl.random_smooth_field(seed=5).field_point(points, order=1)
+        fp.d_alpha = fp.d_alpha.copy()
+        fp.d_alpha[1, 2] = np.nan
+        assert np.isnan(fp.constraint_residual())
+
 
 def charge_density_all_blocks(field, x):
     """``det(A) / 16 pi^2`` with every Nye tensor taken from a full order-2 evaluation."""

@@ -40,6 +40,10 @@ class TestModuli:
         with pytest.raises(ValueError):
             rl.Moduli(c1=0.0, c2=1.0, c3=1.0, lambda1=0.5, lambda2=1.0)
 
+    def test_nan_coupling_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            rl.Moduli.from_couplings(np.nan, 1.0)
+
     def test_from_couplings_nonnegative_representative(self):
         m = rl.Moduli.from_couplings(1.0, 2.0)
         assert min(m.c1, m.c2, m.c3) >= 0.0
@@ -404,6 +408,10 @@ class TestGridSerialization:
     def test_unit_constraint_enforced(self):
         with pytest.raises(ValueError, match="unit constraint"):
             rl.RotorGrid(np.full((3, 3, 3), 0.9), np.zeros((3, 3, 3, 3)), 0.1, [0, 0, 0])
+
+    def test_nan_spacing_rejected(self):
+        with pytest.raises(ValueError, match="spacing"):
+            rl.RotorGrid(np.ones((3, 3, 3)), np.zeros((3, 3, 3, 3)), np.nan, [0, 0, 0])
 
     def test_nan_rotor_rejected(self):
         alpha = np.ones((3, 3, 3))

@@ -3,7 +3,76 @@ import pytest
 from scipy.optimize import brentq
 
 import rotelast as rl
-from rotelast.radial import DivergenceError, indicial_exponent
+from rotelast.radial import DivergenceError, InstabilityError, indicial_exponent
+
+
+def potential_U_sincos(w, m):
+    """Oracle: the nonlinearity in its sin/cos form."""
+    return np.sin(2.0 * w) * ((m.lambda2 - m.lambda1) + (m.lambda2 - 2.0 * m.lambda1) * np.cos(2.0 * w))
+
+
+def potential_V_sincos(w, m):
+    """Oracle: its antiderivative in the sin/cos form."""
+    l1, l2 = m.lambda1, m.lambda2
+    return (l2 - l1) * (1.0 - np.cos(2.0 * w)) / 2.0 + (l2 - 2.0 * l1) * (1.0 - np.cos(4.0 * w)) / 8.0
+
+
+def static_residual_loop(profile, n_probe=400):
+    """Oracle: the first-integral defect, one probe interval per Python iteration."""
+    dense, l1 = profile.dense, profile.moduli.lambda1
+    r_lo = profile.r[0] if profile.r[0] > 0 else profile.r[1]
+    rs = np.geomspace(r_lo, profile.r[-1], n_probe)
+    xg, wg = np.polynomial.legendre.leggauss(5)
+    worst = 0.0
+    for a, b in zip(rs[:-1], rs[1:]):
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        quad = half * np.sum(wg * potential_U_sincos(dense(mid + half * xg)[0], profile.moduli))
+        ya, yb = dense(a), dense(b)
+        defect = l1 * (b * b * yb[1] - a * a * ya[1]) + quad
+        worst = max(worst, abs(defect) / max(1.0, abs(l1 * b * b * yb[1])))
+    return worst
+
+
+def leapfrog_allocating(initial, dt, t_end, n_snapshots=101):
+    """Oracle: the leapfrog with a freshly allocated flux-form force per step and the sin/cos U.
+
+    Returns (w, w_t, energy) at the snapshots, as ``evolve_dynamic`` does.
+    """
+    m, r = initial.moduli, initial.r
+    dr = r[1] - r[0]
+    w = initial.w.copy()
+    v = initial.w_t.copy()
+    l1 = m.lambda1
+    rsq = r * r
+    r_half_sq = (0.5 * (r[:-1] + r[1:])) ** 2
+
+    def accel(wc):
+        acc = np.zeros_like(wc)
+        flux = r_half_sq * (wc[1:] - wc[:-1]) / dr
+        acc[1:-1] = l1 * (flux[1:] - flux[:-1]) / (dr * rsq[1:-1])
+        acc[1:-1] += potential_U_sincos(wc[1:-1], m) / rsq[1:-1]
+        return acc
+
+    def energy(wc, vc):
+        w_r = np.gradient(wc, dr)
+        dens = 0.5 * rsq * vc * vc + 0.5 * l1 * rsq * w_r * w_r - potential_V_sincos(wc, m)
+        return float(np.sum(dens) * dr)
+
+    n_steps = int(round(t_end / dt))
+    snap_every = max(1, n_steps // max(1, n_snapshots - 1))
+    ws, vs, es = [w.copy()], [v.copy()], [energy(w, v)]
+    w_prev = w - dt * v + 0.5 * dt * dt * accel(w)
+    for n in range(1, n_steps + 1):
+        w_next = 2.0 * w - w_prev + dt * dt * accel(w)
+        w_next[0] = 0.0
+        w_next[-1] = initial.w[-1]
+        w_prev, w = w, w_next
+        if n % snap_every == 0 or n == n_steps:
+            v_now = (w - w_prev) / dt + 0.5 * dt * accel(w)
+            ws.append(w.copy())
+            vs.append(v_now)
+            es.append(energy(w, v_now))
+    return np.array(ws), np.array(vs), np.array(es)
 
 
 def eigenvalues_closed_form(f_star, m):
@@ -36,6 +105,23 @@ class TestPotentialU:
         m = rl.Moduli.from_couplings(1.0, 1.0)
         w = np.linspace(-3, 3, 1000)
         assert np.abs(rl.potential_U(w, m) + 0.5 * np.sin(4 * w)).max() <= 1e-12
+
+    TAN_POLES = np.array([np.nextafter(np.pi / 2 + k * np.pi, side) for k in range(11) for side in (0.0, 40.0)])
+
+    @pytest.mark.parametrize("l1, l2", [(1.0, 1.0), (1.0, 1.25), (0.4, 2.3), (3.0, 0.1)])
+    def test_tan_forms_match_sincos(self, l1, l2):
+        # wide range, the doubles nearest the poles of tan (t^2 ~ 1e32) and |w| = 1e6
+        m = rl.Moduli.from_couplings(l1, l2)
+        tol = 2e-15 * max(1.0, l1, l2)
+        for w in (np.linspace(-20.0, 20.0, 200001), self.TAN_POLES, -self.TAN_POLES, np.array([1e6, -1e6])):
+            assert np.abs(rl.potential_U(w, m) - potential_U_sincos(w, m)).max() <= tol
+            assert np.abs(rl.potential_U_integral(w, m) - potential_V_sincos(w, m)).max() <= tol
+
+    def test_scalar_in_float_out(self, unit_moduli):
+        for fn in (rl.potential_U, rl.potential_U_integral):
+            assert type(fn(0.3, unit_moduli)) is float
+            assert fn(0.0, unit_moduli) == 0.0
+            assert np.isnan(fn(np.nan, unit_moduli))
 
     def test_integral_is_antiderivative(self):
         m = rl.Moduli.from_couplings(0.7, 1.2)
@@ -85,6 +171,11 @@ class TestSolveStatic:
         assert abs(w[r >= 50.0][0] - quarter) <= 0.05
         assert w[-1] > 0.5  # localized, nonvanishing asymptote
 
+    @pytest.mark.parametrize("l1, l2, slope0", [(1.0, 1.0, 1.0), (1.0, 1.0, 0.97), (0.4, 2.3, 1.0)])
+    def test_static_residual_matches_loop(self, l1, l2, slope0):
+        p = rl.solve_static(rl.Moduli.from_couplings(l1, l2), slope0=slope0, r_max=50.0, tol=1e-10)
+        assert rl.static_residual(p) == pytest.approx(static_residual_loop(p), rel=1e-12)
+
     def test_divergence_error(self, unit_moduli):
         with pytest.raises(DivergenceError) as err:
             rl.solve_static(unit_moduli, slope0=1e9, r_max=10.0)
@@ -96,6 +187,11 @@ class TestSolveStatic:
                              moduli=unit_moduli, slope0=1.0, tol=1e-8)
         with pytest.raises(ValueError):
             rl.RadialProfile(r=np.array([0.0, 1.0]), w=np.array([0.0, np.inf]),
+                             moduli=unit_moduli, slope0=1.0, tol=1e-8)
+
+    def test_non_finite_velocity_rejected(self, unit_moduli):
+        with pytest.raises(ValueError, match="w_t must be finite"):
+            rl.RadialProfile(r=np.array([0.0, 1.0, 2.0]), w=np.zeros(3), w_t=np.array([0.0, np.inf, 0.0]),
                              moduli=unit_moduli, slope0=1.0, tol=1e-8)
 
 
@@ -121,6 +217,34 @@ class TestEvolveDynamic:
         ev = rl.evolve_dynamic(uni, dt=0.5 * dr, t_end=2.0)
         assert np.abs(ev.w - ev.w[0]).max() <= 5e-4
         assert np.abs(ev.energy - ev.energy[0]).max() <= 1e-6 * abs(ev.energy[0])
+
+    @pytest.mark.parametrize("l1, l2", [(1.0, 1.0), (0.4, 2.3)])
+    @pytest.mark.parametrize("n", [801, 4001])
+    def test_matches_allocating_leapfrog(self, l1, l2, n):
+        # the static profile with a small kick off the core
+        m = rl.Moduli.from_couplings(l1, l2)
+        uni = rl.resample_uniform(rl.solve_static(m, slope0=1.0, r_max=50.0, tol=1e-10), n=n)
+        uni.w_t = 0.01 * uni.r * np.exp(-((uni.r - 2.0) ** 2))
+        dt = 0.5 * (uni.r[1] - uni.r[0]) / np.sqrt(l1)
+        ev = rl.evolve_dynamic(uni, dt=dt, t_end=2.0, n_snapshots=11)
+        w, w_t, energy = leapfrog_allocating(uni, dt, 2.0, n_snapshots=11)
+        scale = np.abs(w).max()
+        # the tan form changes U in the last bits, so the levels agree to
+        # rounding; w_t is a difference quotient of two levels over dt.  An
+        # energy below 1 is compared absolutely: that of (0.4, 2.3) is 1.4e-3,
+        # and the oracle's (1 - cos 2w) / 2 rounds absolutely at small w
+        assert np.abs(ev.w - w).max() <= 1e-12 * scale
+        assert np.abs(ev.w_t - w_t).max() <= 1e-12 * scale / dt
+        assert np.abs(ev.energy - energy).max() <= 1e-12 * max(1.0, abs(energy[0]))
+
+    def test_instability_raised_on_overflow(self, unit_moduli):
+        # a finite but huge value overflows the stencil in the first step
+        r = np.linspace(0.0, 10.0, 101)
+        w = 0.1 * r * np.exp(-r)
+        w[40] = 1e307
+        p = rl.RadialProfile(r=r, w=w, w_t=np.zeros_like(r), moduli=unit_moduli, slope0=0.1, tol=1e-8)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(InstabilityError, match="t = 0.05$"):
+            rl.evolve_dynamic(p, dt=0.05, t_end=1.0)
 
     def test_pulse_speed_matches_sqrt_lambda1(self):
         # outgoing small pulse far from the center moves at sqrt(l1)

@@ -204,3 +204,7 @@ class TestChargeReport:
             rl.ChargeReport(charge=np.nan, ball_radius=1.0, grid_spacing=0.1, estimated_error=0.0)
         with pytest.raises(ValueError):
             rl.ChargeReport(charge=1.0, ball_radius=1.0, grid_spacing=0.1, estimated_error=-1.0)
+
+    def test_nan_error_estimate_rejected(self):
+        with pytest.raises(ValueError, match="estimated_error"):
+            rl.ChargeReport(charge=1.0, ball_radius=1.0, grid_spacing=0.1, estimated_error=np.nan)
