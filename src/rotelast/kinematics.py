@@ -303,8 +303,10 @@ def nye_fd_grid(grid: RotorGrid) -> np.ndarray:
     A = np.empty(core.shape[:3] + (3, 3))
     for k in range(3):
         du = central_diff(u, k, grid.spacing)
-        w = np.einsum("...ia,...ja->...ij", core, du)  # u d_k u^T
-        A[..., :, k] = 0.5 * eps_ddot(w)
+        dot = lambda i, j: np.einsum("...a,...a->...", core[..., i, :], du[..., j, :])  # (u d_k u^T)_ij
+        # axial part of u d_k u^T, one component at a time: (1/2) sum_a u_{.a} x d_k u_{.a}
+        for l, m, n in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+            A[..., l, k] = 0.5 * (dot(m, n) - dot(n, m))
     return A
 
 

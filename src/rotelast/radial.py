@@ -19,8 +19,6 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.interpolate import CubicSpline
 
 from .fields import HedgehogField
 from .kinematics import Moduli, _read_table, _write_table
@@ -168,6 +166,7 @@ def solve_static(m: Moduli, slope0: float, r_max: float, tol: float = 1e-10,
     DivergenceError
         If |w| exceeds 10 before reaching r_max.
     """
+    from scipy.integrate import solve_ivp  # scipy loads where it is called, not with rotelast
     if m.lambda1 <= 0:
         raise ValueError("solver requires lambda1 > 0")
     if r_max <= 0 or tol <= 0 or not np.isfinite(slope0):
@@ -211,6 +210,7 @@ def resample_uniform(profile: RadialProfile, n: int, r_max: float | None = None)
 
     The dynamic solver needs a uniform grid including the origin.
     """
+    from scipy.interpolate import CubicSpline
     if n < 3:
         raise ValueError(f"resampling needs at least 3 points, got n = {n}")
     r_max = profile.r[-1] if r_max is None else min(r_max, profile.r[-1])
@@ -363,6 +363,7 @@ def lift_hedgehog(profile: RadialProfile) -> HedgehogField:
     localized radial solutions).  Radial interpolation is cubic; spatial
     and time derivatives of the ansatz are analytic.
     """
+    from scipy.interpolate import CubicSpline
     if profile.r[0] > 1e-9 or abs(profile.w[0]) > 1e-9:
         raise ValueError("hedgehog lift requires a profile with w(0) = 0")
     spline = CubicSpline(profile.r, profile.w)

@@ -192,6 +192,36 @@ class TestResidualCommand:
         assert payload["max_residual"] < 0.5
         assert payload["n_cells"] > 0
 
+    def test_slab_reduction_matches_whole_grid(self, tmp_path, capsys, monkeypatch):
+        path, _ = make_soliton_csv(tmp_path, capsys, rmax="20")
+        h, rmin, rmax = 0.4, 1.5, 3.0
+        # 18^3 interior points in slabs of 2 x-planes; the outer planes hold no annulus point
+        monkeypatch.setattr(rotelast.kinematics, "_SLAB_POINTS", 2 * 18 * 18)
+        code, out, _ = run_cli(
+            capsys, "residual", "--from-profile", str(path), "--h", str(h),
+            "--rmin", str(rmin), "--rmax-annulus", str(rmax),
+        )
+        assert code == 0
+        payload = json.loads(out)
+        profile = rl.load_profile_csv(path)
+        axis = rl.topology._centred_axis(rmax + 3 * h, h)
+        grid = rl.RotorGrid.from_field(rl.lift_hedgehog(profile), dims=(axis.size,) * 3, spacing=h,
+                                       origin=np.full(3, axis[0]))
+        pts, res = rl.residual_grid(grid, profile.moduli)
+        assert pts.shape[:3] == (18, 18, 18)
+        rr = np.linalg.norm(pts, axis=-1)
+        mask = (rr >= rmin) & (rr <= rmax)
+        assert payload["n_cells"] == int(mask.sum())
+        assert payload["max_residual"] == float(np.abs(res[mask]).max())
+
+    def test_empty_annulus_exit_2(self, tmp_path, capsys):
+        path, _ = make_soliton_csv(tmp_path, capsys, rmax="20")
+        code, _, _ = run_cli(
+            capsys, "residual", "--from-profile", str(path), "--h", "0.4",
+            "--rmin", "3", "--rmax-annulus", "2",
+        )
+        assert code == 2  # no cell in the annulus: the maximum of nothing is a usage error
+
 
 class TestEvolveCommand:
     def test_stationary_soliton(self, tmp_path, capsys):

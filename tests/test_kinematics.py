@@ -238,6 +238,18 @@ class TestNyeFiniteDifference:
         block = rl.nye_fd_grid(g)
         assert np.abs(block[1, 2, 3] - rl.nye_fd(g, (2, 3, 4))).max() <= 1e-14
 
+    def test_axial_contraction_matches_matrix_oracle(self):
+        # oracle: the full 3x3 u d_k u^T by einsum, then its axial part eps_lij w_ij / 2
+        f = rl.random_smooth_field(seed=21)
+        g = rl.RotorGrid.from_field(f, dims=(41, 41, 41), spacing=0.05, origin=-np.ones(3))
+        u = g.u_array()
+        oracle = np.empty((39, 39, 39, 3, 3))
+        for k in range(3):
+            du = rl.kinematics.central_diff(u, k, g.spacing)
+            w = np.einsum("...ia,...ja->...ij", u[1:-1, 1:-1, 1:-1], du)
+            oracle[..., :, k] = 0.5 * np.einsum("lij,...ij->...l", LEVI_CIVITA, w)
+        assert np.abs(rl.nye_fd_grid(g) - oracle).max() <= 1e-14 * np.abs(oracle).max()
+
 
 class TestEnergyDensities:
     def test_potential_trivial(self, unit_moduli):
