@@ -134,8 +134,6 @@ def cmd_static(args) -> int:
 def cmd_evolve(args) -> int:
     initial = load_profile_csv(args.from_profile)
     uniform = resample_uniform(initial, n=args.n_grid)
-    if uniform.w_t is None:
-        uniform.w_t = np.zeros_like(uniform.w)
     dr = uniform.r[1] - uniform.r[0]
     dt = args.dt if args.dt is not None else 0.5 * dr / np.sqrt(uniform.moduli.lambda1)
     result = evolve_dynamic(uniform, dt=dt, t_end=args.t_end)
@@ -311,9 +309,9 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--from-profile", help="profile CSV (required)")
     p.add_argument("--radius", type=float, default=40.0, help="integration ball radius")
-    p.add_argument("--spacing", type=float, default=0.01, help="quadrature resolution")
+    p.add_argument("--spacing", type=float, default=0.01, help="3-d quadrature resolution")
     p.add_argument("--full-3d", action="store_true",
-                   help="force the 3-d midpoint quadrature instead of the radial fast path")
+                   help="force the 3-d midpoint quadrature instead of the radial closed form")
     p.add_argument("-o", "--output", default=None, help="charge JSON path")
     p.set_defaults(func=cmd_charge, required=("from_profile",))
 

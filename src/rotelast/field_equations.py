@@ -37,7 +37,9 @@ The residual reads four 3-vectors of the 27-entry ``d_k A_lm`` and
 * coupling, ``sum_jk H^jk G_kj^i = sum_k (w_{.k} x H_{.k})_i`` and
   ``sum_j H^jt G_tj^i = (w_t x H_t)_i``: ``G_kj^i = eps_jil w_lk`` with the
   axial ``w_lk = d_k(alpha beta_l) - (beta x d_k beta)_l``, and
-  ``eps_ilj w_l H_j`` is a cross product.
+  ``eps_ilj w_l H_j`` is a cross product.  The Nye bracket ``A/2 = beta x d beta
+  + beta d alpha - alpha d beta`` gives ``w = 2 beta d alpha - A/2`` (and ``w_t``
+  from ``A_t`` alike) by algebra alone, for unit and non-unit rotors.
 
 :func:`_d_nye` (``d_k A_lm`` in full) and :func:`g_tensor_space` are the
 unfused reference forms of these contractions; the residual calls neither.
@@ -103,17 +105,11 @@ def p_inverse(r) -> np.ndarray:
     return alpha[..., None, None] * np.eye(3) - eps_dot(beta)
 
 
-def _axial(alpha, beta, d_alpha, d_beta) -> np.ndarray:
-    """``w_lk = d_k(alpha beta_l) - (beta x d_k beta)_l`` along one or more directions.
-
-    The directions sit on the last axis, as in :func:`fields._nye_bracket`:
-    spatial derivatives give ``G_kj^i = eps_jil w_lk``, d_t the time block.
-    """
-    return (
-        beta[..., :, None] * d_alpha[..., None, :]
-        + alpha[..., None, None] * d_beta
-        - np.cross(beta[..., :, None], d_beta, axis=-2)
-    )
+def _axial(beta, d_alpha, a) -> np.ndarray:
+    """``w_lk = d_k(alpha beta_l) - (beta x d_k beta)_l = 2 beta_l d_k alpha - A_lk / 2``, ``a``
+    the :func:`fields._nye_bracket` of the same derivatives, directions on the last axis:
+    spatial derivatives give ``G_kj^i = eps_jil w_lk``, d_t the time block."""
+    return 2.0 * beta[..., :, None] * d_alpha[..., None, :] - 0.5 * a
 
 
 def g_tensor_space(fp: FieldPoint) -> np.ndarray:
@@ -123,14 +119,14 @@ def g_tensor_space(fp: FieldPoint) -> np.ndarray:
     ``eps_jil w_lk`` with ``w_lk = d_k(alpha beta_l) - (beta x d_k beta)_l``.
     Returned with index order ``[..., k, j, i]``; antisymmetric in (i, j).
     """
-    w = _axial(fp.alpha, fp.beta, fp.d_alpha, fp.d_beta)  # [..., l, k]
+    w = _axial(fp.beta, fp.d_alpha, nye_matrix(fp))  # [..., l, k]
     return np.moveaxis(eps_dot(w, axis=-2), -1, -3)
 
 
 def g_tensor_time(fp: FieldPoint) -> np.ndarray:
     """Time block ``G_tj^i = eps_jil w_l``, ``w = d_t(alpha beta) - beta x d_t beta``;
     index order ``[..., j, i]``; antisymmetric."""
-    return eps_dot(_axial(fp.alpha, fp.beta, fp.dt_alpha[..., None], fp.dt_beta[..., None])[..., 0])
+    return eps_dot(_axial(fp.beta, fp.dt_alpha[..., None], nye_velocity_vector(fp)[..., None])[..., 0])
 
 
 def h_tensors(a: np.ndarray, a_t: np.ndarray, m: Moduli) -> tuple[np.ndarray, np.ndarray]:
@@ -196,20 +192,23 @@ def _dt_nye_velocity(fp: FieldPoint) -> np.ndarray:
     return _nye_bracket(fp.alpha, fp.beta, fp.dtt_alpha[..., None], fp.dtt_beta[..., None])[..., 0]
 
 
-def _coupling(fp: FieldPoint, h_t: np.ndarray, h_s: np.ndarray) -> np.ndarray:
-    """``H^jt G_tj^i - H^jk G_kj^i = w_t x H_t - sum_k w_{.k} x H_{.k}``, since ``G = eps w``."""
-    w_t = _axial(fp.alpha, fp.beta, fp.dt_alpha[..., None], fp.dt_beta[..., None])[..., 0]
-    w_s = _axial(fp.alpha, fp.beta, fp.d_alpha, fp.d_beta)
+def _coupling(fp: FieldPoint, a: np.ndarray, a_t: np.ndarray, h_t: np.ndarray,
+              h_s: np.ndarray) -> np.ndarray:
+    """``H^jt G_tj^i - H^jk G_kj^i = w_t x H_t - sum_k w_{.k} x H_{.k}``, since ``G = eps w``;
+    ``a`` and ``a_t`` are the Nye tensor and velocity column at ``fp``."""
+    w_t = _axial(fp.beta, fp.dt_alpha[..., None], a_t[..., None])[..., 0]
+    w_s = _axial(fp.beta, fp.d_alpha, a)
     return np.cross(w_t, h_t) - np.cross(w_s, h_s, axis=-2).sum(axis=-1)
 
 
 def residual_eqs2_at(fp: FieldPoint, m: Moduli) -> np.ndarray:
     """G-form residual vector at a FieldPoint (batched)."""
-    h_t, h_s = h_tensors(nye_matrix(fp), nye_velocity_vector(fp), m)
+    a, a_t = nye_matrix(fp), nye_velocity_vector(fp)
+    h_t, h_s = h_tensors(a, a_t, m)
     row, col, d_tr = _nye_divergences(fp)
     # d_k H^ik = 2 l1 d_i tr A + l2 d_k (A_ik - A_ki)
     div_h = 2.0 * m.lambda1 * d_tr + m.lambda2 * (row - col)
-    return 2.0 * _dt_nye_velocity(fp) - div_h + 2.0 * _coupling(fp, h_t, h_s)
+    return 2.0 * _dt_nye_velocity(fp) - div_h + 2.0 * _coupling(fp, a, a_t, h_t, h_s)
 
 
 def residual_eqs_at(fp: FieldPoint, m: Moduli) -> np.ndarray:

@@ -367,10 +367,7 @@ def lift_hedgehog(profile: RadialProfile) -> HedgehogField:
     if profile.r[0] > 1e-9 or abs(profile.w[0]) > 1e-9:
         raise ValueError("hedgehog lift requires a profile with w(0) = 0")
     spline = CubicSpline(profile.r, profile.w)
-    wdot = None
-    if profile.w_t is not None:
-        tspline = CubicSpline(profile.r, profile.w_t)
-        wdot = tspline
+    wdot = None if profile.w_t is None else CubicSpline(profile.r, profile.w_t)
     return HedgehogField(
         w=spline,
         wp=spline.derivative(1),
@@ -397,21 +394,14 @@ def autonomous_residual(f: float, f_b: float, f_bb: float, m: Moduli) -> float:
     return float(f_bb + f_b * (1.0 - np.tanh(f) * f_b) - _autonomous_force(f, m))
 
 
-def _jacobian_eigenvalues(f_star: float, m: Moduli, step: float = 1e-6):
-    """Eigenvalues of the numerical Jacobian of (f, f_b) at an equilibrium."""
-
-    def flow(state):
-        f, p = state
-        return np.array([p, _autonomous_force(f, m) - p + np.tanh(f) * p * p])
-
-    jac = np.empty((2, 2))
-    x0 = np.array([f_star, 0.0])
-    for col in range(2):
-        dx = np.zeros(2)
-        dx[col] = step
-        jac[:, col] = (flow(x0 + dx) - flow(x0 - dx)) / (2 * step)
-    ev = np.linalg.eigvals(jac)
-    return (complex(ev[0]), complex(ev[1]))
+def _jacobian_eigenvalues(f_star: float, m: Moduli):
+    """Eigenvalues ``(-1 +- sqrt(1 + 4 G'(f*))) / 2`` of the Jacobian
+    ``[[0, 1], [G'(f*), -1]]`` of (f, f_b) at an equilibrium (f_b = 0), with
+    ``G' = 2 cosh f + 4 sech^2 f - 2 (l2/l1)(cosh f + sech^2 f)``."""
+    cosh, sech2 = np.cosh(f_star), 1.0 / np.cosh(f_star) ** 2
+    g_prime = 2.0 * cosh + 4.0 * sech2 - 2.0 * (m.lambda2 / m.lambda1) * (cosh + sech2)
+    root = np.sqrt(complex(1.0 + 4.0 * g_prime))
+    return (complex((-1.0 + root) / 2.0), complex((-1.0 - root) / 2.0))
 
 
 def equilibria(m: Moduli) -> list[Equilibrium]:

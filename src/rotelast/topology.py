@@ -20,13 +20,13 @@ integral converges to an integer (the degree of the lifted 3-sphere map);
 the orientation here makes an outward-winding hedgehog with increasing
 profile carry positive charge.
 
-For hedgehog fields the integral collapses exactly to one radial
-quadrature,
+For hedgehog fields the density ``(2/pi) cos^2(w) w'`` per unit radius
+integrates to the closed form
 
     Q(R) = (1/pi) [ w + sin(2w)/2 ]_{w(0)}^{w(R)} ,
 
-which :func:`total_charge` uses as a fast path (validated against the full
-3-d quadrature in the test suite).
+which :func:`total_charge` returns with zero error and without the grid
+spacing (the full 3-d quadrature is checked against it in the test suite).
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .fields import HedgehogField
+from .kinematics import _slabs
 
 __all__ = [
     "ChargeReport",
@@ -101,33 +102,17 @@ def _centred_axis(half_width: float, h: float) -> np.ndarray:
     return h * (np.arange(n) - (n - 1) / 2)
 
 
-def _charge_midpoint_3d(field, ball_radius: float, h: float, time: float,
-                        chunk: int = 200_000) -> float:
+def _charge_midpoint_3d(field, ball_radius: float, h: float, time: float) -> float:
     axis = _centred_axis(ball_radius, h)
     total = 0.0
-    xy = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
-    r2_max = ball_radius * ball_radius
-    for z in axis:
-        pts = np.concatenate([xy, np.full((xy.shape[0], 1), z)], axis=1)
-        mask = (pts * pts).sum(axis=1) <= r2_max
-        pts = pts[mask]
-        for lo in range(0, pts.shape[0], chunk):
-            rho = charge_density(field, pts[lo:lo + chunk], time)
-            if not np.all(np.isfinite(rho)):
-                raise ValueError("non-finite charge density inside the ball")
-            total += float(np.sum(rho))
+    for lo, hi in _slabs(axis.size, axis.size**2):
+        pts = np.stack(np.meshgrid(axis[lo:hi], axis, axis, indexing="ij"), axis=-1)
+        pts = pts[(pts * pts).sum(axis=-1) <= ball_radius * ball_radius]
+        rho = charge_density(field, pts, time)
+        if not np.all(np.isfinite(rho)):
+            raise ValueError("non-finite charge density inside the ball")
+        total += float(np.sum(rho))
     return total * h**3
-
-
-def _charge_radial(field: HedgehogField, ball_radius: float, h: float) -> float:
-    # midpoint rule on the exact radial density (2/pi) cos^2(w) w'
-    n = int(np.ceil(ball_radius / h))
-    step = ball_radius / n
-    r = (np.arange(n) + 0.5) * step
-    w = np.asarray(field.w(r), dtype=float)
-    wp = np.asarray(field.wp(r), dtype=float)
-    dens = (2.0 / np.pi) * np.cos(w) ** 2 * wp
-    return float(np.sum(dens) * step)
 
 
 def total_charge(field, ball_radius: float, grid_spacing: float,
@@ -135,18 +120,18 @@ def total_charge(field, ball_radius: float, grid_spacing: float,
     """Charge over a ball, with a two-spacing Richardson error estimate.
 
     Uses the midpoint rule on a uniform Cartesian grid restricted to the
-    ball; pure hedgehog fields take the exact 1-d radial reduction instead
-    (same two-resolution error estimate) unless ``force_3d`` is set.
+    ball.  A hedgehog field, unless ``force_3d`` is set, takes the closed form
+    :func:`hedgehog_charge_profile` of ``w(0)`` and ``w(ball_radius)`` instead,
+    with zero error; ``grid_spacing`` is validated and reported but unused there.
     """
     if ball_radius <= 0 or grid_spacing <= 0:
         raise ValueError("ball_radius and grid_spacing must be positive")
     if isinstance(field, HedgehogField) and not force_3d:
-        q_fine = _charge_radial(field, ball_radius, grid_spacing)
-        q_coarse = _charge_radial(field, ball_radius, 2.0 * grid_spacing)
+        q = hedgehog_charge_profile(float(field.w(0.0)), float(field.w(ball_radius)))
+        err = 0.0
     else:
-        q_fine = _charge_midpoint_3d(field, ball_radius, grid_spacing, time)
+        q = _charge_midpoint_3d(field, ball_radius, grid_spacing, time)
         q_coarse = _charge_midpoint_3d(field, ball_radius, 2.0 * grid_spacing, time)
-    err = abs(q_fine - q_coarse) / 3.0
-    return ChargeReport(charge=q_fine, ball_radius=float(ball_radius),
+        err = abs(q - q_coarse) / 3.0
+    return ChargeReport(charge=q, ball_radius=float(ball_radius),
                         grid_spacing=float(grid_spacing), estimated_error=err)
-

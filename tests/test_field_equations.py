@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import rotelast as rl
-from rotelast.field_equations import SingularGaugeError
+from rotelast.field_equations import SingularGaugeError, _axial
+from rotelast.fields import _nye_bracket
 from rotelast.so3 import LEVI_CIVITA
 
 from conftest import random_rotor
@@ -150,6 +153,21 @@ class TestGTensors:
         h_t = 2.0 * rl.nye_velocity_vector(fp)
         gt = rl.g_tensor_time(fp)
         assert np.abs(np.einsum("j,ji->i", h_t, gt)).max() <= 1e-14
+
+    @settings(max_examples=80)
+    @given(st.integers(1, 3).flatmap(lambda k: arrays(
+        np.float64, st.tuples(st.integers(1, 6), st.just(4 + 4 * k)), elements=st.floats(-10.0, 10.0))))
+    def test_axial_read_off_nye_bracket(self, x):
+        # A/2 + w = 2 beta (x) d alpha for any (alpha, beta), unit or not, along k directions
+        k = (x.shape[1] - 4) // 4
+        alpha, beta, d_alpha = x[:, 0], x[:, 1:4], x[:, 4:4 + k]
+        d_beta = x[:, 4 + k:].reshape(-1, 3, k)
+        w = (beta[:, :, None] * d_alpha[:, None, :] + alpha[:, None, None] * d_beta
+             - np.cross(beta[:, :, None], d_beta, axis=-2))
+        a = _nye_bracket(alpha, beta, d_alpha, d_beta)
+        tol = 1e-13 * (1.0 + np.abs(x).max() ** 2)
+        np.testing.assert_allclose(a / 2 + w, 2 * beta[:, :, None] * d_alpha[:, None, :], rtol=0, atol=tol)
+        np.testing.assert_allclose(_axial(beta, d_alpha, a), w, rtol=0, atol=tol)
 
 
 class TestHTensors:

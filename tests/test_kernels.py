@@ -358,7 +358,7 @@ class TestResidualKernel:
         h_t, h_s = rng.normal(size=fp.beta.shape), rng.normal(size=fp.d_beta.shape)
         oracle = (np.einsum("...j,...ji->...i", h_t, rl.g_tensor_time(fp))
                   - np.einsum("...jk,...kji->...i", h_s, rl.g_tensor_space(fp)))
-        assert_close(_coupling(fp, h_t, h_s), oracle)
+        assert_close(_coupling(fp, rl.nye_matrix(fp), rl.nye_velocity_vector(fp), h_t, h_s), oracle)
 
 
 class TestRotorExtraction:

@@ -3,7 +3,7 @@ import pytest
 from scipy.optimize import brentq
 
 import rotelast as rl
-from rotelast.radial import DivergenceError, InstabilityError, indicial_exponent
+from rotelast.radial import DivergenceError, InstabilityError, _autonomous_force, indicial_exponent
 
 
 def potential_U_sincos(w, m):
@@ -87,6 +87,22 @@ def eigenvalues_closed_form(f_star, m):
     )
     root = np.sqrt(complex(1 + 4 * gp))
     return sorted([(-1 + root) / 2, (-1 - root) / 2], key=lambda z: z.real)
+
+
+def eigenvalues_finite_difference(f_star, m, step=1e-6):
+    """Eigenvalues of the central-difference Jacobian of the flow (f_b, f_bb) at (f*, 0)."""
+
+    def flow(state):
+        f, p = state
+        return np.array([p, _autonomous_force(f, m) - p + np.tanh(f) * p * p])
+
+    jac = np.empty((2, 2))
+    x0 = np.array([f_star, 0.0])
+    for col in range(2):
+        dx = np.zeros(2)
+        dx[col] = step
+        jac[:, col] = (flow(x0 + dx) - flow(x0 - dx)) / (2 * step)
+    return sorted(np.linalg.eigvals(jac).astype(complex), key=lambda z: (z.real, z.imag))
 
 
 class TestPotentialU:
@@ -340,7 +356,22 @@ class TestEquilibria:
                 got = sorted(e.eigenvalues, key=lambda z: z.real)
                 want = eigenvalues_closed_form(e.f_star, m)
                 for g, w_ in zip(got, want):
+                    assert abs(g - w_) <= 1e-12
+
+    def test_eigenvalues_match_finite_difference_jacobian(self):
+        for l1, l2 in [(1.0, 1.25), (1.0, 1.4), (2.0, 2.2), (1.0, 2.0), (0.4, 2.3)]:
+            m = rl.Moduli.from_couplings(l1, l2)
+            for e in rl.equilibria(m):
+                got = sorted(e.eigenvalues, key=lambda z: (z.real, z.imag))
+                for g, w_ in zip(got, eigenvalues_finite_difference(e.f_star, m)):
                     assert abs(g - w_) <= 1e-6
+
+    def test_trivial_eigenvalues_golden_ratio(self):
+        # at (1, 1.25), G'(0) = 1: mu^2 + mu - 1 = 0, the larger root first
+        (trivial,) = [e for e in rl.equilibria(rl.Moduli.from_couplings(1.0, 1.25)) if e.f_star == 0.0]
+        plus, minus = trivial.eigenvalues
+        assert abs(plus - (np.sqrt(5.0) - 1.0) / 2.0) <= 1e-15
+        assert abs(minus - (-np.sqrt(5.0) - 1.0) / 2.0) <= 1e-15
 
     def test_w_star_within_branch(self):
         m = rl.Moduli.from_couplings(1.0, 1.25)

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import rotelast as rl
+from rotelast import kinematics
+from rotelast.topology import _centred_axis, _charge_midpoint_3d
 
 from conftest import random_rotor
 
@@ -35,6 +37,27 @@ def smoothstep_hedgehog(w_from, w_to, r_c):
 def degree_one_field(scale=1.2):
     """Constant-boundary reference map: w from pi/2 to -pi/2, charge -1."""
     return tanh_hedgehog(np.pi / 2, -np.pi / 2, scale)
+
+
+def charge_radial_midpoint(field, ball_radius, h):
+    """Midpoint rule on the radial density (2/pi) cos^2(w) w' of a hedgehog."""
+    n = int(np.ceil(ball_radius / h))
+    step = ball_radius / n
+    r = (np.arange(n) + 0.5) * step
+    dens = (2.0 / np.pi) * np.cos(field.w(r)) ** 2 * field.wp(r)
+    return float(np.sum(dens) * step)
+
+
+def charge_midpoint_3d_planes(field, ball_radius, h, time=0.0):
+    """The 3-d midpoint rule one z-plane of the centred lattice at a time."""
+    axis = _centred_axis(ball_radius, h)
+    total = 0.0
+    xy = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+    for z in axis:
+        pts = np.concatenate([xy, np.full((xy.shape[0], 1), z)], axis=1)
+        pts = pts[(pts * pts).sum(axis=1) <= ball_radius * ball_radius]
+        total += float(np.sum(rl.charge_density(field, pts, time)))
+    return total * h**3
 
 
 class TestChargeDensity:
@@ -96,7 +119,7 @@ class TestTotalCharge:
         assert abs(rep.charge - expected) <= max(3 * rep.estimated_error, 1e-9)
 
     def test_fast_path_matches_3d_quadrature(self):
-        # validates the radial reduction against the full midpoint rule
+        # validates the radial closed form against the full midpoint rule
         f = degree_one_field()
         fast = rl.total_charge(f, ball_radius=8.0, grid_spacing=0.01)
         full = rl.total_charge(f, ball_radius=8.0, grid_spacing=0.2, force_3d=True)
@@ -132,6 +155,60 @@ class TestTotalCharge:
             rl.total_charge(f, ball_radius=-1.0, grid_spacing=0.1)
         with pytest.raises(ValueError):
             rl.total_charge(f, ball_radius=1.0, grid_spacing=0.0)
+
+
+class TestRadialClosedForm:
+    # the hedgehog path returns (1/pi)[w + sin 2w / 2], the exact integral
+    # of the density the midpoint rule approximates
+    @pytest.mark.parametrize("ball_radius", [3.0, 8.0])
+    def test_matches_midpoint_rule_on_tanh_core(self, ball_radius):
+        f = tanh_hedgehog(0.0, np.pi / 4, 1.5)
+        rep = rl.total_charge(f, ball_radius=ball_radius, grid_spacing=0.1)
+        assert abs(rep.charge - charge_radial_midpoint(f, ball_radius, 1e-3)) <= 1e-9
+
+    def test_matches_midpoint_rule_on_lifted_soliton(self, soliton_field):
+        rep = rl.total_charge(soliton_field, ball_radius=40.0, grid_spacing=0.1)
+        assert abs(rep.charge - charge_radial_midpoint(soliton_field, 40.0, 1e-3)) <= 1e-9
+
+    def test_zero_error_and_spacing_reported_not_used(self, soliton_field):
+        coarse = rl.total_charge(soliton_field, ball_radius=6.0, grid_spacing=0.4)
+        fine = rl.total_charge(soliton_field, ball_radius=6.0, grid_spacing=0.01)
+        assert coarse.estimated_error == 0.0 and fine.estimated_error == 0.0
+        assert coarse.charge == fine.charge
+        assert (coarse.grid_spacing, fine.grid_spacing) == (0.4, 0.01)
+
+
+def assert_slabs_match_planes(monkeypatch, field, ball_radius, h):
+    """Slabs of three planes or more, several of them: the per-plane sums regroup, nothing else."""
+    n = len(_centred_axis(ball_radius, h))
+    monkeypatch.setattr(kinematics, "_SLAB_POINTS", 3 * n * n)
+    slabs = list(kinematics._slabs(n, n * n))
+    assert len(slabs) >= 3 and min(hi - lo for lo, hi in slabs) >= 3
+    new = _charge_midpoint_3d(field, ball_radius, h, 0.0)
+    old = charge_midpoint_3d_planes(field, ball_radius, h)
+    assert abs(new - old) <= 1e-14 * abs(old)
+
+
+class TestSlabStream:
+    def test_single_core(self, monkeypatch):
+        assert_slabs_match_planes(monkeypatch, degree_one_field(), 4.0, 0.3)
+
+    def test_two_core_product(self, monkeypatch):
+        core = degree_one_field(scale=0.8)
+        prod = rl.ProductField([rl.TranslatedField(core, [2.0, 0.0, 0.0]),
+                                rl.TranslatedField(core, [-2.0, 0.5, 0.0])])
+        assert_slabs_match_planes(monkeypatch, prod, 5.0, 0.4)
+
+    def test_odd_coarse_cell_count(self, monkeypatch, soliton_field):
+        # the coarse pass of `charge --radius 6 --spacing 0.4 --full-3d`:
+        # 2R/h = 15 cells, rounded up to the even count 16
+        assert len(_centred_axis(6.0, 0.8)) == 16
+        assert_slabs_match_planes(monkeypatch, soliton_field, 6.0, 0.8)
+
+    def test_non_finite_density_raises(self):
+        f = tanh_hedgehog(0.0, np.nan, 1.0)
+        with pytest.raises(ValueError, match="non-finite"):
+            _charge_midpoint_3d(f, 2.0, 0.5, 0.0)
 
 
 class TestProductField:

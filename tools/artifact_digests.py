@@ -8,7 +8,7 @@ Run it on two checkouts and compare the two files (``cmp`` or ``diff``) to
 show that a refactor left the results bit-identical.  Covered:
 
 * every ``-o``, ``--summary`` and ``--dump-grid`` file of all seven
-  commands (``charge`` on both the radial fast path and the 3-d quadrature,
+  commands (``charge`` on both the radial closed form and the 3-d quadrature,
   the latter at an odd lattice count of its coarse pass);
 * ``residual_grid`` on the two grids of the ``residual_3d`` workload and on
   the criterion-3 grid (h = 0.1, annulus to r = 5);
