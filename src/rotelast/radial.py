@@ -78,7 +78,7 @@ class RadialProfile:
         self.w = np.asarray(self.w, dtype=float)
         if self.r.ndim != 1 or self.r.shape != self.w.shape:
             raise ValueError("r and w must be matching 1-d arrays")
-        if np.any(np.diff(self.r) <= 0) or self.r[0] < 0:
+        if not (self.r[0] >= 0 and np.all(np.diff(self.r) > 0)):
             raise ValueError("r must be strictly increasing and non-negative")
         if not np.all(np.isfinite(self.w)):
             raise ValueError("w must be finite")
@@ -169,7 +169,7 @@ def solve_static(m: Moduli, slope0: float, r_max: float, tol: float = 1e-10,
     from scipy.integrate import solve_ivp  # scipy loads where it is called, not with rotelast
     if m.lambda1 <= 0:
         raise ValueError("solver requires lambda1 > 0")
-    if r_max <= 0 or tol <= 0 or not np.isfinite(slope0):
+    if not (0 < r_max < np.inf and tol > 0 and np.isfinite(slope0)):
         raise ValueError("bad solver configuration")
 
     l1 = m.lambda1

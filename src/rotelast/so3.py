@@ -136,7 +136,7 @@ def rotor_to_matrix_inv(r: Rotor) -> np.ndarray:
 
 def is_special_orthogonal(m: np.ndarray, tol: float) -> bool:
     """True iff ``max|m m^T - I| <= tol`` and ``det m > 0``."""
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     m = np.asarray(m, dtype=float)
     defect = np.abs(m @ m.T - np.eye(3)).max()

@@ -124,8 +124,8 @@ def total_charge(field, ball_radius: float, grid_spacing: float,
     :func:`hedgehog_charge_profile` of ``w(0)`` and ``w(ball_radius)`` instead,
     with zero error; ``grid_spacing`` is validated and reported but unused there.
     """
-    if ball_radius <= 0 or grid_spacing <= 0:
-        raise ValueError("ball_radius and grid_spacing must be positive")
+    if not (0 < ball_radius < np.inf and 0 < grid_spacing < np.inf):
+        raise ValueError("ball_radius and grid_spacing must be positive and finite")
     if isinstance(field, HedgehogField) and not force_3d:
         q = hedgehog_charge_profile(float(field.w(0.0)), float(field.w(ball_radius)))
         err = 0.0

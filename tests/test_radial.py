@@ -205,6 +205,11 @@ class TestSolveStatic:
             rl.RadialProfile(r=np.array([0.0, 1.0]), w=np.array([0.0, np.inf]),
                              moduli=unit_moduli, slope0=1.0, tol=1e-8)
 
+    @pytest.mark.parametrize("r_max, tol", [(np.nan, 1e-10), (np.inf, 1e-10), (10.0, np.nan)])
+    def test_non_finite_configuration_rejected(self, unit_moduli, r_max, tol):
+        with pytest.raises(ValueError, match="bad solver configuration"):
+            rl.solve_static(unit_moduli, slope0=1.0, r_max=r_max, tol=tol)
+
     def test_non_finite_velocity_rejected(self, unit_moduli):
         with pytest.raises(ValueError, match="w_t must be finite"):
             rl.RadialProfile(r=np.array([0.0, 1.0, 2.0]), w=np.zeros(3), w_t=np.array([0.0, np.inf, 0.0]),
@@ -445,6 +450,14 @@ class TestProfileSerialization:
         # a c-triple that contradicts the stored couplings is rejected
         path.write_text(path.read_text().replace("# c1 0.0 ", "# c1 0.5 "))
         with pytest.raises(ValueError, match="inconsistent"):
+            rl.load_profile_csv(path)
+
+    def test_nan_radius_rejected(self, tmp_path, unit_moduli):
+        path = tmp_path / "profile.csv"
+        rl.save_profile_csv(rl.RadialProfile(r=np.array([0.0, 1.0, 2.0]), w=np.zeros(3), moduli=unit_moduli,
+                                             slope0=1.0, tol=1e-9), path)
+        path.write_text(path.read_text().replace("\n1.0,", "\nnan,"))
+        with pytest.raises(ValueError, match="strictly increasing"):
             rl.load_profile_csv(path)
 
     def test_resample_uniform(self, soliton_profile):

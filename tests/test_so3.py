@@ -138,6 +138,10 @@ class TestIsSpecialOrthogonal:
         with pytest.raises(ValueError):
             rl.is_special_orthogonal(np.eye(3), 0.0)
 
+    def test_nan_tol(self):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            rl.is_special_orthogonal(np.eye(3), np.nan)
+
 
 class TestMatrixToRotor:
     def test_roundtrip_random(self, rng):

@@ -156,6 +156,15 @@ class TestTotalCharge:
         with pytest.raises(ValueError):
             rl.total_charge(f, ball_radius=1.0, grid_spacing=0.0)
 
+    @pytest.mark.parametrize("force_3d", [False, True])
+    @pytest.mark.parametrize("ball_radius, grid_spacing",
+                             [(np.nan, 0.5), (np.inf, 0.5), (2.0, np.nan), (2.0, np.inf)])
+    def test_non_finite_arguments(self, ball_radius, grid_spacing, force_3d):
+        # on a hedgehog: the closed form without force_3d, the 3-d lattice with it
+        f = tanh_hedgehog(0.0, np.pi, 1.0)
+        with pytest.raises(ValueError, match="positive and finite"):
+            rl.total_charge(f, ball_radius=ball_radius, grid_spacing=grid_spacing, force_3d=force_3d)
+
 
 class TestRadialClosedForm:
     # the hedgehog path returns (1/pi)[w + sin 2w / 2], the exact integral

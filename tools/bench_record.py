@@ -12,12 +12,13 @@ record takes about four minutes on two cores.  It writes
 ``BENCH_<label>.json`` at the root of the checkout with the git SHA,
 whether ``src/`` differs from it, the digest of ``src/rotelast/*.py``, the
 Python, numpy and scipy versions, ``nproc``, and per workload the checks and
-the metrics.  It then prints each metric's ratio (this record over the
-earlier one) against the newest other ``BENCH_*.json`` by recording time,
-and says so when that record was made with another seed or run length.
+the metrics, and says where it wrote the file.  It compares with no earlier
+record: one run per workload cannot tell a change of the code from the run
+to run spread of the machine, so judge a change by alternating runs of
+``perfbench/run.py`` on the two checkouts.
 
 It also records ``src_lines``, the line count of each ``src/rotelast/*.py``
-(as ``wc -l`` counts them) and their total, and prints their ratios too.
+(as ``wc -l`` counts them) and their total.
 
 Per workload it also derives points per second for every traced callable
 that reports a point count (``points_per_s``: points over self seconds).
@@ -153,38 +154,6 @@ def record_bench(label: str) -> dict:
     }
 
 
-def newest_other(label: str) -> dict | None:
-    others = [json.loads(p.read_text()) for p in ROOT.glob("BENCH_*.json")
-              if p.name != f"BENCH_{label}.json"]
-    return max(others, key=lambda b: b["recorded_utc"], default=None)
-
-
-def print_ratios(new: dict, old: dict) -> None:
-    print(f"ratios {new['label']} / {old['label']} (below 1 is lower)")
-    for key in ("seed", "seconds_per_run"):
-        if new[key] != old[key]:
-            print(f"  note: {key} {old[key]} -> {new[key]}; the runs differ in more than the code")
-    for workload, entry in new["workloads"].items():
-        before = old["workloads"].get(workload, {})
-        for key in ("end_to_end", "per_layer", "points_per_s"):
-            for metric, value in entry.get(key, {}).items():
-                print_ratio(workload, metric, before.get(key, {}).get(metric), value)
-    lines, before = new["src_lines"], old.get("src_lines", {})
-    print_ratio("src_lines", "total", before.get("total"), lines["total"])
-    for name, count in lines["files"].items():
-        print_ratio("src_lines", name, before.get("files", {}).get(name), count)
-    for command, entry in new.get("cli", {}).items():
-        before = old.get("cli", {}).get(command, {})
-        for metric in ("wall_s", "peak_rss_mb"):
-            print_ratio(f"cli {command}", metric, before.get(metric), entry[metric])
-
-
-def print_ratio(where: str, metric: str, prev, value) -> None:
-    was = "n/a" if prev is None else f"{prev:.4g}"
-    ratio = f"{value / prev:.3f}" if prev else "n/a"
-    print(f"  {where:16s} {metric:48s} {was:>12} -> {value:<12.4g} {ratio:>7}")
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--label", required=True, help="names the file BENCH_<label>.json")
@@ -193,10 +162,7 @@ def main() -> int:
     new = record_bench(args.label)
     out = ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(new, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {out.name}")
-    old = newest_other(args.label)
-    if old is not None:
-        print_ratios(new, old)
+    print(f"wrote {out}")
     return 0
 
 

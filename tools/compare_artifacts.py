@@ -1,34 +1,50 @@
-"""Compare the command artifacts of two checkouts number by number.
+"""Compare the command artifacts and library results of two checkouts number by number.
 
 Usage, from anywhere:
 
     python3 tools/compare_artifacts.py OLD_CHECKOUT NEW_CHECKOUT
 
-Runs every command in ``RUNS`` once per checkout, each in a fresh process
-with that checkout's ``src`` on ``PYTHONPATH`` and in its own scratch
-directory, and compares each ``-o``/``--summary``/``--dump-grid`` file of
-the two.  A file that is byte-identical prints ``identical``.  Otherwise
-every number of a JSON file is compared relative to its old value, and
-every column of a CSV file relative to the largest magnitude among the
-old file's columns after the first (``max|w|`` for a profile, whose first
-column is r).  Each moved key or column prints with its relative and its
-absolute difference.  Metadata lines (``#``) and strings must match
-exactly.  The exit code is 1 when any file differs by more than ``--rtol``
-(default 1e-12) or in its layout, else 0.  A JSON value that is itself a
-small difference, such as ``estimated_error`` or ``sup_drift``, moves by
-far more than 1e-12 of itself when its operands move in the last bits.
+For each checkout, in fresh processes with that checkout's ``src`` on
+``PYTHONPATH``, this runs every command in ``RUNS`` in a scratch ``cli``
+directory, then this file's :func:`write_library`, which saves the library
+results below as ``.npy`` files in a ``library`` directory; both sides run the
+same tool code, so only the library differs:
 
-``tools/artifact_digests.py`` proves bit-identity; this script measures
-how far a change that is allowed to move the last bits moved them.  The
-``evolve`` runs integrate to ``t_end`` 2 (on 801 and 4001 radial nodes)
-and to 20, where rounding differences grow through the soliton's
-unstable mode (see ROADMAP aim 2); a difference above ``--rtol`` there
-is reported, not hidden.
+* ``residual_grid`` (points and residuals) on the two grids of the
+  ``residual_3d`` workload and on the criterion-3 grid (h = 0.1, annulus to
+  r = 5), which takes a few seconds and about 250 MB;
+* ``check_identity_TT`` at h = 0.1 and 0.05 on the box [-1, 1]^3;
+* every block of ``random_smooth_field`` and its ``constraint_residual`` at
+  orders 0, 1 and 2;
+* ``decompose``, ``quadratic_invariants``, ``potential_density`` and
+  ``h_tensors`` on a random batch (the middle two on one matrix as well);
+* the grid and profile CSV round trips of ``grid.csv`` and ``final.csv``.
+
+Every file of the two checkouts is then compared.  A byte-identical file
+prints ``identical``, and a file that only one side wrote prints ``LAYOUT
+only in old`` or ``LAYOUT only in new``.  Otherwise every number of a JSON
+file is compared relative to its old value, every column of a CSV file
+relative to the largest magnitude among the old file's columns after the
+first (``max|w|`` for a profile, whose first column is r), and an array
+relative to its largest old magnitude.  Each moved key, column or array
+prints with its relative and its absolute difference.  Metadata lines
+(``#``), strings, dtypes and shapes must match exactly.  The exit code is 1
+when any file differs by more than ``--rtol`` (default 1e-12) or in its
+layout, else 0, so one command proves bit-identity and sizes any move that a
+change is allowed to make.  A JSON value that is itself a small difference,
+such as ``estimated_error`` or ``sup_drift``, moves by far more than 1e-12 of
+itself when its operands move in the last bits.
+
+The ``evolve`` runs integrate to ``t_end`` 2 (on 801 and 4001 radial nodes)
+and to 20, where rounding differences grow through the soliton's unstable
+mode (see ROADMAP aim 2); a difference above ``--rtol`` there is reported,
+not hidden.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import subprocess
@@ -59,15 +75,70 @@ RUNS = (
     ("equilibria", ["--lambda1", "1", "--lambda2", "1.25", "-o", "equilibria.json"]),
     ("identity-check", ["--h", "0.2", "--refine", "--dump-grid", "grid.csv", "-o", "identity.json"]),
 )
+# the child process that runs write_library: argv is this file, the cli directory, the library directory
+LIBRARY = "import runpy, sys; runpy.run_path(sys.argv[1])['write_library'](*sys.argv[2:])"
+
+
+def write_library(cli: str, out: str) -> None:
+    """Save the library results that the module docstring lists, one ``<result>[.<part>].npy`` per array."""
+    import rotelast as rl
+
+    res = {}
+    moduli = rl.Moduli.from_couplings(1.0, 1.0)
+    field = rl.lift_hedgehog(rl.solve_static(moduli, slope0=1.0, r_max=60.0, tol=1e-10))
+    shift = np.random.default_rng(1).uniform(-0.25, 0.25, size=3)  # the residual_3d workload's seed-1 shift
+    for name, h, r_out, s in (("residual_3d_h0.2", 0.2, 1.5, shift), ("residual_3d_h0.1", 0.1, 1.5, shift),
+                              ("criterion3_h0.1", 0.1, 5.0, np.zeros(3))):
+        n = int(np.ceil(2 * (r_out + 3 * h) / h))
+        n += n % 2
+        grid = rl.RotorGrid.from_field(field, dims=(n, n, n), spacing=h, origin=(s - (n / 2 - 0.5)) * h)
+        res[f"residual_grid_{name}.points"], res[f"residual_grid_{name}.residuals"] = rl.residual_grid(grid, moduli)
+        del grid
+
+    for h in (0.1, 0.05):
+        n = int(np.ceil(2.0 / h)) + 1
+        grid = rl.RotorGrid.from_field(rl.random_smooth_field(seed=7), dims=(n, n, n), spacing=h,
+                                       origin=-np.ones(3))
+        res[f"check_identity_TT_h{h}"] = rl.check_identity_TT(grid)
+    rng = np.random.default_rng(3)
+    x = rng.uniform(-1.5, 1.5, size=(500, 3))
+    for order in (0, 1, 2):
+        fp = rl.random_smooth_field(seed=11).field_point(x, 0.0, order=order)
+        res.update({f"random_smooth_field_order{order}.{k}": v for k, v in vars(fp).items()})
+        res[f"constraint_residual_order{order}"] = fp.constraint_residual()
+    a, a_t = rng.normal(size=(400, 3, 3)), rng.normal(size=(400, 3))
+    moduli = rl.Moduli.from_constants(0.3, 0.7, 1.1)
+    parts = [rl.decompose(m) for m in a[:50]]
+    for k in ("trace_part", "antisym_part", "sym_traceless_part"):
+        res[f"decompose.{k}"] = [getattr(d, k) for d in parts]
+    res["quadratic_invariants.batch"], res["quadratic_invariants.one"] = (rl.quadratic_invariants(a),
+                                                                           rl.quadratic_invariants(a[0]))
+    res["potential_density.batch"], res["potential_density.one"] = (rl.potential_density(a, moduli),
+                                                                     rl.potential_density(a[0], moduli))
+    res["h_tensors.h_t"], res["h_tensors.h_s"] = rl.h_tensors(a, a_t, moduli)
+
+    grid = rl.load_grid_csv(Path(cli) / "grid.csv")
+    res.update({f"grid_roundtrip.{k}": getattr(grid, k) for k in ("alpha", "beta", "spacing", "origin")})
+    profile = rl.load_profile_csv(Path(cli) / "final.csv")
+    res.update({f"profile_roundtrip.{k}": getattr(profile, k) for k in ("r", "w", "w_t", "slope0", "tol")})
+    res["profile_roundtrip.moduli"] = dataclasses.astuple(profile.moduli)
+    for name, value in res.items():
+        if value is not None:  # a block above the order built, or a profile without w_t
+            np.save(Path(out) / f"{name}.npy", np.asarray(value))
 
 
 def run_all(checkout: Path, workdir: Path) -> None:
+    """The checkout's command artifacts into ``workdir/cli``, its library results into ``workdir/library``."""
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
-    for command, argv in RUNS:
-        proc = subprocess.run([sys.executable, "-m", "rotelast.cli", command, *argv], cwd=workdir, env=env,
-                              stdout=subprocess.DEVNULL)
+    cli, library = workdir / "cli", workdir / "library"
+    cli.mkdir(parents=True)
+    library.mkdir()
+    jobs = [(f"rotelast {command}", ["-m", "rotelast.cli", command, *argv]) for command, argv in RUNS]
+    jobs.append(("write_library", ["-c", LIBRARY, str(Path(__file__).resolve()), str(cli), str(library)]))
+    for what, args in jobs:
+        proc = subprocess.run([sys.executable, *args], cwd=cli, env=env, stdout=subprocess.DEVNULL)
         if proc.returncode != 0:
-            raise SystemExit(f"{checkout}: rotelast {command} exited with code {proc.returncode}")
+            raise SystemExit(f"{checkout}: {what} exited with code {proc.returncode}")
 
 
 def json_leaves(value, key=""):
@@ -83,7 +154,13 @@ def json_leaves(value, key=""):
 
 
 def differences(old: Path, new: Path) -> dict[str, tuple[float, float]]:
-    """(relative, absolute) difference per key or column."""
+    """(relative, absolute) difference per key, column or array; ``ValueError`` names a layout difference."""
+    if old.suffix == ".npy":
+        a, b = np.load(old), np.load(new)
+        if (a.dtype, a.shape) != (b.dtype, b.shape):
+            raise ValueError(f"arrays {a.dtype} {a.shape} and {b.dtype} {b.shape}")
+        d = float(np.abs(a - b).max(initial=0.0))
+        return {"array": (d / max(float(np.abs(a).max(initial=0.0)), 1e-300), d)}
     if old.suffix == ".json":
         a, b = dict(json_leaves(json.loads(old.read_text()))), dict(json_leaves(json.loads(new.read_text())))
         if a.keys() != b.keys():
@@ -112,35 +189,45 @@ def differences(old: Path, new: Path) -> dict[str, tuple[float, float]]:
     return {name: (d / scale, d) for name, d in zip(header.split(","), absolute.tolist())}
 
 
+def compare(old_dir: Path, new_dir: Path, rtol: float) -> bool:
+    """Print one line per file of either tree; True when every file agrees to ``rtol`` and in layout."""
+    names = sorted({p.relative_to(root).as_posix() for root in (old_dir, new_dir)
+                    for p in root.rglob("*") if p.is_file()})
+    ok = True
+    for name in names:
+        old, new = old_dir / name, new_dir / name
+        if not (old.is_file() and new.is_file()):
+            print(f"{name}: LAYOUT only in {'old' if old.is_file() else 'new'}")
+            ok = False
+            continue
+        if old.read_bytes() == new.read_bytes():
+            print(f"{name}: identical")
+            continue
+        try:
+            diff = differences(old, new)
+        except ValueError as exc:
+            print(f"{name}: LAYOUT {exc}")
+            ok = False
+            continue
+        moved = {k: v for k, v in diff.items() if v[1] != 0}  # NaN counts as moved
+        worst = float(np.max([rel for rel, _ in moved.values()], initial=0.0))
+        ok &= all(rel <= rtol for rel, _ in moved.values())
+        print(f"{name}: max relative {worst:.2e}  "
+              + "  ".join(f"{k} {rel:.1e} ({d:.1e})" for k, (rel, d) in moved.items()))
+    return ok
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("old", type=Path)
     parser.add_argument("new", type=Path)
     parser.add_argument("--rtol", type=float, default=1e-12)
     args = parser.parse_args(argv)
-    worst_ok = True
     with tempfile.TemporaryDirectory() as tmp:
         dirs = {side: Path(tmp) / side for side in ("old", "new")}
         for side, checkout in (("old", args.old), ("new", args.new)):
-            dirs[side].mkdir()
             run_all(checkout.resolve(), dirs[side])
-        for old in sorted(dirs["old"].iterdir()):
-            new = dirs["new"] / old.name
-            if old.read_bytes() == new.read_bytes():
-                print(f"{old.name}: identical")
-                continue
-            try:
-                diff = differences(old, new)
-            except ValueError as exc:
-                print(f"{old.name}: LAYOUT {exc}")
-                worst_ok = False
-                continue
-            moved = {k: v for k, v in diff.items() if v[1] > 0}
-            worst = max((rel for rel, _ in moved.values()), default=0.0)
-            worst_ok &= worst <= args.rtol
-            print(f"{old.name}: max relative {worst:.2e}  "
-                  + "  ".join(f"{k} {rel:.1e} ({d:.1e})" for k, (rel, d) in moved.items()))
-    return 0 if worst_ok else 1
+        return 0 if compare(dirs["old"], dirs["new"], args.rtol) else 1
 
 
 if __name__ == "__main__":
