@@ -3,10 +3,12 @@
 Subcommands: static, evolve, charge, residual, decompose, equilibria,
 identity-check.  Moduli are given either as the c-triple (--c1 --c2 --c3)
 or the couplings (--lambda1 --lambda2), never both.  Flags override an
-optional key=value config file (--config); identical configuration and
-seed produce bit-identical outputs.  Exit codes: 0 success, 2 bad usage or
-configuration, 3 solver failure (divergence, instability or a failed
-integration, with a one-line diagnostic JSON record on stdout).
+optional key=value config file (--config), where the on/off flags take
+``true`` or ``false``; identical configuration and seed produce
+bit-identical outputs.  Exit codes: 0 success, 2 bad usage or configuration
+(argparse's own errors included, with a JSON record on stderr), 3 solver
+failure (divergence, instability or a failed integration, with a one-line
+diagnostic JSON record on stdout).
 """
 
 from __future__ import annotations
@@ -59,6 +61,16 @@ def _fail_usage(message: str) -> int:
     return 2
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises ``ValueError`` on bad usage, so :func:`main` answers it with the JSON usage record."""
+
+    def __init__(self, **kw):
+        super().__init__(formatter_class=argparse.ArgumentDefaultsHelpFormatter, **kw)
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def _fail_runtime(exc: RuntimeError) -> int:
     record = {"schema_version": SCHEMA_VERSION, "error": "solver_failure", "detail": str(exc)}
     if isinstance(exc, DivergenceError):
@@ -92,8 +104,7 @@ def _add_moduli_args(p: argparse.ArgumentParser) -> None:
 
 
 def _load_config(path: str) -> dict:
-    """Read ``key=value`` lines; ``true``/``false`` become booleans and every
-    other value stays a string that argparse converts with the option's type."""
+    """Read ``key=value`` lines into strings by option name (``-`` read as ``_``)."""
     out = {}
     with open(path) as f:
         for line in f:
@@ -103,8 +114,6 @@ def _load_config(path: str) -> dict:
             if "=" not in line:
                 raise ValueError(f"bad config line: {line!r}")
             key, val = (part.strip() for part in line.split("=", 1))
-            if val.lower() in ("true", "false"):
-                val = val.lower() == "true"
             out[key.replace("-", "_")] = val
     return out
 
@@ -264,23 +273,17 @@ def cmd_identity_check(args) -> int:
 def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     """The command line parser; ``config`` values become the subcommands'
     defaults, so explicit flags still take precedence."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rotelast",
         description="Rotational elasticity experiments: soliton profiles, dynamics, "
                     "field-equation residuals, torsion decomposition, topological charge.",
-        formatter_class=argparse.ArgumentDefaultsHelpFormatter,
     )
     parser.add_argument("--version", action="version", version=f"rotelast {__version__}")
-    sub = parser.add_subparsers(
-        dest="command", required=True,
-        parser_class=lambda **kw: argparse.ArgumentParser(
-            formatter_class=argparse.ArgumentDefaultsHelpFormatter, **kw),
-    )
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     def common(p):
         p.add_argument("--config", default=None,
                        help="key=value file; explicit flags take precedence")
-        p.add_argument("--seed", type=int, default=0, help="seed for randomized commands")
         # options named in ``required`` may come from the config file, so main()
         # checks them after the merge rather than argparse before it
         p.set_defaults(required=())
@@ -338,6 +341,7 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
 
     p = sub.add_parser("identity-check", help="quadratic-invariant identity residual on a random field")
     common(p)
+    p.add_argument("--seed", type=int, default=0, help="seed of the random field")
     p.add_argument("--h", type=float, default=0.1, help="grid spacing")
     p.add_argument("--extent", type=float, default=2.0, help="half width of the sample box")
     p.add_argument("--refine", action="store_true", help="also run at h/2 and report the ratio")
@@ -351,14 +355,21 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.config:
             # precedence: defaults < config file < flags
             config = _load_config(args.config)
-            for key in config:
+            for key, val in config.items():
                 if key not in vars(args) or key in ("command", "func", "required"):
                     raise ValueError(f"unknown config key: {key}")
+                # the on/off flags, and only they, parse as booleans
+                flag, option = isinstance(getattr(args, key), bool), f"--{key.replace('_', '-')}"
+                if flag != (val.lower() in ("true", "false")):
+                    raise ValueError(f"config value {val!r} for {option}: "
+                                     + ("an on/off flag takes true or false" if flag else "not an on/off flag"))
+                if flag:
+                    config[key] = val.lower() == "true"
             args = build_parser(config).parse_args(argv)
         # every option, given as a flag or in the config file, passes the same checks
         bad = [f"--{k.replace('_', '-')} is required" for k in args.required if getattr(args, k) is None]

@@ -1,15 +1,16 @@
 """Pointwise residual of the full nonlinear equations of motion.
 
-Two equivalent forms are provided.  The canonical one (:func:`residual_eqs2`)
+Two equivalent forms are provided.  The canonical one (:func:`residual_eqs2_at`)
 is polynomial in (alpha, beta) and reads
 
     d_t H^it - d_k H^ik + 2 (H^jt G_tj^i - H^jk G_kj^i) = 0 ,
 
 with H the derivatives of the quadratic Lagrangian with respect to the Nye
 blocks and G built from first derivatives of the rotor.  The P-form
-(:func:`residual_eqs`) is the G-form times the matrix P of :func:`p_matrix`,
+(:func:`residual_eqs_at`) is the G-form times the matrix P of :func:`p_matrix`,
 which contains 1/alpha; it exists for the equivalence property and raises
-near the singular gauge |alpha| < 1e-8.
+near the singular gauge |alpha| < 1e-8.  A field's residual at points x and
+time t is ``residual_eqs2_at(field.field_point(x, t), moduli)``.
 
 All evaluators accept batched FieldPoints.  :func:`residual_grid` feeds
 them a grid in x-slabs of about ``kinematics._SLAB_POINTS`` (4096) interior
@@ -49,10 +50,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fields import FieldPoint, RotorField, _nye_bracket
-from .kinematics import (Moduli, RotorGrid, _slabs, _trace_skew, central_diff, central_diff2,
+from .fields import FieldPoint, _nye_bracket
+from .kinematics import (Moduli, RotorGrid, _central_diff, _central_diff2, _slabs, _trace_skew,
                          nye_matrix, nye_velocity_vector)
-from .so3 import Rotor, eps_ddot, eps_dot
+from .so3 import eps_ddot, eps_dot
 
 __all__ = [
     "SingularGaugeError",
@@ -61,12 +62,10 @@ __all__ = [
     "p_matrix",
     "p_inverse",
     "g_tensor_space",
-    "g_tensor_time",
     "h_tensors",
     "residual_eqs2_at",
     "residual_eqs_at",
-    "residual_eqs2",
-    "residual_eqs",
+    "grid_field_point",
     "residual_grid",
 ]
 
@@ -77,18 +76,12 @@ class SingularGaugeError(ValueError):
     """The 1/alpha parametrization degenerates near alpha = 0."""
 
 
-def _alpha_beta(r) -> tuple[np.ndarray, np.ndarray]:
-    alpha, beta = (r.alpha, r.beta) if isinstance(r, Rotor) else r
-    return np.asarray(alpha, dtype=float), np.asarray(beta, dtype=float)
-
-
-def p_matrix(r) -> np.ndarray:
+def p_matrix(alpha, beta) -> np.ndarray:
     """``P_ij = eps_ijl beta^l + (1/alpha)(delta_ij (1 - beta^2) + beta_i beta_j)``.
 
-    Accepts a Rotor or an (alpha, beta) pair, batched over leading axes;
-    requires |alpha| >= 1e-8 everywhere.
+    Batched over leading axes; requires |alpha| >= 1e-8 everywhere.
     """
-    alpha, beta = _alpha_beta(r)
+    alpha, beta = np.asarray(alpha, dtype=float), np.asarray(beta, dtype=float)
     if np.min(np.abs(alpha)) < ALPHA_MIN:
         raise SingularGaugeError(f"P singular: min |alpha| = {np.min(np.abs(alpha))!r}")
     b2 = np.einsum("...i,...i->...", beta, beta)
@@ -99,9 +92,9 @@ def p_matrix(r) -> np.ndarray:
     )
 
 
-def p_inverse(r) -> np.ndarray:
+def p_inverse(alpha, beta) -> np.ndarray:
     """``(P^-1)^jk = alpha delta^jk - eps^jkn beta_n`` (regular for all rotors; batched)."""
-    alpha, beta = _alpha_beta(r)
+    alpha, beta = np.asarray(alpha, dtype=float), np.asarray(beta, dtype=float)
     return alpha[..., None, None] * np.eye(3) - eps_dot(beta)
 
 
@@ -121,12 +114,6 @@ def g_tensor_space(fp: FieldPoint) -> np.ndarray:
     """
     w = _axial(fp.beta, fp.d_alpha, nye_matrix(fp))  # [..., l, k]
     return np.moveaxis(eps_dot(w, axis=-2), -1, -3)
-
-
-def g_tensor_time(fp: FieldPoint) -> np.ndarray:
-    """Time block ``G_tj^i = eps_jil w_l``, ``w = d_t(alpha beta) - beta x d_t beta``;
-    index order ``[..., j, i]``; antisymmetric."""
-    return eps_dot(_axial(fp.beta, fp.dt_alpha[..., None], nye_velocity_vector(fp)[..., None])[..., 0])
 
 
 def h_tensors(a: np.ndarray, a_t: np.ndarray, m: Moduli) -> tuple[np.ndarray, np.ndarray]:
@@ -217,18 +204,8 @@ def residual_eqs_at(fp: FieldPoint, m: Moduli) -> np.ndarray:
     Its Q blocks are ``Q = G P``, so the P-form is the G-form residual
     contracted with P, and right-multiplication by P^-1 recovers the G-form.
     """
-    p = p_matrix((fp.alpha, fp.beta))
+    p = p_matrix(fp.alpha, fp.beta)
     return np.einsum("...i,...ij->...j", residual_eqs2_at(fp, m), p)
-
-
-def residual_eqs2(field: RotorField, point, time: float = 0.0, *, moduli: Moduli) -> np.ndarray:
-    """G-form residual of a rotor field at a point."""
-    return residual_eqs2_at(field.field_point(np.asarray(point, dtype=float), time), moduli)
-
-
-def residual_eqs(field: RotorField, point, time: float = 0.0, *, moduli: Moduli) -> np.ndarray:
-    """P-form residual of a rotor field at a point (alpha must stay regular)."""
-    return residual_eqs_at(field.field_point(np.asarray(point, dtype=float), time), moduli)
 
 
 def _check_margin(grid: RotorGrid, margin: int) -> None:
@@ -253,9 +230,9 @@ def grid_field_point(grid: RotorGrid, margin: int = 2) -> FieldPoint:
         d = np.empty(shp + arr.shape[3:] + (3,))
         dd = np.empty(shp + arr.shape[3:] + (3, 3))
         for j in range(3):
-            d[..., j] = central_diff(arr, j, h, margin)
+            d[..., j] = _central_diff(arr, j, h, margin)
             for k in range(j, 3):
-                block = central_diff2(arr, j, k, h, margin)
+                block = _central_diff2(arr, j, k, h, margin)
                 dd[..., j, k] = block
                 if k != j:  # each diagonal block is written once
                     dd[..., k, j] = block

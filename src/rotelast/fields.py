@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .so3 import Rotor, _unit_defect, align_rotor_signs, matrix_to_rotor, rotor_matrix
+from .so3 import Rotor, _unit_defect, matrix_to_rotor, rotor_matrix
 
 __all__ = [
     "FieldPoint",
@@ -359,20 +359,16 @@ class ProductField(RotorField):
     def alpha_beta(self, x, t: float = 0.0):
         return matrix_to_rotor(self.u(x, t))
 
-    def alpha_beta_aligned(self, x, t: float = 0.0):
-        """Rotor samples with double-cover signs made continuous along the scan order."""
-        return align_rotor_signs(*self.alpha_beta(x, t))
 
-
-def random_smooth_field(seed: int, amplitude: float = 0.35, support_radius: float = 1.6,
-                        n_modes: int = 4) -> AnalyticRotorField:
+def random_smooth_field(seed: int) -> AnalyticRotorField:
     """Random smooth rotor field decaying to the identity.
 
-    ``beta(x) = exp(-r^2/R^2) * sum_m c_m cos(k_m . x + phi_m)``, with fixed
-    seed; amplitudes are normalized so that ``sup|beta| <= amplitude < 1``.
-    Derivatives are exact, so the field can serve as a finite-difference
-    oracle.
+    ``beta(x) = exp(-r^2/R^2) * sum_m c_m cos(k_m . x + phi_m)`` over 4
+    modes, with fixed seed and R = 1.6; amplitudes are normalized so that
+    ``sup|beta| <= 0.35``.  Derivatives are exact, so the field can serve
+    as a finite-difference oracle.
     """
+    n_modes, amplitude, support_radius = 4, 0.35, 1.6
     rng = np.random.default_rng(seed)
     ks = rng.normal(scale=1.2, size=(n_modes, 3))
     phis = rng.uniform(0.0, 2.0 * np.pi, size=n_modes)

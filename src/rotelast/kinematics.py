@@ -29,7 +29,6 @@ __all__ = [
     "RotorGrid",
     "nye_matrix",
     "nye_velocity_vector",
-    "nye_analytic",
     "nye_velocity",
     "nye_fd",
     "nye_fd_grid",
@@ -100,12 +99,17 @@ def _trace_skew(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.trace(m, axis1=-2, axis2=-1), 0.5 * (m - np.swapaxes(m, -1, -2))
 
 
+def _sym_traceless(m: np.ndarray, tr: np.ndarray) -> np.ndarray:
+    """Symmetric traceless part ``(m + m^T) / 2 - (tr / 3) I`` of a batch of 3x3 matrices of trace tr."""
+    return 0.5 * (m + np.swapaxes(m, -1, -2)) - (tr / 3.0)[..., None, None] * np.eye(3)
+
+
 def decompose(m: np.ndarray) -> NyeDecomposition:
     """Split m into trace scalar, skew part, and symmetric traceless part."""
     m = np.asarray(m, dtype=float)
     tr, skew = _trace_skew(m)
-    symtl = 0.5 * (m + m.T) - (tr / 3.0) * np.eye(3)
-    return NyeDecomposition(trace_part=float(tr), antisym_part=skew, sym_traceless_part=symtl)
+    return NyeDecomposition(trace_part=float(tr), antisym_part=skew,
+                            sym_traceless_part=_sym_traceless(m, tr))
 
 
 def torsion_from_nye(a: np.ndarray) -> np.ndarray:
@@ -137,11 +141,6 @@ def nye_velocity_vector(fp: FieldPoint) -> np.ndarray:
     return _nye_bracket(fp.alpha, fp.beta, fp.dt_alpha[..., None], fp.dt_beta[..., None])[..., 0]
 
 
-def nye_analytic(field: RotorField, point, time: float = 0.0) -> np.ndarray:
-    """Nye tensor of a rotor field at a point (batched), from :meth:`RotorField.nye`."""
-    return field.nye(np.asarray(point, dtype=float), time)
-
-
 def nye_velocity(field: RotorField, point, time: float = 0.0) -> np.ndarray:
     """Velocity column A_lt of an analytic rotor field at a point."""
     return nye_velocity_vector(field.field_point(np.asarray(point, dtype=float), time, order=1))
@@ -170,7 +169,7 @@ def linearized_lagrangian(beta_dot, grad_beta, m: Moduli) -> float:
     beta_dot = np.asarray(beta_dot, dtype=float)
     g = np.asarray(grad_beta, dtype=float)
     div = np.trace(g)
-    curl = np.array([g[2, 1] - g[1, 2], g[0, 2] - g[2, 0], g[1, 0] - g[0, 1]])
+    curl = eps_ddot(g.T)
     return float(4.0 * beta_dot @ beta_dot - 4.0 * m.lambda1 * div * div
                  - 2.0 * m.lambda2 * curl @ curl)
 
@@ -216,8 +215,11 @@ class RotorGrid:
         beta = np.asarray(beta, dtype=float)
         if alpha.ndim != 3 or beta.shape != alpha.shape + (3,):
             raise ValueError("alpha must be (nx,ny,nz), beta (nx,ny,nz,3)")
-        if not spacing > 0:
-            raise ValueError("spacing must be positive")
+        if not 0 < spacing < np.inf:  # NaN fails the bound too
+            raise ValueError(f"spacing must be positive and finite, got {spacing!r}")
+        origin = np.asarray(origin, dtype=float)
+        if origin.shape != (3,) or not np.all(np.isfinite(origin)):
+            raise ValueError(f"origin must be a finite 3-vector, got {origin.tolist()!r}")
         nx, ny, nz = alpha.shape
         defect = np.max([_unit_defect(alpha[lo:hi], beta[lo:hi]).max() for lo, hi in _slabs(nx, ny * nz)])
         if not defect <= 1e-10:  # NaN fails the bound too
@@ -225,7 +227,7 @@ class RotorGrid:
         self.alpha = alpha
         self.beta = beta
         self.spacing = float(spacing)
-        self.origin = np.asarray(origin, dtype=float)
+        self.origin = origin
 
     @property
     def dims(self) -> tuple[int, int, int]:
@@ -270,7 +272,7 @@ def _shifted(arr: np.ndarray, margin: int, offset) -> np.ndarray:
     return arr[tuple(slice(margin + o, n - margin + o) for n, o in zip(arr.shape, offset))]
 
 
-def central_diff(arr: np.ndarray, axis: int, h: float, margin: int = 1) -> np.ndarray:
+def _central_diff(arr: np.ndarray, axis: int, h: float, margin: int = 1) -> np.ndarray:
     """Second-order central first derivative along a grid axis.
 
     ``arr`` has the three grid axes first; trailing axes are carried along.
@@ -281,9 +283,9 @@ def central_diff(arr: np.ndarray, axis: int, h: float, margin: int = 1) -> np.nd
     return (_shifted(arr, margin, e) - _shifted(arr, margin, -e)) / (2.0 * h)
 
 
-def central_diff2(arr: np.ndarray, ax1: int, ax2: int, h: float, margin: int = 1) -> np.ndarray:
+def _central_diff2(arr: np.ndarray, ax1: int, ax2: int, h: float, margin: int = 1) -> np.ndarray:
     """Second-order central ``d_ax1 d_ax2``: three-point stencil on the
-    diagonal, four-point cross stencil off it; layout as :func:`central_diff`."""
+    diagonal, four-point cross stencil off it; layout as :func:`_central_diff`."""
     e1, e2 = np.eye(3, dtype=int)[[ax1, ax2]]
     if ax1 == ax2:
         return (_shifted(arr, margin, e1) - 2 * _shifted(arr, margin, (0, 0, 0))
@@ -302,7 +304,7 @@ def nye_fd_grid(grid: RotorGrid) -> np.ndarray:
     core = u[1:-1, 1:-1, 1:-1]
     A = np.empty(core.shape[:3] + (3, 3))
     for k in range(3):
-        du = central_diff(u, k, grid.spacing)
+        du = _central_diff(u, k, grid.spacing)
         dot = lambda i, j: np.einsum("...a,...a->...", core[..., i, :], du[..., j, :])  # (u d_k u^T)_ij
         # axial part of u d_k u^T, one component at a time: (1/2) sum_a u_{.a} x d_k u_{.a}
         for l, m, n in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
@@ -356,9 +358,9 @@ def _identity_residual(grid: RotorGrid) -> float:
     A = nye_fd_grid(grid)
     T = torsion_from_nye(A)
     tau, S = _trace_skew(T)
-    D = 0.5 * (T + np.swapaxes(T, -1, -2)) - (tau / 3.0)[..., None, None] * np.eye(3)
+    D = _sym_traceless(T, tau)
     v = eps_ddot(T)
-    div_v = sum(central_diff(v, k, grid.spacing)[..., k] for k in range(3))
+    div_v = sum(_central_diff(v, k, grid.spacing)[..., k] for k in range(3))
     c = (slice(1, -1),) * 3
     lhs = np.einsum("...ij,...ij->...", D, D)[c]
     rhs = (np.einsum("...ij,...ij->...", S, S) + tau * tau / 6.0)[c] + 2.0 * div_v

@@ -146,14 +146,16 @@ def indicial_exponent(m: Moduli) -> float:
 
 
 W_BLOWUP = 10.0
+R0 = 1e-6  # radius where the static integration leaves the origin series
+N_SAMPLES = 2001  # uniform samples of a static profile, w(0) = 0 not counted
+N_PROBE = 400  # log-spaced probe radii of static_residual
 
 
-def solve_static(m: Moduli, slope0: float, r_max: float, tol: float = 1e-10,
-                 r0: float = 1e-6, n_samples: int = 2001) -> RadialProfile:
+def solve_static(m: Moduli, slope0: float, r_max: float, tol: float = 1e-10) -> RadialProfile:
     """Integrate the static profile from the origin series to r_max.
 
-    The IVP starts at ``r0`` with ``w = slope0 * r0**s`` and
-    ``w' = slope0 * s * r0**(s-1)``, s the indicial exponent, and runs an
+    The IVP starts at ``R0`` with ``w = slope0 * R0**s`` and
+    ``w' = slope0 * s * R0**(s-1)``, s the indicial exponent, and runs an
     adaptive RK45.  The integrator is driven two orders tighter than the
     requested ``tol`` so the delivered profile meets a 10 * tol residual
     bound including accumulated drift; tol below 1e-11 is capped by the
@@ -184,11 +186,11 @@ def solve_static(m: Moduli, slope0: float, r_max: float, tol: float = 1e-10,
     blowup.terminal = True
 
     s = indicial_exponent(m)
-    y0 = (slope0 * r0**s, slope0 * s * r0 ** (s - 1.0))
+    y0 = (slope0 * R0**s, slope0 * s * R0 ** (s - 1.0))
     if abs(y0[0]) > W_BLOWUP:
-        raise DivergenceError(f"|w| exceeds {W_BLOWUP} already at the series start", radius=r0)
+        raise DivergenceError(f"|w| exceeds {W_BLOWUP} already at the series start", radius=R0)
     tol_int = max(tol / 100.0, 1e-13)
-    sol = solve_ivp(rhs, (r0, r_max), y0, method="RK45", rtol=tol_int, atol=tol_int,
+    sol = solve_ivp(rhs, (R0, r_max), y0, method="RK45", rtol=tol_int, atol=tol_int,
                     dense_output=True, events=blowup)
     if sol.status == 1:
         raise DivergenceError(
@@ -197,7 +199,7 @@ def solve_static(m: Moduli, slope0: float, r_max: float, tol: float = 1e-10,
     if not sol.success:
         raise RuntimeError(f"static integration failed: {sol.message}")
 
-    r = np.linspace(r0, r_max, n_samples)
+    r = np.linspace(R0, r_max, N_SAMPLES)
     y = sol.sol(r)
     # w(0) = 0 is the exact boundary value for any positive leading power
     r = np.concatenate(([0.0], r))
@@ -225,7 +227,7 @@ def resample_uniform(profile: RadialProfile, n: int, r_max: float | None = None)
                          slope0=profile.slope0, tol=profile.tol)
 
 
-def static_residual(profile: RadialProfile, n_probe: int = 400) -> float:
+def static_residual(profile: RadialProfile) -> float:
     """Max defect of the first integral ``l1 r^2 w' |_a^b + int_a^b U dr``.
 
     Uses only the sampled (w, w') values through the dense solution, never
@@ -238,7 +240,7 @@ def static_residual(profile: RadialProfile, n_probe: int = 400) -> float:
         raise ValueError("profile carries no dense solution")
     l1 = profile.moduli.lambda1
     r_lo = profile.r[0] if profile.r[0] > 0 else profile.r[1]
-    rs = np.geomspace(r_lo, profile.r[-1], n_probe)
+    rs = np.geomspace(r_lo, profile.r[-1], N_PROBE)
     xg, wg = np.polynomial.legendre.leggauss(5)
     a, b = rs[:-1], rs[1:]
     mid, half = 0.5 * (a + b), 0.5 * (b - a)

@@ -3,7 +3,7 @@
 A rotor is a pair of a 3-vector ``beta`` and a scalar ``alpha`` subject to
 ``alpha**2 + |beta|**2 == 1``.  It is a unit-quaternion-like object, except
 that no angle/axis interpretation is ever relied upon: the rotation matrix
-is defined literally by :func:`rotor_to_matrix` and everything downstream
+is defined literally by :func:`rotor_matrix` and everything downstream
 is built from that matrix.
 
 Index convention for all 3x3 matrices in this package: the first index is
@@ -21,11 +21,10 @@ __all__ = [
     "LEVI_CIVITA",
     "Rotor",
     "make_rotor",
-    "rotor_to_matrix",
-    "rotor_to_matrix_inv",
     "is_special_orthogonal",
     "rotor_matrix",
     "matrix_to_rotor",
+    "align_rotor_signs",
     "eps_dot",
     "eps_ddot",
 ]
@@ -122,16 +121,6 @@ def rotor_matrix(alpha, beta) -> np.ndarray:
         + 2.0 * alpha[..., None, None] * eps_dot(beta)
     )
     return u
-
-
-def rotor_to_matrix(r: Rotor) -> np.ndarray:
-    """3x3 special orthogonal matrix of a rotor."""
-    return rotor_matrix(r.alpha, r.beta)
-
-
-def rotor_to_matrix_inv(r: Rotor) -> np.ndarray:
-    """Inverse matrix; same closed form with the alpha term negated."""
-    return rotor_matrix(-r.alpha, r.beta)
 
 
 def is_special_orthogonal(m: np.ndarray, tol: float) -> bool:

@@ -31,8 +31,7 @@ spacing (the full 3-d quadrature is checked against it in the test suite).
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,14 +62,6 @@ class ChargeReport:
             raise ValueError("charge must be finite")
         if not self.estimated_error >= 0:
             raise ValueError("estimated_error must be non-negative")
-
-    def to_json(self) -> str:
-        return json.dumps(vars(self), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ChargeReport":
-        d = json.loads(text)
-        return cls(**{f.name: d[f.name] for f in fields(cls)})
 
 
 def charge_density(field, point, time: float = 0.0):

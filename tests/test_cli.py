@@ -387,7 +387,7 @@ class TestRequiredOptionsFromConfig:
     ])
     def test_missing_everywhere_exit_2(self, tmp_path, capsys, argv, flag):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("seed = 1\n")
+        cfg.write_text(f"output = {tmp_path / 'out.json'}\n")
         for extra in ((), ("--config", str(cfg))):
             code, out, err = run_cli(capsys, *argv, *extra)
             assert code == 2
@@ -395,3 +395,77 @@ class TestRequiredOptionsFromConfig:
             record = json.loads(err)
             assert record["error"] == "usage"
             assert flag in record["detail"]
+        assert not (tmp_path / "out.json").exists()
+
+
+class TestConfigOnOffValues:
+    """Only the on/off flags take true or false in a config file, and they take nothing else."""
+
+    @pytest.mark.parametrize("command, line, option", [
+        ("identity-check", "refine = no", "--refine"),
+        ("charge", "full-3d = 0", "--full-3d"),
+        ("evolve", "t-end = false", "--t-end"),
+        ("identity-check", "h = true", "--h"),
+    ])
+    def test_exit_2(self, tmp_path, capsys, command, line, option):
+        path, _ = make_soliton_csv(tmp_path, capsys, rmax="10")
+        profile = () if command == "identity-check" else ("--from-profile", str(path))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        out_path = tmp_path / "out.json"
+        code, out, err = run_cli(capsys, command, *profile, "--config", str(cfg), "-o", str(out_path))
+        assert code == 2
+        assert out == ""
+        record = json.loads(err)
+        assert record["error"] == "usage"
+        assert option in record["detail"]
+        assert not out_path.exists()
+
+    def test_false_turns_a_flag_off(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("h = 0.4\nextent = 1.2\nrefine = False\n")
+        code, out, _ = run_cli(capsys, "identity-check", "--config", str(cfg))
+        assert code == 0
+        assert [r["h"] for r in json.loads(out)["results"]] == [0.4]
+
+
+class TestArgparseErrors:
+    """Errors that argparse itself finds exit 2 with the JSON usage record, and stdout stays empty."""
+
+    @pytest.mark.parametrize("argv, config, words", [
+        (("identity-check", "--h", "abc"), None, "invalid float value: 'abc'"),
+        (("static", "--bogus"), None, "unrecognized arguments: --bogus"),
+        ((), None, "required: command"),
+        (("identity-check",), "h = abc", "invalid float value: 'abc'"),
+    ], ids=["bad-type", "unknown-flag", "no-subcommand", "bad-config-type"])
+    def test_exit_2(self, tmp_path, capsys, argv, config, words):
+        extra = ()
+        if config is not None:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(config + "\n")
+            extra = ("--config", str(cfg))
+        code, out, err = run_cli(capsys, *argv, *extra)
+        assert code == 2
+        assert out == ""
+        record = json.loads(err)
+        assert record == {"schema_version": 1, "error": "usage", "detail": record["detail"]}
+        assert words in record["detail"]
+
+    @pytest.mark.parametrize("argv, words", [
+        (("--version",), f"rotelast {rl.__version__}"),
+        (("--help",), "identity-check"),
+        (("static", "--help"), "--slope0"),
+    ])
+    def test_help_and_version_exit_0(self, capsys, argv, words):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 0
+        assert words in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["static", "evolve", "charge", "residual", "decompose",
+                                         "equilibria"])
+    def test_seed_only_on_identity_check(self, capsys, command):
+        code, out, err = run_cli(capsys, command, "--seed", "1")
+        assert code == 2
+        assert out == ""
+        assert "unrecognized arguments: --seed 1" in json.loads(err)["detail"]

@@ -9,6 +9,7 @@ from rotelast.fields import _nye_bracket
 from rotelast.so3 import LEVI_CIVITA
 
 from conftest import random_rotor
+from test_kernels import g_tensor_time
 
 
 def plane_wave_field(amp, khat, pol, kmag, omega):
@@ -51,51 +52,51 @@ def soliton_annulus_residual(field, moduli, h, r_in=1.0, r_out=5.0):
 
 class TestPMatrix:
     def test_identity_rotor(self):
-        assert np.allclose(rl.p_matrix(rl.make_rotor([0, 0, 0])), np.eye(3))
+        assert np.allclose(rl.p_matrix(1.0, np.zeros(3)), np.eye(3))
 
     def test_p_times_p_inverse(self, rng):
         for _ in range(100):
             r = random_rotor(rng)
             if abs(r.alpha) < 1e-6:
                 continue
-            prod = rl.p_matrix(r) @ rl.p_inverse(r)
+            prod = rl.p_matrix(r.alpha, r.beta) @ rl.p_inverse(r.alpha, r.beta)
             assert np.abs(prod - np.eye(3)).max() <= 1e-12
         # batched over leading axes, entry by entry equal to the single-rotor form
         rotors = [r for r in (random_rotor(rng) for _ in range(40)) if abs(r.alpha) >= 1e-6]
         alpha = np.array([r.alpha for r in rotors]).reshape(2, -1)
         beta = np.array([r.beta for r in rotors]).reshape(2, -1, 3)
-        p = rl.p_matrix((alpha, beta))
+        p = rl.p_matrix(alpha, beta)
         assert p.shape == alpha.shape + (3, 3)
         for n, r in enumerate(rotors):
-            single = rl.p_matrix(r)
+            single = rl.p_matrix(r.alpha, r.beta)
             assert np.abs(p.reshape(-1, 3, 3)[n] - single).max() <= 1e-14 * np.abs(single).max()
-        prod = p @ rl.p_inverse((alpha, beta))
+        prod = p @ rl.p_inverse(alpha, beta)
         assert np.abs(prod - np.eye(3)).max() <= 1e-12
 
     def test_singular_gauge(self):
         with pytest.raises(SingularGaugeError):
-            rl.p_matrix(rl.make_rotor([1.0, 0.0, 0.0]))
+            rl.p_matrix(0.0, np.array([1.0, 0.0, 0.0]))
         # one singular point in a batch is enough
         alpha = np.array([0.6, 0.5e-8])
         beta = np.array([[0.8, 0.0, 0.0], [0.0, np.sqrt(1.0 - alpha[1] ** 2), 0.0]])
         with pytest.raises(SingularGaugeError):
-            rl.p_matrix((alpha, beta))
+            rl.p_matrix(alpha, beta)
 
 
 class TestPInverse:
     def test_identity_rotor(self):
-        assert np.allclose(rl.p_inverse(rl.make_rotor([0, 0, 0])), np.eye(3))
+        assert np.allclose(rl.p_inverse(1.0, np.zeros(3)), np.eye(3))
 
     def test_alpha_zero_formula(self):
         # alpha = 0, beta = e3: P^-1 = -eps^{jk3}
-        got = rl.p_inverse(rl.make_rotor([0.0, 0.0, 1.0]))
+        got = rl.p_inverse(0.0, np.array([0.0, 0.0, 1.0]))
         expected = -LEVI_CIVITA[:, :, 2]
         assert np.array_equal(got, expected)
 
     def test_regular_everywhere(self, rng):
         for _ in range(50):
             r = random_rotor(rng)
-            assert np.all(np.isfinite(rl.p_inverse(r)))
+            assert np.all(np.isfinite(rl.p_inverse(r.alpha, r.beta)))
 
 
 class TestGTensors:
@@ -110,13 +111,13 @@ class TestGTensors:
         f = rl.ConstantField(random_rotor(rng))
         fp = f.field_point(np.array([0.4, 0.2, -0.6]))
         assert np.abs(rl.g_tensor_space(fp)).max() == 0.0
-        assert np.abs(rl.g_tensor_time(fp)).max() == 0.0
+        assert np.abs(g_tensor_time(fp)).max() == 0.0
 
     def test_antisymmetry(self):
         f = rl.random_smooth_field(seed=31)
         fp = f.field_point(np.array([0.3, -0.2, 0.5]))
         gs = rl.g_tensor_space(fp)
-        gt = rl.g_tensor_time(fp)
+        gt = g_tensor_time(fp)
         assert np.abs(gs + np.swapaxes(gs, -1, -2)).max() <= 1e-12
         assert np.abs(gt + np.swapaxes(gt, -1, -2)).max() <= 1e-12
 
@@ -151,7 +152,7 @@ class TestGTensors:
         field = rl.HedgehogField(w, wp, wpp, wdot=wdot)
         fp = field.field_point(np.array([0.8, 1.1, -0.3]))
         h_t = 2.0 * rl.nye_velocity_vector(fp)
-        gt = rl.g_tensor_time(fp)
+        gt = g_tensor_time(fp)
         assert np.abs(np.einsum("j,ji->i", h_t, gt)).max() <= 1e-14
 
     @settings(max_examples=80)
@@ -206,7 +207,7 @@ class TestHTensors:
 class TestResidualEqs2:
     def test_constant_field_is_vacuum(self, rng, unit_moduli):
         f = rl.ConstantField(random_rotor(rng))
-        res = rl.residual_eqs2(f, [0.2, -0.5, 0.9], moduli=unit_moduli)
+        res = rl.residual_eqs2_at(f.field_point([0.2, -0.5, 0.9]), unit_moduli)
         assert np.abs(res).max() == 0.0
 
     def test_hedgehog_reduces_to_radial_form(self):
@@ -219,7 +220,7 @@ class TestResidualEqs2:
         r = np.linalg.norm(x)
         for l1, l2 in [(1.0, 1.0), (1.0, 2.0), (0.7, 0.9)]:
             m = rl.Moduli.from_couplings(l1, l2)
-            res = rl.residual_eqs2(field, x, moduli=m)
+            res = rl.residual_eqs2_at(field.field_point(x), m)
             radial = 4 * x / r * (-l1 * (wpp(r) + 2 * wp(r) / r)
                                   - rl.potential_U(w(r), m) / r**2)
             assert np.abs(res - radial).max() <= 1e-12
@@ -237,7 +238,7 @@ class TestResidualEqs2:
         x0 = np.array([0.23, 0.41, -0.31])
         for pol, speed_sq in [((1, 0, 0), m.lambda1), ((0, 1, 0), m.lambda2 / 2)]:
             f = plane_wave_field(0.05, (1, 0, 0), pol, kmag, np.sqrt(speed_sq) * kmag)
-            res = rl.residual_eqs2(f, x0, time=0.3, moduli=m)
+            res = rl.residual_eqs2_at(f.field_point(x0, 0.3), m)
             assert np.abs(res).max() <= 1e-12
 
     def test_mixed_wave_residual_quadratic_in_amplitude(self):
@@ -267,8 +268,8 @@ class TestResidualEqs2:
                 dtt_beta=lambda x, t: L[4](x, t) + T[4](x, t),
             )
 
-        r_big = np.abs(rl.residual_eqs2(mixed(2e-3), x0, time=0.2, moduli=m)).max()
-        r_small = np.abs(rl.residual_eqs2(mixed(1e-3), x0, time=0.2, moduli=m)).max()
+        r_big = np.abs(rl.residual_eqs2_at(mixed(2e-3).field_point(x0, 0.2), m)).max()
+        r_small = np.abs(rl.residual_eqs2_at(mixed(1e-3).field_point(x0, 0.2), m)).max()
         assert 3.5 <= r_big / r_small <= 4.5
 
 
@@ -278,7 +279,7 @@ class TestResidualEqsEquivalence:
         if abs(r.alpha) < 1e-3:
             r = rl.make_rotor([0.2, 0.1, 0.3])
         f = rl.ConstantField(r)
-        res = rl.residual_eqs(f, [0.1, 0.2, 0.3], moduli=unit_moduli)
+        res = rl.residual_eqs_at(f.field_point([0.1, 0.2, 0.3]), unit_moduli)
         assert np.abs(res).max() == 0.0
 
     def test_p_inverse_contraction_matches_eqs2(self, rng):
@@ -289,7 +290,7 @@ class TestResidualEqsEquivalence:
             fp = f.field_point(x)
             r1 = rl.residual_eqs_at(fp, m)
             r2 = rl.residual_eqs2_at(fp, m)
-            pinv = rl.p_inverse((float(fp.alpha), fp.beta))
+            pinv = rl.p_inverse(float(fp.alpha), fp.beta)
             scale = max(1.0, np.abs(r2).max())
             assert np.abs(r1 @ pinv - r2).max() <= 1e-10 * scale
 
@@ -301,7 +302,7 @@ class TestResidualEqsEquivalence:
         field = rl.HedgehogField(w, wp, wpp)
         m = rl.Moduli.from_couplings(1.0, 1.0)
         with pytest.raises(SingularGaugeError):
-            rl.residual_eqs(field, [1e-9, 0.0, 0.0], moduli=m)
+            rl.residual_eqs_at(field.field_point([1e-9, 0.0, 0.0]), m)
 
     def test_hedgehog_p_form_second_order(self, soliton_field, unit_moduli):
         # same convergence as the G-form wherever alpha is regular
@@ -321,7 +322,7 @@ class TestRadialStructure:
     def test_hedgehog_residual_is_radial(self, soliton_field, unit_moduli):
         for x in ([1.3, 0.2, -0.4], [2.0, 1.0, 0.5], [0.0, 2.5, 0.0]):
             x = np.asarray(x, dtype=float)
-            res = rl.residual_eqs2(soliton_field, x, moduli=unit_moduli)
+            res = rl.residual_eqs2_at(soliton_field.field_point(x), unit_moduli)
             xhat = x / np.linalg.norm(x)
             transverse = res - (res @ xhat) * xhat
             assert np.abs(transverse).max() <= 1e-10 * max(1.0, np.abs(res).max())

@@ -141,7 +141,7 @@ class TestConsumerOrders:
 
     def test_nye_consumers_at_order_1(self, points):
         field = breathing_smooth_field(8)
-        rl.nye_analytic(field, points, 0.3)
+        field.nye(points, 0.3)
         rl.nye_velocity(field, points, 0.3)
         field.u_and_nye(points, 0.3)
         rl.charge_density(field, points, 0.3)

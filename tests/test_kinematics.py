@@ -122,7 +122,7 @@ class TestQuadraticInvariants:
         field, w, wp = hedgehog_test_field()
         m = rl.Moduli.from_couplings(0.8, 1.7)
         x = np.array([0.9, -0.3, 0.6])
-        a = rl.nye_analytic(field, x)
+        a = field.nye(x)
         t = rl.torsion_from_nye(a)
         trace_sq, axial_sq = rl.quadratic_invariants(t)
         assert rl.potential_density(a, m) == pytest.approx(
@@ -133,7 +133,7 @@ class TestQuadraticInvariants:
 class TestNyeAnalytic:
     def test_constant_field(self, rng):
         f = rl.ConstantField(random_rotor(rng))
-        assert np.abs(rl.nye_analytic(f, [0.3, 0.1, -0.7])).max() == 0.0
+        assert np.abs(f.nye([0.3, 0.1, -0.7])).max() == 0.0
 
     def test_linear_field_linearization(self):
         # beta = eps M x gives A = -2 eps M + O(eps^2)
@@ -149,7 +149,7 @@ class TestNyeAnalytic:
 
         errs = []
         for eps in (1e-2, 5e-3):
-            a = rl.nye_analytic(make(eps), x0)
+            a = make(eps).nye(x0)
             errs.append(np.abs(a + 2 * eps * M).max())
         assert errs[0] / errs[1] > 3.0  # quadratic in eps up to cubic corrections
 
@@ -157,7 +157,7 @@ class TestNyeAnalytic:
         field, w, wp = hedgehog_test_field()
         for x in ([2.0, 0.0, 0.0], [0.7, -0.4, 1.1], [-0.5, 0.9, 0.3]):
             x = np.asarray(x, dtype=float)
-            assert np.abs(rl.nye_analytic(field, x) - nye_hedgehog_oracle(x, w, wp)).max() <= 1e-13
+            assert np.abs(field.nye(x) - nye_hedgehog_oracle(x, w, wp)).max() <= 1e-13
 
     def test_nan_beta_rejected(self):
         f = rl.AnalyticRotorField(beta=lambda x, t: np.where(x[..., :1] > 0, np.nan, 0.1 * x),
@@ -216,7 +216,7 @@ class TestNyeFiniteDifference:
     def test_second_order_convergence(self):
         f = rl.random_smooth_field(seed=11)
         pt = np.array([0.3, -0.1, 0.2])
-        a_exact = rl.nye_analytic(f, pt)
+        a_exact = f.nye(pt)
         errs = []
         for h in (0.02, 0.01):
             g = rl.RotorGrid.from_field(f, dims=(5, 5, 5), spacing=h, origin=pt - 2 * h)
@@ -245,7 +245,7 @@ class TestNyeFiniteDifference:
         u = g.u_array()
         oracle = np.empty((39, 39, 39, 3, 3))
         for k in range(3):
-            du = rl.kinematics.central_diff(u, k, g.spacing)
+            du = rl.kinematics._central_diff(u, k, g.spacing)
             w = np.einsum("...ia,...ja->...ij", u[1:-1, 1:-1, 1:-1], du)
             oracle[..., :, k] = 0.5 * np.einsum("lij,...ij->...l", LEVI_CIVITA, w)
         assert np.abs(rl.nye_fd_grid(g) - oracle).max() <= 1e-14 * np.abs(oracle).max()
@@ -270,7 +270,7 @@ class TestEnergyDensities:
         trace = 2 * wp(r) - 4 * np.sin(w(r)) * np.cos(w(r)) / r
         skew_sq = 8.0 * np.cos(w(r)) ** 4 / r**2
         oracle = m.lambda1 * trace**2 + m.lambda2 * skew_sq
-        a = rl.nye_analytic(field, x)
+        a = field.nye(x)
         assert rl.potential_density(a, m) == pytest.approx(oracle, rel=1e-12)
 
     def test_kinetic(self):
@@ -375,7 +375,8 @@ class TestGaugeCovariance:
     def test_rigid_rotation_scalar_property(self, rng):
         # the rigid rotation u'(x) = L u(L^T x) L^T sends the Nye blocks to
         # (L A L^T, L A_t); the energy densities must be scalars under it
-        L = rl.rotor_to_matrix(rl.make_rotor(np.array([0.36, -0.48, 0.6]) * 0.9))
+        r = rl.make_rotor(np.array([0.36, -0.48, 0.6]) * 0.9)
+        L = rl.rotor_matrix(r.alpha, r.beta)
         base = rl.random_smooth_field(seed=21)
         m = rl.Moduli.from_couplings(1.1, 0.6)
 
@@ -424,6 +425,29 @@ class TestGridSerialization:
     def test_nan_spacing_rejected(self):
         with pytest.raises(ValueError, match="spacing"):
             rl.RotorGrid(np.ones((3, 3, 3)), np.zeros((3, 3, 3, 3)), np.nan, [0, 0, 0])
+
+    @pytest.mark.parametrize("spacing, origin, message", [
+        (np.inf, [0.0, 0.0, 0.0], "spacing must be positive and finite"),
+        (0.1, [np.nan, 0.0, 0.0], "origin must be a finite 3-vector"),
+        (0.1, [0.0, 0.0], "origin must be a finite 3-vector"),
+    ], ids=["inf spacing", "nan origin", "2-vector origin"])
+    def test_unplaceable_grid_rejected(self, spacing, origin, message):
+        with pytest.raises(ValueError, match=message):
+            rl.RotorGrid(np.ones((3, 3, 3)), np.zeros((3, 3, 3, 3)), spacing, origin)
+
+    @pytest.mark.parametrize("index, line, message", [
+        (2, "# spacing inf\n", "spacing must be positive and finite"),
+        (3, "# origin nan 0.0 0.0\n", "origin must be a finite 3-vector"),
+        (3, "# origin 0.0 0.0\n", "bad meta line '# origin 0.0 0.0'"),
+    ], ids=["inf spacing", "nan origin", "2-vector origin"])
+    def test_unplaceable_grid_file_rejected(self, tmp_path, index, line, message):
+        path = tmp_path / "grid.csv"
+        rl.save_grid_csv(rl.RotorGrid(np.ones((3, 3, 3)), np.zeros((3, 3, 3, 3)), 0.1, [0, 0, 0]), path)
+        lines = path.read_text().splitlines(keepends=True)
+        assert lines[index].split()[1] == line.split()[1]
+        path.write_text("".join(lines[:index] + [line] + lines[index + 1:]))
+        with pytest.raises(ValueError, match=message):
+            rl.load_grid_csv(path)
 
     def test_nan_rotor_rejected(self):
         alpha = np.ones((3, 3, 3))

@@ -53,7 +53,7 @@ def whole_identity_residual(grid):
     S = 0.5 * (T - np.swapaxes(T, -1, -2))
     D = 0.5 * (T + np.swapaxes(T, -1, -2)) - (tau / 3.0)[..., None, None] * np.eye(3)
     v = eps_ddot(T)
-    div_v = sum(kinematics.central_diff(v, k, grid.spacing)[..., k] for k in range(3))
+    div_v = sum(kinematics._central_diff(v, k, grid.spacing)[..., k] for k in range(3))
     c = (slice(1, -1),) * 3
     lhs = np.einsum("...ij,...ij->...", D, D)[c]
     rhs = (np.einsum("...ij,...ij->...", S, S) + tau * tau / 6.0)[c] + 2.0 * div_v
