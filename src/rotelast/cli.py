@@ -65,7 +65,8 @@ class _Parser(argparse.ArgumentParser):
     """Raises ``ValueError`` on bad usage, so :func:`main` answers it with the JSON usage record."""
 
     def __init__(self, **kw):
-        super().__init__(formatter_class=argparse.ArgumentDefaultsHelpFormatter, **kw)
+        # no option prefixes: ``--rmax`` must not stand for ``--rmax-annulus``, nor ``--h`` for ``--help``
+        super().__init__(formatter_class=argparse.ArgumentDefaultsHelpFormatter, allow_abbrev=False, **kw)
 
     def error(self, message):
         raise ValueError(f"{self.prog}: {message}")

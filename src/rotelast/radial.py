@@ -8,7 +8,9 @@ the field equations collapse to a single radial PDE
 with the nonlinearity ``U(w) = sin(2w) [(l2 - l1) + (l2 - 2 l1) cos(2w)]``.
 The static case is an ODE with a regular singular point at the origin; the
 solver starts from a leading-power series there and integrates outward with
-an adaptive embedded Runge-Kutta scheme.  Dynamics uses a fixed-step
+the Dormand-Prince 5(4) pair (Dormand & Prince 1980), its quartic dense
+output and scipy's ``RK45`` step control, reproduced in NumPy; profiles are
+interpolated by a not-a-knot cubic spline.  Dynamics uses a fixed-step
 second-order leapfrog on a three-point stencil with a clamped far boundary.
 U is evaluated through ``t = tan w`` (one vectorized tan per node).
 """
@@ -150,61 +152,218 @@ R0 = 1e-6  # radius where the static integration leaves the origin series
 N_SAMPLES = 2001  # uniform samples of a static profile, w(0) = 0 not counted
 N_PROBE = 400  # log-spaced probe radii of static_residual
 
+# Dormand-Prince 5(4) as in scipy's RK45: nodes, stages, 5th-order weights, error weights
+# (5th minus 4th order, FSAL stage last) and the quartic dense output of Shampine's c6
+_RK_C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1])
+_RK_A = np.array([
+    [0, 0, 0, 0, 0], [1/5, 0, 0, 0, 0], [3/40, 9/40, 0, 0, 0], [44/45, -56/15, 32/9, 0, 0],
+    [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
+    [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656]])
+_RK_B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
+_RK_E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40])
+_RK_P = np.array([
+    [1, -8048581381/2820520608, 8663915743/2820520608, -12715105075/11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200/32700410799, -68118460800/10900136933, 87487479700/32700410799],
+    [0, -1754552775/470086768, 14199869525/1410260304, -10690763975/1880347072],
+    [0, 127303824393/49829197408, -318862633887/49829197408, 701980252875 / 199316789632],
+    [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
+    [0, 40617522/29380423, -110615467/29380423, 69997945/29380423]])
+
+
+def _rms(x):
+    return np.linalg.norm(x) / x.size ** 0.5
+
+
+class _DenseRK:
+    """Quartic dense output ``t -> y`` of :func:`_rk45`, shape (n,) or (n, len(t)): each point
+    takes the step that holds it (the lower one at a step boundary), as scipy's ``OdeSolution``."""
+
+    def __init__(self, ts, steps):
+        self.ts, self.steps = np.asarray(ts), steps
+
+    def _step(self, i, t):
+        t_old, h, y_old, q = self.steps[i]
+        x = (t - t_old) / h
+        if t.ndim == 0:
+            return h * np.dot(q, np.cumprod(np.tile(x, 4))) + y_old
+        return h * np.dot(q, np.cumprod(np.tile(x, (4, 1)), axis=0)) + y_old[:, None]
+
+    def __call__(self, t):
+        t = np.asarray(t)
+        last = len(self.steps) - 1
+        if t.ndim == 0:
+            return self._step(min(max(int(np.searchsorted(self.ts, t)) - 1, 0), last), t)
+        order = np.argsort(t)
+        t_sorted = t[order]
+        seg = np.clip(np.searchsorted(self.ts, t_sorted) - 1, 0, last)
+        # one evaluation per run of points in the same step, in sorted order
+        cut = np.concatenate(([0], np.flatnonzero(np.diff(seg)) + 1, [len(seg)]))
+        ys = np.hstack([self._step(seg[a], t_sorted[a:b]) for a, b in zip(cut[:-1], cut[1:])])
+        return ys[:, np.argsort(order)]
+
+
+def _rk45(fun, t0: float, y0, t_bound: float, tol: float, event):
+    """Dormand-Prince 5(4) from t0 up to t_bound > t0 with rtol = atol = tol.
+
+    Step for step scipy's ``RK45``: the same initial step, RMS error norm,
+    step-factor rules, FSAL stage and NumPy expressions, so the same steps
+    are accepted with the same bits.  Returns ``(dense, None)``, or
+    ``(dense, root)`` at the first step where ``event(y)`` changes sign, the
+    root bisected on that step's interpolant to the spacing of doubles.
+    """
+    y = np.asarray(y0, dtype=float)
+    t, f, g = t0, fun(t0, y), event(y)
+    # initial step of an error estimator of order 4
+    span = abs(t_bound - t0)
+    scale = tol + np.abs(y) * tol
+    d0, d1 = _rms(y / scale), _rms(f / scale)
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, span)
+    d2 = _rms((fun(t0 + h0, y + h0 * f) - f) / scale) / h0
+    h1 = max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15 else (0.01 / max(d1, d2)) ** (1 / 5)
+    h_abs = min(100 * h0, h1, span)
+    K = np.empty((7, y.size))
+    ts, steps = [t0], []
+    while t < t_bound:
+        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                raise RuntimeError("static integration failed: "
+                                   "Required step size is less than spacing between numbers.")
+            t_new = min(t + h_abs, t_bound)
+            h = t_new - t
+            h_abs = np.abs(h)
+            K[0] = f
+            for s, (a, c) in enumerate(zip(_RK_A[1:], _RK_C[1:]), start=1):
+                K[s] = fun(t + c * h, y + np.dot(K[:s].T, a[:s]) * h)
+            y_new = y + h * np.dot(K[:-1].T, _RK_B)
+            K[-1] = f_new = fun(t + h, y_new)
+            scale = tol + np.maximum(np.abs(y), np.abs(y_new)) * tol
+            error = _rms(np.dot(K.T, _RK_E) * h / scale)
+            if error < 1:
+                factor = 10 if error == 0 else min(10, 0.9 * error ** -0.2)
+                h_abs *= min(1, factor) if rejected else factor
+                break
+            h_abs *= max(0.2, 0.9 * error ** -0.2)
+            rejected = True
+        steps.append((t, h, y, K.T.dot(_RK_P)))
+        t, y, f = t_new, y_new, f_new
+        ts.append(t)
+        g_new = event(y)
+        if (g <= 0 <= g_new) or (g >= 0 >= g_new):
+            # bisect on this step's interpolant, which starts at y_old, where event is g
+            dense, lo, hi = _DenseRK(ts, steps), steps[-1][0], t
+            while g != 0 and lo < (mid := 0.5 * (lo + hi)) < hi:
+                if (event(dense._step(-1, np.asarray(mid))) < 0) == (g < 0):
+                    lo = mid
+                else:
+                    hi = mid
+            return dense, lo if g == 0 else 0.5 * (lo + hi)
+        g = g_new
+    return _DenseRK(ts, steps), None
+
 
 def solve_static(m: Moduli, slope0: float, r_max: float, tol: float = 1e-10) -> RadialProfile:
     """Integrate the static profile from the origin series to r_max.
 
     The IVP starts at ``R0`` with ``w = slope0 * R0**s`` and
-    ``w' = slope0 * s * R0**(s-1)``, s the indicial exponent, and runs an
-    adaptive RK45.  The integrator is driven two orders tighter than the
+    ``w' = slope0 * s * R0**(s-1)``, s the indicial exponent, and runs the
+    adaptive Dormand-Prince 5(4) pair with scipy's ``RK45`` step control
+    (:func:`_rk45`).  The integrator is driven two orders tighter than the
     requested ``tol`` so the delivered profile meets a 10 * tol residual
     bound including accumulated drift; tol below 1e-11 is capped by the
     integrator floor.  The returned profile is sampled on a uniform grid
-    with w(0) = 0 prepended and carries the dense solution for later
-    interpolation.
+    with w(0) = 0 prepended and carries the quartic dense output of the
+    steps for later interpolation.
 
     Raises
     ------
     DivergenceError
         If |w| exceeds 10 before reaching r_max.
+    RuntimeError
+        If the step size falls below the spacing of doubles.
     """
-    from scipy.integrate import solve_ivp  # scipy loads where it is called, not with rotelast
     if m.lambda1 <= 0:
         raise ValueError("solver requires lambda1 > 0")
-    if not (0 < r_max < np.inf and tol > 0 and np.isfinite(slope0)):
+    if not (R0 < r_max < np.inf and tol > 0 and np.isfinite(slope0)):
         raise ValueError("bad solver configuration")
 
     l1 = m.lambda1
 
     def rhs(r, y):
         w, dw = y
-        return (dw, -2.0 * dw / r - potential_U(w, m) / (l1 * r * r))
-
-    def blowup(r, y):
-        return abs(y[0]) - W_BLOWUP
-
-    blowup.terminal = True
+        return np.array((dw, -2.0 * dw / r - potential_U(w, m) / (l1 * r * r)))
 
     s = indicial_exponent(m)
     y0 = (slope0 * R0**s, slope0 * s * R0 ** (s - 1.0))
     if abs(y0[0]) > W_BLOWUP:
         raise DivergenceError(f"|w| exceeds {W_BLOWUP} already at the series start", radius=R0)
     tol_int = max(tol / 100.0, 1e-13)
-    sol = solve_ivp(rhs, (R0, r_max), y0, method="RK45", rtol=tol_int, atol=tol_int,
-                    dense_output=True, events=blowup)
-    if sol.status == 1:
-        raise DivergenceError(
-            f"|w| exceeded {W_BLOWUP} at r = {sol.t_events[0][0]:.6g}", radius=float(sol.t_events[0][0])
-        )
-    if not sol.success:
-        raise RuntimeError(f"static integration failed: {sol.message}")
+    dense, r_blowup = _rk45(rhs, R0, y0, r_max, tol_int, lambda y: abs(y[0]) - W_BLOWUP)
+    if r_blowup is not None:
+        raise DivergenceError(f"|w| exceeded {W_BLOWUP} at r = {r_blowup:.6g}", radius=float(r_blowup))
 
     r = np.linspace(R0, r_max, N_SAMPLES)
-    y = sol.sol(r)
+    y = dense(r)
     # w(0) = 0 is the exact boundary value for any positive leading power
     r = np.concatenate(([0.0], r))
     w = np.concatenate(([0.0], y[0]))
-    return RadialProfile(r=r, w=w, moduli=m, slope0=slope0, tol=tol, dense=sol.sol)
+    return RadialProfile(r=r, w=w, moduli=m, slope0=slope0, tol=tol, dense=dense)
+
+
+class _Spline:
+    """Not-a-knot cubic spline through ``(x, y)``, x strictly increasing, as scipy's ``CubicSpline``.
+
+    The knot slopes solve its tridiagonal system by one Thomas sweep (two
+    knots give the line, three the parabola).  ``spline(r, nu)`` is the
+    nu-th derivative (nu = 0, 1, 2); the end cubics continue outside the knots.
+    """
+
+    def __init__(self, x, y):
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        if len(x) < 2:
+            raise ValueError("a cubic spline needs at least two knots")
+        dx = np.diff(x)
+        slope = np.diff(y) / dx
+        if len(x) == 2:
+            s = np.array([slope[0], slope[0]])
+        elif len(x) == 3:
+            mid = (dx[1] * slope[0] + dx[0] * slope[1]) / (dx[0] + dx[1])
+            s = np.array([2 * slope[0] - mid, mid, 2 * slope[1] - mid])
+        else:
+            # C2 rows at the inner knots; the end rows make the third
+            # derivative continuous at the second and last-but-one knot
+            d0, d1 = x[2] - x[0], x[-1] - x[-3]
+            sub = [0.0, *dx[1:].tolist(), d1]
+            diag = [dx[1], *(2 * (dx[:-1] + dx[1:])).tolist(), dx[-2]]
+            sup = [d0, *dx[:-1].tolist(), 0.0]
+            s = [((dx[0] + 2 * d0) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d0,
+                 *(3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])).tolist(),
+                 (dx[-1] ** 2 * slope[-2] + (2 * d1 + dx[-1]) * dx[-2] * slope[-1]) / d1, 0.0]
+            for i in range(1, len(x)):  # Thomas elimination, then back substitution
+                w = sub[i] / diag[i - 1]
+                diag[i] -= w * sup[i - 1]
+                s[i] -= w * s[i - 1]
+            for i in range(len(x) - 1, -1, -1):
+                s[i] = (s[i] - sup[i] * s[i + 1]) / diag[i]
+            s = np.array(s[:-1])
+        t = (s[:-1] + s[1:] - 2 * slope) / dx
+        # the cubic on [x_i, x_i+1] is c0 + c1 z + c2 z^2 + c3 z^3 in z = r - x_i
+        self.x, self.c0, self.c1 = x, y[:-1], s[:-1]
+        self.c2, self.c3 = (slope - s[:-1]) / dx - t, t / dx
+
+    def __call__(self, r, nu: int = 0):
+        r = np.asarray(r, dtype=float)
+        i = np.clip(np.searchsorted(self.x, r, side="right") - 1, 0, len(self.x) - 2)
+        z, c3, c2 = r - self.x.take(i), self.c3.take(i), self.c2.take(i)
+        # PPoly's power sums term by term: equal coefficients give CubicSpline's values bit for bit
+        if nu == 0:
+            return ((self.c0.take(i) + self.c1.take(i) * z) + c2 * (z * z)) + c3 * (z * z * z)
+        if nu == 1:
+            return (self.c1.take(i) + (2 * c2) * z) + (3 * c3) * (z * z)
+        return 2 * c2 + (6 * c3) * z
 
 
 def resample_uniform(profile: RadialProfile, n: int, r_max: float | None = None) -> RadialProfile:
@@ -212,17 +371,13 @@ def resample_uniform(profile: RadialProfile, n: int, r_max: float | None = None)
 
     The dynamic solver needs a uniform grid including the origin.
     """
-    from scipy.interpolate import CubicSpline
     if n < 3:
         raise ValueError(f"resampling needs at least 3 points, got n = {n}")
     r_max = profile.r[-1] if r_max is None else min(r_max, profile.r[-1])
-    spline = CubicSpline(profile.r, profile.w)
     r = np.linspace(0.0, r_max, n)
-    w = spline(r)
+    w = _Spline(profile.r, profile.w)(r)
     w[0] = 0.0
-    w_t = None
-    if profile.w_t is not None:
-        w_t = CubicSpline(profile.r, profile.w_t)(r)
+    w_t = None if profile.w_t is None else _Spline(profile.r, profile.w_t)(r)
     return RadialProfile(r=r, w=w, w_t=w_t, moduli=profile.moduli,
                          slope0=profile.slope0, tol=profile.tol)
 
@@ -365,17 +520,11 @@ def lift_hedgehog(profile: RadialProfile) -> HedgehogField:
     localized radial solutions).  Radial interpolation is cubic; spatial
     and time derivatives of the ansatz are analytic.
     """
-    from scipy.interpolate import CubicSpline
     if profile.r[0] > 1e-9 or abs(profile.w[0]) > 1e-9:
         raise ValueError("hedgehog lift requires a profile with w(0) = 0")
-    spline = CubicSpline(profile.r, profile.w)
-    wdot = None if profile.w_t is None else CubicSpline(profile.r, profile.w_t)
-    return HedgehogField(
-        w=spline,
-        wp=spline.derivative(1),
-        wpp=spline.derivative(2),
-        wdot=wdot,
-    )
+    spline = _Spline(profile.r, profile.w)
+    wdot = None if profile.w_t is None else _Spline(profile.r, profile.w_t)
+    return HedgehogField(w=spline, wp=lambda r: spline(r, 1), wpp=lambda r: spline(r, 2), wdot=wdot)
 
 
 def _autonomous_force(f, m: Moduli):

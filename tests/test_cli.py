@@ -451,6 +451,30 @@ class TestArgparseErrors:
         assert record == {"schema_version": 1, "error": "usage", "detail": record["detail"]}
         assert words in record["detail"]
 
+    @pytest.mark.parametrize("argv", [
+        ("residual", "--from-profile", "{csv}", "--h", "0.5", "--rmax", "3"),
+        ("static", "--lambda1", "1", "--lambda2", "1", "--rmax", "5", "--sum", "s.json"),
+        ("--h", "abc"),
+    ], ids=["rmax-for-rmax-annulus", "sum-for-summary", "h-for-help"])
+    def test_abbreviated_option_exits_2(self, tmp_path, capsys, argv):
+        # the profile exists, so only the option spelling can fail
+        path, _ = make_soliton_csv(tmp_path, capsys, rmax="5")
+        code, out, err = run_cli(capsys, *(a.format(csv=path) for a in argv))
+        assert code == 2
+        assert out == ""
+        record = json.loads(err)
+        assert record == {"schema_version": 1, "error": "usage", "detail": record["detail"]}
+
+    def test_full_option_names_parse(self, tmp_path, capsys):
+        path, _ = make_soliton_csv(tmp_path, capsys, rmax="5")
+        summary = tmp_path / "s.json"
+        code, _, _ = run_cli(capsys, "static", "--lambda1", "1", "--lambda2", "1", "--rmax", "5",
+                             "--summary", str(summary))
+        assert code == 0 and json.loads(summary.read_text())["r_max"] == 5.0
+        code, out, _ = run_cli(capsys, "residual", "--from-profile", str(path), "--h", "0.5",
+                               "--rmin", "1", "--rmax-annulus", "3")
+        assert code == 0 and json.loads(out)["annulus"] == [1.0, 3.0]
+
     @pytest.mark.parametrize("argv, words", [
         (("--version",), f"rotelast {rl.__version__}"),
         (("--help",), "identity-check"),

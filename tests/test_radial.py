@@ -3,6 +3,7 @@ import pytest
 from scipy.optimize import brentq
 
 import rotelast as rl
+from rotelast import radial
 from rotelast.radial import DivergenceError, InstabilityError, _autonomous_force, indicial_exponent
 
 
@@ -465,3 +466,111 @@ class TestProfileSerialization:
         assert uni.r[0] == 0.0 and uni.r[-1] == 40.0
         assert np.allclose(np.diff(uni.r), uni.r[1] - uni.r[0])
         assert uni.w[0] == 0.0
+
+
+def solve_static_scipy(m, slope0, r_max, tol=1e-10):
+    """Oracle: the static IVP through scipy's ``solve_ivp`` RK45 with the same start and blow-up event."""
+    from scipy.integrate import solve_ivp
+
+    l1 = m.lambda1
+
+    def rhs(r, y):
+        w, dw = y
+        return (dw, -2.0 * dw / r - radial.potential_U(w, m) / (l1 * r * r))
+
+    def blowup(r, y):
+        return abs(y[0]) - radial.W_BLOWUP
+
+    blowup.terminal = True
+    s = indicial_exponent(m)
+    y0 = (slope0 * radial.R0**s, slope0 * s * radial.R0 ** (s - 1.0))
+    return solve_ivp(rhs, (radial.R0, r_max), y0, method="RK45", rtol=max(tol / 100.0, 1e-13),
+                     atol=max(tol / 100.0, 1e-13), dense_output=True, events=blowup)
+
+
+class TestSchemesAgainstScipy:
+    """The NumPy Dormand-Prince integrator and spline against the scipy code they reproduce."""
+
+    @pytest.mark.parametrize("l1, l2", [(1.0, 1.0), (1.0, 1.25), (0.4, 2.3)])
+    def test_solve_static_bit_identical_to_solve_ivp(self, l1, l2):
+        m = rl.Moduli.from_couplings(l1, l2)
+        p = rl.solve_static(m, slope0=1.0, r_max=50.0)
+        sol = solve_static_scipy(m, slope0=1.0, r_max=50.0)
+        assert sol.status == 0
+        # the same steps are accepted, so the step ends and every dense value agree bit for bit
+        assert np.array_equal(p.dense.ts, sol.t)
+        r = np.linspace(radial.R0, 50.0, radial.N_SAMPLES)
+        assert np.array_equal(p.r, np.concatenate(([0.0], r)))
+        assert np.array_equal(p.w, np.concatenate(([0.0], sol.sol(r)[0])))
+        rs = np.geomspace(p.r[1], 50.0, radial.N_PROBE)
+        xg, _ = np.polynomial.legendre.leggauss(5)
+        gauss = (0.5 * (rs[:-1] + rs[1:]))[:, None] + (0.5 * (rs[1:] - rs[:-1]))[:, None] * xg
+        unsorted = np.random.default_rng(3).permutation(np.concatenate((gauss.ravel(), sol.t, [0.0, 60.0])))
+        for x in (r, rs, gauss.ravel(), unsorted):
+            assert np.array_equal(p.dense(x), sol.sol(x))
+        for x in (radial.R0, 3.3, sol.t[7], 50.0, 0.0, 51.0):
+            assert np.array_equal(p.dense(x), sol.sol(x))
+
+    @pytest.mark.parametrize("l1, l2, slope0", [(1.0, 1.0, 6e6), (1.0, 3.0, 9e6), (0.4, 2.3, -9.5e6)])
+    def test_divergence_radius_matches_t_events(self, l1, l2, slope0):
+        m = rl.Moduli.from_couplings(l1, l2)
+        sol = solve_static_scipy(m, slope0, r_max=10.0)
+        assert sol.status == 1
+        with pytest.raises(DivergenceError, match="exceeded 10.0 at r = ") as err:
+            rl.solve_static(m, slope0=slope0, r_max=10.0)
+        # brentq stops within 4 eps (absolute) of the root, bisection at the spacing of doubles
+        assert abs(err.value.radius - sol.t_events[0][0]) <= 1e-12
+
+    def test_too_small_step_fails_as_solve_ivp(self, unit_moduli, monkeypatch):
+        # a right-hand side that turns NaN past w = 0.5 rejects every step until the step underflows
+        potential = rl.potential_U
+        monkeypatch.setattr(radial, "potential_U",
+                            lambda w, m: np.nan if w > 0.5 else potential(w, m))
+        sol = solve_static_scipy(unit_moduli, 1.0, r_max=20.0)
+        assert sol.status == -1
+        with pytest.raises(RuntimeError) as err:
+            rl.solve_static(unit_moduli, slope0=1.0, r_max=20.0)
+        assert str(err.value) == f"static integration failed: {sol.message}"
+
+    def test_r_max_inside_series_start_rejected(self, unit_moduli):
+        for r_max in (radial.R0, 0.5 * radial.R0):
+            with pytest.raises(ValueError, match="bad solver configuration"):
+                rl.solve_static(unit_moduli, slope0=1.0, r_max=r_max)
+
+    def test_spline_matches_cubic_spline(self, soliton_profile):
+        from scipy.interpolate import CubicSpline
+
+        rng = np.random.default_rng(11)
+        knots = np.sort(rng.uniform(-3.0, 7.0, 40))
+        even = np.linspace(0.0, 5.0, 60) + rng.uniform(-0.02, 0.02, 60)
+        cases = {
+            "soliton": (soliton_profile.r, soliton_profile.w),  # 2002 knots, the first interval 1e-6
+            "random knots": (knots, np.sin(knots) + 0.1 * rng.normal(size=40)),
+            "jittered even knots": (even, np.cos(even) * even),
+            "n = 2": (np.array([0.5, 2.0]), np.array([1.0, -3.0])),
+            "n = 3": (np.array([0.0, 0.3, 2.0]), np.array([1.0, 4.0, -3.0])),
+            "n = 4": (np.array([0.0, 0.3, 2.0, 2.2]), np.array([1.0, 4.0, -3.0, 0.5])),
+        }
+        for name, (x, y) in cases.items():
+            span = x[-1] - x[0]
+            # the knots, points inside, and points beyond both ends
+            q = np.concatenate((x, rng.uniform(x[0], x[-1], 500), x[0] - span * rng.uniform(0, 0.2, 20),
+                                x[-1] + span * rng.uniform(0, 0.2, 20)))
+            spline, ref = radial._Spline(x, y), CubicSpline(x, y)
+            for nu in (0, 1, 2):
+                want = ref.derivative(nu)(q) if nu else ref(q)
+                got = spline(q, nu)
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), (name, nu)
+                if name == "soliton":  # no row exchange in the elimination: the same bits
+                    assert np.array_equal(got, want), nu
+            assert np.array_equal(spline(x[:-1]), y[:-1]), name  # each cubic starts at its knot value
+            assert np.ndim(spline(x[1] + 1e-3)) == 0 and spline(q[:40].reshape(20, 2)).shape == (20, 2)
+
+    def test_two_row_profile_lifts_linearly(self, tmp_path, unit_moduli):
+        path = tmp_path / "line.csv"
+        rl.save_profile_csv(rl.RadialProfile(r=np.array([0.0, 2.0]), w=np.array([0.0, 0.5]),
+                                             moduli=unit_moduli, slope0=0.25, tol=1e-8), path)
+        field = rl.lift_hedgehog(rl.load_profile_csv(path))
+        r = np.array([0.5, 1.0, 3.0])
+        assert np.array_equal(field.w(r), 0.25 * r)
+        assert np.array_equal(field.wp(r), np.full(3, 0.25)) and np.array_equal(field.wpp(r), np.zeros(3))
