@@ -4,7 +4,7 @@ The static solver and the profile spline are NumPy code, so importing the
 package, solving, lifting and every command that solves or lifts a profile
 must leave ``sys.modules`` free of scipy: importing it costs a fresh process
 most of its start-up time.  The check runs in a subprocess, because the test
-session itself has loaded scipy long ago.  The script ends by importing
+process itself has loaded scipy long ago.  The script ends by importing
 ``scipy.integrate`` itself, and the tracker must see it, so the guard cannot
 pass by tracking nothing.
 """
