@@ -53,7 +53,7 @@ import numpy as np
 from .fields import FieldPoint, _nye_bracket
 from .kinematics import (Moduli, RotorGrid, _central_diff, _central_diff2, _slabs, _trace_skew,
                          nye_matrix, nye_velocity_vector)
-from .so3 import eps_ddot, eps_dot
+from .so3 import _cross, eps_ddot, eps_dot
 
 __all__ = [
     "SingularGaugeError",
@@ -181,11 +181,11 @@ def _dt_nye_velocity(fp: FieldPoint) -> np.ndarray:
 
 def _coupling(fp: FieldPoint, a: np.ndarray, a_t: np.ndarray, h_t: np.ndarray,
               h_s: np.ndarray) -> np.ndarray:
-    """``H^jt G_tj^i - H^jk G_kj^i = w_t x H_t - sum_k w_{.k} x H_{.k}``, since ``G = eps w``;
-    ``a`` and ``a_t`` are the Nye tensor and velocity column at ``fp``."""
+    """``H^jt G_tj^i - H^jk G_kj^i = w_t x H_t - sum_k w_{.k} x H_{.k}``, since ``G = eps w``, both
+    by :func:`so3._cross`; ``a`` and ``a_t`` are the Nye tensor and velocity column at ``fp``."""
     w_t = _axial(fp.beta, fp.dt_alpha[..., None], a_t[..., None])[..., 0]
     w_s = _axial(fp.beta, fp.d_alpha, a)
-    return np.cross(w_t, h_t) - np.cross(w_s, h_s, axis=-2).sum(axis=-1)
+    return _cross(w_t, h_t) - _cross(w_s, h_s, axis=-2).sum(axis=-1)
 
 
 def residual_eqs2_at(fp: FieldPoint, m: Moduli) -> np.ndarray:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .so3 import Rotor, _unit_defect, matrix_to_rotor, rotor_matrix
+from .so3 import Rotor, _cross, _unit_defect, matrix_to_rotor, rotor_matrix
 
 __all__ = [
     "FieldPoint",
@@ -95,10 +95,10 @@ def _nye_bracket(alpha, beta, d_alpha, d_beta):
 
     ``d_beta[..., l, k]`` and ``d_alpha[..., k]`` carry the directions on
     the last axis: spatial derivatives give the Nye tensor, d_t its velocity
-    column and d_t^2 that column's time derivative.
+    column and d_t^2 that column's time derivative; ``x`` is :func:`so3._cross`.
     """
     return 2.0 * (
-        np.cross(beta[..., :, None], d_beta, axis=-2)
+        _cross(beta[..., :, None], d_beta, axis=-2)
         + beta[..., :, None] * d_alpha[..., None, :]
         - alpha[..., None, None] * d_beta
     )
@@ -143,11 +143,11 @@ class RotorField:
     def u_and_du(self, x, t: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
         """Matrix and its spatial gradient ``[..., i, j, k] = d_k u_ij``.
 
-        Column by column ``d_k u_{.j} = A_{.k} x u_{.j}``: ``d_k u u^T`` is
-        the cross-product matrix of the Nye column ``A_{.k}``.
+        Column by column ``d_k u_{.j} = A_{.k} x u_{.j}`` (:func:`so3._cross` over
+        axis -3): ``d_k u u^T`` is the cross-product matrix of the Nye column ``A_{.k}``.
         """
         u, a = self.u_and_nye(x, t)
-        return u, np.cross(a[..., :, None, :], u[..., :, :, None], axis=-3)
+        return u, _cross(a[..., :, None, :], u[..., :, :, None], axis=-3)
 
 
 class AnalyticRotorField(RotorField):

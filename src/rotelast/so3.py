@@ -36,9 +36,8 @@ LEVI_CIVITA = np.zeros((3, 3, 3))
 LEVI_CIVITA[0, 1, 2] = LEVI_CIVITA[1, 2, 0] = LEVI_CIVITA[2, 0, 1] = 1.0
 LEVI_CIVITA[0, 2, 1] = LEVI_CIVITA[2, 1, 0] = LEVI_CIVITA[1, 0, 2] = -1.0
 
-# Contractions with the symbol are written out by component: an einsum
-# against LEVI_CIVITA multiplies all 27 entries, 21 of them zero.  The
-# two-vector contraction eps_lij a_i b_j is ``np.cross``.
+# Contractions with the symbol are written out by component, eps_lij a_i b_j by
+# :func:`_cross`: an einsum against LEVI_CIVITA multiplies all 27 entries, 21 of them zero.
 
 
 def eps_dot(v: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -61,6 +60,17 @@ def eps_ddot(w: np.ndarray) -> np.ndarray:
     w = np.asarray(w, dtype=float)
     return np.stack([w[..., 1, 2] - w[..., 2, 1], w[..., 2, 0] - w[..., 0, 2],
                      w[..., 0, 1] - w[..., 1, 0]], axis=-1)
+
+
+def _cross(a: np.ndarray, b: np.ndarray, axis: int = -1) -> np.ndarray:
+    """``(a x b)_l = a_m b_n - a_n b_m``, (l, m, n) cyclic, along a negative ``axis``, with np.cross's bits."""
+    a, b = np.broadcast_arrays(a, b)
+    out = np.empty(a.shape)  # viewed with the batch axes last, so each C-order loop runs along them
+    a, b, o = (x.transpose([*range(x.ndim + axis, x.ndim), *range(x.ndim + axis)]) for x in (a, b, out))
+    for l, m, n in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        np.multiply(a[m, ...], b[n, ...], out=o[l, ...], order="C")
+        np.subtract(o[l, ...], np.multiply(a[n, ...], b[m, ...], order="C"), out=o[l, ...], order="C")
+    return out
 
 
 @dataclass(frozen=True)

@@ -37,6 +37,7 @@ import numpy as np
 
 from .fields import HedgehogField
 from .kinematics import _slabs
+from .so3 import _cross
 
 __all__ = [
     "ChargeReport",
@@ -68,8 +69,7 @@ def charge_density(field, point, time: float = 0.0):
     """Triple-product charge density ``det(A) / 16 pi^2`` at a point (batched over leading axes)."""
     x = np.asarray(point, dtype=float)
     a = field.nye(x, time)
-    a_x, a_y, a_z = np.moveaxis(a, -1, 0)
-    val = _NORM * np.einsum("...i,...i->...", a_x, np.cross(a_y, a_z))
+    val = _NORM * np.einsum("...i,...i->...", a[..., 0], _cross(a[..., 1], a[..., 2]))
     return float(val) if val.ndim == 0 else val
 
 

@@ -9,17 +9,18 @@ The field-equation residual and its closed-form contractions are checked
 against the unfused ``d_k A_lm`` and ``G`` on those batches and on two with
 time blocks: a travelling ``AnalyticRotorField`` and a hedgehog with
 ``wdot``.  The rotor-extraction kernels must reproduce their loops bit for
-bit.
+bit, and every kernel that takes a cross product with ``so3._cross`` must
+reproduce its ``np.cross`` form bit for bit.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from hypothesis.extra.numpy import arrays
+from hypothesis.extra.numpy import arrays, mutually_broadcastable_shapes
 
 import rotelast as rl
 from rotelast.field_equations import _axial, _coupling, _d_nye, _nye_divergences
-from rotelast.so3 import (LEVI_CIVITA, align_rotor_signs, eps_ddot, eps_dot, matrix_to_rotor,
+from rotelast.so3 import (LEVI_CIVITA, _cross, align_rotor_signs, eps_ddot, eps_dot, matrix_to_rotor,
                           rotor_matrix)
 
 REL = 1e-12
@@ -170,6 +171,54 @@ def align_rotor_signs_oracle(alpha, beta):
     return alpha, beta
 
 
+def nye_bracket_np_cross(alpha, beta, d_alpha, d_beta):
+    return 2.0 * (np.cross(beta[..., :, None], d_beta, axis=-2) + beta[..., :, None] * d_alpha[..., None, :]
+                  - alpha[..., None, None] * d_beta)
+
+
+def nye_np_cross(fp):
+    return nye_bracket_np_cross(fp.alpha, fp.beta, fp.d_alpha, fp.d_beta)
+
+
+def nye_velocity_np_cross(fp):
+    return nye_bracket_np_cross(fp.alpha, fp.beta, fp.dt_alpha[..., None], fp.dt_beta[..., None])[..., 0]
+
+
+def residual_np_cross(fp, m):
+    """``residual_eqs2_at`` with ``np.cross`` in the Nye brackets and in the coupling."""
+    a, a_t = nye_np_cross(fp), nye_velocity_np_cross(fp)
+    h_t, h_s = rl.h_tensors(a, a_t, m)
+    _, col, d_tr = _nye_divergences(fp)  # no cross product in these two
+    lap_alpha, lap_beta = np.trace(fp.dd_alpha, axis1=-2, axis2=-1), np.einsum("...ljj->...l", fp.dd_beta)
+    row = nye_bracket_np_cross(fp.alpha, fp.beta, lap_alpha[..., None], lap_beta[..., None])[..., 0]
+    dt_a_t = nye_bracket_np_cross(fp.alpha, fp.beta, fp.dtt_alpha[..., None], fp.dtt_beta[..., None])[..., 0]
+    w_t = _axial(fp.beta, fp.dt_alpha[..., None], a_t[..., None])[..., 0]
+    w_s = _axial(fp.beta, fp.d_alpha, a)
+    coupling = np.cross(w_t, h_t) - np.cross(w_s, h_s, axis=-2).sum(axis=-1)
+    return 2.0 * dt_a_t - (2.0 * m.lambda1 * d_tr + m.lambda2 * (row - col)) + 2.0 * coupling
+
+
+def field_nye_np_cross(field, x):
+    """``field.nye(x)`` with ``np.cross`` in the Nye bracket; a two-factor product by the product rule."""
+    if not isinstance(field, rl.ProductField):
+        return nye_np_cross(field.field_point(x, order=1))
+    first, last = field.factors
+    fp = first.field_point(x, order=1)
+    return nye_np_cross(fp) + rotor_matrix(fp.alpha, fp.beta) @ field_nye_np_cross(last, x)
+
+
+def charge_density_np_cross(field, x):
+    a_x, a_y, a_z = np.moveaxis(field_nye_np_cross(field, x), -1, 0)
+    val = 1.0 / (16.0 * np.pi**2) * np.einsum("...i,...i->...", a_x, np.cross(a_y, a_z))
+    return float(val) if val.ndim == 0 else val
+
+
+def u_and_du_np_cross(field, x):
+    fp = field.field_point(x, order=1)
+    u, a = rotor_matrix(fp.alpha, fp.beta), nye_np_cross(fp)
+    return u, np.cross(a[..., :, None, :], u[..., :, :, None], axis=-3)
+
+
 def same_bits(new, oracle):
     return all(np.asarray(a).shape == np.asarray(b).shape
                and np.asarray(a).tobytes() == np.asarray(b).tobytes() for a, b in zip(new, oracle))
@@ -242,6 +291,24 @@ def residual_batches(smooth_batch, grid_batch):
             "travelling": travelling_field(seed=13).field_point(x, 0.3),
             "hedgehog": breathing_hedgehog().field_point(x),
             "grid": grid_batch}
+
+
+# coordinates 0.0 and -0.0 next to nonzero ones (never the origin, where a hedgehog raises)
+SIGNED_ZERO_POINTS = np.array([[0.0, -0.0, 1.3], [-0.0, 0.7, 0.0], [0.9, 0.0, -0.0], [-0.0, -0.0, -2.1],
+                               [0.0, 0.0, 0.4], [-1.7, -0.0, 0.0], [0.0, 2.2, -0.0], [-0.0, -0.6, -0.0]])
+
+
+# quiet and signalling NaNs of both signs with distinct payloads: which operand's payload a
+# product or a difference of two NaNs keeps depends on the operand order
+PAYLOAD_NANS = np.array([0x7FF8000000000001, 0xFFF8000000000002, 0x7FF0000000000003, 0xFFF0000000000004],
+                        dtype=np.uint64).view(np.float64)
+
+
+@pytest.fixture(scope="module", params=["random", "single", "signed_zeros"])
+def cross_points(request):
+    """A random batch, one point of shape (3,) and points with signed-zero coordinates."""
+    return {"random": np.random.default_rng(107).uniform(-3.0, 3.0, size=(300, 3)),
+            "single": np.array([0.4, -1.1, 0.8]), "signed_zeros": SIGNED_ZERO_POINTS}[request.param]
 
 
 def with_time_blocks(fp, seed):
@@ -365,6 +432,66 @@ class TestResidualKernel:
         oracle = (np.einsum("...j,...ji->...i", h_t, g_tensor_time(fp))
                   - np.einsum("...jk,...kji->...i", h_s, rl.g_tensor_space(fp)))
         assert_close(_coupling(fp, rl.nye_matrix(fp), rl.nye_velocity_vector(fp), h_t, h_s), oracle)
+
+
+class TestCrossProductBits:
+    """Each kernel that calls ``so3._cross`` gives its ``np.cross`` form's bytes."""
+
+    def test_nye_matrix_and_velocity(self, cross_points):
+        fp = breathing_hedgehog().field_point(cross_points, order=1)
+        assert np.abs(fp.dt_beta).max() > 0
+        assert same_bits((rl.nye_matrix(fp), rl.nye_velocity_vector(fp)),
+                         (nye_np_cross(fp), nye_velocity_np_cross(fp)))
+
+    @pytest.mark.parametrize("couplings", [(1.0, 1.0), (0.4, 2.3)])
+    def test_residual_eqs2_at(self, cross_points, couplings):
+        fp, m = breathing_hedgehog().field_point(cross_points), rl.Moduli.from_couplings(*couplings)
+        assert same_bits((rl.residual_eqs2_at(fp, m),), (residual_np_cross(fp, m),))
+
+    def test_charge_density_single_core(self, cross_points):
+        field = tanh_core(0.8)
+        assert same_bits((rl.charge_density(field, cross_points),),
+                         (charge_density_np_cross(field, cross_points),))
+
+    def test_charge_density_two_core_product(self, two_core_product, cross_points):
+        field, _ = two_core_product
+        x = 2.5 * cross_points  # reaches both cores at +-5 e_x
+        assert same_bits((rl.charge_density(field, x),), (charge_density_np_cross(field, x),))
+
+    @pytest.mark.parametrize("make_field", [breathing_hedgehog, lambda: rl.random_smooth_field(seed=11)])
+    def test_u_and_du(self, make_field, cross_points):
+        field = make_field()
+        assert same_bits(field.u_and_du(cross_points), u_and_du_np_cross(field, cross_points))
+
+    @settings(max_examples=150)
+    @given(st.data())
+    def test_helper_broadcasts_like_np_cross(self, data):
+        axis = data.draw(st.sampled_from([-1, -2]))
+        shapes = data.draw(mutually_broadcastable_shapes(num_shapes=2, min_dims=1, max_dims=3, max_side=3))
+        cut = [len(s) + axis + 1 for s in shapes.input_shapes]
+        a, b = (data.draw(arrays(np.float64, s[:c] + (3,) + s[c:], elements=st.floats(width=64)))
+                for s, c in zip(shapes.input_shapes, cut))
+        with np.errstate(all="ignore"):
+            new, oracle = _cross(a, b, axis=axis), np.cross(a, b, axis=axis)
+        # inf, -0.0 and the place of every NaN bit for bit; with an operand broadcast, the
+        # product of two NaNs may keep either payload, so payloads are checked below
+        new, oracle = (np.where(np.isnan(v), np.nan, v) for v in (new, oracle))
+        assert same_bits((new,), (oracle,))
+
+    @settings(max_examples=100)
+    @given(st.sampled_from([-1, -2]), st.data())
+    def test_helper_nan_payloads(self, axis, data):
+        shape = data.draw(st.sampled_from([(), (4,), (2, 3)])) + (3,) + {-1: (), -2: (2,)}[axis]
+        elements = st.one_of(st.floats(width=64), st.sampled_from(list(PAYLOAD_NANS)))
+        a, b = (data.draw(arrays(np.float64, shape, elements=elements)) for _ in range(2))
+        with np.errstate(all="ignore"):
+            assert same_bits((_cross(a, b, axis=axis),), (np.cross(a, b, axis=axis),))
+
+    @given(arrays(np.float64, st.tuples(st.integers(1, 5), st.just(3)), elements=st.floats(-1e150, 1e150)),
+           arrays(np.float64, st.tuples(st.just(1), st.just(3)), elements=st.floats(-1e150, 1e150)))
+    def test_helper_antisymmetric_and_zero_on_the_diagonal(self, a, b):
+        assert np.array_equal(_cross(a, b), -_cross(b, a))  # by value: x - x is +0.0, -(x - x) is -0.0
+        assert same_bits((_cross(a, a),), (np.zeros(a.shape),))
 
 
 class TestRotorExtraction:

@@ -18,7 +18,13 @@ same tool code, so only the library differs:
   orders 0, 1 and 2;
 * ``decompose``, ``quadratic_invariants``, ``potential_density`` and
   ``h_tensors`` on a random batch (the middle two on one matrix as well);
-* the grid and profile CSV round trips of ``grid.csv`` and ``final.csv``.
+* the grid and profile CSV round trips of ``grid.csv`` and ``final.csv``;
+* ``charge_density`` on 2000 random points of the lifted ``profile.csv``
+  and of a seeded ordered product of two translated copies of it, and
+  ``u_and_du`` of the lifted ``profile.csv`` on the same points;
+* ``residual_eqs2_at`` of the lifted ``final.csv`` on those points: its
+  ``w_t`` makes the time blocks, which the static grids above leave zero,
+  take part.
 
 Every file of the two checkouts is then compared.  A byte-identical file
 prints ``identical``, and a file that only one side wrote prints ``LAYOUT
@@ -74,6 +80,12 @@ RUNS = (
     ("decompose", ["--matrix", "1,2,3,4,5,-6,7.5,8,1e-300", "-o", "decompose.json"]),
     ("equilibria", ["--lambda1", "1", "--lambda2", "1.25", "-o", "equilibria.json"]),
     ("identity-check", ["--h", "0.2", "--refine", "--dump-grid", "grid.csv", "-o", "identity.json"]),
+    # lambda2 / lambda1 = 1.25: the core exponent of the profile, w ~ r^s, is s = 0.618, not 1
+    ("static", ["--lambda1", "1", "--lambda2", "1.25", "-o", "profile_c.csv", "--summary", "static_c.json"]),
+    ("evolve", ["--from-profile", "profile_c.csv", "--n-grid", "801", "--t-end", "2",
+                "-o", "final_c.csv", "--summary", "evolve_c.json"]),
+    ("charge", ["--from-profile", "profile_c.csv", "--full-3d", "--radius", "3", "--spacing", "0.2",
+                "-o", "charge_3d_c.json"]),
 )
 # the child process that runs write_library: argv is this file, the cli directory, the library directory
 LIBRARY = "import runpy, sys; runpy.run_path(sys.argv[1])['write_library'](*sys.argv[2:])"
@@ -122,6 +134,15 @@ def write_library(cli: str, out: str) -> None:
     profile = rl.load_profile_csv(Path(cli) / "final.csv")
     res.update({f"profile_roundtrip.{k}": getattr(profile, k) for k in ("r", "w", "w_t", "slope0", "tol")})
     res["profile_roundtrip.moduli"] = dataclasses.astuple(profile.moduli)
+
+    x = rng.uniform(-4.0, 4.0, size=(2000, 3))
+    soliton = rl.lift_hedgehog(rl.load_profile_csv(Path(cli) / "profile.csv"))
+    product = rl.ProductField([rl.TranslatedField(soliton, c) for c in rng.uniform(-2.0, 2.0, size=(2, 3))])
+    res["charge_density.soliton"], res["charge_density.product"] = (rl.charge_density(soliton, x),
+                                                                     rl.charge_density(product, x))
+    res["u_and_du.u"], res["u_and_du.du"] = soliton.u_and_du(x)
+    res["residual_eqs2_at.moving"] = rl.residual_eqs2_at(rl.lift_hedgehog(profile).field_point(x),
+                                                          profile.moduli)
     for name, value in res.items():
         if value is not None:  # a block above the order built, or a profile without w_t
             np.save(Path(out) / f"{name}.npy", np.asarray(value))
