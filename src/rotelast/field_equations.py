@@ -44,16 +44,25 @@ The residual reads four 3-vectors of the 27-entry ``d_k A_lm`` and
 
 :func:`_d_nye` (``d_k A_lm`` in full) and :func:`g_tensor_space` are the
 unfused reference forms of these contractions; the residual calls neither.
+
+Memory layout.  :func:`grid_field_point` stores its blocks component axes
+first, batch axes last, and the kernels take component-first views
+(:func:`fields._components_first`), so each ufunc loop runs along the batch,
+strided for batch-first points.  Public shapes stay ``[..., l, k]``: blocks,
+``H^ik`` and the residual are views.  Each hand-written sum over a 3-axis
+adds in the order of the NumPy reduction it replaced, so bits, signed zeros
+included, are kept: ``np.trace``, ``.sum(axis=-1)`` and ``np.einsum`` over a
+strided axis give ``((0 + t_0) + t_1) + t_2``, ``np.einsum`` over a
+contiguous axis ``(0 + (t_0 + t_2)) + t_1`` (NumPy 2.4, pinned by the tests).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .fields import FieldPoint, _nye_bracket
-from .kinematics import (Moduli, RotorGrid, _central_diff, _central_diff2, _slabs, _trace_skew,
-                         nye_matrix, nye_velocity_vector)
-from .so3 import _cross, eps_ddot, eps_dot
+from .fields import FieldPoint, _components_first, _nye_bracket
+from .kinematics import Moduli, RotorGrid, _central_diff, _central_diff2, _slabs, _trace_skew, nye_matrix
+from .so3 import _bl, _cf, _cross, _eps_ddot, _norm2, eps_dot
 
 __all__ = [
     "SingularGaugeError",
@@ -84,7 +93,7 @@ def p_matrix(alpha, beta) -> np.ndarray:
     alpha, beta = np.asarray(alpha, dtype=float), np.asarray(beta, dtype=float)
     if np.min(np.abs(alpha)) < ALPHA_MIN:
         raise SingularGaugeError(f"P singular: min |alpha| = {np.min(np.abs(alpha))!r}")
-    b2 = np.einsum("...i,...i->...", beta, beta)
+    b2 = _norm2(beta)
     return (
         eps_dot(beta)
         + ((1.0 - b2)[..., None, None] * np.eye(3) + beta[..., :, None] * beta[..., None, :])
@@ -100,9 +109,9 @@ def p_inverse(alpha, beta) -> np.ndarray:
 
 def _axial(beta, d_alpha, a) -> np.ndarray:
     """``w_lk = d_k(alpha beta_l) - (beta x d_k beta)_l = 2 beta_l d_k alpha - A_lk / 2``, ``a``
-    the :func:`fields._nye_bracket` of the same derivatives, directions on the last axis:
-    spatial derivatives give ``G_kj^i = eps_jil w_lk``, d_t the time block."""
-    return 2.0 * beta[..., :, None] * d_alpha[..., None, :] - 0.5 * a
+    the :func:`fields._nye_bracket` of the same derivatives, component axes first, directions on
+    axis 1: spatial derivatives give ``G_kj^i = eps_jil w_lk``, d_t the time block."""
+    return 2.0 * beta[:, None] * d_alpha[None] - 0.5 * a
 
 
 def g_tensor_space(fp: FieldPoint) -> np.ndarray:
@@ -112,7 +121,7 @@ def g_tensor_space(fp: FieldPoint) -> np.ndarray:
     ``eps_jil w_lk`` with ``w_lk = d_k(alpha beta_l) - (beta x d_k beta)_l``.
     Returned with index order ``[..., k, j, i]``; antisymmetric in (i, j).
     """
-    w = _axial(fp.beta, fp.d_alpha, nye_matrix(fp))  # [..., l, k]
+    w = _bl(_axial(_cf(fp.beta), _cf(fp.d_alpha), _cf(nye_matrix(fp), 2)), 2)  # [..., l, k]
     return np.moveaxis(eps_dot(w, axis=-2), -1, -3)
 
 
@@ -120,14 +129,13 @@ def h_tensors(a: np.ndarray, a_t: np.ndarray, m: Moduli) -> tuple[np.ndarray, np
     """Derivatives of the quadratic Lagrangian with respect to the Nye blocks.
 
     ``H^it = 2 A^it`` and ``H^ik = 2 l1 tr(A) delta^ik + 2 l2 A^[ik]``;
-    these equal the gradients of the kinetic/potential densities.
+    these equal the gradients of the kinetic/potential densities.  ``H^ik``
+    is a view of a component-first array.
     """
-    a = np.asarray(a, dtype=float)
-    a_t = np.asarray(a_t, dtype=float)
-    h_t = 2.0 * a_t
-    tr, skew = _trace_skew(a)
-    h_s = 2.0 * m.lambda1 * tr[..., None, None] * np.eye(3) + 2.0 * m.lambda2 * skew
-    return h_t, h_s
+    tr, skew = _trace_skew(np.asarray(a, dtype=float))
+    eye = np.eye(3).reshape((3, 3) + (1,) * np.ndim(tr))
+    h_s = 2.0 * m.lambda1 * tr * eye + 2.0 * m.lambda2 * _cf(skew, 2)
+    return 2.0 * np.asarray(a_t, dtype=float), _bl(h_s, 2)
 
 
 def _d_nye(fp: FieldPoint) -> np.ndarray:
@@ -149,53 +157,56 @@ def _d_nye(fp: FieldPoint) -> np.ndarray:
     )
 
 
-def _nye_divergences(fp: FieldPoint) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _nye_divergences(p: FieldPoint) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``sum_k d_k A_ik``, ``sum_k d_k A_ki`` and ``d_i tr A`` without building ``d_k A_lm``.
 
+    ``p`` has the component axes first (:func:`fields._components_first`).
     The row divergence is the Nye bracket along the Laplacians; with
     ``c = curl beta`` the column divergence and the trace gradient are
     ``S + F`` and ``S - F``: Hessian terms plus or minus first-derivative
     terms (see the module docstring).
     """
-    a, b, da, db, dda, ddb = fp.alpha, fp.beta, fp.d_alpha, fp.d_beta, fp.dd_alpha, fp.dd_beta
-    lap_alpha = np.trace(dda, axis1=-2, axis2=-1)
-    lap_beta = np.einsum("...ljj->...l", ddb)
-    row = _nye_bracket(a, b, lap_alpha[..., None], lap_beta[..., None])[..., 0]
-
-    div = np.trace(db, axis1=-2, axis2=-1)
-    curl = eps_ddot(np.swapaxes(db, -1, -2))
-    d_curl = eps_ddot(np.swapaxes(ddb, -1, -3))  # [..., i, n] = d_i (curl beta)_n
+    a, b, da, db, dda, ddb = p.alpha, p.beta, p.d_alpha, p.d_beta, p.dd_alpha, p.dd_beta
+    lap_beta = 0.0 + ddb[:, 0, 0] + ddb[:, 1, 1] + ddb[:, 2, 2]
+    row = _nye_bracket(a, b, (0.0 + dda[0, 0] + dda[1, 1] + dda[2, 2])[None], lap_beta[:, None])[:, 0]
+    div = 0.0 + db[0, 0] + db[1, 1] + db[2, 2]
+    c = [cn - dan for cn, dan in zip(_eps_ddot(db.swapaxes(0, 1)), da)]  # curl beta - grad alpha
+    d_curl = _eps_ddot(ddb.swapaxes(0, 1))  # [n][i] = d_i (curl beta)_n
     hess = 2.0 * (
-        np.einsum("...k,...ki->...i", b, dda)
-        - np.einsum("...n,...in->...i", b, d_curl)
-        - a[..., None] * np.einsum("...lli->...i", ddb)
+        (0.0 + b[0] * dda[0] + b[1] * dda[1] + b[2] * dda[2])
+        - (0.0 + (b[0] * d_curl[0] + b[2] * d_curl[2]) + b[1] * d_curl[1])  # was over a contiguous axis
+        - a * (0.0 + ddb[0, 0] + ddb[1, 1] + ddb[2, 2])
     )
-    first = 2.0 * (np.einsum("...l,...li->...i", curl - da, db) + div[..., None] * da)
+    first = 2.0 * ((0.0 + c[0] * db[0] + c[1] * db[1] + c[2] * db[2]) + div * da)
     return row, hess + first, hess - first
 
 
-def _dt_nye_velocity(fp: FieldPoint) -> np.ndarray:
-    """``d_t A_lt``; the first-derivative cross terms cancel identically."""
-    return _nye_bracket(fp.alpha, fp.beta, fp.dtt_alpha[..., None], fp.dtt_beta[..., None])[..., 0]
+def _dt_nye_velocity(p: FieldPoint) -> np.ndarray:
+    """``d_t A_lt`` of a component-first ``p``; the first-derivative cross terms cancel identically."""
+    return _nye_bracket(p.alpha, p.beta, p.dtt_alpha[None], p.dtt_beta[:, None])[:, 0]
 
 
-def _coupling(fp: FieldPoint, a: np.ndarray, a_t: np.ndarray, h_t: np.ndarray,
+def _coupling(p: FieldPoint, a: np.ndarray, a_t: np.ndarray, h_t: np.ndarray,
               h_s: np.ndarray) -> np.ndarray:
     """``H^jt G_tj^i - H^jk G_kj^i = w_t x H_t - sum_k w_{.k} x H_{.k}``, since ``G = eps w``, both
-    by :func:`so3._cross`; ``a`` and ``a_t`` are the Nye tensor and velocity column at ``fp``."""
-    w_t = _axial(fp.beta, fp.dt_alpha[..., None], a_t[..., None])[..., 0]
-    w_s = _axial(fp.beta, fp.d_alpha, a)
-    return _cross(w_t, h_t) - _cross(w_s, h_s, axis=-2).sum(axis=-1)
+    by :func:`so3._cross`; ``a`` and ``a_t`` are the Nye tensor and velocity column at ``p``,
+    every argument component-first."""
+    w_t = _axial(p.beta, p.dt_alpha[None], a_t[:, None])[:, 0]
+    w_s = _cross(_axial(p.beta, p.d_alpha, a), h_s)
+    return _cross(w_t, h_t) - (0.0 + w_s[:, 0] + w_s[:, 1] + w_s[:, 2])
 
 
 def residual_eqs2_at(fp: FieldPoint, m: Moduli) -> np.ndarray:
-    """G-form residual vector at a FieldPoint (batched)."""
-    a, a_t = nye_matrix(fp), nye_velocity_vector(fp)
-    h_t, h_s = h_tensors(a, a_t, m)
-    row, col, d_tr = _nye_divergences(fp)
+    """G-form residual vector at a FieldPoint (batched), a view of a component-first array."""
+    p = _components_first(fp)
+    a = _nye_bracket(p.alpha, p.beta, p.d_alpha, p.d_beta)
+    a_t = _nye_bracket(p.alpha, p.beta, p.dt_alpha[None], p.dt_beta[:, None])[:, 0]
+    h_t, h_s = h_tensors(_bl(a, 2), a_t, m)
+    coupling = 2.0 * _coupling(p, a, a_t, h_t, _cf(h_s, 2))  # first: fewer arrays are alive at its peak
+    row, col, d_tr = _nye_divergences(p)
     # d_k H^ik = 2 l1 d_i tr A + l2 d_k (A_ik - A_ki)
     div_h = 2.0 * m.lambda1 * d_tr + m.lambda2 * (row - col)
-    return 2.0 * _dt_nye_velocity(fp) - div_h + 2.0 * _coupling(fp, a, a_t, h_t, h_s)
+    return _bl(2.0 * _dt_nye_velocity(p) - div_h + coupling)
 
 
 def residual_eqs_at(fp: FieldPoint, m: Moduli) -> np.ndarray:
@@ -204,8 +215,8 @@ def residual_eqs_at(fp: FieldPoint, m: Moduli) -> np.ndarray:
     Its Q blocks are ``Q = G P``, so the P-form is the G-form residual
     contracted with P, and right-multiplication by P^-1 recovers the G-form.
     """
-    p = p_matrix(fp.alpha, fp.beta)
-    return np.einsum("...i,...ij->...j", residual_eqs2_at(fp, m), p)
+    r, p = _cf(residual_eqs2_at(fp, m)), _cf(p_matrix(fp.alpha, fp.beta), 2)
+    return _bl(0.0 + r[0] * p[0] + r[1] * p[1] + r[2] * p[2])
 
 
 def _check_margin(grid: RotorGrid, margin: int) -> None:
@@ -219,42 +230,32 @@ def grid_field_point(grid: RotorGrid, margin: int = 2) -> FieldPoint:
     """Batched FieldPoint over the interior of a grid, by central differences.
 
     Needs ``margin >= 1`` cell on every side, the reach of the stencils.
-    Time blocks are zero: grids are static snapshots.
+    Time blocks are zero: grids are static snapshots.  Every block is a
+    ``[..., l, k]`` view of a contiguous array with the component axes first.
     """
     _check_margin(grid, margin)
     h = grid.spacing
     shp = tuple(n - 2 * margin for n in grid.dims)
 
     def blocks(arr):
-        """Gradient ``[..., j]`` and symmetric Hessian ``[..., j, k]`` of a grid array."""
-        d = np.empty(shp + arr.shape[3:] + (3,))
-        dd = np.empty(shp + arr.shape[3:] + (3, 3))
+        """Gradient ``[..., j, x, y, z]`` and symmetric Hessian ``[..., j, k, x, y, z]`` of a grid array."""
+        n = arr.ndim - 3  # component axes, moved in front of the grid axes
+        d, dd = np.empty(arr.shape[3:] + (3,) + shp), np.empty(arr.shape[3:] + (3, 3) + shp)
         for j in range(3):
-            d[..., j] = _central_diff(arr, j, h, margin)
+            d[..., j, :, :, :] = _cf(_central_diff(arr, j, h, margin), n)
             for k in range(j, 3):
-                block = _central_diff2(arr, j, k, h, margin)
-                dd[..., j, k] = block
+                dd[..., j, k, :, :, :] = _cf(_central_diff2(arr, j, k, h, margin), n)
                 if k != j:  # each diagonal block is written once
-                    dd[..., k, j] = block
+                    dd[..., k, j, :, :, :] = dd[..., j, k, :, :, :]
         return d, dd
 
     d_alpha, dd_alpha = blocks(grid.alpha)
     d_beta, dd_beta = blocks(grid.beta)
-    zero_v = np.zeros(shp + (3,))
-    zero_s = np.zeros(shp)
     c = (slice(margin, -margin),) * 3
-    return FieldPoint(
-        alpha=grid.alpha[c],
-        beta=grid.beta[c],
-        d_beta=d_beta,
-        d_alpha=d_alpha,
-        dt_beta=zero_v,
-        dt_alpha=zero_s,
-        dd_beta=dd_beta,
-        dd_alpha=dd_alpha,
-        dtt_beta=zero_v.copy(),
-        dtt_alpha=zero_s.copy(),
-    )
+    zero_v, zero_s = np.zeros((3,) + shp), np.zeros(shp)
+    return FieldPoint(alpha=grid.alpha[c], beta=_bl(np.ascontiguousarray(_cf(grid.beta[c]))), d_beta=_bl(d_beta, 2),
+                      d_alpha=_bl(d_alpha), dt_beta=_bl(zero_v), dt_alpha=zero_s, dd_beta=_bl(dd_beta, 3),
+                      dd_alpha=_bl(dd_alpha, 2), dtt_beta=_bl(zero_v.copy()), dtt_alpha=zero_s.copy())
 
 
 def residual_grid(grid: RotorGrid, m: Moduli, margin: int = 2):

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .so3 import Rotor, _cross, _unit_defect, matrix_to_rotor, rotor_matrix
+from .so3 import Rotor, _bl, _cf, _cross, _unit_defect, matrix_to_rotor, rotor_matrix
 
 __all__ = [
     "FieldPoint",
@@ -90,26 +90,30 @@ def _check_order(order) -> None:
         raise ValueError(f"derivative order must be 0, 1 or 2, got {order!r}")
 
 
+def _components_first(fp: FieldPoint) -> FieldPoint:
+    """``fp`` with every block viewed component axes first (:func:`so3._cf`): contiguous views of
+    :func:`field_equations.grid_field_point`'s blocks, strided ones of batch-first blocks."""
+    nb = np.ndim(fp.alpha)
+    return FieldPoint(**{k: None if v is None else _cf(v, v.ndim - nb) for k, v in vars(fp).items()})
+
+
 def _nye_bracket(alpha, beta, d_alpha, d_beta):
     """``2 (beta x d beta + beta d alpha - alpha d beta)`` along one or more directions.
 
-    ``d_beta[..., l, k]`` and ``d_alpha[..., k]`` carry the directions on
-    the last axis: spatial derivatives give the Nye tensor, d_t its velocity
-    column and d_t^2 that column's time derivative; ``x`` is :func:`so3._cross`.
+    Component axes first: ``d_beta[l, k, ...]`` and ``d_alpha[k, ...]``
+    carry the directions on axis 1 and 0; spatial derivatives give the Nye
+    tensor, d_t its velocity column and d_t^2 that column's time
+    derivative; ``x`` is :func:`so3._cross`.
     """
-    return 2.0 * (
-        _cross(beta[..., :, None], d_beta, axis=-2)
-        + beta[..., :, None] * d_alpha[..., None, :]
-        - alpha[..., None, None] * d_beta
-    )
+    return 2.0 * (_cross(beta[:, None], d_beta) + beta[:, None] * d_alpha[None] - alpha * d_beta)
 
 
 def nye_matrix(fp: FieldPoint) -> np.ndarray:
-    """Nye tensor from rotor derivative blocks (batched).
+    """Nye tensor from rotor derivative blocks (batched), a view of a component-first array.
 
     ``A_lk = 2 (eps_lij beta^i d_k beta^j + beta_l d_k alpha - alpha d_k beta_l)``.
     """
-    return _nye_bracket(fp.alpha, fp.beta, fp.d_alpha, fp.d_beta)
+    return _bl(_nye_bracket(fp.alpha, _cf(fp.beta), _cf(fp.d_alpha), _cf(fp.d_beta, 2)), 2)
 
 
 class RotorField:
@@ -143,11 +147,11 @@ class RotorField:
     def u_and_du(self, x, t: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
         """Matrix and its spatial gradient ``[..., i, j, k] = d_k u_ij``.
 
-        Column by column ``d_k u_{.j} = A_{.k} x u_{.j}`` (:func:`so3._cross` over
-        axis -3): ``d_k u u^T`` is the cross-product matrix of the Nye column ``A_{.k}``.
+        Column by column ``d_k u_{.j} = A_{.k} x u_{.j}`` (:func:`so3._cross`):
+        ``d_k u u^T`` is the cross-product matrix of the Nye column ``A_{.k}``.
         """
         u, a = self.u_and_nye(x, t)
-        return u, _cross(a[..., :, None, :], u[..., :, :, None], axis=-3)
+        return u, _bl(_cross(_cf(a, 2)[:, None], _cf(u, 2)[:, :, None]), 3)
 
 
 class AnalyticRotorField(RotorField):
@@ -238,9 +242,10 @@ class HedgehogField(RotorField):
             raise ValueError("hedgehog field is direction-dependent at the origin")
         w = np.asarray(self.w(r), dtype=float)
         c, s = np.cos(w), np.sin(w)
-        xhat = x / r[..., None]
+        xc = np.ascontiguousarray(_cf(x))  # the vector and matrix blocks are built component axes first
+        xhat = xc / r
         # alpha = sin(w(r)), beta_l = x_l g(r) with g = cos(w)/r
-        fp = FieldPoint(alpha=s, beta=xhat * c[..., None])
+        fp = FieldPoint(alpha=s, beta=_bl(xhat * c))
         if order == 0:
             return fp
         wp = np.asarray(self.wp(r), dtype=float)
@@ -249,24 +254,22 @@ class HedgehogField(RotorField):
         cp = -s * wp
         gp = cp / r - c / r**2
         sp = c * wp
-        fp.d_beta = (
-            g[..., None, None] * eye
-            + (gp / r)[..., None, None] * x[..., :, None] * x[..., None, :]
-        )
-        fp.d_alpha = sp[..., None] * xhat
+        fp.d_beta = _bl(g * eye.reshape((3, 3) + (1,) * r.ndim) + (gp / r) * xc[:, None] * xc[None], 2)
+        fp.d_alpha = _bl(sp * xhat)
         if self.wdot is not None:
             wd = np.asarray(self.wdot(r), dtype=float)
-            fp.dt_beta = -xhat * (s * wd)[..., None]
+            fp.dt_beta = _bl(-xhat * (s * wd))
             fp.dt_alpha = c * wd
         else:
             shp = np.shape(r)
             wd = np.zeros(shp)
-            fp.dt_beta, fp.dt_alpha = np.zeros(shp + (3,)), np.zeros(shp)
+            fp.dt_beta, fp.dt_alpha = _bl(np.zeros((3,) + shp)), np.zeros(shp)
         if order == 1:
             return fp
         wpp = np.asarray(self.wpp(r), dtype=float)
         cpp = -c * wp * wp - s * wpp
         gpp = cpp / r - 2.0 * cp / r**2 + 2.0 * c / r**3
+        xhat = _bl(xhat)  # the second-order blocks are built batch first
         # d_j d_k beta_l, symmetric in (j, k)
         fp.dd_beta = (
             np.einsum("...,lk,...j->...ljk", gp, eye, xhat)
@@ -345,14 +348,14 @@ class ProductField(RotorField):
         if not head:
             return last.nye(x, t)
         left, a = ProductField(head).u_and_nye(x, t)
-        return a + left @ last.nye(x, t)
+        return a + left @ np.ascontiguousarray(last.nye(x, t))  # a component-first view: matmul is faster on C order
 
     def u_and_nye(self, x, t: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
         """Matrix and Nye tensor; ``left`` runs over the prefix products."""
         left, a = self.factors[0].u_and_nye(x, t)
         for f in self.factors[1:]:
             u, a_f = f.u_and_nye(x, t)
-            a = a + left @ a_f
+            a = a + left @ np.ascontiguousarray(a_f)  # as in nye
             left = left @ u
         return left, a
 

@@ -21,7 +21,7 @@ import numpy as np
 
 # nye_matrix lives next to FieldPoint (fields builds u_and_nye from it) and is re-exported here
 from .fields import FieldPoint, RotorField, _nye_bracket, nye_matrix
-from .so3 import _unit_defect, eps_ddot, rotor_matrix
+from .so3 import _bl, _cf, _unit_defect, eps_ddot, rotor_matrix
 
 __all__ = [
     "Moduli",
@@ -138,7 +138,7 @@ def quadratic_invariants(t: np.ndarray) -> tuple[float, float]:
 
 def nye_velocity_vector(fp: FieldPoint) -> np.ndarray:
     """Deformation velocity ``A_lt``, the bracket of :func:`nye_matrix` with d_t in place of d_k."""
-    return _nye_bracket(fp.alpha, fp.beta, fp.dt_alpha[..., None], fp.dt_beta[..., None])[..., 0]
+    return _bl(_nye_bracket(fp.alpha, _cf(fp.beta), fp.dt_alpha[None], _cf(fp.dt_beta)[:, None])[:, 0])
 
 
 def nye_velocity(field: RotorField, point, time: float = 0.0) -> np.ndarray:

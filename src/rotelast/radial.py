@@ -366,18 +366,44 @@ class _Spline:
         return 2 * c2 + (6 * c3) * z
 
 
+class _CoreSpline:
+    """A profile column as ``y(r) = g(r^s)``, g the :class:`_Spline` through ``(r_i^s, y_i)``.
+
+    Near the origin ``w ~ a r^s``, s the profile's :func:`indicial_exponent`.
+    For ``s < 1`` a cubic in r cannot follow that power, one in ``rho = r^s``
+    can; the derivatives follow by the chain rule.  For ``s >= 1`` the spline
+    stays in r, bit for bit (``r ** 1.0`` is r), and no ``0 * inf`` enters
+    at r = 0; for ``s < 1``, ``y'`` is infinite there, as for the profile.
+    """
+
+    def __init__(self, profile: RadialProfile, y):
+        self.s = min(indicial_exponent(profile.moduli), 1.0)
+        self.g = _Spline(profile.r ** self.s, y)
+
+    def __call__(self, r, nu: int = 0):
+        r, s = np.asarray(r, dtype=float), self.s
+        if nu == 0 or s == 1.0:
+            return self.g(r ** s, nu)
+        rho, d_rho = r ** s, s * r ** (s - 1.0)
+        if nu == 1:
+            return self.g(rho, 1) * d_rho
+        return self.g(rho, 2) * d_rho * d_rho + self.g(rho, 1) * (s * (s - 1.0)) * r ** (s - 2.0)
+
+
 def resample_uniform(profile: RadialProfile, n: int, r_max: float | None = None) -> RadialProfile:
     """Resample a profile onto ``linspace(0, r_max, n)`` by cubic interpolation.
 
-    The dynamic solver needs a uniform grid including the origin.
+    The dynamic solver needs a uniform grid including the origin.  The
+    spline runs in ``r^s`` (:class:`_CoreSpline`), so profiles with a core
+    exponent s < 1 keep their shape near the origin.
     """
     if n < 3:
         raise ValueError(f"resampling needs at least 3 points, got n = {n}")
     r_max = profile.r[-1] if r_max is None else min(r_max, profile.r[-1])
     r = np.linspace(0.0, r_max, n)
-    w = _Spline(profile.r, profile.w)(r)
+    w = _CoreSpline(profile, profile.w)(r)
     w[0] = 0.0
-    w_t = None if profile.w_t is None else _Spline(profile.r, profile.w_t)(r)
+    w_t = None if profile.w_t is None else _CoreSpline(profile, profile.w_t)(r)
     return RadialProfile(r=r, w=w, w_t=w_t, moduli=profile.moduli,
                          slope0=profile.slope0, tol=profile.tol)
 
@@ -517,13 +543,14 @@ def lift_hedgehog(profile: RadialProfile) -> HedgehogField:
     """Promote a radial profile to the 3-d hedgehog rotor field.
 
     The profile must satisfy w(0) = 0 (the boundary condition of the
-    localized radial solutions).  Radial interpolation is cubic; spatial
-    and time derivatives of the ansatz are analytic.
+    localized radial solutions).  Radial interpolation is cubic in ``r^s``
+    (:class:`_CoreSpline`); spatial and time derivatives of the ansatz are
+    analytic.
     """
     if profile.r[0] > 1e-9 or abs(profile.w[0]) > 1e-9:
         raise ValueError("hedgehog lift requires a profile with w(0) = 0")
-    spline = _Spline(profile.r, profile.w)
-    wdot = None if profile.w_t is None else _Spline(profile.r, profile.w_t)
+    spline = _CoreSpline(profile, profile.w)
+    wdot = None if profile.w_t is None else _CoreSpline(profile, profile.w_t)
     return HedgehogField(w=spline, wp=lambda r: spline(r, 1), wpp=lambda r: spline(r, 2), wdot=wdot)
 
 

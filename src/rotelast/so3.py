@@ -57,19 +57,33 @@ def eps_dot(v: np.ndarray, axis: int = -1) -> np.ndarray:
 
 def eps_ddot(w: np.ndarray) -> np.ndarray:
     """Axial contraction ``[..., l] = eps_lij w_ij`` of a batch of 3x3 matrices."""
-    w = np.asarray(w, dtype=float)
-    return np.stack([w[..., 1, 2] - w[..., 2, 1], w[..., 2, 0] - w[..., 0, 2],
-                     w[..., 0, 1] - w[..., 1, 0]], axis=-1)
+    return np.stack(_eps_ddot(_cf(np.asarray(w, dtype=float), 2)), axis=-1)
 
 
-def _cross(a: np.ndarray, b: np.ndarray, axis: int = -1) -> np.ndarray:
-    """``(a x b)_l = a_m b_n - a_n b_m``, (l, m, n) cyclic, along a negative ``axis``, with np.cross's bits."""
+def _eps_ddot(w) -> list:
+    """The rows ``eps_lij w_ij``, l = 0, 1, 2, of matrices ``w[i, j, ...]`` with the component axes first."""
+    return [w[i, j] - w[j, i] for i, j in ((1, 2), (2, 0), (0, 1))]
+
+
+def _cf(x, n: int = 1):
+    """View of ``x`` with its last ``n`` (component) axes first and its batch axes last."""
+    return x.transpose(*range(x.ndim - n, x.ndim), *range(x.ndim - n))
+
+
+def _bl(x, n: int = 1):
+    """View of component-first ``x`` with its first ``n`` axes last: the inverse of :func:`_cf`."""
+    return x.transpose(*range(n, x.ndim), *range(n))
+
+
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``(a x b)_l = a_m b_n - a_n b_m``, (l, m, n) cyclic, over the first axis, with np.cross's bits:
+    C-order loops along the batch axes; ``a_m b_n`` into a strided scratch and ``a_n b_m`` into a
+    fresh array, as in np.cross, so NumPy picks its loops and NaN payloads."""
     a, b = np.broadcast_arrays(a, b)
-    out = np.empty(a.shape)  # viewed with the batch axes last, so each C-order loop runs along them
-    a, b, o = (x.transpose([*range(x.ndim + axis, x.ndim), *range(x.ndim + axis)]) for x in (a, b, out))
+    out, first = np.empty(a.shape), np.empty(a.shape[1:] + (2,))[..., 0]
     for l, m, n in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        np.multiply(a[m, ...], b[n, ...], out=o[l, ...], order="C")
-        np.subtract(o[l, ...], np.multiply(a[n, ...], b[m, ...], order="C"), out=o[l, ...], order="C")
+        np.multiply(a[m], b[n], out=first, order="C")
+        np.subtract(first, np.multiply(a[n], b[m], order="C"), out=out[l, ...], order="C")
     return out
 
 
@@ -85,9 +99,15 @@ class Rotor:
         return float(_unit_defect(self.alpha, self.beta))
 
 
+def _norm2(v) -> np.ndarray:
+    """``|v|^2`` over the last axis in any memory order, added as np.einsum adds a contiguous
+    axis: ``(v_0^2 + v_2^2) + v_1^2``, from +0.0."""
+    return 0.0 + (v[..., 0] * v[..., 0] + v[..., 2] * v[..., 2]) + v[..., 1] * v[..., 1]
+
+
 def _unit_defect(alpha, beta) -> np.ndarray:
     """``|alpha^2 + |beta|^2 - 1|`` of a batch of rotors: every unit-constraint check reads it."""
-    return np.abs(alpha**2 + np.einsum("...i,...i->...", beta, beta) - 1.0)
+    return np.abs(alpha**2 + _norm2(beta) - 1.0)
 
 
 def make_rotor(beta, sign: int = +1) -> Rotor:
@@ -123,7 +143,7 @@ def rotor_matrix(alpha, beta) -> np.ndarray:
     """
     alpha = np.asarray(alpha, dtype=float)
     beta = np.asarray(beta, dtype=float)
-    b2 = np.einsum("...i,...i->...", beta, beta)
+    b2 = _norm2(beta)
     eye = np.eye(3)
     u = (
         (1.0 - 2.0 * b2)[..., None, None] * eye

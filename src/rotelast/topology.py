@@ -37,7 +37,7 @@ import numpy as np
 
 from .fields import HedgehogField
 from .kinematics import _slabs
-from .so3 import _cross
+from .so3 import _cf, _cross
 
 __all__ = [
     "ChargeReport",
@@ -68,8 +68,9 @@ class ChargeReport:
 def charge_density(field, point, time: float = 0.0):
     """Triple-product charge density ``det(A) / 16 pi^2`` at a point (batched over leading axes)."""
     x = np.asarray(point, dtype=float)
-    a = field.nye(x, time)
-    val = _NORM * np.einsum("...i,...i->...", a[..., 0], _cross(a[..., 1], a[..., 2]))
+    a = _cf(field.nye(x, time), 2)
+    c = _cross(a[:, 1], a[:, 2])
+    val = _NORM * (0.0 + a[0, 0] * c[0] + a[1, 0] * c[1] + a[2, 0] * c[2])  # einsum's order over a strided axis
     return float(val) if val.ndim == 0 else val
 
 

@@ -6,7 +6,7 @@ from hypothesis.extra.numpy import arrays
 import rotelast as rl
 from rotelast.field_equations import SingularGaugeError, _axial
 from rotelast.fields import _nye_bracket
-from rotelast.so3 import LEVI_CIVITA
+from rotelast.so3 import LEVI_CIVITA, _bl, _cf
 
 from conftest import random_rotor
 from test_kernels import g_tensor_time
@@ -165,10 +165,10 @@ class TestGTensors:
         d_beta = x[:, 4 + k:].reshape(-1, 3, k)
         w = (beta[:, :, None] * d_alpha[:, None, :] + alpha[:, None, None] * d_beta
              - np.cross(beta[:, :, None], d_beta, axis=-2))
-        a = _nye_bracket(alpha, beta, d_alpha, d_beta)
+        a = _nye_bracket(alpha, _cf(beta), _cf(d_alpha), _cf(d_beta, 2))  # component axes first
         tol = 1e-13 * (1.0 + np.abs(x).max() ** 2)
-        np.testing.assert_allclose(a / 2 + w, 2 * beta[:, :, None] * d_alpha[:, None, :], rtol=0, atol=tol)
-        np.testing.assert_allclose(_axial(beta, d_alpha, a), w, rtol=0, atol=tol)
+        np.testing.assert_allclose(_bl(a, 2) / 2 + w, 2 * beta[:, :, None] * d_alpha[:, None, :], rtol=0, atol=tol)
+        np.testing.assert_allclose(_bl(_axial(_cf(beta), _cf(d_alpha), a), 2), w, rtol=0, atol=tol)
 
 
 class TestHTensors:

@@ -20,8 +20,10 @@ from hypothesis.extra.numpy import arrays, mutually_broadcastable_shapes
 
 import rotelast as rl
 from rotelast.field_equations import _axial, _coupling, _d_nye, _nye_divergences
-from rotelast.so3 import (LEVI_CIVITA, _cross, align_rotor_signs, eps_ddot, eps_dot, matrix_to_rotor,
-                          rotor_matrix)
+from rotelast.fields import _components_first
+from rotelast.kinematics import _central_diff, _central_diff2
+from rotelast.so3 import (LEVI_CIVITA, _bl, _cf, _cross, _norm2, align_rotor_signs, eps_ddot, eps_dot,
+                          matrix_to_rotor, rotor_matrix)
 
 REL = 1e-12
 
@@ -85,7 +87,18 @@ def g_time_oracle(fp):
 def g_tensor_time(fp):
     """Time block ``G_tj^i = eps_jil w_l``, ``w = d_t(alpha beta) - beta x d_t beta``, from the
     library's axial form ``w = 2 beta d_t alpha - A_t / 2``; index order ``[..., j, i]``."""
-    return eps_dot(_axial(fp.beta, fp.dt_alpha[..., None], rl.nye_velocity_vector(fp)[..., None])[..., 0])
+    p = _components_first(fp)
+    return eps_dot(_bl(_axial(p.beta, p.dt_alpha[None], _cf(rl.nye_velocity_vector(fp))[:, None])[:, 0]))
+
+
+def nye_divergences(fp):
+    """The library's row divergence, column divergence and trace gradient, ``[..., i]``."""
+    return tuple(_bl(x) for x in _nye_divergences(_components_first(fp)))
+
+
+def coupling(fp, a, a_t, h_t, h_s):
+    """The library's coupling term for batch-first arguments, ``[..., i]``."""
+    return _bl(_coupling(_components_first(fp), _cf(a, 2), _cf(a_t), _cf(h_t), _cf(h_s, 2)))
 
 
 def residual_oracle(fp, m):
@@ -184,18 +197,75 @@ def nye_velocity_np_cross(fp):
     return nye_bracket_np_cross(fp.alpha, fp.beta, fp.dt_alpha[..., None], fp.dt_beta[..., None])[..., 0]
 
 
+# the batch-first residual chain that the component-first kernels replace, np.cross for so3._cross
+
+
+def axial_batch_first(beta, d_alpha, a):
+    return 2.0 * beta[..., :, None] * d_alpha[..., None, :] - 0.5 * a
+
+
+def h_tensors_batch_first(a, a_t, m):
+    tr, skew = np.trace(a, axis1=-2, axis2=-1), 0.5 * (a - np.swapaxes(a, -1, -2))
+    return 2.0 * a_t, 2.0 * m.lambda1 * tr[..., None, None] * np.eye(3) + 2.0 * m.lambda2 * skew
+
+
+def nye_divergences_batch_first(fp):
+    a, b, da, db, dda, ddb = fp.alpha, fp.beta, fp.d_alpha, fp.d_beta, fp.dd_alpha, fp.dd_beta
+    lap_alpha = np.trace(dda, axis1=-2, axis2=-1)
+    lap_beta = np.einsum("...ljj->...l", ddb)
+    row = nye_bracket_np_cross(a, b, lap_alpha[..., None], lap_beta[..., None])[..., 0]
+    div = np.trace(db, axis1=-2, axis2=-1)
+    curl = eps_ddot(np.swapaxes(db, -1, -2))
+    d_curl = eps_ddot(np.swapaxes(ddb, -1, -3))
+    hess = 2.0 * (
+        np.einsum("...k,...ki->...i", b, dda)
+        - np.einsum("...n,...in->...i", b, d_curl)
+        - a[..., None] * np.einsum("...lli->...i", ddb)
+    )
+    first = 2.0 * (np.einsum("...l,...li->...i", curl - da, db) + div[..., None] * da)
+    return row, hess + first, hess - first
+
+
+def coupling_batch_first(fp, a, a_t, h_t, h_s):
+    w_t = axial_batch_first(fp.beta, fp.dt_alpha[..., None], a_t[..., None])[..., 0]
+    w_s = axial_batch_first(fp.beta, fp.d_alpha, a)
+    return np.cross(w_t, h_t) - np.cross(w_s, h_s, axis=-2).sum(axis=-1)
+
+
 def residual_np_cross(fp, m):
-    """``residual_eqs2_at`` with ``np.cross`` in the Nye brackets and in the coupling."""
+    """``residual_eqs2_at`` as the batch-first chain, with ``np.cross`` for every cross product."""
     a, a_t = nye_np_cross(fp), nye_velocity_np_cross(fp)
-    h_t, h_s = rl.h_tensors(a, a_t, m)
-    _, col, d_tr = _nye_divergences(fp)  # no cross product in these two
-    lap_alpha, lap_beta = np.trace(fp.dd_alpha, axis1=-2, axis2=-1), np.einsum("...ljj->...l", fp.dd_beta)
-    row = nye_bracket_np_cross(fp.alpha, fp.beta, lap_alpha[..., None], lap_beta[..., None])[..., 0]
+    h_t, h_s = h_tensors_batch_first(a, a_t, m)
+    row, col, d_tr = nye_divergences_batch_first(fp)
     dt_a_t = nye_bracket_np_cross(fp.alpha, fp.beta, fp.dtt_alpha[..., None], fp.dtt_beta[..., None])[..., 0]
-    w_t = _axial(fp.beta, fp.dt_alpha[..., None], a_t[..., None])[..., 0]
-    w_s = _axial(fp.beta, fp.d_alpha, a)
-    coupling = np.cross(w_t, h_t) - np.cross(w_s, h_s, axis=-2).sum(axis=-1)
-    return 2.0 * dt_a_t - (2.0 * m.lambda1 * d_tr + m.lambda2 * (row - col)) + 2.0 * coupling
+    div_h = 2.0 * m.lambda1 * d_tr + m.lambda2 * (row - col)
+    return 2.0 * dt_a_t - div_h + 2.0 * coupling_batch_first(fp, a, a_t, h_t, h_s)
+
+
+def grid_field_point_batch_first(grid, margin=2):
+    """``grid_field_point`` with batch-first blocks: each stencil along the trailing axes."""
+    h = grid.spacing
+    shp = tuple(n - 2 * margin for n in grid.dims)
+
+    def blocks(arr):
+        d = np.empty(shp + arr.shape[3:] + (3,))
+        dd = np.empty(shp + arr.shape[3:] + (3, 3))
+        for j in range(3):
+            d[..., j] = _central_diff(arr, j, h, margin)
+            for k in range(j, 3):
+                block = _central_diff2(arr, j, k, h, margin)
+                dd[..., j, k] = block
+                if k != j:
+                    dd[..., k, j] = block
+        return d, dd
+
+    d_alpha, dd_alpha = blocks(grid.alpha)
+    d_beta, dd_beta = blocks(grid.beta)
+    zero_v, zero_s = np.zeros(shp + (3,)), np.zeros(shp)
+    c = (slice(margin, -margin),) * 3
+    return rl.FieldPoint(alpha=grid.alpha[c], beta=grid.beta[c], d_beta=d_beta, d_alpha=d_alpha, dt_beta=zero_v,
+                         dt_alpha=zero_s, dd_beta=dd_beta, dd_alpha=dd_alpha, dtt_beta=zero_v.copy(),
+                         dtt_alpha=zero_s.copy())
 
 
 def field_nye_np_cross(field, x):
@@ -217,6 +287,12 @@ def u_and_du_np_cross(field, x):
     fp = field.field_point(x, order=1)
     u, a = rotor_matrix(fp.alpha, fp.beta), nye_np_cross(fp)
     return u, np.cross(a[..., :, None, :], u[..., :, :, None], axis=-3)
+
+
+def cross_along(a, b, axis=-1):
+    """``so3._cross`` of batch-first operands along ``axis``, as ``np.cross`` takes them."""
+    a, b = np.broadcast_arrays(a, b)
+    return np.moveaxis(_cross(np.moveaxis(a, axis, 0), np.moveaxis(b, axis, 0)), 0, axis)
 
 
 def same_bits(new, oracle):
@@ -417,13 +493,13 @@ class TestResidualKernel:
         assert_close(rl.residual_eqs2_at(fp, m), residual_oracle(fp, m))
 
     def test_row_divergence(self, fp):
-        assert_close(_nye_divergences(fp)[0], np.einsum("...ikk->...i", _d_nye(fp)))
+        assert_close(nye_divergences(fp)[0], np.einsum("...ikk->...i", _d_nye(fp)))
 
     def test_column_divergence(self, fp):
-        assert_close(_nye_divergences(fp)[1], np.einsum("...kik->...i", _d_nye(fp)))
+        assert_close(nye_divergences(fp)[1], np.einsum("...kik->...i", _d_nye(fp)))
 
     def test_trace_gradient(self, fp):
-        assert_close(_nye_divergences(fp)[2], np.einsum("...llk->...k", _d_nye(fp)))
+        assert_close(nye_divergences(fp)[2], np.einsum("...llk->...k", _d_nye(fp)))
 
     def test_coupling(self, fp):
         # any H, not only the Lagrangian's: the identity is G = eps w
@@ -431,7 +507,7 @@ class TestResidualKernel:
         h_t, h_s = rng.normal(size=fp.beta.shape), rng.normal(size=fp.d_beta.shape)
         oracle = (np.einsum("...j,...ji->...i", h_t, g_tensor_time(fp))
                   - np.einsum("...jk,...kji->...i", h_s, rl.g_tensor_space(fp)))
-        assert_close(_coupling(fp, rl.nye_matrix(fp), rl.nye_velocity_vector(fp), h_t, h_s), oracle)
+        assert_close(coupling(fp, rl.nye_matrix(fp), rl.nye_velocity_vector(fp), h_t, h_s), oracle)
 
 
 class TestCrossProductBits:
@@ -472,7 +548,7 @@ class TestCrossProductBits:
         a, b = (data.draw(arrays(np.float64, s[:c] + (3,) + s[c:], elements=st.floats(width=64)))
                 for s, c in zip(shapes.input_shapes, cut))
         with np.errstate(all="ignore"):
-            new, oracle = _cross(a, b, axis=axis), np.cross(a, b, axis=axis)
+            new, oracle = cross_along(a, b, axis=axis), np.cross(a, b, axis=axis)
         # inf, -0.0 and the place of every NaN bit for bit; with an operand broadcast, the
         # product of two NaNs may keep either payload, so payloads are checked below
         new, oracle = (np.where(np.isnan(v), np.nan, v) for v in (new, oracle))
@@ -485,13 +561,103 @@ class TestCrossProductBits:
         elements = st.one_of(st.floats(width=64), st.sampled_from(list(PAYLOAD_NANS)))
         a, b = (data.draw(arrays(np.float64, shape, elements=elements)) for _ in range(2))
         with np.errstate(all="ignore"):
-            assert same_bits((_cross(a, b, axis=axis),), (np.cross(a, b, axis=axis),))
+            assert same_bits((cross_along(a, b, axis=axis),), (np.cross(a, b, axis=axis),))
 
     @given(arrays(np.float64, st.tuples(st.integers(1, 5), st.just(3)), elements=st.floats(-1e150, 1e150)),
            arrays(np.float64, st.tuples(st.just(1), st.just(3)), elements=st.floats(-1e150, 1e150)))
     def test_helper_antisymmetric_and_zero_on_the_diagonal(self, a, b):
-        assert np.array_equal(_cross(a, b), -_cross(b, a))  # by value: x - x is +0.0, -(x - x) is -0.0
-        assert same_bits((_cross(a, a),), (np.zeros(a.shape),))
+        assert np.array_equal(cross_along(a, b), -cross_along(b, a))  # by value: x - x is +0.0, -(x - x) is -0.0
+        assert same_bits((cross_along(a, a),), (np.zeros(a.shape),))
+
+
+class TestComponentFirstBits:
+    """The component-first kernels give the bytes of the batch-first chain above.
+
+    ``grid_field_point`` stores its blocks with the component axes first and
+    the residual kernels loop along the batch; on batch-first points they read
+    strided views.  Each hand-written sum repeats the order in which NumPy
+    adds the reduction it replaces (the last test pins those orders).
+    """
+
+    @staticmethod
+    def residual_3d_grid(field, h):
+        """The ``residual_3d`` workload's grid at spacing h, seed-1 sub-cell shift."""
+        n = int(np.ceil(2 * (1.5 + 3 * h) / h))
+        n += n % 2
+        shift = np.random.default_rng(1).uniform(-0.25, 0.25, size=3)
+        return rl.RotorGrid.from_field(field, dims=(n, n, n), spacing=h, origin=(shift - (n / 2 - 0.5)) * h)
+
+    @pytest.mark.parametrize("margin", [1, 2])
+    def test_grid_slab(self, soliton_field, margin):
+        slab = self.residual_3d_grid(soliton_field, 0.1)._planes(14, 18 + 2 * margin)  # 4 planes and halos
+        new, old = rl.grid_field_point(slab, margin), grid_field_point_batch_first(slab, margin)
+        assert list(vars(new)) == list(vars(old)) and same_bits(vars(new).values(), vars(old).values())
+        assert new.dd_beta.base is not None and _cf(new.dd_beta, 3).flags.c_contiguous
+        for couplings in ((1.0, 1.0), (0.4, 2.3)):
+            m = rl.Moduli.from_couplings(*couplings)
+            assert same_bits((rl.residual_eqs2_at(new, m),), (residual_np_cross(old, m),))
+
+    @pytest.mark.parametrize("margin", [1, 2])
+    def test_residual_grid(self, soliton_field, unit_moduli, margin):
+        grid = self.residual_3d_grid(soliton_field, 0.2)
+        _, res = rl.residual_grid(grid, unit_moduli, margin=margin)
+        assert same_bits((res,), (residual_np_cross(grid_field_point_batch_first(grid, margin), unit_moduli),))
+
+    @pytest.mark.parametrize("make_field", [breathing_hedgehog, lambda: rl.random_smooth_field(seed=11),
+                                            lambda: travelling_field(seed=13)])
+    @pytest.mark.parametrize("couplings", [(1.0, 1.0), (0.4, 2.3)])
+    def test_fields(self, make_field, couplings, cross_points):
+        fp, m = make_field().field_point(cross_points, 0.3), rl.Moduli.from_couplings(*couplings)
+        a, a_t = nye_np_cross(fp), nye_velocity_np_cross(fp)
+        assert same_bits((rl.nye_matrix(fp), rl.nye_velocity_vector(fp), *rl.h_tensors(a, a_t, m)),
+                         (a, a_t, *h_tensors_batch_first(a, a_t, m)))
+        assert same_bits((rl.residual_eqs2_at(fp, m),), (residual_np_cross(fp, m),))
+        g_oracle = np.moveaxis(eps_dot(axial_batch_first(fp.beta, fp.d_alpha, a), axis=-2), -1, -3)
+        assert same_bits((rl.g_tensor_space(fp),), (g_oracle,))
+
+    def test_travelling_field_has_second_time_blocks(self):
+        fp = travelling_field(seed=13).field_point(np.random.default_rng(108).uniform(-3, 3, (50, 3)), 0.3)
+        assert np.abs(fp.dtt_beta).min() > 0 and np.abs(fp.dtt_alpha).min() > 0
+
+    @settings(max_examples=200)
+    @given(st.data())
+    def test_hand_written_sums_add_as_numpy(self, data):
+        # every sum over a 3-axis on the residual and charge paths, against the np.trace, .sum,
+        # np.einsum or np.cross form it replaces, on batch-first blocks with -0.0 and inf
+        batch = data.draw(st.sampled_from([(), (1,), (6,), (2, 3)]))
+        elements = st.one_of(st.floats(allow_nan=False), st.sampled_from([0.0, -0.0, np.inf, -np.inf, 1e16]))
+        draw = lambda *shape: data.draw(arrays(np.float64, batch + shape, elements=elements))
+        fp = rl.FieldPoint(alpha=draw(), beta=draw(3), d_beta=draw(3, 3), d_alpha=draw(3), dt_beta=draw(3),
+                           dt_alpha=draw(), dd_beta=draw(3, 3, 3), dd_alpha=draw(3, 3), dtt_beta=draw(3),
+                           dtt_alpha=draw())
+        a, a_t, h_s, m = draw(3, 3), draw(3), draw(3, 3), rl.Moduli.from_couplings(0.4, 2.3)
+        nan_places = lambda v: np.where(np.isnan(v), np.nan, v)
+        with np.errstate(all="ignore"):
+            pairs = [
+                (_norm2(fp.beta), np.einsum("...i,...i->...", fp.beta, fp.beta)),
+                *zip(nye_divergences(fp), nye_divergences_batch_first(fp)),
+                (coupling(fp, a, a_t, a_t, h_s), coupling_batch_first(fp, a, a_t, a_t, h_s)),
+                *zip(rl.h_tensors(a, a_t, m), h_tensors_batch_first(a, a_t, m)),
+                # np.trace adds in the same order in component-first memory, where the residual calls it
+                *zip(rl.h_tensors(_bl(np.ascontiguousarray(_cf(a, 2)), 2), a_t, m), h_tensors_batch_first(a, a_t, m)),
+                (rl.charge_density(FixedNye(a), None),
+                 1.0 / (16.0 * np.pi**2) * np.einsum("...i,...i->...", a[..., 0], np.cross(a[..., 1], a[..., 2]))),
+            ]
+            fp.alpha = np.where(np.abs(fp.alpha) >= 1.0, fp.alpha, 1.0)  # P needs |alpha| >= 1e-8
+            pairs.append((rl.residual_eqs_at(fp, m),
+                          np.einsum("...i,...ij->...j", residual_np_cross(fp, m), rl.p_matrix(fp.alpha, fp.beta))))
+        for new, oracle in pairs:
+            assert same_bits((nan_places(new),), (nan_places(oracle),))
+
+
+class FixedNye:
+    """A stand-in field whose Nye tensor is the given array at every point."""
+
+    def __init__(self, a):
+        self.a = a
+
+    def nye(self, x, t=0.0):
+        return self.a
 
 
 class TestRotorExtraction:

@@ -328,6 +328,56 @@ class TestLiftHedgehog:
         assert np.abs(rl.nye_velocity(field, x) - expected).max() <= 1e-6
 
 
+@pytest.fixture(scope="module")
+def core_profiles():
+    """Static profiles whose core exponent s is below 1: 0.618 at lambda2 = 1.25, 0.306 at 1.4."""
+    return {l2: rl.solve_static(rl.Moduli.from_couplings(1.0, l2), slope0=1.0, r_max=50.0) for l2 in (1.25, 1.4)}
+
+
+class TestCoreExponentSplines:
+    """Profiles with ``w ~ r^s``, s < 1, at the origin are splined in ``r^s``, against the dense solution.
+
+    A cubic in r through r = 0, 1e-6 and 0.025 overshoots such a core: resampled
+    to 4001 nodes the worst error was 0.75 at lambda2 = 1.25 and 57.5 at 1.4.
+    """
+
+    @pytest.mark.parametrize("lambda2, bound", [(1.25, 1e-5), (1.4, 2e-3)])
+    def test_resample_uniform(self, core_profiles, lambda2, bound):
+        p = core_profiles[lambda2]
+        u = rl.resample_uniform(p, 4001)
+        assert u.w[0] == 0.0 and np.abs(u.w[1:] - p.dense(u.r[1:])[0]).max() <= bound
+
+    def test_profile_from_csv_takes_s_from_its_moduli(self, core_profiles, tmp_path):
+        p = core_profiles[1.25]
+        rl.save_profile_csv(p, tmp_path / "p.csv")
+        loaded = rl.load_profile_csv(tmp_path / "p.csv")
+        assert np.array_equal(rl.resample_uniform(loaded, 801).w, rl.resample_uniform(p, 801).w)
+
+    @pytest.mark.parametrize("lambda2, alpha_tol, slope_rtol", [(1.25, 1e-5, 1e-3), (1.4, 5e-3, 5e-2)])
+    def test_lift_hedgehog_near_the_core(self, core_profiles, lambda2, alpha_tol, slope_rtol):
+        p = core_profiles[lambda2]
+        field = rl.lift_hedgehog(p)
+        r = np.geomspace(1e-3, 0.5, 200)
+        w, wp = p.dense(r)
+        alpha = field.field_point(r[:, None] * np.array([0.6, 0.0, -0.8]), order=0).alpha  # sin w(r)
+        assert np.abs(alpha - np.sin(w)).max() <= alpha_tol
+        assert (np.abs(field.wp(r) - wp) / np.abs(wp)).max() <= slope_rtol
+
+    def test_3d_charge_moves_toward_the_closed_form(self, core_profiles):
+        field = rl.lift_hedgehog(core_profiles[1.25])
+        exact = rl.total_charge(field, 3.0, 0.1).charge  # a hedgehog's closed form
+        errors = [abs(rl.total_charge(field, 3.0, h, force_3d=True).charge - exact) for h in (0.2, 0.1, 0.05)]
+        assert errors[0] > errors[1] > errors[2]
+
+    def test_unit_exponent_keeps_the_spline_in_r(self, soliton_profile):
+        # s = 1: the same spline as before, bit for bit, and no 0 * inf at r = 0
+        p = soliton_profile
+        r = np.concatenate(([0.0], np.geomspace(1e-7, 60.0, 500)))
+        with np.errstate(all="raise"):
+            new = [radial._CoreSpline(p, p.w)(r, nu) for nu in (0, 1, 2)]
+        assert all(a.tobytes() == radial._Spline(p.r, p.w)(r, nu).tobytes() for nu, a in enumerate(new))
+
+
 class TestEquilibria:
     def test_trivial_always_present(self):
         for l1, l2 in [(1, 1), (1, 2), (0.5, 0.6), (2, 1)]:

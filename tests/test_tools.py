@@ -101,6 +101,21 @@ class TestCompare:
         assert not compare(tmp_path / "old", tmp_path / "new", 1e-12)
         assert capsys.readouterr().out.startswith("library/h.npy: max relative 1.00e-09")
 
+    def test_declared_move_prints_and_passes(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(compare_artifacts, "DECLARED_MOVES", {"cli/c.json": "on purpose"})
+        pair(tmp_path, "cli/c.json", '{"q": 1.0}', '{"q": 2.0}')
+        pair(tmp_path, "cli/d.json", '{"q": 1.0}', '{"q": 2.0}')
+        assert not compare(tmp_path / "old", tmp_path / "new", 1e-12)  # d.json is not declared
+        assert capsys.readouterr().out.splitlines() == [
+            "cli/c.json: declared move, max relative 1.00e+00  q 1.0e+00 (1.0e+00)",
+            "cli/d.json: max relative 1.00e+00  q 1.0e+00 (1.0e+00)"]
+        (tmp_path / "new" / "cli" / "d.json").write_text('{"q": 1.0}')
+        assert compare(tmp_path / "old", tmp_path / "new", 1e-12)
+
+    def test_declared_moves_are_artifacts_of_the_runs(self):
+        written = {f"cli/{a}" for _, argv in compare_artifacts.RUNS for a in argv if a.endswith((".csv", ".json"))}
+        assert set(compare_artifacts.DECLARED_MOVES) <= written
+
     def test_nan_counts_as_moved(self, tmp_path):
         pair(tmp_path, "library/h.npy", np.array([1.0, 2.0]), np.array([1.0, np.nan]))
         assert not compare(tmp_path / "old", tmp_path / "new", 1e-12)

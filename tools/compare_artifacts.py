@@ -13,9 +13,12 @@ same tool code, so only the library differs:
 * ``residual_grid`` (points and residuals) on the two grids of the
   ``residual_3d`` workload and on the criterion-3 grid (h = 0.1, annulus to
   r = 5), which takes a few seconds and about 250 MB;
+* all ten ``grid_field_point`` blocks of the first slab that ``residual_grid``
+  reads of the ``residual_3d`` h = 0.1 grid;
 * ``check_identity_TT`` at h = 0.1 and 0.05 on the box [-1, 1]^3;
 * every block of ``random_smooth_field`` and its ``constraint_residual`` at
-  orders 0, 1 and 2;
+  orders 0, 1 and 2, and ``residual_eqs2_at`` of the order-2 batch, whose
+  blocks the kernels read as strided views;
 * ``decompose``, ``quadratic_invariants``, ``potential_density`` and
   ``h_tensors`` on a random batch (the middle two on one matrix as well);
 * the grid and profile CSV round trips of ``grid.csv`` and ``final.csv``;
@@ -32,12 +35,16 @@ only in old`` or ``LAYOUT only in new``.  Otherwise every number of a JSON
 file is compared relative to its old value, every column of a CSV file
 relative to the largest magnitude among the old file's columns after the
 first (``max|w|`` for a profile, whose first column is r), and an array
-relative to its largest old magnitude.  Each moved key, column or array
-prints with its relative and its absolute difference.  Metadata lines
+relative to its largest old magnitude.  Arrays are saved in C order, so a
+result returned as a view of differently ordered memory saves the same
+bytes.  Each moved key, column or array prints with its relative and its
+absolute difference.  Metadata lines
 (``#``), strings, dtypes and shapes must match exactly.  The exit code is 1
 when any file differs by more than ``--rtol`` (default 1e-12) or in its
 layout, else 0, so one command proves bit-identity and sizes any move that a
-change is allowed to make.  A JSON value that is itself a small difference,
+change is allowed to make.  The files of ``DECLARED_MOVES`` are the moves the
+current change makes on purpose: they print ``declared move`` with their
+differences and do not fail; the next change empties the list.  A JSON value that is itself a small difference,
 such as ``estimated_error`` or ``sup_drift``, moves by far more than 1e-12 of
 itself when its operands move in the last bits.
 
@@ -87,6 +94,12 @@ RUNS = (
     ("charge", ["--from-profile", "profile_c.csv", "--full-3d", "--radius", "3", "--spacing", "0.2",
                 "-o", "charge_3d_c.json"]),
 )
+# files that the current change moves on purpose, with the reason: s < 1 profiles are splined in r^s
+DECLARED_MOVES = {
+    "cli/final_c.csv": "resample_uniform of profile_c.csv splines w in r^s, s = 0.618",
+    "cli/evolve_c.json": "the evolve run starts from that resampled profile",
+    "cli/charge_3d_c.json": "lift_hedgehog of profile_c.csv splines w in r^s",
+}
 # the child process that runs write_library: argv is this file, the cli directory, the library directory
 LIBRARY = "import runpy, sys; runpy.run_path(sys.argv[1])['write_library'](*sys.argv[2:])"
 
@@ -94,6 +107,7 @@ LIBRARY = "import runpy, sys; runpy.run_path(sys.argv[1])['write_library'](*sys.
 def write_library(cli: str, out: str) -> None:
     """Save the library results that the module docstring lists, one ``<result>[.<part>].npy`` per array."""
     import rotelast as rl
+    from rotelast.kinematics import _slabs
 
     res = {}
     moduli = rl.Moduli.from_couplings(1.0, 1.0)
@@ -105,6 +119,10 @@ def write_library(cli: str, out: str) -> None:
         n += n % 2
         grid = rl.RotorGrid.from_field(field, dims=(n, n, n), spacing=h, origin=(s - (n / 2 - 0.5)) * h)
         res[f"residual_grid_{name}.points"], res[f"residual_grid_{name}.residuals"] = rl.residual_grid(grid, moduli)
+        if name == "residual_3d_h0.1":
+            lo, hi = next(_slabs(n, (n - 4) ** 2, halo=2))
+            fp = rl.grid_field_point(grid._planes(lo - 2, hi + 2), margin=2)
+            res.update({f"grid_field_point_{name}.{k}": v for k, v in vars(fp).items()})
         del grid
 
     for h in (0.1, 0.05):
@@ -118,6 +136,7 @@ def write_library(cli: str, out: str) -> None:
         fp = rl.random_smooth_field(seed=11).field_point(x, 0.0, order=order)
         res.update({f"random_smooth_field_order{order}.{k}": v for k, v in vars(fp).items()})
         res[f"constraint_residual_order{order}"] = fp.constraint_residual()
+    res["residual_eqs2_at.random_smooth_field"] = rl.residual_eqs2_at(fp, rl.Moduli.from_couplings(0.4, 2.3))
     a, a_t = rng.normal(size=(400, 3, 3)), rng.normal(size=(400, 3))
     moduli = rl.Moduli.from_constants(0.3, 0.7, 1.1)
     parts = [rl.decompose(m) for m in a[:50]]
@@ -145,7 +164,7 @@ def write_library(cli: str, out: str) -> None:
                                                           profile.moduli)
     for name, value in res.items():
         if value is not None:  # a block above the order built, or a profile without w_t
-            np.save(Path(out) / f"{name}.npy", np.asarray(value))
+            np.save(Path(out) / f"{name}.npy", np.asarray(value, order="C"))
 
 
 def run_all(checkout: Path, workdir: Path) -> None:
@@ -232,8 +251,8 @@ def compare(old_dir: Path, new_dir: Path, rtol: float) -> bool:
             continue
         moved = {k: v for k, v in diff.items() if v[1] != 0}  # NaN counts as moved
         worst = float(np.max([rel for rel, _ in moved.values()], initial=0.0))
-        ok &= all(rel <= rtol for rel, _ in moved.values())
-        print(f"{name}: max relative {worst:.2e}  "
+        ok &= name in DECLARED_MOVES or all(rel <= rtol for rel, _ in moved.values())
+        print(f"{name}: {'declared move, ' if name in DECLARED_MOVES else ''}max relative {worst:.2e}  "
               + "  ".join(f"{k} {rel:.1e} ({d:.1e})" for k, (rel, d) in moved.items()))
     return ok
 
