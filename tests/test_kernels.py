@@ -10,7 +10,10 @@ against the unfused ``d_k A_lm`` and ``G`` on those batches and on two with
 time blocks: a travelling ``AnalyticRotorField`` and a hedgehog with
 ``wdot``.  The rotor-extraction kernels must reproduce their loops bit for
 bit, and every kernel that takes a cross product with ``so3._cross`` must
-reproduce its ``np.cross`` form bit for bit.
+reproduce its ``np.cross`` form bit for bit.  The component-first residual
+kernels and ``grid_field_point`` must reproduce the batch-first chain kept
+below bit for bit, and each hand-written sum the order of the NumPy
+reduction it replaced.
 """
 
 import numpy as np
