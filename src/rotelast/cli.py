@@ -252,8 +252,9 @@ def cmd_equilibria(args) -> int:
 
 
 def cmd_identity_check(args) -> int:
-    if not args.h > 0:
-        raise ValueError(f"--h must be positive, got {args.h}")
+    for option, value in (("--h", args.h), ("--extent", args.extent)):
+        if not value > 0:
+            raise ValueError(f"{option} must be positive, got {value}")
     field = random_smooth_field(seed=args.seed)
     results = []
     spacings = [args.h, args.h / 2.0] if args.refine else [args.h]

@@ -9,6 +9,12 @@ second-order central differences on a :class:`RotorGrid`.  The torsion
 matrix is the linear image ``T = A - tr(A) I``; its trace, antisymmetric and
 symmetric-traceless parts carry the quadratic invariants that build the
 potential energy density.
+
+The grid stencil builds u and the Nye tensor with the component axes first
+and the grid axes last, so each ufunc loop runs along the grid; the public
+results stay C-order ``[..., l, k]`` arrays.  The trace and part helpers
+keep the memory order they are given, so the identity check applies them to
+views of that layout.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ import numpy as np
 
 # nye_matrix lives next to FieldPoint (fields builds u_and_nye from it) and is re-exported here
 from .fields import FieldPoint, RotorField, _nye_bracket, nye_matrix
-from .so3 import _bl, _cf, _unit_defect, eps_ddot, rotor_matrix
+from .so3 import _bl, _cf, _dot, _eps_ddot, _rotor_matrix, _unit_defect, eps_ddot, rotor_matrix
 
 __all__ = [
     "Moduli",
@@ -96,12 +102,24 @@ class NyeDecomposition:
 
 def _trace_skew(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Trace and skew part ``(m - m^T) / 2`` of a batch of 3x3 matrices."""
-    return np.trace(m, axis1=-2, axis2=-1), 0.5 * (m - np.swapaxes(m, -1, -2))
+    skew = np.subtract(m, np.swapaxes(m, -1, -2))
+    return np.trace(m, axis1=-2, axis2=-1), np.multiply(0.5, skew, out=skew)
 
 
 def _sym_traceless(m: np.ndarray, tr: np.ndarray) -> np.ndarray:
     """Symmetric traceless part ``(m + m^T) / 2 - (tr / 3) I`` of a batch of 3x3 matrices of trace tr."""
-    return 0.5 * (m + np.swapaxes(m, -1, -2)) - (tr / 3.0)[..., None, None] * np.eye(3)
+    sym = np.add(m, np.swapaxes(m, -1, -2))
+    return _minus_scalar(np.multiply(0.5, sym, out=sym), tr / 3.0, out=sym)
+
+
+def _minus_scalar(m: np.ndarray, s, out=None) -> np.ndarray:
+    """``m - s I`` for batches of 3x3 matrices m and scalars s, with ``s * 0.0`` subtracted off the
+    diagonal, into ``out`` or an array in the memory order of m: on a :func:`so3._bl` view of
+    component-first memory every loop runs along the batch."""
+    out, zero = np.empty_like(m) if out is None else out, s * 0.0
+    for i, j in np.ndindex(3, 3):
+        np.subtract(_cf(m, 2)[i, j], s if i == j else zero, out=_cf(out, 2)[i, j, ...])
+    return out
 
 
 def decompose(m: np.ndarray) -> NyeDecomposition:
@@ -115,8 +133,7 @@ def decompose(m: np.ndarray) -> NyeDecomposition:
 def torsion_from_nye(a: np.ndarray) -> np.ndarray:
     """Torsion matrix ``T = A - tr(A) I`` (batched)."""
     a = np.asarray(a, dtype=float)
-    tr = np.trace(a, axis1=-2, axis2=-1)
-    return a - tr[..., None, None] * np.eye(3)
+    return _minus_scalar(a, np.trace(a, axis1=-2, axis2=-1))
 
 
 def quadratic_invariants(t: np.ndarray) -> tuple[float, float]:
@@ -272,15 +289,17 @@ def _shifted(arr: np.ndarray, margin: int, offset) -> np.ndarray:
     return arr[tuple(slice(margin + o, n - margin + o) for n, o in zip(arr.shape, offset))]
 
 
-def _central_diff(arr: np.ndarray, axis: int, h: float, margin: int = 1) -> np.ndarray:
+def _central_diff(arr: np.ndarray, axis: int, h: float, margin: int = 1, out=None) -> np.ndarray:
     """Second-order central first derivative along a grid axis.
 
     ``arr`` has the three grid axes first; trailing axes are carried along.
     The output covers the nodes at least ``margin`` cells from every face,
     so stacked derivatives stay index-aligned; callers track the margin.
+    It goes to ``out`` if given, else to an array in the memory order of ``arr``.
     """
     e = np.eye(3, dtype=int)[axis]
-    return (_shifted(arr, margin, e) - _shifted(arr, margin, -e)) / (2.0 * h)
+    diff = np.subtract(_shifted(arr, margin, e), _shifted(arr, margin, -e), out=out)
+    return np.divide(diff, 2.0 * h, out=diff)
 
 
 def _central_diff2(arr: np.ndarray, ax1: int, ax2: int, h: float, margin: int = 1) -> np.ndarray:
@@ -300,15 +319,23 @@ def nye_fd_grid(grid: RotorGrid) -> np.ndarray:
     Returns shape ``(nx-2, ny-2, nz-2, 3, 3)``, aligned with indices
     ``1..n-2`` of the grid.
     """
-    u = grid.u_array()
-    core = u[1:-1, 1:-1, 1:-1]
-    A = np.empty(core.shape[:3] + (3, 3))
+    return np.ascontiguousarray(_bl(_nye_fd(grid), 2))
+
+
+def _nye_fd(grid: RotorGrid) -> np.ndarray:
+    """:func:`nye_fd_grid` with the component axes first, ``[l, k, x, y, z]``: u is built component
+    axes first, every loop runs along the grid, and scratch arrays take the temporaries."""
+    u = _rotor_matrix(grid.alpha, grid.beta, np.empty((3, 3) + grid.dims))
+    core = u[:, :, 1:-1, 1:-1, 1:-1]
+    A, du = np.empty(core.shape), np.empty(core.shape)
+    mn, nm, term = (np.empty(core.shape[2:]) for _ in range(3))
+    # (u d_k u^T)_ij
+    dot = lambda i, j, out: _dot(core[i], du[j], out, term)
     for k in range(3):
-        du = _central_diff(u, k, grid.spacing)
-        dot = lambda i, j: np.einsum("...a,...a->...", core[..., i, :], du[..., j, :])  # (u d_k u^T)_ij
+        _central_diff(_bl(u, 2), k, grid.spacing, out=_bl(du, 2))
         # axial part of u d_k u^T, one component at a time: (1/2) sum_a u_{.a} x d_k u_{.a}
         for l, m, n in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-            A[..., l, k] = 0.5 * (dot(m, n) - dot(n, m))
+            np.multiply(0.5, np.subtract(dot(m, n, mn), dot(n, m, nm), out=A[l, k]), out=A[l, k])
     return A
 
 
@@ -354,17 +381,17 @@ def check_identity_TT(grid: RotorGrid) -> float:
 
 
 def _identity_residual(grid: RotorGrid) -> float:
-    """:func:`check_identity_TT` over one grid, margin 2."""
-    A = nye_fd_grid(grid)
-    T = torsion_from_nye(A)
-    tau, S = _trace_skew(T)
-    D = _sym_traceless(T, tau)
-    v = eps_ddot(T)
-    div_v = sum(_central_diff(v, k, grid.spacing)[..., k] for k in range(3))
+    """:func:`check_identity_TT` over one grid, margin 2, each loop along the grid: the Nye tensor
+    is built component axes first, and T, tau, S, D, v and div v keep that memory order.  |D|^2
+    and |S|^2 stay np.einsum on C-order copies: no plain order of adds reproduces its 9-term sums."""
+    T = torsion_from_nye(_bl(_nye_fd(grid), 2))
+    v = _eps_ddot(_cf(T, 2))
+    div_v = sum(_central_diff(v[k], k, grid.spacing) for k in range(3))
     c = (slice(1, -1),) * 3
-    lhs = np.einsum("...ij,...ij->...", D, D)[c]
-    rhs = (np.einsum("...ij,...ij->...", S, S) + tau * tau / 6.0)[c] + 2.0 * div_v
-    return float(np.abs(lhs - rhs).max())
+    tau, S = _trace_skew(T[c])
+    D, S = np.ascontiguousarray(_sym_traceless(T[c], tau)), np.ascontiguousarray(S)
+    sq = lambda m: np.einsum("...ij,...ij->...", m, m)
+    return float(np.abs(sq(D) - ((sq(S) + tau * tau / 6.0) + 2.0 * div_v)).max())
 
 
 # ---------------------------------------------------------------------------

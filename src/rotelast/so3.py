@@ -100,9 +100,20 @@ class Rotor:
 
 
 def _norm2(v) -> np.ndarray:
-    """``|v|^2`` over the last axis in any memory order, added as np.einsum adds a contiguous
-    axis: ``(v_0^2 + v_2^2) + v_1^2``, from +0.0."""
-    return 0.0 + (v[..., 0] * v[..., 0] + v[..., 2] * v[..., 2]) + v[..., 1] * v[..., 1]
+    """``|v|^2`` over the last axis in any memory order, as :func:`_dot` adds it."""
+    return _dot(_cf(v), _cf(v))
+
+
+def _dot(a, b, out=None, term=None) -> np.ndarray:
+    """``a . b`` over the first axis, each loop along the batch, added as np.einsum adds a contiguous
+    axis: ``(a_0 b_0 + a_2 b_2) + a_1 b_1``, from +0.0.  ``out`` and ``term`` are optional scratch
+    arrays of the batch shape."""
+    if out is None:
+        out = np.empty(np.broadcast_shapes(np.shape(a[0]), np.shape(b[0])))
+    np.multiply(a[0], b[0], out=out)
+    np.add(out, np.multiply(a[2], b[2], out=term), out=out)
+    np.add(0.0, out, out=out)
+    return np.add(out, np.multiply(a[1], b[1], out=term), out=out)
 
 
 def _unit_defect(alpha, beta) -> np.ndarray:
@@ -143,14 +154,31 @@ def rotor_matrix(alpha, beta) -> np.ndarray:
     """
     alpha = np.asarray(alpha, dtype=float)
     beta = np.asarray(beta, dtype=float)
-    b2 = _norm2(beta)
-    eye = np.eye(3)
-    u = (
-        (1.0 - 2.0 * b2)[..., None, None] * eye
-        + 2.0 * beta[..., :, None] * beta[..., None, :]
-        + 2.0 * alpha[..., None, None] * eps_dot(beta)
-    )
+    u = np.empty(np.broadcast_shapes(alpha.shape, beta.shape[:-1]) + (3, 3))
+    _rotor_matrix(alpha, beta, _cf(u, 2))
     return u
+
+
+def _rotor_matrix(alpha, beta, out: np.ndarray) -> np.ndarray:
+    """The entries ``u_ij = ((1 - 2 b^2) d_ij + (2 b_i) b_j) + (2 a) eps_ijk b_k`` into ``out[i, j, ...]``,
+    each along the batch; the zero terms ``(1 - 2 b^2) 0.0`` and ``(2 a) 0.0`` stay, so signed zeros
+    are those of the broadcast ``(..., 3, 3)`` sum.  Two scratch arrays hold the entries' temporaries:
+    fresh ones of a grid slab's size cost page faults."""
+    b = _cf(beta)
+    diag, two_a, two_b = 1.0 - 2.0 * _norm2(beta), 2.0 * alpha, [2.0 * b_i for b_i in b]
+    zero, zero_a = diag * 0.0, two_a * 0.0
+    first, last = np.empty(out.shape[2:]), np.empty(out.shape[2:])
+    for i, j in np.ndindex(3, 3):
+        np.multiply(two_b[i], b[j], out=first)
+        if i == j:
+            np.add(diag, first, out=first)
+            np.add(first, zero_a, out=out[i, j, ...])
+            continue
+        k = 3 - i - j  # eps_ijk b_k: b_k on the cyclic (i, j, k), -b_k on the others
+        np.add(zero, first, out=first)
+        np.multiply(two_a, b[k] if (j - i) % 3 == 1 else np.negative(b[k], out=last), out=last)
+        np.add(first, last, out=out[i, j, ...])
+    return out
 
 
 def is_special_orthogonal(m: np.ndarray, tol: float) -> bool:
@@ -176,21 +204,27 @@ def matrix_to_rotor(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Returns ``alpha (...,)`` and ``beta (..., 3)``.
     """
-    u = np.asarray(u, dtype=float)
-    tr = np.trace(u, axis1=-2, axis2=-1)
+    m = _cf(np.asarray(u, dtype=float), 2)
+    tr = 0.0 + m[0, 0] + m[1, 1] + m[2, 2]  # np.trace's order
     # squared components from the diagonal; clip guards roundoff
-    quads = np.clip(np.concatenate([(1.0 + tr)[..., None],
-                                    1.0 + 2.0 * np.einsum("...ii->...i", u) - tr[..., None]],
-                                   axis=-1) / 4.0, 0.0, 1.0)
-    # products[p, r] = 4 q_p q_r for p != r, with q = (alpha, beta)
-    products = np.zeros(u.shape[:-2] + (4, 4))
-    products[..., 0, 1:] = products[..., 1:, 0] = 0.5 * eps_ddot(u)
-    products[..., 1:, 1:] = 0.5 * (u + np.swapaxes(u, -1, -2))
-    pivot = np.argmax(quads, axis=-1)[..., None]
-    q_pivot = np.sqrt(np.take_along_axis(quads, pivot, axis=-1))
-    q = np.take_along_axis(products, pivot[..., None], axis=-2)[..., 0, :] / (2.0 * q_pivot)
-    np.put_along_axis(q, pivot, q_pivot, axis=-1)
-    q = np.where(q[..., :1] < 0.0, -q, q)
+    quads = [np.clip((1.0 + tr) / 4.0, 0.0, 1.0)] + [np.clip((1.0 + 2.0 * m[i, i] - tr) / 4.0, 0.0, 1.0)
+                                                      for i in range(3)]
+    # products[p][r] = 4 q_p q_r for p != r, with q = (alpha, beta); the diagonal is never read
+    skew = [0.5 * s for s in _eps_ddot(m)]
+    products = [[None, *skew]] + [[skew[i]] + [0.5 * (m[i, j] + m[j, i]) if j != i else None for j in range(3)]
+                                  for i in range(3)]
+    # the pivot is np.argmax's: the first largest, or the first NaN
+    pivot, largest = np.zeros(tr.shape, dtype=np.intp), quads[0]
+    for p in range(1, 4):
+        take = ~(quads[p] <= largest) & ~np.isnan(largest)
+        pivot, largest = np.where(take, p, pivot), np.where(take, quads[p], largest)
+    q_pivot, at = np.sqrt(largest), [pivot == p for p in range(4)]
+    q = []
+    for r in range(4):
+        p0, p1, p2 = (p for p in range(4) if p != r)
+        pivot_row = np.where(at[p0], products[p0][r], np.where(at[p1], products[p1][r], products[p2][r]))
+        q.append(np.where(at[r], q_pivot, pivot_row / (2.0 * q_pivot)))
+    q = np.stack([np.where(q[0] < 0.0, -c, c) for c in q], axis=-1)
     return q[..., 0], q[..., 1:]
 
 

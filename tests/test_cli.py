@@ -268,6 +268,8 @@ class TestBadNumericOptions:
     @pytest.mark.parametrize("argv", [
         ("residual", "--h", "0"),
         ("identity-check", "--h", "0"),
+        ("identity-check", "--extent", "-1"),
+        ("identity-check", "--extent", "0"),
         ("evolve", "--dt", "0"),
         ("evolve", "--n-grid", "1"),
         ("evolve", "--dt", "-0.01"),
@@ -280,7 +282,10 @@ class TestBadNumericOptions:
         code, out, err = run_cli(capsys, *argv, *profile, "-o", str(out_path))
         assert code == 2
         assert out == ""
-        assert json.loads(err)["error"] == "usage"
+        record = json.loads(err)
+        assert record["error"] == "usage"
+        if argv[1] == "--extent":  # rejected up front, not by the grid it would size
+            assert record["detail"] == f"--extent must be positive, got {float(argv[2])}"
         assert not out_path.exists()
 
 

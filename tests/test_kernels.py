@@ -13,7 +13,9 @@ bit, and every kernel that takes a cross product with ``so3._cross`` must
 reproduce its ``np.cross`` form bit for bit.  The component-first residual
 kernels and ``grid_field_point`` must reproduce the batch-first chain kept
 below bit for bit, and each hand-written sum the order of the NumPy
-reduction it replaced.
+reduction it replaced.  So must the component-first kinematics:
+``rotor_matrix``, ``matrix_to_rotor``, ``nye_fd_grid`` and the identity
+check against their batch-first forms.
 """
 
 import numpy as np
@@ -24,8 +26,9 @@ from hypothesis.extra.numpy import arrays, mutually_broadcastable_shapes
 import rotelast as rl
 from rotelast.field_equations import _axial, _coupling, _d_nye, _nye_divergences
 from rotelast.fields import _components_first
-from rotelast.kinematics import _central_diff, _central_diff2
-from rotelast.so3 import (LEVI_CIVITA, _bl, _cf, _cross, _norm2, align_rotor_signs, eps_ddot, eps_dot,
+from rotelast.kinematics import (_central_diff, _central_diff2, _identity_residual, _slabs, _sym_traceless,
+                                 _trace_skew)
+from rotelast.so3 import (LEVI_CIVITA, _bl, _cf, _cross, _dot, _norm2, align_rotor_signs, eps_ddot, eps_dot,
                           matrix_to_rotor, rotor_matrix)
 
 REL = 1e-12
@@ -269,6 +272,58 @@ def grid_field_point_batch_first(grid, margin=2):
     return rl.FieldPoint(alpha=grid.alpha[c], beta=grid.beta[c], d_beta=d_beta, d_alpha=d_alpha, dt_beta=zero_v,
                          dt_alpha=zero_s, dd_beta=dd_beta, dd_alpha=dd_alpha, dtt_beta=zero_v.copy(),
                          dtt_alpha=zero_s.copy())
+
+
+# the batch-first kinematics that the component-first kernels replace: loops over the 3-entry axes
+
+
+def rotor_matrix_batch_first(alpha, beta):
+    alpha, beta = np.asarray(alpha, dtype=float), np.asarray(beta, dtype=float)
+    b2 = 0.0 + (beta[..., 0] * beta[..., 0] + beta[..., 2] * beta[..., 2]) + beta[..., 1] * beta[..., 1]  # any layout
+    return ((1.0 - 2.0 * b2)[..., None, None] * np.eye(3) + 2.0 * beta[..., :, None] * beta[..., None, :]
+            + 2.0 * alpha[..., None, None] * eps_dot(beta))
+
+
+def matrix_to_rotor_batch_first(u):
+    u = np.asarray(u, dtype=float)
+    tr = np.trace(u, axis1=-2, axis2=-1)
+    quads = np.clip(np.concatenate([(1.0 + tr)[..., None],
+                                    1.0 + 2.0 * np.einsum("...ii->...i", u) - tr[..., None]],
+                                   axis=-1) / 4.0, 0.0, 1.0)
+    products = np.zeros(u.shape[:-2] + (4, 4))
+    products[..., 0, 1:] = products[..., 1:, 0] = 0.5 * eps_ddot(u)
+    products[..., 1:, 1:] = 0.5 * (u + np.swapaxes(u, -1, -2))
+    pivot = np.argmax(quads, axis=-1)[..., None]
+    q_pivot = np.sqrt(np.take_along_axis(quads, pivot, axis=-1))
+    q = np.take_along_axis(products, pivot[..., None], axis=-2)[..., 0, :] / (2.0 * q_pivot)
+    np.put_along_axis(q, pivot, q_pivot, axis=-1)
+    q = np.where(q[..., :1] < 0.0, -q, q)
+    return q[..., 0], q[..., 1:]
+
+
+def nye_fd_grid_batch_first(grid):
+    u = rotor_matrix_batch_first(grid.alpha, grid.beta)
+    core = u[1:-1, 1:-1, 1:-1]
+    a = np.empty(core.shape[:3] + (3, 3))
+    for k in range(3):
+        du = _central_diff(u, k, grid.spacing)
+        dot = lambda i, j: np.einsum("...a,...a->...", core[..., i, :], du[..., j, :])
+        for l, m, n in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+            a[..., l, k] = 0.5 * (dot(m, n) - dot(n, m))
+    return a
+
+
+def identity_residual_batch_first(grid):
+    a = nye_fd_grid_batch_first(grid)
+    t = a - np.trace(a, axis1=-2, axis2=-1)[..., None, None] * np.eye(3)
+    tau = np.trace(t, axis1=-2, axis2=-1)
+    s = 0.5 * (t - np.swapaxes(t, -1, -2))
+    d = 0.5 * (t + np.swapaxes(t, -1, -2)) - (tau / 3.0)[..., None, None] * np.eye(3)
+    div_v = sum(_central_diff(eps_ddot(t), k, grid.spacing)[..., k] for k in range(3))
+    c = (slice(1, -1),) * 3
+    lhs = np.einsum("...ij,...ij->...", d, d)[c]
+    rhs = (np.einsum("...ij,...ij->...", s, s) + tau * tau / 6.0)[c] + 2.0 * div_v
+    return float(np.abs(lhs - rhs).max())
 
 
 def field_nye_np_cross(field, x):
@@ -646,11 +701,83 @@ class TestComponentFirstBits:
                 (rl.charge_density(FixedNye(a), None),
                  1.0 / (16.0 * np.pi**2) * np.einsum("...i,...i->...", a[..., 0], np.cross(a[..., 1], a[..., 2]))),
             ]
+            # the kinematics kernels: the (u d_k u^T) dot with and without scratch, and the trace
+            # helpers on component-first memory (tr A and tr T stay np.trace there)
+            c, d, cf_a = draw(3), draw(3), _bl(np.ascontiguousarray(_cf(a, 2)), 2)
+            tr = np.trace(a, axis1=-2, axis2=-1)
+            pairs += [
+                (_dot(_cf(c), _cf(d)), np.einsum("...a,...a->...", c, d)),
+                (_dot(_cf(c), _cf(d), np.empty(batch), np.empty(batch)), np.einsum("...a,...a->...", c, d)),
+                *[(new, a - tr[..., None, None] * np.eye(3)) for new in (rl.torsion_from_nye(a),
+                                                                           rl.torsion_from_nye(cf_a))],
+                *zip(_trace_skew(cf_a), (tr, 0.5 * (a - np.swapaxes(a, -1, -2)))),
+                (_sym_traceless(cf_a, tr),
+                 0.5 * (a + np.swapaxes(a, -1, -2)) - (tr / 3.0)[..., None, None] * np.eye(3)),
+                # matrix_to_rotor's hand-written trace, clip, pivot (np.argmax's, NaN first) and signs
+                *zip(matrix_to_rotor(a), matrix_to_rotor_batch_first(a)),
+            ]
             fp.alpha = np.where(np.abs(fp.alpha) >= 1.0, fp.alpha, 1.0)  # P needs |alpha| >= 1e-8
             pairs.append((rl.residual_eqs_at(fp, m),
                           np.einsum("...i,...ij->...j", residual_np_cross(fp, m), rl.p_matrix(fp.alpha, fp.beta))))
         for new, oracle in pairs:
             assert same_bits((nan_places(new),), (nan_places(oracle),))
+
+
+class TestKinematicsBits:
+    """The component-first rotor matrix, rotor extraction, Nye stencil and identity check give the
+    bytes of the batch-first forms above."""
+
+    # (alpha, beta): alpha = 0 with |beta| = 1, the identity and -1, and signed zeros throughout
+    SPECIAL = np.array([[0.0, 1.0, 0.0, -0.0], [-0.0, -0.0, 0.6, -0.8], [1.0, 0.0, -0.0, 0.0],
+                        [-1.0, -0.0, -0.0, -0.0], [0.0, 0.0, -1.0, 0.0], [-0.6, 0.0, 0.8, -0.0]])
+
+    @pytest.fixture(scope="class", params=[0.1, 0.05])
+    def identity_grid(self, request):
+        """The identity-check grid of the box [-1, 1]^3 at spacing h (the grid_kinematics workload's)."""
+        h = request.param
+        n = int(np.ceil(2.0 / h)) + 1
+        return rl.RotorGrid.from_field(rl.random_smooth_field(seed=7), dims=(n, n, n), spacing=h,
+                                       origin=-np.ones(3))
+
+    def test_check_identity(self, identity_grid):
+        assert same_bits((rl.check_identity_TT(identity_grid),), (identity_residual_batch_first(identity_grid),))
+
+    def test_slab(self, identity_grid):
+        n = identity_grid.dims[0]
+        lo, hi = next(_slabs(n, (n - 4) ** 2, halo=2, min_planes=12))
+        slab = identity_grid._planes(lo - 2, hi + 2)
+        nye = rl.nye_fd_grid(slab)
+        assert nye.flags.c_contiguous and same_bits((nye,), (nye_fd_grid_batch_first(slab),))
+        assert same_bits((_identity_residual(slab),), (identity_residual_batch_first(slab),))
+
+    @pytest.mark.parametrize("shape", [(), (5,), (2, 3)])
+    def test_rotor_matrix(self, shape):
+        rng = np.random.default_rng(109)
+        b = rng.normal(size=(6, 3))
+        b *= (rng.uniform(size=6) / np.linalg.norm(b, axis=1))[:, None]
+        a = np.sqrt(1.0 - np.einsum("ni,ni->n", b, b)) * rng.choice([-1.0, 1.0], size=6)
+        for q in (self.SPECIAL, np.column_stack([a, b])):
+            for x in (q if shape == () else [q[:int(np.prod(shape))].reshape(shape + (4,))]):
+                alpha, beta = x[..., 0], x[..., 1:]
+                u = rotor_matrix(alpha, beta)
+                assert u.flags.c_contiguous and same_bits((u,), (rotor_matrix_batch_first(alpha, beta),))
+                assert same_bits(matrix_to_rotor(u), matrix_to_rotor_batch_first(u))
+
+    def test_rotor_matrix_broadcasts_alpha(self):
+        beta = self.SPECIAL[:, 1:].reshape(2, 3, 3)
+        for alpha in (np.float64(-0.0), np.array([[0.5], [-0.5]])):
+            assert same_bits((rotor_matrix(alpha, beta),), (rotor_matrix_batch_first(alpha, beta),))
+
+    def test_product_grid(self, two_core_product):
+        # grid_kinematics' product grid: 24^3 cell-centred nodes on [-6, 6]^3
+        field, _ = two_core_product
+        n, half = 24, 6.0
+        grid = rl.RotorGrid.from_field(field, dims=(n, n, n), spacing=2 * half / n,
+                                       origin=(half / n - half) * np.ones(3))
+        x = grid.points()
+        left, right = (rotor_matrix_batch_first(*f.alpha_beta(x)) for f in field.factors)
+        assert same_bits((grid.u_array(), field.u(x)), (rotor_matrix_batch_first(grid.alpha, grid.beta), left @ right))
+        assert same_bits(field.alpha_beta(x), matrix_to_rotor_batch_first(left @ right))
 
 
 class FixedNye:

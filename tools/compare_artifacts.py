@@ -15,7 +15,12 @@ same tool code, so only the library differs:
   r = 5), which takes a few seconds and about 250 MB;
 * all ten ``grid_field_point`` blocks of the first slab that ``residual_grid``
   reads of the ``residual_3d`` h = 0.1 grid;
-* ``check_identity_TT`` at h = 0.1 and 0.05 on the box [-1, 1]^3;
+* ``check_identity_TT`` at h = 0.1 and 0.05 on the box [-1, 1]^3, and on
+  the h = 0.1 grid ``RotorGrid.u_array``, ``nye_fd_grid`` and
+  ``torsion_from_nye`` of that Nye tensor;
+* ``ProductField.u`` and ``alpha_beta`` (``matrix_to_rotor``) on the nodes of
+  a 24^3 grid of [-6, 6]^3, for the ordered product of two tanh cores at
+  +-5 e_x with seeded offsets (the ``grid_kinematics`` workload's grid);
 * every block of ``random_smooth_field`` and its ``constraint_residual`` at
   orders 0, 1 and 2, and ``residual_eqs2_at`` of the order-2 batch, whose
   blocks the kernels read as strided views;
@@ -94,12 +99,8 @@ RUNS = (
     ("charge", ["--from-profile", "profile_c.csv", "--full-3d", "--radius", "3", "--spacing", "0.2",
                 "-o", "charge_3d_c.json"]),
 )
-# files that the current change moves on purpose, with the reason: s < 1 profiles are splined in r^s
-DECLARED_MOVES = {
-    "cli/final_c.csv": "resample_uniform of profile_c.csv splines w in r^s, s = 0.618",
-    "cli/evolve_c.json": "the evolve run starts from that resampled profile",
-    "cli/charge_3d_c.json": "lift_hedgehog of profile_c.csv splines w in r^s",
-}
+# files that the current change moves on purpose, with the reason
+DECLARED_MOVES = {}
 # the child process that runs write_library: argv is this file, the cli directory, the library directory
 LIBRARY = "import runpy, sys; runpy.run_path(sys.argv[1])['write_library'](*sys.argv[2:])"
 
@@ -130,6 +131,18 @@ def write_library(cli: str, out: str) -> None:
         grid = rl.RotorGrid.from_field(rl.random_smooth_field(seed=7), dims=(n, n, n), spacing=h,
                                        origin=-np.ones(3))
         res[f"check_identity_TT_h{h}"] = rl.check_identity_TT(grid)
+        if h == 0.1:
+            res["identity_h0.1.u_array"], res["identity_h0.1.nye_fd_grid"] = grid.u_array(), rl.nye_fd_grid(grid)
+            res["identity_h0.1.torsion_from_nye"] = rl.torsion_from_nye(res["identity_h0.1.nye_fd_grid"])
+    core = rl.HedgehogField(lambda r: np.pi / 2 - np.pi * np.tanh(r / 0.8),
+                            lambda r: -np.pi / 0.8 / np.cosh(r / 0.8) ** 2,
+                            lambda r: 2 * np.pi / 0.8**2 * np.tanh(r / 0.8) / np.cosh(r / 0.8) ** 2)
+    centres = np.array([[5.0, 0.0, 0.0], [-5.0, 0.0, 0.0]]) + np.random.default_rng(2).uniform(-0.5, 0.5, (2, 3))
+    product = rl.ProductField([rl.TranslatedField(core, c) for c in centres])
+    axis = -6.0 + 0.5 * (np.arange(24) + 0.5)
+    x = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1)
+    res["product_grid.u"] = product.u(x)
+    res["product_grid.alpha"], res["product_grid.beta"] = product.alpha_beta(x)
     rng = np.random.default_rng(3)
     x = rng.uniform(-1.5, 1.5, size=(500, 3))
     for order in (0, 1, 2):
