@@ -7,8 +7,8 @@ optional key=value config file (--config), where the on/off flags take
 ``true`` or ``false``; identical configuration and seed produce
 bit-identical outputs.  Exit codes: 0 success, 2 bad usage or configuration
 (argparse's own errors included, with a JSON record on stderr), 3 solver
-failure (divergence, instability or a failed integration, with a one-line
-diagnostic JSON record on stdout).
+failure (divergence, instability, a failed integration or an ill-posed
+evolve coupling, with a one-line diagnostic JSON record on stdout).
 """
 
 from __future__ import annotations
@@ -72,12 +72,18 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(f"{self.prog}: {message}")
 
 
+class _IllPosedError(RuntimeError):
+    """The coupling's ``U'(0) / r^2`` beats the Hardy bound of the radial Laplacian."""
+
+
 def _fail_runtime(exc: RuntimeError) -> int:
     record = {"schema_version": SCHEMA_VERSION, "error": "solver_failure", "detail": str(exc)}
     if isinstance(exc, DivergenceError):
         record.update(error="divergence", radius=exc.radius)
     elif isinstance(exc, InstabilityError):
         record["error"] = "instability"
+    elif isinstance(exc, _IllPosedError):
+        record["error"] = "ill_posed"
     print(json.dumps(record, sort_keys=True))
     return 3
 
@@ -143,6 +149,11 @@ def cmd_static(args) -> int:
 
 def cmd_evolve(args) -> int:
     initial = load_profile_csv(args.from_profile)
+    l1, slope = initial.moduli.lambda1, 2.0 * (2.0 * initial.moduli.lambda2 - 3.0 * initial.moduli.lambda1)
+    if slope > l1 / 4.0:
+        # the growing mode would be set by the grid, not by the PDE
+        raise _IllPosedError(f"U'(0) = 2 (2 lambda2 - 3 lambda1) = {slope:.6g} exceeds lambda1 / 4 = "
+                             f"{l1 / 4.0:.6g}, the Hardy bound of the radial Laplacian")
     uniform = resample_uniform(initial, n=args.n_grid)
     dr = uniform.r[1] - uniform.r[0]
     dt = args.dt if args.dt is not None else 0.5 * dr / np.sqrt(uniform.moduli.lambda1)

@@ -38,7 +38,6 @@ __all__ = [
     "resample_uniform",
     "static_residual",
     "evolve_dynamic",
-    "discrete_energy",
     "lift_hedgehog",
     "equilibria",
     "autonomous_residual",
@@ -450,25 +449,17 @@ class EvolveResult:
                              moduli=self.moduli, slope0=np.nan, tol=np.nan)
 
 
-def discrete_energy(r: np.ndarray, w: np.ndarray, w_t: np.ndarray, m: Moduli) -> float:
-    """Conserved functional of the radial PDE on the grid.
-
-    ``E = sum dr [ r^2 w_t^2 / 2 + l1 r^2 w_r^2 / 2 - V(w) ]`` with V the
-    antiderivative of U; w_r by central differences.
-    """
-    dr = r[1] - r[0]
-    w_r = np.gradient(w, dr)
-    dens = 0.5 * r * r * w_t * w_t + 0.5 * m.lambda1 * r * r * w_r * w_r - potential_U_integral(w, m)
-    return float(np.sum(dens) * dr)
-
-
 def evolve_dynamic(initial: RadialProfile, dt: float, t_end: float,
                    n_snapshots: int = 101) -> EvolveResult:
     """Leapfrog integration of ``w_tt = l1 (r^2 w_r)_r / r^2 + U(w)/r^2``.
 
     The initial profile must live on a uniform grid including r = 0 with
     w(0) = 0; the far boundary value is clamped.  Enforces the CFL-type
-    bound ``dt <= dr / sqrt(l1)`` and raises on non-finite values.
+    bound ``dt <= dr / sqrt(l1)`` and raises on non-finite values.  The
+    energy of a snapshot is the Hamiltonian of the semi-discrete system
+    that the leapfrog integrates, with V the antiderivative of U:
+    ``H = dr [sum r_i^2 v_i^2 / 2 + sum e_i (w_{i+1} - w_i)^2 / (2 dr^2) - sum V(w_i)]``
+    over the edge weights ``e_i = l1 r_{i+1/2}^2`` of the stencil.
     """
     if not (dt > 0 and t_end >= 0):
         raise ValueError(f"need dt > 0 and t_end >= 0, got dt = {dt}, t_end = {t_end}")
@@ -486,11 +477,12 @@ def evolve_dynamic(initial: RadialProfile, dt: float, t_end: float,
     v = initial.w_t.copy() if initial.w_t is not None else np.zeros_like(w)
     # conservative radial Laplacian as a three-point stencil on the interior:
     # l1 (r^2 w_r)_r / r^2 = hi (w_{i+1} - w_i) - lo (w_i - w_{i-1}), with
-    # lo, hi = l1 r_{i-+1/2}^2 / (dr^2 r_i^2); the endpoints are set by the b.c.
-    r_half_sq = (0.5 * (r[:-1] + r[1:])) ** 2
+    # lo, hi = edge_{i-+1/2} / (dr^2 r_i^2) and edge = l1 r_{i+1/2}^2; the
+    # endpoints are set by the b.c.
+    edge = m.lambda1 * (0.5 * (r[:-1] + r[1:])) ** 2
     inv_rsq = 1.0 / (r[1:-1] * r[1:-1])
-    lo = m.lambda1 * r_half_sq[:-1] * inv_rsq / (dr * dr)
-    hi = m.lambda1 * r_half_sq[1:] * inv_rsq / (dr * dr)
+    lo = edge[:-1] * inv_rsq / (dr * dr)
+    hi = edge[1:] * inv_rsq / (dr * dr)
     diff, flux = np.empty(len(r) - 1), np.empty(len(r) - 2)
 
     def accel(wc, acc):
@@ -504,16 +496,17 @@ def evolve_dynamic(initial: RadialProfile, dt: float, t_end: float,
         np.subtract(inner, flux, out=inner)
         return acc
 
+    def energy(wc, vc):
+        # H of the docstring; diff holds the edge differences of wc, the level accel saw last
+        return float(dr * (0.5 * np.sum(r * r * vc * vc) + np.sum(edge * diff * diff) / (2.0 * dr * dr)
+                           - np.sum(potential_U_integral(wc, m))))
+
     n_steps = int(round(t_end / dt))
     snap_every = max(1, n_steps // max(1, n_snapshots - 1))
-    times = [0.0]
-    ws = [w.copy()]
-    vs = [v.copy()]
-    energies = [discrete_energy(r, w, v, m)]
-
     # acc always holds accel(w) of the current level, shared by the next
-    # step and the snapshot velocity
+    # step, the snapshot velocity and the snapshot energy
     acc = accel(w, np.zeros_like(w))
+    times, ws, vs, energies = [0.0], [w.copy()], [v.copy()], [energy(w, v)]
     w_prev = w - dt * v + 0.5 * dt * dt * acc
     w_next, kick = np.empty_like(w), np.empty_like(w)
     dt2, w_far = dt * dt, initial.w[-1]
@@ -534,7 +527,7 @@ def evolve_dynamic(initial: RadialProfile, dt: float, t_end: float,
             times.append(n * dt)
             ws.append(w.copy())
             vs.append(v_now)
-            energies.append(discrete_energy(r, w, v_now, m))
+            energies.append(energy(w, v_now))
     return EvolveResult(times=np.array(times), r=r, w=np.array(ws), w_t=np.array(vs),
                         energy=np.array(energies), moduli=m)
 

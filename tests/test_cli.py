@@ -334,6 +334,26 @@ class TestRuntimeFailures:
         assert record == {"schema_version": 1, "error": "instability",
                           "detail": "non-finite w at t = 0.25"}
 
+    def test_ill_posed_coupling_exit_3(self, tmp_path, capsys):
+        # U'(0) = 2 (2 lambda2 - 3 lambda1) above lambda1 / 4 beats the Hardy bound of the radial
+        # Laplacian, so the growth rate would be the grid's: evolve refuses before stepping
+        ill, fine = tmp_path / "ill.csv", tmp_path / "fine.csv"
+        for path, l1, l2 in ((ill, "0.4", "2.3"), (fine, "1", "1.25")):
+            code, _, _ = run_cli(capsys, "static", "--lambda1", l1, "--lambda2", l2, "--rmax", "10", "-o", str(path))
+            assert code == 0
+        code, out, _ = run_cli(capsys, "evolve", "--from-profile", str(ill), "--n-grid", "101",
+                               "-o", str(tmp_path / "final.csv"))
+        assert code == 3
+        assert len(out.splitlines()) == 1
+        assert json.loads(out) == {
+            "schema_version": 1, "error": "ill_posed",
+            "detail": "U'(0) = 2 (2 lambda2 - 3 lambda1) = 6.8 exceeds lambda1 / 4 = 0.1, "
+                      "the Hardy bound of the radial Laplacian"}
+        assert not (tmp_path / "final.csv").exists()
+        # U'(0) = -1 for (1, 1.25)
+        code, _, _ = run_cli(capsys, "evolve", "--from-profile", str(fine), "--n-grid", "101", "--t-end", "0.5")
+        assert code == 0
+
     def test_static_integration_failure_exit_3(self, capsys, monkeypatch):
         def failing(*args, **kwargs):
             raise RuntimeError("static integration failed: step size too small")

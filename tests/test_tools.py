@@ -102,7 +102,7 @@ class TestCompare:
         assert capsys.readouterr().out.startswith("library/h.npy: max relative 1.00e-09")
 
     def test_declared_move_prints_and_passes(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(compare_artifacts, "DECLARED_MOVES", {"cli/c.json": "on purpose"})
+        monkeypatch.setattr(compare_artifacts, "DECLARED_MOVES", {"cli/c.json": None})
         pair(tmp_path, "cli/c.json", '{"q": 1.0}', '{"q": 2.0}')
         pair(tmp_path, "cli/d.json", '{"q": 1.0}', '{"q": 2.0}')
         assert not compare(tmp_path / "old", tmp_path / "new", 1e-12)  # d.json is not declared
@@ -111,6 +111,27 @@ class TestCompare:
             "cli/d.json: max relative 1.00e+00  q 1.0e+00 (1.0e+00)"]
         (tmp_path / "new" / "cli" / "d.json").write_text('{"q": 1.0}')
         assert compare(tmp_path / "old", tmp_path / "new", 1e-12)
+
+    def test_declared_keys_move_and_no_other(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(compare_artifacts, "DECLARED_MOVES", {"cli/c.json": ("e",)})
+        pair(tmp_path, "cli/c.json", '{"e": 1.0, "q": 1.0}', '{"e": 2.0, "q": 1.0}')
+        assert compare(tmp_path / "old", tmp_path / "new", 1e-12)
+        assert capsys.readouterr().out == "cli/c.json: declared move, max relative 1.00e+00  e 1.0e+00 (1.0e+00)\n"
+        (tmp_path / "new" / "cli" / "c.json").write_text('{"e": 2.0, "q": 2.0}')
+        assert not compare(tmp_path / "old", tmp_path / "new", 1e-12)
+        assert capsys.readouterr().out.startswith("cli/c.json: max relative")
+
+    def test_declared_layout_move(self, tmp_path, capsys, monkeypatch):
+        # a run that now exits 3: its record replaces the summary, and its profile is gone
+        monkeypatch.setattr(compare_artifacts, "DECLARED_MOVES", {"cli/e.json": None, "cli/f.csv": None})
+        pair(tmp_path, "cli/e.json", '{"drift": 1.0}', '{"error": "ill_posed"}')
+        (tmp_path / "old" / "cli" / "f.csv").write_text(CSV)
+        assert compare(tmp_path / "old", tmp_path / "new", 1e-12)
+        assert capsys.readouterr().out.splitlines() == [
+            "cli/e.json: declared move, LAYOUT different keys: ['drift'] only in old, ['error'] only in new",
+            "cli/f.csv: declared move, LAYOUT only in old"]
+        monkeypatch.setattr(compare_artifacts, "DECLARED_MOVES", {"cli/e.json": ("drift",), "cli/f.csv": ("w",)})
+        assert not compare(tmp_path / "old", tmp_path / "new", 1e-12)
 
     def test_declared_moves_are_artifacts_of_the_runs(self):
         written = {f"cli/{a}" for _, argv in compare_artifacts.RUNS for a in argv if a.endswith((".csv", ".json"))}
@@ -134,3 +155,22 @@ def test_runs_cover_every_command():
     parser = rotelast.cli.build_parser()
     sub, = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     assert {command for command, _ in compare_artifacts.RUNS} == set(sub.choices)
+
+
+def test_solver_failure_record_stands_in_for_the_summary(tmp_path, monkeypatch):
+    """A run that exits 3 leaves its stdout record under its summary's name; any other failure stops the tool."""
+    record = b'{"error": "ill_posed"}\n'
+    monkeypatch.setattr(compare_artifacts, "RUNS", (
+        ("evolve", ["-o", "final.csv", "--summary", "evolve.json"]), ("charge", ["-o", "charge.json"])))
+    codes = {"evolve": 3, "charge": 0}
+
+    def fake_run(args, **kwargs):
+        return compare_artifacts.subprocess.CompletedProcess(args, codes.get(args[3], 0), stdout=record)
+
+    monkeypatch.setattr(compare_artifacts.subprocess, "run", fake_run)
+    compare_artifacts.run_all(tmp_path / "checkout", tmp_path / "a")
+    assert [p.name for p in (tmp_path / "a" / "cli").iterdir()] == ["evolve.json"]
+    assert (tmp_path / "a" / "cli" / "evolve.json").read_bytes() == record
+    codes["charge"] = 1
+    with pytest.raises(SystemExit, match="rotelast charge exited with code 1"):
+        compare_artifacts.run_all(tmp_path / "checkout", tmp_path / "b")

@@ -8,7 +8,11 @@ For each checkout, in fresh processes with that checkout's ``src`` on
 ``PYTHONPATH``, this runs every command in ``RUNS`` in a scratch ``cli``
 directory, then this file's :func:`write_library`, which saves the library
 results below as ``.npy`` files in a ``library`` directory; both sides run the
-same tool code, so only the library differs:
+same tool code, so only the library differs.  A command that exits 3, a
+solver failure, writes no files; its one-line JSON record from stdout is
+saved in place of its summary (its ``--summary`` file, else its ``-o`` file),
+so a run that stops failing or starts to fail shows as a move of that file.
+Any other nonzero exit stops the tool.  The library results are:
 
 * ``residual_grid`` (points and residuals) on the two grids of the
   ``residual_3d`` workload and on the criterion-3 grid (h = 0.1, annulus to
@@ -47,9 +51,11 @@ absolute difference.  Metadata lines
 (``#``), strings, dtypes and shapes must match exactly.  The exit code is 1
 when any file differs by more than ``--rtol`` (default 1e-12) or in its
 layout, else 0, so one command proves bit-identity and sizes any move that a
-change is allowed to make.  The files of ``DECLARED_MOVES`` are the moves the
-current change makes on purpose: they print ``declared move`` with their
-differences and do not fail; the next change empties the list.  A JSON value that is itself a small difference,
+change is allowed to make.  ``DECLARED_MOVES`` holds the moves the current
+change makes on purpose: per file, the keys or columns that may move, or
+``None`` for the whole file, its layout included.  A file whose moves beyond
+``--rtol`` are all declared prints ``declared move`` with its differences
+and does not fail; the next change empties the list.  A JSON value that is itself a small difference,
 such as ``estimated_error`` or ``sup_drift``, moves by far more than 1e-12 of
 itself when its operands move in the last bits.
 
@@ -99,8 +105,16 @@ RUNS = (
     ("charge", ["--from-profile", "profile_c.csv", "--full-3d", "--radius", "3", "--spacing", "0.2",
                 "-o", "charge_3d_c.json"]),
 )
-# files that the current change moves on purpose, with the reason
-DECLARED_MOVES = {}
+# what the current change moves on purpose, with the reason: per file, the keys or columns that may move,
+# or None for the whole file, its layout included
+DECLARED_MOVES = {
+    # the energy of evolve is the leapfrog's own semi-discrete Hamiltonian, no longer an np.gradient functional
+    **{f"cli/evolve{s}.json": ("energy_initial", "energy_rel_drift") for s in ("", "_4001", "_t20", "_c")},
+    # (0.4, 2.3) is ill-posed: evolve exits 3 before stepping, its record stands in for the summary, and it
+    # writes no profile
+    "cli/evolve_b.json": None,
+    "cli/final_b.csv": None,
+}
 # the child process that runs write_library: argv is this file, the cli directory, the library directory
 LIBRARY = "import runpy, sys; runpy.run_path(sys.argv[1])['write_library'](*sys.argv[2:])"
 
@@ -186,11 +200,14 @@ def run_all(checkout: Path, workdir: Path) -> None:
     cli, library = workdir / "cli", workdir / "library"
     cli.mkdir(parents=True)
     library.mkdir()
-    jobs = [(f"rotelast {command}", ["-m", "rotelast.cli", command, *argv]) for command, argv in RUNS]
-    jobs.append(("write_library", ["-c", LIBRARY, str(Path(__file__).resolve()), str(cli), str(library)]))
-    for what, args in jobs:
-        proc = subprocess.run([sys.executable, *args], cwd=cli, env=env, stdout=subprocess.DEVNULL)
-        if proc.returncode != 0:
+    jobs = [(f"rotelast {command}", ["-m", "rotelast.cli", command, *argv],
+             argv[argv.index("--summary" if "--summary" in argv else "-o") + 1]) for command, argv in RUNS]
+    jobs.append(("write_library", ["-c", LIBRARY, str(Path(__file__).resolve()), str(cli), str(library)], None))
+    for what, args, summary in jobs:
+        proc = subprocess.run([sys.executable, *args], cwd=cli, env=env, stdout=subprocess.PIPE)
+        if proc.returncode == 3 and summary:
+            (cli / summary).write_bytes(proc.stdout)
+        elif proc.returncode != 0:
             raise SystemExit(f"{checkout}: {what} exited with code {proc.returncode}")
 
 
@@ -217,7 +234,8 @@ def differences(old: Path, new: Path) -> dict[str, tuple[float, float]]:
     if old.suffix == ".json":
         a, b = dict(json_leaves(json.loads(old.read_text()))), dict(json_leaves(json.loads(new.read_text())))
         if a.keys() != b.keys():
-            raise ValueError("different keys")
+            raise ValueError(f"different keys: {sorted(a.keys() - b.keys())} only in old, "
+                             f"{sorted(b.keys() - a.keys())} only in new")
         out = {}
         for key, x in a.items():
             y = b[key]
@@ -249,9 +267,11 @@ def compare(old_dir: Path, new_dir: Path, rtol: float) -> bool:
     ok = True
     for name in names:
         old, new = old_dir / name, new_dir / name
+        whole = name in DECLARED_MOVES and DECLARED_MOVES[name] is None
+        tag = "declared move, " if whole else ""
         if not (old.is_file() and new.is_file()):
-            print(f"{name}: LAYOUT only in {'old' if old.is_file() else 'new'}")
-            ok = False
+            print(f"{name}: {tag}LAYOUT only in {'old' if old.is_file() else 'new'}")
+            ok &= whole
             continue
         if old.read_bytes() == new.read_bytes():
             print(f"{name}: identical")
@@ -259,13 +279,15 @@ def compare(old_dir: Path, new_dir: Path, rtol: float) -> bool:
         try:
             diff = differences(old, new)
         except ValueError as exc:
-            print(f"{name}: LAYOUT {exc}")
-            ok = False
+            print(f"{name}: {tag}LAYOUT {exc}")
+            ok &= whole
             continue
         moved = {k: v for k, v in diff.items() if v[1] != 0}  # NaN counts as moved
         worst = float(np.max([rel for rel, _ in moved.values()], initial=0.0))
-        ok &= name in DECLARED_MOVES or all(rel <= rtol for rel, _ in moved.values())
-        print(f"{name}: {'declared move, ' if name in DECLARED_MOVES else ''}max relative {worst:.2e}  "
+        declared = moved.keys() if whole else DECLARED_MOVES.get(name, ())
+        within = all(rel <= rtol for k, (rel, _) in moved.items() if k not in declared)
+        ok &= within
+        print(f"{name}: {'declared move, ' if name in DECLARED_MOVES and within else ''}max relative {worst:.2e}  "
               + "  ".join(f"{k} {rel:.1e} ({d:.1e})" for k, (rel, d) in moved.items()))
     return ok
 
