@@ -170,7 +170,7 @@ def cmd_evolve(args) -> int:
             "n_grid": args.n_grid,
             "sup_drift": float(np.abs(result.w - result.w[0]).max()),
             "energy_initial": float(e[0]),
-            "energy_rel_drift": float(np.abs(e - e[0]).max() / max(abs(e[0]), 1e-300)),
+            "energy_rel_drift": float(np.abs(e - e[0]).max() / max(result.energy_scale, 1e-300)),
             "output": args.output,
         },
         args.summary,

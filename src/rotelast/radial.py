@@ -108,11 +108,19 @@ def potential_U(w, m: Moduli):
     ``U = 2t [(2 l2 - 3 l1) + l1 t^2] / (1 + t^2)^2``, one vectorized tan
     instead of a sin and a cos.  |tan w| stays below about 1e17 for every
     finite double, so ``t^4`` cannot overflow; a non-finite w gives NaN.
+    The factor 2 rides on the constants, which is exact, and the steps work
+    in place on three temporaries; ``**= 2`` squares an array in place and
+    keeps a scalar's ``pow``, so either gives the bits of the one-line form.
     """
     w = np.asarray(w, dtype=float)
     t = np.tan(w)
     sq = t * t
-    val = 2.0 * t * ((2.0 * m.lambda2 - 3.0 * m.lambda1) + m.lambda1 * sq) / (1.0 + sq) ** 2
+    val = sq * (2.0 * m.lambda1)
+    val += 2.0 * (2.0 * m.lambda2 - 3.0 * m.lambda1)
+    val *= t
+    sq += 1.0
+    sq **= 2
+    val /= sq
     return float(val) if val.ndim == 0 else val
 
 
@@ -443,6 +451,7 @@ class EvolveResult:
     w_t: np.ndarray  # (n_times, n_r)
     energy: np.ndarray
     moduli: Moduli
+    energy_scale: float  # dr (|kinetic| + |gradient| + |potential|) of energy[0], a drift base
 
     def profile(self, i: int) -> RadialProfile:
         return RadialProfile(r=self.r, w=self.w[i], w_t=self.w_t[i],
@@ -460,6 +469,12 @@ def evolve_dynamic(initial: RadialProfile, dt: float, t_end: float,
     that the leapfrog integrates, with V the antiderivative of U:
     ``H = dr [sum r_i^2 v_i^2 / 2 + sum e_i (w_{i+1} - w_i)^2 / (2 dr^2) - sum V(w_i)]``
     over the edge weights ``e_i = l1 r_{i+1/2}^2`` of the stencil.
+
+    Finiteness is checked once per snapshot interval, with overflow and
+    invalid-value warnings off while stepping.  A non-finite interior value
+    stays non-finite at every later level (only the two boundary nodes are
+    reset), so a failed check replays the interval from its checked levels,
+    checking every step, and the error names the first non-finite level.
     """
     if not (dt > 0 and t_end >= 0):
         raise ValueError(f"need dt > 0 and t_end >= 0, got dt = {dt}, t_end = {t_end}")
@@ -483,53 +498,78 @@ def evolve_dynamic(initial: RadialProfile, dt: float, t_end: float,
     inv_rsq = 1.0 / (r[1:-1] * r[1:-1])
     lo = edge[:-1] * inv_rsq / (dr * dr)
     hi = edge[1:] * inv_rsq / (dr * dr)
-    diff, flux = np.empty(len(r) - 1), np.empty(len(r) - 2)
+    # acc always holds accel of the current level, shared by the next step,
+    # the snapshot velocity and the snapshot energy; its endpoints stay 0
+    acc, diff, flux = np.zeros_like(w), np.empty(len(r) - 1), np.empty(len(r) - 2)
+    acc_in, diff_lo, diff_hi = acc[1:-1], diff[:-1], diff[1:]
 
-    def accel(wc, acc):
-        # writes the interior of acc in place; its endpoints stay 0
-        inner = acc[1:-1]
-        np.multiply(potential_U(wc[1:-1], m), inv_rsq, out=inner)
-        np.subtract(wc[1:], wc[:-1], out=diff)
-        np.multiply(hi, diff[1:], out=flux)
-        np.add(inner, flux, out=inner)
-        np.multiply(lo, diff[:-1], out=flux)
-        np.subtract(inner, flux, out=inner)
-        return acc
+    def views(level):
+        # a level buffer with its interior, upper and lower slices, built once per run
+        return level, level[1:-1], level[1:], level[:-1]
+
+    def accel(wc):
+        _, inner, upper, lower = wc
+        np.multiply(potential_U(inner, m), inv_rsq, out=acc_in)
+        np.subtract(upper, lower, out=diff)
+        np.multiply(hi, diff_hi, out=flux)
+        np.add(acc_in, flux, out=acc_in)
+        np.multiply(lo, diff_lo, out=flux)
+        np.subtract(acc_in, flux, out=acc_in)
 
     def energy(wc, vc):
-        # H of the docstring; diff holds the edge differences of wc, the level accel saw last
-        return float(dr * (0.5 * np.sum(r * r * vc * vc) + np.sum(edge * diff * diff) / (2.0 * dr * dr)
-                           - np.sum(potential_U_integral(wc, m))))
+        # H of the docstring and dr (|kinetic| + |gradient| + |potential|); diff holds the edge
+        # differences of wc, the level accel saw last
+        parts = (0.5 * np.sum(r * r * vc * vc), np.sum(edge * diff * diff) / (2.0 * dr * dr),
+                 np.sum(potential_U_integral(wc, m)))
+        return float(dr * (parts[0] + parts[1] - parts[2])), float(dr * sum(abs(p) for p in parts))
 
     n_steps = int(round(t_end / dt))
     snap_every = max(1, n_steps // max(1, n_snapshots - 1))
-    # acc always holds accel(w) of the current level, shared by the next
-    # step, the snapshot velocity and the snapshot energy
-    acc = accel(w, np.zeros_like(w))
-    times, ws, vs, energies = [0.0], [w.copy()], [v.copy()], [energy(w, v)]
-    w_prev = w - dt * v + 0.5 * dt * dt * acc
-    w_next, kick = np.empty_like(w), np.empty_like(w)
+    cur = views(w)
+    accel(cur)
+    e0, scale = energy(w, v)
+    times, ws, vs, energies = [0.0], [w.copy()], [v.copy()], [e0]
+    prev, nxt = views(w - dt * v + 0.5 * dt * dt * acc), views(np.empty_like(w))
+    kick, prev_checked = np.empty_like(w), np.empty_like(w)
     dt2, w_far = dt * dt, initial.w[-1]
-    for n in range(1, n_steps + 1):
-        np.multiply(w, 2.0, out=w_next)
-        np.subtract(w_next, w_prev, out=w_next)
-        np.multiply(acc, dt2, out=kick)
-        np.add(w_next, kick, out=w_next)
-        w_next[0] = 0.0
-        w_next[-1] = w_far
-        w_prev, w, w_next = w, w_next, w_prev
-        if not np.all(np.isfinite(w)):
-            raise InstabilityError(f"non-finite w at t = {n * dt:.6g}")
-        accel(w, acc)
-        if n % snap_every == 0 or n == n_steps:
-            # second-order velocity at the current level
-            v_now = (w - w_prev) / dt + 0.5 * dt * acc
-            times.append(n * dt)
-            ws.append(w.copy())
-            vs.append(v_now)
-            energies.append(energy(w, v_now))
+
+    def advance(n0, n1, check):
+        # steps n0 + 1 .. n1; with check, raise at the first non-finite level
+        nonlocal prev, cur, nxt
+        with np.errstate(over="ignore", invalid="ignore"):
+            for n in range(n0 + 1, n1 + 1):
+                w_next = nxt[0]
+                np.multiply(cur[0], 2.0, out=w_next)
+                np.subtract(w_next, prev[0], out=w_next)
+                np.multiply(acc, dt2, out=kick)
+                np.add(w_next, kick, out=w_next)
+                w_next[0] = 0.0
+                w_next[-1] = w_far
+                prev, cur, nxt = cur, nxt, prev
+                if check and not np.all(np.isfinite(w_next)):
+                    raise InstabilityError(f"non-finite w at t = {n * dt:.6g}")
+                accel(cur)
+
+    n = 0
+    while n < n_steps:
+        stop = min(n + snap_every, n_steps)
+        np.copyto(prev_checked, prev[0])  # the checked current level is the snapshot ws[-1]
+        advance(n, stop, check=False)
+        if not np.all(np.isfinite(cur[0])):
+            # replay the interval from its checked levels, checking every step
+            np.copyto(cur[0], ws[-1])
+            np.copyto(prev[0], prev_checked)
+            accel(cur)
+            advance(n, stop, check=True)
+        n = stop
+        # second-order velocity at the current level
+        v_now = (cur[0] - prev[0]) / dt + 0.5 * dt * acc
+        times.append(n * dt)
+        ws.append(cur[0].copy())
+        vs.append(v_now)
+        energies.append(energy(cur[0], v_now)[0])
     return EvolveResult(times=np.array(times), r=r, w=np.array(ws), w_t=np.array(vs),
-                        energy=np.array(energies), moduli=m)
+                        energy=np.array(energies), moduli=m, energy_scale=scale)
 
 
 def lift_hedgehog(profile: RadialProfile) -> HedgehogField:

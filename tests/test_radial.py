@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -5,6 +7,7 @@ from scipy.optimize import brentq
 import rotelast as rl
 from rotelast import radial
 from rotelast.radial import DivergenceError, InstabilityError, _autonomous_force, indicial_exponent
+from test_kernels import same_bits
 
 
 def potential_U_sincos(w, m):
@@ -76,6 +79,86 @@ def leapfrog_allocating(initial, dt, t_end, n_snapshots=101):
     return np.array(ws), np.array(vs), np.array(es)
 
 
+def potential_U_one_line(w, m):
+    """Oracle: the tan form of U as one expression, with its own temporaries."""
+    t = np.tan(w)
+    sq = t * t
+    return 2.0 * t * ((2.0 * m.lambda2 - 3.0 * m.lambda1) + m.lambda1 * sq) / (1.0 + sq) ** 2
+
+
+def leapfrog_checked_every_step(initial, dt, t_end, n_snapshots=101):
+    """Oracle: ``evolve_dynamic`` as it stepped before it checked finiteness once per snapshot interval.
+
+    The one-line U, the level slices taken at every step and a finiteness
+    check after every step.  Returns (times, w, w_t, parts) at the snapshots,
+    ``parts`` the kinetic, gradient and potential sums of each H, which is
+    ``dr * (kinetic + gradient - potential)``.
+    """
+    m, r = initial.moduli, initial.r
+    dr = r[1] - r[0]
+    w = initial.w.copy()
+    v = initial.w_t.copy() if initial.w_t is not None else np.zeros_like(w)
+    edge = m.lambda1 * (0.5 * (r[:-1] + r[1:])) ** 2
+    inv_rsq = 1.0 / (r[1:-1] * r[1:-1])
+    lo = edge[:-1] * inv_rsq / (dr * dr)
+    hi = edge[1:] * inv_rsq / (dr * dr)
+    diff, flux = np.empty(len(r) - 1), np.empty(len(r) - 2)
+
+    def accel(wc, acc):
+        inner = acc[1:-1]
+        np.multiply(potential_U_one_line(wc[1:-1], m), inv_rsq, out=inner)
+        np.subtract(wc[1:], wc[:-1], out=diff)
+        np.multiply(hi, diff[1:], out=flux)
+        np.add(inner, flux, out=inner)
+        np.multiply(lo, diff[:-1], out=flux)
+        np.subtract(inner, flux, out=inner)
+        return acc
+
+    def parts(wc, vc):
+        return (0.5 * np.sum(r * r * vc * vc), np.sum(edge * diff * diff) / (2.0 * dr * dr),
+                np.sum(radial.potential_U_integral(wc, m)))
+
+    n_steps = int(round(t_end / dt))
+    snap_every = max(1, n_steps // max(1, n_snapshots - 1))
+    acc = accel(w, np.zeros_like(w))
+    times, ws, vs, es = [0.0], [w.copy()], [v.copy()], [parts(w, v)]
+    w_prev = w - dt * v + 0.5 * dt * dt * acc
+    w_next, kick = np.empty_like(w), np.empty_like(w)
+    dt2, w_far = dt * dt, initial.w[-1]
+    for n in range(1, n_steps + 1):
+        np.multiply(w, 2.0, out=w_next)
+        np.subtract(w_next, w_prev, out=w_next)
+        np.multiply(acc, dt2, out=kick)
+        np.add(w_next, kick, out=w_next)
+        w_next[0] = 0.0
+        w_next[-1] = w_far
+        w_prev, w, w_next = w, w_next, w_prev
+        if not np.all(np.isfinite(w)):
+            raise InstabilityError(f"non-finite w at t = {n * dt:.6g}")
+        accel(w, acc)
+        if n % snap_every == 0 or n == n_steps:
+            v_now = (w - w_prev) / dt + 0.5 * dt * acc
+            times.append(n * dt)
+            ws.append(w.copy())
+            vs.append(v_now)
+            es.append(parts(w, v_now))
+    return np.array(times), np.array(ws), np.array(vs), np.array(es)
+
+
+@functools.cache
+def static_solution(l1, l2):
+    return rl.solve_static(rl.Moduli.from_couplings(l1, l2), slope0=1.0, r_max=50.0, tol=1e-10)
+
+
+def huge_velocity_profile(velocity):
+    """The (1, 1) bump at rest but for a uniform interior velocity: the levels overflow after some steps."""
+    r = np.linspace(0.0, 10.0, 101)
+    w_t = np.zeros_like(r)
+    w_t[1:-1] = velocity
+    return rl.RadialProfile(r=r, w=0.1 * r * np.exp(-r), w_t=w_t, moduli=rl.Moduli.from_couplings(1.0, 1.0),
+                            slope0=0.1, tol=1e-8)
+
+
 def eigenvalues_closed_form(f_star, m):
     """Derived oracle: eigenvalues of [[0, 1], [G'(f*), -1]].
 
@@ -139,6 +222,15 @@ class TestPotentialU:
             assert type(fn(0.3, unit_moduli)) is float
             assert fn(0.0, unit_moduli) == 0.0
             assert np.isnan(fn(np.nan, unit_moduli))
+
+    @pytest.mark.parametrize("l1, l2", [(1.0, 1.0), (1.0, 1.25), (0.4, 2.3), (3.0, 0.1)])
+    def test_in_place_steps_keep_the_one_line_bits(self, l1, l2):
+        # arrays square in place, while a scalar (the static solver's right-hand side) keeps pow's bits
+        m = rl.Moduli.from_couplings(l1, l2)
+        w = np.random.default_rng(5).normal(scale=3.0, size=20000)
+        assert same_bits((rl.potential_U(w, m), rl.potential_U(w[1:-1], m)),
+                         (potential_U_one_line(w, m), potential_U_one_line(w[1:-1], m)))
+        assert same_bits([rl.potential_U(x, m) for x in w[:4000]], [potential_U_one_line(x, m) for x in w[:4000]])
 
     def test_integral_is_antiderivative(self):
         m = rl.Moduli.from_couplings(0.7, 1.2)
@@ -259,6 +351,57 @@ class TestEvolveDynamic:
         assert np.abs(ev.w - w).max() <= 1e-12 * scale
         assert np.abs(ev.w_t - w_t).max() <= 1e-12 * scale / dt
         assert np.abs(ev.energy - energy).max() <= 1e-12 * max(1.0, abs(energy[0]))
+
+    @pytest.mark.parametrize("l1, l2", [(1.0, 1.0), (1.0, 1.25), (0.4, 2.3)])
+    @pytest.mark.parametrize("n", [801, 4001])
+    @pytest.mark.parametrize("kicked", [True, False], ids=["w_t", "at_rest"])
+    def test_same_bits_as_the_per_step_check(self, l1, l2, n, kicked):
+        # 11 snapshots: (1, 1) takes 64 steps at 801 nodes, not a multiple of snap_every = 6, and 320
+        # at 4001 nodes, ten intervals of 32
+        uni = rl.resample_uniform(static_solution(l1, l2), n=n)
+        uni.w_t = 0.01 * uni.r * np.exp(-((uni.r - 2.0) ** 2)) if kicked else None
+        dr = uni.r[1] - uni.r[0]
+        dt = 0.5 * dr / np.sqrt(l1)
+        ev = rl.evolve_dynamic(uni, dt=dt, t_end=2.0, n_snapshots=11)
+        times, w, w_t, parts = leapfrog_checked_every_step(uni, dt, 2.0, n_snapshots=11)
+        energy = [float(dr * (kin + grad - pot)) for kin, grad, pot in parts]
+        assert same_bits((ev.times, ev.w, ev.w_t, ev.energy), (times, w, w_t, energy))
+
+    @pytest.mark.parametrize("t_end, n_snapshots, step", [(2.0, 5, 19), (0.95, 5, 19)],
+                             ids=["inside_an_interval", "last_unaligned_step"])
+    def test_replay_names_the_first_non_finite_level(self, t_end, n_snapshots, step):
+        # the levels overflow first at step 19: inside the interval (10, 20] of a 40-step run, and
+        # the last step of a 19-step run, whose intervals end at 4, 8, 12, 16 and 19
+        p, dt = huge_velocity_profile(1e307), 0.05
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(InstabilityError) as oracle:
+            leapfrog_checked_every_step(p, dt, t_end, n_snapshots)
+        assert str(oracle.value) == f"non-finite w at t = {step * dt:.6g}"
+        # the snapshot energies overflow (v^2 ~ 1e614) and warn; the steps do not
+        with np.errstate(over="ignore"), pytest.raises(InstabilityError) as new:
+            rl.evolve_dynamic(p, dt=dt, t_end=t_end, n_snapshots=n_snapshots)
+        assert str(new.value) == str(oracle.value)
+
+    def test_overflow_free_huge_run_completes(self):
+        # huge but finite all the way: no check fails, and the levels keep their bits
+        p, dt = huge_velocity_profile(1e306), 0.05
+        with np.errstate(over="ignore", invalid="ignore"):
+            ev = rl.evolve_dynamic(p, dt=dt, t_end=2.0, n_snapshots=5)
+            times, w, w_t, _ = leapfrog_checked_every_step(p, dt, 2.0, n_snapshots=5)
+        assert np.all(np.isfinite(ev.w)) and same_bits((ev.times, ev.w, ev.w_t), (times, w, w_t))
+
+    @pytest.mark.parametrize("l1, l2, kicked", [(1.0, 1.0, False), (1.0, 1.25, True), (0.4, 2.3, True)])
+    def test_energy_scale_sums_the_absolute_parts(self, l1, l2, kicked):
+        uni = rl.resample_uniform(static_solution(l1, l2), n=801)
+        uni.w_t = 0.01 * uni.r * np.exp(-((uni.r - 2.0) ** 2)) if kicked else None
+        dr = uni.r[1] - uni.r[0]
+        dt = 0.5 * dr / np.sqrt(l1)
+        ev = rl.evolve_dynamic(uni, dt=dt, t_end=0.5)
+        *_, parts = leapfrog_checked_every_step(uni, dt, 0.5)
+        assert ev.energy_scale == float(dr * np.sum(np.abs(parts[0])))
+        assert ev.energy_scale >= abs(ev.energy[0])
+        if not kicked:
+            # (1, 1) at rest: kinetic 0, gradient >= 0 and V <= 0, so the scale is |E0| to the bit
+            assert parts[0][0] == 0 and parts[0][2] < 0 and ev.energy_scale == abs(ev.energy[0])
 
     def test_instability_raised_on_overflow(self, unit_moduli):
         # a finite but huge value overflows the stencil in the first step
