@@ -7,8 +7,9 @@ optional key=value config file (--config), where the on/off flags take
 ``true`` or ``false``; identical configuration and seed produce
 bit-identical outputs.  Exit codes: 0 success, 2 bad usage or configuration
 (argparse's own errors included, with a JSON record on stderr), 3 solver
-failure (divergence, instability, a failed integration or an ill-posed
-evolve coupling, with a one-line diagnostic JSON record on stdout).
+failure (divergence, instability, a failed integration, an ill-posed evolve
+coupling, a profile whose resampling overflows or an evolve energy that
+overflows, with a one-line diagnostic JSON record on stdout).
 """
 
 from __future__ import annotations
@@ -158,6 +159,9 @@ def cmd_evolve(args) -> int:
     dr = uniform.r[1] - uniform.r[0]
     dt = args.dt if args.dt is not None else 0.5 * dr / np.sqrt(uniform.moduli.lambda1)
     result = evolve_dynamic(uniform, dt=dt, t_end=args.t_end)
+    bad = np.flatnonzero(~np.isfinite(result.energy))
+    if bad.size:  # the levels stayed finite, but r^2 v^2 or the gradient term overflowed
+        raise InstabilityError(f"non-finite energy at t = {result.times[bad[0]]:.6g}")
     final = result.profile(len(result.times) - 1)
     if args.output:
         save_profile_csv(final, args.output)

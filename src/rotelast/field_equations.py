@@ -1,16 +1,12 @@
 """Pointwise residual of the full nonlinear equations of motion.
 
-Two equivalent forms are provided.  The canonical one (:func:`residual_eqs2_at`)
-is polynomial in (alpha, beta) and reads
+The residual :func:`residual_eqs2_at` is polynomial in (alpha, beta) and reads
 
     d_t H^it - d_k H^ik + 2 (H^jt G_tj^i - H^jk G_kj^i) = 0 ,
 
 with H the derivatives of the quadratic Lagrangian with respect to the Nye
-blocks and G built from first derivatives of the rotor.  The P-form
-(:func:`residual_eqs_at`) is the G-form times the matrix P of :func:`p_matrix`,
-which contains 1/alpha; it exists for the equivalence property and raises
-near the singular gauge |alpha| < 1e-8.  A field's residual at points x and
-time t is ``residual_eqs2_at(field.field_point(x, t), moduli)``.
+blocks and G built from first derivatives of the rotor.  A field's residual
+at points x and time t is ``residual_eqs2_at(field.field_point(x, t), moduli)``.
 
 All evaluators accept batched FieldPoints.  :func:`residual_grid` feeds
 them a grid in x-slabs of about ``kinematics._SLAB_POINTS`` (4096) interior
@@ -44,6 +40,8 @@ The residual reads four 3-vectors of the 27-entry ``d_k A_lm`` and
 
 :func:`_d_nye` (``d_k A_lm`` in full) and :func:`g_tensor_space` are the
 unfused reference forms of these contractions; the residual calls neither.
+They stay as the references that the tests compare against, and the
+benchmark traces both by name.
 
 Memory layout.  :func:`grid_field_point` stores its blocks component axes
 first, batch axes last, and the kernels take component-first views
@@ -62,49 +60,16 @@ import numpy as np
 
 from .fields import FieldPoint, _components_first, _nye_bracket
 from .kinematics import Moduli, RotorGrid, _central_diff, _central_diff2, _slabs, _trace_skew, nye_matrix
-from .so3 import _bl, _cf, _cross, _eps_ddot, _norm2, eps_dot
+from .so3 import _bl, _cf, _cross, _eps_ddot, eps_dot
 
 __all__ = [
-    "SingularGaugeError",
     "FieldPoint",
-    "ALPHA_MIN",
-    "p_matrix",
-    "p_inverse",
     "g_tensor_space",
     "h_tensors",
     "residual_eqs2_at",
-    "residual_eqs_at",
     "grid_field_point",
     "residual_grid",
 ]
-
-ALPHA_MIN = 1e-8
-
-
-class SingularGaugeError(ValueError):
-    """The 1/alpha parametrization degenerates near alpha = 0."""
-
-
-def p_matrix(alpha, beta) -> np.ndarray:
-    """``P_ij = eps_ijl beta^l + (1/alpha)(delta_ij (1 - beta^2) + beta_i beta_j)``.
-
-    Batched over leading axes; requires |alpha| >= 1e-8 everywhere.
-    """
-    alpha, beta = np.asarray(alpha, dtype=float), np.asarray(beta, dtype=float)
-    if np.min(np.abs(alpha)) < ALPHA_MIN:
-        raise SingularGaugeError(f"P singular: min |alpha| = {np.min(np.abs(alpha))!r}")
-    b2 = _norm2(beta)
-    return (
-        eps_dot(beta)
-        + ((1.0 - b2)[..., None, None] * np.eye(3) + beta[..., :, None] * beta[..., None, :])
-        / alpha[..., None, None]
-    )
-
-
-def p_inverse(alpha, beta) -> np.ndarray:
-    """``(P^-1)^jk = alpha delta^jk - eps^jkn beta_n`` (regular for all rotors; batched)."""
-    alpha, beta = np.asarray(alpha, dtype=float), np.asarray(beta, dtype=float)
-    return alpha[..., None, None] * np.eye(3) - eps_dot(beta)
 
 
 def _axial(beta, d_alpha, a) -> np.ndarray:
@@ -207,16 +172,6 @@ def residual_eqs2_at(fp: FieldPoint, m: Moduli) -> np.ndarray:
     # d_k H^ik = 2 l1 d_i tr A + l2 d_k (A_ik - A_ki)
     div_h = 2.0 * m.lambda1 * d_tr + m.lambda2 * (row - col)
     return _bl(2.0 * _dt_nye_velocity(p) - div_h + coupling)
-
-
-def residual_eqs_at(fp: FieldPoint, m: Moduli) -> np.ndarray:
-    """P-form residual (free index j); requires |alpha| >= 1e-8 everywhere.
-
-    Its Q blocks are ``Q = G P``, so the P-form is the G-form residual
-    contracted with P, and right-multiplication by P^-1 recovers the G-form.
-    """
-    r, p = _cf(residual_eqs2_at(fp, m)), _cf(p_matrix(fp.alpha, fp.beta), 2)
-    return _bl(0.0 + r[0] * p[0] + r[1] * p[1] + r[2] * p[2])
 
 
 def _check_margin(grid: RotorGrid, margin: int) -> None:

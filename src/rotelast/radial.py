@@ -402,15 +402,20 @@ def resample_uniform(profile: RadialProfile, n: int, r_max: float | None = None)
 
     The dynamic solver needs a uniform grid including the origin.  The
     spline runs in ``r^s`` (:class:`_CoreSpline`), so profiles with a core
-    exponent s < 1 keep their shape near the origin.
+    exponent s < 1 keep their shape near the origin.  A finite column whose
+    spline overflows raises ``RuntimeError``.
     """
     if n < 3:
         raise ValueError(f"resampling needs at least 3 points, got n = {n}")
     r_max = profile.r[-1] if r_max is None else min(r_max, profile.r[-1])
     r = np.linspace(0.0, r_max, n)
-    w = _CoreSpline(profile, profile.w)(r)
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = _CoreSpline(profile, profile.w)(r)
+        w_t = None if profile.w_t is None else _CoreSpline(profile, profile.w_t)(r)
+    for name, col in (("w", w), ("w_t", w_t)):
+        if col is not None and not np.all(np.isfinite(col)):
+            raise RuntimeError(f"resampled {name} is not finite: its cubic spline overflowed")
     w[0] = 0.0
-    w_t = None if profile.w_t is None else _CoreSpline(profile, profile.w_t)(r)
     return RadialProfile(r=r, w=w, w_t=w_t, moduli=profile.moduli,
                          slope0=profile.slope0, tol=profile.tol)
 
@@ -518,10 +523,11 @@ def evolve_dynamic(initial: RadialProfile, dt: float, t_end: float,
 
     def energy(wc, vc):
         # H of the docstring and dr (|kinetic| + |gradient| + |potential|); diff holds the edge
-        # differences of wc, the level accel saw last
-        parts = (0.5 * np.sum(r * r * vc * vc), np.sum(edge * diff * diff) / (2.0 * dr * dr),
-                 np.sum(potential_U_integral(wc, m)))
-        return float(dr * (parts[0] + parts[1] - parts[2])), float(dr * sum(abs(p) for p in parts))
+        # differences of wc, the level accel saw last.  An overflow is returned, not warned about
+        with np.errstate(over="ignore", invalid="ignore"):
+            parts = (0.5 * np.sum(r * r * vc * vc), np.sum(edge * diff * diff) / (2.0 * dr * dr),
+                     np.sum(potential_U_integral(wc, m)))
+            return float(dr * (parts[0] + parts[1] - parts[2])), float(dr * sum(abs(p) for p in parts))
 
     n_steps = int(round(t_end / dt))
     snap_every = max(1, n_steps // max(1, n_snapshots - 1))

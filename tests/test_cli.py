@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +10,8 @@ import pytest
 import rotelast as rl
 import rotelast.cli
 from rotelast.cli import main
+
+SRC = str(Path(rotelast.__file__).resolve().parent.parent)
 
 
 def run_cli(capsys, *argv):
@@ -353,6 +359,34 @@ class TestRuntimeFailures:
         # U'(0) = -1 for (1, 1.25)
         code, _, _ = run_cli(capsys, "evolve", "--from-profile", str(fine), "--n-grid", "101", "--t-end", "0.5")
         assert code == 0
+
+    @pytest.mark.parametrize("w_t, error, detail", [
+        # the levels stay finite, but r^2 w_t^2 overflows the snapshot energy
+        (1e305, "instability", "non-finite energy at t = 0"),
+        # a finite column whose spline slopes overflow when evolve resamples it
+        (1e307, "solver_failure", "resampled w_t is not finite: its cubic spline overflowed"),
+    ], ids=["energy", "resample"])
+    def test_overflow_exit_3_with_strict_json(self, tmp_path, w_t, error, detail):
+        r = np.linspace(0.0, 5.0, 101)
+        column = np.full_like(r, w_t)
+        column[[0, -1]] = 0.0
+        path = tmp_path / "huge.csv"
+        rl.save_profile_csv(rl.RadialProfile(r=r, w=np.zeros_like(r), w_t=column,
+                                             moduli=rl.Moduli.from_couplings(1.0, 1.0), slope0=0.0, tol=1e-10),
+                            path)
+        # a real process, so that a RuntimeWarning would reach its stderr
+        proc = subprocess.run([sys.executable, "-m", "rotelast.cli", "evolve", "--from-profile", str(path),
+                               "--n-grid", "101", "--dt", "0.05", "--t-end", "1", "-o", str(tmp_path / "final.csv")],
+                              capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC))
+
+        def reject(constant):
+            raise ValueError(f"non-strict JSON constant {constant}")
+
+        assert proc.returncode == 3
+        assert json.loads(proc.stdout, parse_constant=reject) == {"schema_version": 1, "error": error,
+                                                                   "detail": detail}
+        assert proc.stderr == ""
+        assert not (tmp_path / "final.csv").exists()
 
     def test_static_integration_failure_exit_3(self, capsys, monkeypatch):
         def failing(*args, **kwargs):

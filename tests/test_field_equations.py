@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import rotelast as rl
-from rotelast.field_equations import SingularGaugeError, _axial
+from rotelast.field_equations import _axial
 from rotelast.fields import _nye_bracket
 from rotelast.so3 import LEVI_CIVITA, _bl, _cf
 
@@ -48,55 +48,6 @@ def soliton_annulus_residual(field, moduli, h, r_in=1.0, r_out=5.0):
     rr = np.linalg.norm(pts, axis=-1)
     mask = (rr >= r_in) & (rr <= r_out)
     return np.abs(res[mask]).max()
-
-
-class TestPMatrix:
-    def test_identity_rotor(self):
-        assert np.allclose(rl.p_matrix(1.0, np.zeros(3)), np.eye(3))
-
-    def test_p_times_p_inverse(self, rng):
-        for _ in range(100):
-            r = random_rotor(rng)
-            if abs(r.alpha) < 1e-6:
-                continue
-            prod = rl.p_matrix(r.alpha, r.beta) @ rl.p_inverse(r.alpha, r.beta)
-            assert np.abs(prod - np.eye(3)).max() <= 1e-12
-        # batched over leading axes, entry by entry equal to the single-rotor form
-        rotors = [r for r in (random_rotor(rng) for _ in range(40)) if abs(r.alpha) >= 1e-6]
-        alpha = np.array([r.alpha for r in rotors]).reshape(2, -1)
-        beta = np.array([r.beta for r in rotors]).reshape(2, -1, 3)
-        p = rl.p_matrix(alpha, beta)
-        assert p.shape == alpha.shape + (3, 3)
-        for n, r in enumerate(rotors):
-            single = rl.p_matrix(r.alpha, r.beta)
-            assert np.abs(p.reshape(-1, 3, 3)[n] - single).max() <= 1e-14 * np.abs(single).max()
-        prod = p @ rl.p_inverse(alpha, beta)
-        assert np.abs(prod - np.eye(3)).max() <= 1e-12
-
-    def test_singular_gauge(self):
-        with pytest.raises(SingularGaugeError):
-            rl.p_matrix(0.0, np.array([1.0, 0.0, 0.0]))
-        # one singular point in a batch is enough
-        alpha = np.array([0.6, 0.5e-8])
-        beta = np.array([[0.8, 0.0, 0.0], [0.0, np.sqrt(1.0 - alpha[1] ** 2), 0.0]])
-        with pytest.raises(SingularGaugeError):
-            rl.p_matrix(alpha, beta)
-
-
-class TestPInverse:
-    def test_identity_rotor(self):
-        assert np.allclose(rl.p_inverse(1.0, np.zeros(3)), np.eye(3))
-
-    def test_alpha_zero_formula(self):
-        # alpha = 0, beta = e3: P^-1 = -eps^{jk3}
-        got = rl.p_inverse(0.0, np.array([0.0, 0.0, 1.0]))
-        expected = -LEVI_CIVITA[:, :, 2]
-        assert np.array_equal(got, expected)
-
-    def test_regular_everywhere(self, rng):
-        for _ in range(50):
-            r = random_rotor(rng)
-            assert np.all(np.isfinite(rl.p_inverse(r.alpha, r.beta)))
 
 
 class TestGTensors:
@@ -271,51 +222,6 @@ class TestResidualEqs2:
         r_big = np.abs(rl.residual_eqs2_at(mixed(2e-3).field_point(x0, 0.2), m)).max()
         r_small = np.abs(rl.residual_eqs2_at(mixed(1e-3).field_point(x0, 0.2), m)).max()
         assert 3.5 <= r_big / r_small <= 4.5
-
-
-class TestResidualEqsEquivalence:
-    def test_constant_field(self, rng, unit_moduli):
-        r = random_rotor(rng)
-        if abs(r.alpha) < 1e-3:
-            r = rl.make_rotor([0.2, 0.1, 0.3])
-        f = rl.ConstantField(r)
-        res = rl.residual_eqs_at(f.field_point([0.1, 0.2, 0.3]), unit_moduli)
-        assert np.abs(res).max() == 0.0
-
-    def test_p_inverse_contraction_matches_eqs2(self, rng):
-        m = rl.Moduli.from_couplings(0.8, 1.3)
-        f = rl.random_smooth_field(seed=3)
-        for _ in range(20):
-            x = rng.normal(size=3) * 0.7
-            fp = f.field_point(x)
-            r1 = rl.residual_eqs_at(fp, m)
-            r2 = rl.residual_eqs2_at(fp, m)
-            pinv = rl.p_inverse(float(fp.alpha), fp.beta)
-            scale = max(1.0, np.abs(r2).max())
-            assert np.abs(r1 @ pinv - r2).max() <= 1e-10 * scale
-
-    def test_singular_gauge_raises(self):
-        # hedgehog alpha = sin w vanishes as r -> 0
-        w = lambda r: 0.1 * r
-        wp = lambda r: 0.1 * np.ones_like(r)
-        wpp = lambda r: np.zeros_like(r)
-        field = rl.HedgehogField(w, wp, wpp)
-        m = rl.Moduli.from_couplings(1.0, 1.0)
-        with pytest.raises(SingularGaugeError):
-            rl.residual_eqs_at(field.field_point([1e-9, 0.0, 0.0]), m)
-
-    def test_hedgehog_p_form_second_order(self, soliton_field, unit_moduli):
-        # same convergence as the G-form wherever alpha is regular
-        def p_form_max(h):
-            a, b = 2.0, 3.0
-            n = int(round((b - a) / h)) + 5
-            grid = rl.RotorGrid.from_field(soliton_field, dims=(n, n, n), spacing=h,
-                                           origin=(a - 2 * h) * np.ones(3))
-            from rotelast.field_equations import grid_field_point, residual_eqs_at
-            fp = grid_field_point(grid)
-            return np.abs(residual_eqs_at(fp, unit_moduli)).max()
-
-        assert p_form_max(0.2) / p_form_max(0.1) >= 3.0
 
 
 class TestRadialStructure:

@@ -1,4 +1,5 @@
 import functools
+import warnings
 
 import numpy as np
 import pytest
@@ -660,6 +661,17 @@ class TestProfileSerialization:
         assert uni.r[0] == 0.0 and uni.r[-1] == 40.0
         assert np.allclose(np.diff(uni.r), uni.r[1] - uni.r[0])
         assert uni.w[0] == 0.0
+
+    def test_resample_overflow_raises_runtime_error(self, unit_moduli):
+        # a finite w_t of 1e307 between zero ends: the spline's slopes overflow, silently
+        r = np.linspace(0.0, 5.0, 101)
+        w_t = np.full_like(r, 1e307)
+        w_t[[0, -1]] = 0.0
+        p = rl.RadialProfile(r=r, w=np.zeros_like(r), w_t=w_t, moduli=unit_moduli, slope0=0.0, tol=1e-10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RuntimeError, match="resampled w_t is not finite"):
+                rl.resample_uniform(p, 101)
 
 
 def solve_static_scipy(m, slope0, r_max, tol=1e-10):

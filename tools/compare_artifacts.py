@@ -62,10 +62,13 @@ itself when its operands move in the last bits.
 The ``evolve`` runs integrate to ``t_end`` 2 (on 801 and 4001 radial nodes)
 and to 20, where rounding differences grow through the soliton's unstable
 mode (see ROADMAP aim 2); a difference above ``--rtol`` there is reported,
-not hidden.  One more ``evolve`` run starts from ``INPUTS``' huge uniform
-velocity, which no command writes: the tool saves that profile under
-``inputs`` in each work directory, and the run exits 3 at a level inside a
-snapshot interval, so its record shows the time of the first non-finite level.
+not hidden.  Two more ``evolve`` runs start from ``INPUTS``' huge uniform
+velocities, which no command writes: the tool saves those profiles under
+``inputs`` in each work directory.  With 1e306 the run exits 3 at a level
+inside a snapshot interval, so its record shows the time of the first
+non-finite level; with 1e305 the levels stay finite but the energy
+overflows, and the run exits 3 with a record that names the first
+non-finite snapshot energy.
 """
 
 from __future__ import annotations
@@ -111,17 +114,26 @@ RUNS = (
     # the run exits 3 and its instability record stands in for the summary
     ("evolve", ["--from-profile", "../inputs/huge_velocity.csv", "--n-grid", "101", "--dt", "0.05",
                 "--t-end", "20", "-o", "final_huge.csv", "--summary", "evolve_huge.json"]),
+    # every level stays finite, but r^2 w_t^2 overflows the energy at t = 0, so the run exits 3
+    ("evolve", ["--from-profile", "../inputs/overflow_energy.csv", "--n-grid", "101", "--dt", "0.05",
+                "--t-end", "1", "--summary", "evolve_overflow.json"]),
 )
-# inputs that no command writes, saved in the work directory's ``inputs``: (1, 1) at w = 0 with the
-# uniform velocity 1e306 on the 101 nodes of [0, 10]
-INPUTS = {"huge_velocity.csv": "# radial-profile-csv 1\n# lambda1 1.0 lambda2 1.0\n# c1 0.0 c2 1.0 c3 0.75\n"
-                               "# slope0 0.0 tol 1e-10\nr,w,w_t\n"
-                               + "".join(f"{r!r},0.0,1e+306\n" for r in np.linspace(0.0, 10.0, 101).tolist())}
+
+
+def _uniform_velocity_csv(r_max: float, velocity: str) -> str:
+    """A (1, 1) profile at w = 0 with a uniform velocity on the 101 nodes of [0, r_max]."""
+    return ("# radial-profile-csv 1\n# lambda1 1.0 lambda2 1.0\n# c1 0.0 c2 1.0 c3 0.75\n# slope0 0.0 tol 1e-10\n"
+            "r,w,w_t\n" + "".join(f"{r!r},0.0,{velocity}\n" for r in np.linspace(0.0, r_max, 101).tolist()))
+
+
+# inputs that no command writes, saved in the work directory's ``inputs``
+INPUTS = {"huge_velocity.csv": _uniform_velocity_csv(10.0, "1e+306"),
+          "overflow_energy.csv": _uniform_velocity_csv(5.0, "1e+305")}
 # what the current change moves on purpose, with the reason: per file, the keys or columns that may move,
 # or None for the whole file, its layout included
 DECLARED_MOVES = {
-    # the relative energy drift is taken against dr (|kinetic| + |gradient| + |potential|) of E0, not |E0|
-    **{f"cli/evolve{s}.json": ("energy_rel_drift",) for s in ("", "_4001", "_t20", "_c")},
+    # an overflowed energy was printed as Infinity and NaN with exit 0; it is now an exit-3 instability record
+    "cli/evolve_overflow.json": None,
 }
 # the child process that runs write_library: argv is this file, the cli directory, the library directory
 LIBRARY = "import runpy, sys; runpy.run_path(sys.argv[1])['write_library'](*sys.argv[2:])"
