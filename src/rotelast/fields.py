@@ -289,14 +289,33 @@ class HedgehogField(RotorField):
 
 
 class TranslatedField(RotorField):
-    """A field displaced by a constant offset: value at x is base(x - offset)."""
+    """A field displaced by a constant offset: value at x is base(x - offset).
+
+    Every evaluator shifts x and delegates to the base, so a base without
+    rotor derivative blocks (a :class:`ProductField`) translates too.
+    """
 
     def __init__(self, base: RotorField, offset):
         self.base = base
         self.offset = np.asarray(offset, dtype=float)
 
+    def _shift(self, x) -> np.ndarray:
+        return np.asarray(x, dtype=float) - self.offset
+
     def field_point(self, x, t: float = 0.0, order: int = 2) -> FieldPoint:
-        return self.base.field_point(np.asarray(x, dtype=float) - self.offset, t, order)
+        return self.base.field_point(self._shift(x), t, order)
+
+    def alpha_beta(self, x, t: float = 0.0):
+        return self.base.alpha_beta(self._shift(x), t)
+
+    def u(self, x, t: float = 0.0) -> np.ndarray:
+        return self.base.u(self._shift(x), t)
+
+    def nye(self, x, t: float = 0.0) -> np.ndarray:
+        return self.base.nye(self._shift(x), t)
+
+    def u_and_nye(self, x, t: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+        return self.base.u_and_nye(self._shift(x), t)
 
 
 class ConstantField(RotorField):

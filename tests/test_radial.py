@@ -151,9 +151,9 @@ def static_solution(l1, l2):
     return rl.solve_static(rl.Moduli.from_couplings(l1, l2), slope0=1.0, r_max=50.0, tol=1e-10)
 
 
-def huge_velocity_profile(velocity):
+def huge_velocity_profile(velocity, n=101):
     """The (1, 1) bump at rest but for a uniform interior velocity: the levels overflow after some steps."""
-    r = np.linspace(0.0, 10.0, 101)
+    r = np.linspace(0.0, 10.0, n)
     w_t = np.zeros_like(r)
     w_t[1:-1] = velocity
     return rl.RadialProfile(r=r, w=0.1 * r * np.exp(-r), w_t=w_t, moduli=rl.Moduli.from_couplings(1.0, 1.0),
@@ -368,17 +368,21 @@ class TestEvolveDynamic:
         energy = [float(dr * (kin + grad - pot)) for kin, grad, pot in parts]
         assert same_bits((ev.times, ev.w, ev.w_t, ev.energy), (times, w, w_t, energy))
 
-    @pytest.mark.parametrize("t_end, n_snapshots, step", [(2.0, 5, 19), (0.95, 5, 19)],
-                             ids=["inside_an_interval", "last_unaligned_step"])
-    def test_replay_names_the_first_non_finite_level(self, t_end, n_snapshots, step):
-        # the levels overflow first at step 19: inside the interval (10, 20] of a 40-step run, and
-        # the last step of a 19-step run, whose intervals end at 4, 8, 12, 16 and 19
-        p, dt = huge_velocity_profile(1e307), 0.05
+    @pytest.mark.parametrize("n, velocity, dt, t_end, n_snapshots, step",
+                             [(101, 1e307, 0.05, 2.0, 5, 19), (101, 1e307, 0.05, 0.95, 5, 19),
+                              (101, 1e307, 0.05, 1.9, 3, 19), (3, 1e308, 2.0, 4.0, 3, 1)],
+                             ids=["inside_an_interval", "last_unaligned_step", "snapshot_step", "first_level"])
+    @pytest.mark.filterwarnings("error")  # the steps, and the Taylor start, overflow without a warning
+    def test_replay_names_the_first_non_finite_level(self, n, velocity, dt, t_end, n_snapshots, step):
+        # at 101 nodes the levels overflow first at step 19: inside the interval (10, 20] of a 40-step
+        # run, the last step of a 19-step run, whose intervals end at 4, 8, 12, 16 and 19, and the
+        # first snapshot of a 38-step run (snap_every = 19).  At 3 nodes (dr = 5), dt w_t = 2e308
+        # overflows the Taylor start, so level 1 is the first non-finite one
+        p = huge_velocity_profile(velocity, n)
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(InstabilityError) as oracle:
             leapfrog_checked_every_step(p, dt, t_end, n_snapshots)
         assert str(oracle.value) == f"non-finite w at t = {step * dt:.6g}"
-        # the snapshot energies overflow (v^2 ~ 1e614) and warn; the steps do not
-        with np.errstate(over="ignore"), pytest.raises(InstabilityError) as new:
+        with pytest.raises(InstabilityError) as new:
             rl.evolve_dynamic(p, dt=dt, t_end=t_end, n_snapshots=n_snapshots)
         assert str(new.value) == str(oracle.value)
 

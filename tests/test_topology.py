@@ -260,6 +260,19 @@ class TestProductField:
         rep = rl.total_charge(prod, ball_radius=12.0, grid_spacing=0.3)
         assert abs(rep.charge - (-2.0)) <= 0.1
 
+    def test_translated_product_is_the_product_of_translated_factors(self, rng):
+        core = degree_one_field(scale=0.8)
+        factors = [rl.TranslatedField(core, [1.5, 0.0, 0.0]), tanh_hedgehog(0.0, np.pi / 4, 1.5)]
+        offset = [0.3, -0.2, 0.1]
+        moved = rl.TranslatedField(rl.ProductField(factors), offset)
+        oracle = rl.ProductField([rl.TranslatedField(f, offset) for f in factors])
+        pts = rng.normal(size=(7, 3))
+        for name in ("u", "nye"):
+            assert getattr(moved, name)(pts).tobytes() == getattr(oracle, name)(pts).tobytes()
+        assert rl.total_charge(moved, 3.0, 0.5) == rl.total_charge(oracle, 3.0, 0.5)
+        grids = [kinematics.RotorGrid.from_field(f, (4, 3, 5), 0.4, [-0.8, -0.4, -1.0]) for f in (moved, oracle)]
+        assert all(getattr(grids[0], k).tobytes() == getattr(grids[1], k).tobytes() for k in ("alpha", "beta"))
+
     def test_empty_product_rejected(self):
         with pytest.raises(ValueError):
             rl.ProductField([])

@@ -131,10 +131,7 @@ INPUTS = {"huge_velocity.csv": _uniform_velocity_csv(10.0, "1e+306"),
           "overflow_energy.csv": _uniform_velocity_csv(5.0, "1e+305")}
 # what the current change moves on purpose, with the reason: per file, the keys or columns that may move,
 # or None for the whole file, its layout included
-DECLARED_MOVES = {
-    # an overflowed energy was printed as Infinity and NaN with exit 0; it is now an exit-3 instability record
-    "cli/evolve_overflow.json": None,
-}
+DECLARED_MOVES = {}
 # the child process that runs write_library: argv is this file, the cli directory, the library directory
 LIBRARY = "import runpy, sys; runpy.run_path(sys.argv[1])['write_library'](*sys.argv[2:])"
 
