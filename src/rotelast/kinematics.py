@@ -400,20 +400,45 @@ def _identity_residual(grid: RotorGrid) -> float:
 GRID_MAGIC = "rotor-grid-csv 1"
 
 
+def _csv_rows(table: np.ndarray) -> bytes:
+    """The rows of a finite 2-d float table as CSV, each number as ``repr(float(x))``.
+
+    orjson's Ryū formatter writes the same shortest round-trip digits as
+    ``repr`` about ten times faster, in the same layout except in three bands:
+    1e-9 <= |x| < 1e-5 gets a one-digit exponent (``1e-6`` for ``1e-06``),
+    which a zero pads; 1e-5 <= |x| < 1e-4 is positional (``0.0000543`` for
+    ``5.43e-05``) and |x| >= 1e16 lacks the plus (``1e16`` for ``1e+16``).
+    Those two are dumped as 1e300, whose bytes stand for no other number
+    since it lies in the last band, and formatted by ``%r`` in its place.
+    """
+    import orjson  # here, so that processes that write no CSV never load it
+
+    flat = table.ravel()
+    mag = np.abs(flat)
+    short = (mag >= 1e-9) & (mag < 1e-5)
+    odd = ((mag >= 1e-5) & (mag < 1e-4)) | (mag >= 1e16)
+    chars = np.frombuffer(orjson.dumps(np.where(odd, 1e300, flat), option=orjson.OPT_SERIALIZE_NUMPY)
+                          .replace(b"1e300", b"%r"), np.uint8)
+    # "[x0,x1,...]": number k ends at ends[k], and after the padding at ends[k] + cumsum(short)[k]
+    ends = np.append(np.flatnonzero(chars == ord(",")), chars.size - 1)
+    chars = np.insert(chars, ends[short] - 1, ord("0"))  # a copy, which can be written
+    chars[(ends + np.cumsum(short))[table.shape[1] - 1::table.shape[1]]] = ord("\n")
+    return chars[1:].tobytes() % tuple(flat[odd].tolist())
+
+
 def _write_table(path, magic: str, meta, header: str, columns) -> None:
     """Write ``# magic``, a ``# key values`` line per dict of ``meta``, the header and the
     rows of ``columns`` (one shape, rows in C order, formatted in slabs along axis 0).
-    Numbers go out as ``repr(float(x))``, the shortest round-trip decimal; strings as is."""
+    Numbers go out as ``repr(float(x))``, the shortest round-trip decimal; strings as is.
+    A non-finite number in ``columns`` raises ``ValueError`` before the file is opened."""
+    if not all(np.isfinite(c).all() for c in columns):
+        raise ValueError("table entries must be finite")
     fmt = lambda v: " ".join(x if isinstance(x, str) else repr(float(x)) for x in np.ravel(v))
-    with open(path, "w", newline="\n") as f:
-        f.write(f"# {magic}\n")
-        for line in meta:
-            f.write("#" + "".join(f" {key} {fmt(v)}" for key, v in line.items()) + "\n")
-        f.write(header + "\n")
-        row = ",".join(["%r"] * len(columns)) + "\n"
+    head = [f"# {magic}"] + ["#" + "".join(f" {key} {fmt(v)}" for key, v in line.items()) for line in meta]
+    with open(path, "wb") as f:
+        f.write("".join(line + "\n" for line in head + [header]).encode())
         for lo, hi in _slabs(len(columns[0]), np.size(columns[0][0])):
-            table = np.stack([np.ravel(c[lo:hi]) for c in columns], axis=-1, dtype=float)
-            f.write(row * len(table) % tuple(table.ravel().tolist()))
+            f.write(_csv_rows(np.stack([np.ravel(c[lo:hi]) for c in columns], axis=-1, dtype=float)))
 
 
 def _read_table(path, magic: str, layout, headers, rows) -> tuple[dict, np.ndarray]:

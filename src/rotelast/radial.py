@@ -82,6 +82,8 @@ class RadialProfile:
             raise ValueError("r and w must be matching 1-d arrays")
         if not (self.r[0] >= 0 and np.all(np.diff(self.r) > 0)):
             raise ValueError("r must be strictly increasing and non-negative")
+        if not np.isfinite(self.r[-1]):  # the order check passes an infinite last radius
+            raise ValueError("r must be finite")
         if not np.all(np.isfinite(self.w)):
             raise ValueError("w must be finite")
         if self.w_t is not None:

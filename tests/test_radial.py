@@ -660,6 +660,11 @@ class TestProfileSerialization:
         with pytest.raises(ValueError, match="strictly increasing"):
             rl.load_profile_csv(path)
 
+    def test_infinite_radius_rejected(self, unit_moduli):
+        # strictly increasing and non-negative, so only the finiteness check stops it
+        with pytest.raises(ValueError, match="r must be finite"):
+            rl.RadialProfile(r=[0.0, 1.0, np.inf], w=np.zeros(3), moduli=unit_moduli, slope0=1.0, tol=1e-9)
+
     def test_resample_uniform(self, soliton_profile):
         uni = rl.resample_uniform(soliton_profile, n=501, r_max=40.0)
         assert uni.r[0] == 0.0 and uni.r[-1] == 40.0

@@ -16,6 +16,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import rotelast as rl
 from rotelast import field_equations, kinematics
@@ -135,6 +137,14 @@ class TestIdentityCheck:
         assert rl.check_identity_TT(grid) == whole_identity_residual(grid)
 
 
+# the double nearest each power of ten (the writer's sentinel 1e300 among them), its neighbours
+# on either side, zero, the least subnormal and the largest double, each with both signs
+POWERS = np.array([float(f"1e{k}") for k in range(-323, 309)])
+DECADE_EDGES = np.concatenate([POWERS, np.nextafter(POWERS, 0), np.nextafter(POWERS, np.inf),
+                               [0.0, 5e-324, np.finfo(float).max]])
+DECADE_EDGES = np.concatenate([DECADE_EDGES, -DECADE_EDGES])
+
+
 class TestCsvRows:
     """Whole files of both writers against a per-line f-string oracle.
 
@@ -142,10 +152,57 @@ class TestCsvRows:
     shared table writer; the oracle writes every line on its own, each
     number as ``repr(float(x))``.  The edge values are a negative zero, the
     least subnormal, a huge float and integer-valued moduli (stored as
-    ``1.0``, not ``1``).
+    ``1.0``, not ``1``).  The rows go through orjson, which lays out
+    1e-9 <= |x| < 1e-4 and |x| >= 1e16 otherwise than ``repr``; tables of
+    any finite doubles, and every power of ten with its neighbours, pin
+    those bands to the oracle's bytes at the default slab size and at one
+    row a slab.
     """
 
     EDGES = (-0.0, 5e-324, 1e308)
+
+    @staticmethod
+    def table_file(path, table):
+        """Write ``table`` as a file of its own through the shared writer; return its bytes."""
+        kinematics._write_table(path, "table 1", ({"rows": str(len(table))},), "header", list(table.T))
+        return path.read_bytes()
+
+    @staticmethod
+    def table_file_per_line(table):
+        rows = "".join(",".join(repr(float(x)) for x in row) + "\n" for row in table)
+        return f"# table 1\n# rows {len(table)}\nheader\n{rows}".encode()
+
+    # the slab budget and the file stay the same for every example
+    @pytest.mark.parametrize("budget", [None, 1])
+    @settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(arrays(np.float64, st.tuples(st.integers(1, 9), st.integers(1, 4)),
+                  elements=st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                                     st.sampled_from(DECADE_EDGES.tolist()))))
+    def test_any_finite_table_matches_the_per_row_formatter(self, tmp_path, slab_points, budget, table):
+        if budget is not None:
+            slab_points(budget)
+        assert self.table_file(tmp_path / "t.csv", table) == self.table_file_per_line(table)
+
+    @pytest.mark.parametrize("budget", [None, 1])
+    @pytest.mark.parametrize("columns", [1, 2, 3, 4])
+    def test_decade_edges_match_the_per_row_formatter(self, tmp_path, slab_points, budget, columns):
+        if budget is not None:
+            slab_points(budget)
+        table = np.resize(DECADE_EDGES, (-(-DECADE_EDGES.size // columns), columns))
+        assert self.table_file(tmp_path / "t.csv", table) == self.table_file_per_line(table)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_raises_and_writes_nothing(self, tmp_path, bad):
+        grid = rl.RotorGrid.from_field(two_core_product(), dims=(3, 4, 5), spacing=0.3, origin=[0.0, 0.0, 0.0])
+        grid.beta[2, 3, 4, 1] = bad  # the writer checks what the grid's own check no longer sees
+        with pytest.raises(ValueError, match="must be finite"):
+            rl.save_grid_csv(grid, tmp_path / "g.csv")
+        p = rl.RadialProfile(r=[0.0, 1.0, 2.0], w=np.zeros(3), w_t=np.zeros(3),
+                             moduli=rl.Moduli.from_couplings(1, 1), slope0=1.0, tol=1e-9)
+        p.w_t[1] = bad
+        with pytest.raises(ValueError, match="must be finite"):
+            rl.save_profile_csv(p, tmp_path / "p.csv")
+        assert not (tmp_path / "g.csv").exists() and not (tmp_path / "p.csv").exists()
 
     @staticmethod
     def grid_file_per_line(grid):

@@ -11,7 +11,7 @@ For every workload that ``BENCHMARK.json`` declares, this runs
 record takes about four minutes on two cores.  It writes
 ``BENCH_<label>.json`` at the root of the checkout with the git SHA,
 whether ``src/`` differs from it, the digest of ``src/rotelast/*.py``, the
-Python, numpy and scipy versions, ``nproc``, and per workload the checks and
+Python, numpy, scipy and orjson versions, ``nproc``, and per workload the checks and
 the metrics, and says where it wrote the file.  It compares with no earlier
 record: one run per workload cannot tell a change of the code from the run
 to run spread of the machine, so judge a change by alternating runs of
@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import importlib.metadata
 import json
 import os
 import subprocess
@@ -144,6 +145,7 @@ def record_bench(label: str) -> dict:
         "python": env["python"],
         "numpy": env["numpy"],
         "scipy": env["scipy"],
+        "orjson": importlib.metadata.version("orjson"),  # the CSV writers' formatter
         "nproc": env["nproc"],
         "machine": env["machine"],
         "seed": SEED,
