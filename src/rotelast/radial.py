@@ -11,8 +11,9 @@ solver starts from a leading-power series there and integrates outward with
 the Dormand-Prince 5(4) pair (Dormand & Prince 1980), its quartic dense
 output and scipy's ``RK45`` step control, reproduced in NumPy; profiles are
 interpolated by a not-a-knot cubic spline.  Dynamics uses a fixed-step
-second-order leapfrog on a three-point stencil with a clamped far boundary.
-U is evaluated through ``t = tan w`` (one vectorized tan per node).
+second-order leapfrog in Stormer's summed form (the increment of the level is
+carried from step to step) on a three-point stencil with a clamped far
+boundary.  U is evaluated through ``t = tan w`` (one vectorized tan per node).
 """
 
 from __future__ import annotations
@@ -111,10 +112,15 @@ def potential_U(w, m: Moduli):
     ``U = 2t [(2 l2 - 3 l1) + l1 t^2] / (1 + t^2)^2``, one vectorized tan
     instead of a sin and a cos.  |tan w| stays below about 1e17 for every
     finite double, so ``t^4`` cannot overflow; a non-finite w gives NaN.
-    The factor 2 rides on the constants, which is exact, and the steps work
-    in place on three temporaries; ``**= 2`` squares an array in place and
-    keeps a scalar's ``pow``, so either gives the bits of the one-line form.
+    The factor 2 rides on the constants, which is exact.  A ``float`` (or
+    ``np.float64``) takes ``np.tan`` and then Python float arithmetic, whose
+    ``** 2`` is libm's ``pow`` as for a NumPy scalar; an array works in place
+    on three temporaries, where ``**= 2`` squares by multiplication.
     """
+    if isinstance(w, float):
+        t = float(np.tan(w))
+        sq = t * t
+        return (sq * (2.0 * m.lambda1) + 2.0 * (2.0 * m.lambda2 - 3.0 * m.lambda1)) * t / (sq + 1.0) ** 2
     w = np.asarray(w, dtype=float)
     t = np.tan(w)
     sq = t * t
@@ -195,9 +201,7 @@ class _DenseRK:
     def _step(self, i, t):
         t_old, h, y_old, q = self.steps[i]
         x = (t - t_old) / h
-        if t.ndim == 0:
-            return h * np.dot(q, np.cumprod(np.tile(x, 4))) + y_old
-        return h * np.dot(q, np.cumprod(np.tile(x, (4, 1)), axis=0)) + y_old[:, None]
+        return h * np.dot(q, np.cumprod(np.tile(x, 4))) + y_old
 
     def __call__(self, t):
         t = np.asarray(t)
@@ -207,10 +211,18 @@ class _DenseRK:
         order = np.argsort(t)
         t_sorted = t[order]
         seg = np.clip(np.searchsorted(self.ts, t_sorted) - 1, 0, last)
-        # one evaluation per run of points in the same step, in sorted order
-        cut = np.concatenate(([0], np.flatnonzero(np.diff(seg)) + 1, [len(seg)]))
-        ys = np.hstack([self._step(seg[a], t_sorted[a:b]) for a, b in zip(cut[:-1], cut[1:])])
-        return ys[:, np.argsort(order)]
+        # the powers x, x^2, x^3, x^4 of every point's fraction of its step (h is t_new - t_old, as
+        # the steps were taken), then one evaluation per run of points in the same step, in sorted order
+        p = np.empty((4, t.size))
+        p[0] = (t_sorted - self.ts[seg]) / (self.ts[seg + 1] - self.ts[seg])
+        for k in range(1, 4):
+            np.multiply(p[k - 1], p[0], out=p[k])
+        cut = np.concatenate(([0], np.flatnonzero(np.diff(seg)) + 1, [len(seg)])).tolist()
+        ys = np.empty((len(self.steps[0][2]), t.size))
+        for a, b in zip(cut[:-1], cut[1:]):
+            _, h, y_old, q = self.steps[seg[a]]
+            ys[:, order[a:b]] = h * np.dot(q, p[:, a:b]) + y_old[:, None]
+        return ys
 
 
 def _rk45(fun, t0: float, y0, t_bound: float, tol: float, event):
@@ -303,7 +315,7 @@ def solve_static(m: Moduli, slope0: float, r_max: float, tol: float = 1e-10) -> 
     l1 = m.lambda1
 
     def rhs(r, y):
-        w, dw = y
+        w, dw = y.tolist()
         return np.array((dw, -2.0 * dw / r - potential_U(w, m) / (l1 * r * r)))
 
     s = indicial_exponent(m)
@@ -473,8 +485,14 @@ def evolve_dynamic(initial: RadialProfile, dt: float, t_end: float,
     The initial profile must live on a uniform grid including r = 0 with
     w(0) = 0; the far boundary value is clamped.  Enforces the CFL-type
     bound ``dt <= dr / sqrt(l1)`` and raises on non-finite values.  The
-    energy of a snapshot is the Hamiltonian of the semi-discrete system
-    that the leapfrog integrates, with V the antiderivative of U:
+    leapfrog runs in Stormer's summed form (Henrici 1962): with the kick
+    ``k^n = dt^2 a(w^n)`` on the interior, ``d += k^n`` and then ``w += d``,
+    so ``d`` is ``w^{n+1} - w^n``.  It rounds less than ``2 w^n - w^{n-1} + k^n``
+    and forms nothing larger than the levels.  The Taylor start is
+    ``d = dt v - k^0 / 2``, and a snapshot's velocity is
+    ``(d + k^n / 2) / dt``, second order at level n.  The energy of a
+    snapshot is the Hamiltonian of the semi-discrete system that the
+    leapfrog integrates, with V the antiderivative of U:
     ``H = dr [sum r_i^2 v_i^2 / 2 + sum e_i (w_{i+1} - w_i)^2 / (2 dr^2) - sum V(w_i)]``
     over the edge weights ``e_i = l1 r_{i+1/2}^2`` of the stencil.
 
@@ -495,74 +513,80 @@ def evolve_dynamic(initial: RadialProfile, dt: float, t_end: float,
         raise ValueError(f"CFL violation: dt = {dt} > dr/sqrt(l1) = {dr / np.sqrt(m.lambda1)}")
 
     w = initial.w.copy()
-    v = initial.w_t.copy() if initial.w_t is not None else np.zeros_like(w)
+    v = initial.w_t if initial.w_t is not None else np.zeros_like(w)
     # conservative radial Laplacian as a three-point stencil on the interior:
-    # l1 (r^2 w_r)_r / r^2 = hi (w_{i+1} - w_i) - lo (w_i - w_{i-1}), with
-    # lo, hi = edge_{i-+1/2} / (dr^2 r_i^2) and edge = l1 r_{i+1/2}^2; the
-    # endpoints are set by the b.c.
+    # l1 (r^2 w_r)_r / r^2 = (edge_{i+1/2} (w_{i+1} - w_i) - edge_{i-1/2} (w_i - w_{i-1})) / (dr^2 r_i^2)
+    # with edge = l1 r_{i+1/2}^2; the endpoints are set by the b.c.
     edge = m.lambda1 * (0.5 * (r[:-1] + r[1:])) ** 2
     inv_rsq = 1.0 / (r[1:-1] * r[1:-1])
-    lo = edge[:-1] * inv_rsq / (dr * dr)
-    hi = edge[1:] * inv_rsq / (dr * dr)
-    # acc always holds accel of the current level, shared by the next step,
-    # the snapshot velocity and the snapshot energy; its endpoints stay 0
-    acc, diff, flux = np.zeros_like(w), np.empty(len(r) - 1), np.empty(len(r) - 2)
-    acc_in, diff_lo, diff_hi = acc[1:-1], diff[:-1], diff[1:]
+    # dt^2 a = t (k1 t^2 + k0) / (1 + t^2)^2 + ks (flux_{i+1/2} - flux_{i-1/2}), t = tan w and
+    # flux = edge (w_{i+1} - w_i): potential_U's constants and dt^2 folded into the stencil
+    dt2 = dt * dt
+    k1 = (dt2 * 2.0 * m.lambda1) * inv_rsq
+    k0 = (dt2 * 2.0 * (2.0 * m.lambda2 - 3.0 * m.lambda1)) * inv_rsq
+    ks = (dt2 / (dr * dr)) * inv_rsq
+    inner, upper, lower = w[1:-1], w[1:], w[:-1]
+    kick, t, sq = np.empty_like(inner), np.empty_like(inner), np.empty_like(inner)
+    flux, grad, kin = np.empty_like(upper), np.empty_like(upper), np.empty_like(w)
+    flux_hi, flux_lo, rsq = flux[1:], flux[:-1], r * r
 
-    def views(level):
-        # a level buffer with its interior, upper and lower slices, built once per run
-        return level, level[1:-1], level[1:], level[:-1]
+    def force():
+        # kick = dt^2 a(w) in 13 passes; flux keeps edge (w_{i+1} - w_i) for the energy
+        np.tan(inner, out=t)
+        np.multiply(t, t, out=sq)
+        np.multiply(sq, k1, out=kick)
+        np.add(kick, k0, out=kick)
+        np.multiply(kick, t, out=kick)
+        np.add(sq, 1.0, out=sq)
+        np.multiply(sq, sq, out=sq)
+        np.divide(kick, sq, out=kick)
+        np.subtract(upper, lower, out=flux)
+        np.multiply(flux, edge, out=flux)
+        np.subtract(flux_hi, flux_lo, out=t)
+        np.multiply(t, ks, out=t)
+        np.add(kick, t, out=kick)
 
-    def accel(wc):
-        _, inner, upper, lower = wc
-        np.multiply(potential_U(inner, m), inv_rsq, out=acc_in)
-        np.subtract(upper, lower, out=diff)
-        np.multiply(hi, diff_hi, out=flux)
-        np.add(acc_in, flux, out=acc_in)
-        np.multiply(lo, diff_lo, out=flux)
-        np.subtract(acc_in, flux, out=acc_in)
-
-    def energy(wc, vc):
-        # H of the docstring and dr (|kinetic| + |gradient| + |potential|); diff holds the edge
-        # differences of wc, the level accel saw last.  An overflow is returned, not warned about
+    def energy(vc):
+        # H of the docstring and dr (|kinetic| + |gradient| + |potential|) of the level force() saw
+        # last.  An overflow is returned, not warned about
         with np.errstate(over="ignore", invalid="ignore"):
-            parts = (0.5 * np.sum(r * r * vc * vc), np.sum(edge * diff * diff) / (2.0 * dr * dr),
-                     np.sum(potential_U_integral(wc, m)))
+            np.multiply(rsq, vc, out=kin)
+            np.multiply(kin, vc, out=kin)
+            np.subtract(upper, lower, out=grad)
+            np.multiply(grad, flux, out=grad)
+            parts = (0.5 * np.sum(kin), np.sum(grad) / (2.0 * dr * dr), np.sum(potential_U_integral(w, m)))
             return float(dr * (parts[0] + parts[1] - parts[2])), float(dr * sum(abs(p) for p in parts))
 
     n_steps = int(round(t_end / dt))
     snap_every = max(1, n_steps // max(1, n_snapshots - 1))
-    cur = views(w)
-    accel(cur)
-    e0, scale = energy(w, v)
-    times, ws, vs, energies = [0.0], [w.copy()], [v.copy()], [e0]
-    kick, zero = np.empty_like(w), np.zeros_like(w)
-    dt2, w_far, caller = dt * dt, initial.w[-1], np.geterr()
+    n_snap = 1 + n_steps // snap_every + (n_steps % snap_every > 0)
+    times, energies = np.zeros(n_snap), np.empty(n_snap)
+    ws, vs = np.empty((n_snap, len(r))), np.zeros((n_snap, len(r)))
+    force()
+    energies[0], scale = energy(v)
+    ws[0], vs[0] = w, v
+    w[0] = 0.0  # every later level is 0 at r = 0 and w_far at r_max
+    k, zero, caller = 1, np.zeros_like(inner), np.geterr()
     with np.errstate(over="ignore", invalid="ignore"):
-        # the Taylor start: a non-finite interior value of it fails the check of level 1
-        prev, nxt = views(w - dt * v + 0.5 * dt * dt * acc), views(np.empty_like(w))
+        # the Taylor start: a non-finite value of it fails the check of level 1
+        d = dt * v[1:-1] - 0.5 * kick
         for n in range(1, n_steps + 1):
-            w_next = nxt[0]
-            np.multiply(cur[0], 2.0, out=w_next)
-            np.subtract(w_next, prev[0], out=w_next)
-            np.multiply(acc, dt2, out=kick)
-            np.add(w_next, kick, out=w_next)
-            w_next[0] = 0.0
-            w_next[-1] = w_far
-            prev, cur, nxt = cur, nxt, prev
+            d += kick
+            inner += d
             # x . 0 is NaN exactly when some entry of x is not finite, and costs one BLAS pass
-            if not math.isfinite(np.dot(w_next, zero)):
+            if not math.isfinite(np.dot(inner, zero)):
                 raise InstabilityError(f"non-finite w at t = {n * dt:.6g}")
-            accel(cur)
+            force()
             if n % snap_every == 0 or n == n_steps:
+                vel = vs[k, 1:-1]
                 with np.errstate(**caller):  # the snapshot velocity warns as the caller asks
-                    v_now = (cur[0] - prev[0]) / dt + 0.5 * dt * acc  # second order at level n
-                times.append(n * dt)
-                ws.append(cur[0].copy())
-                vs.append(v_now)
-                energies.append(energy(cur[0], v_now)[0])
-    return EvolveResult(times=np.array(times), r=r, w=np.array(ws), w_t=np.array(vs),
-                        energy=np.array(energies), moduli=m, energy_scale=scale)
+                    np.multiply(kick, 0.5, out=vel)
+                    vel += d
+                    vel /= dt
+                times[k], ws[k] = n * dt, w
+                energies[k] = energy(vs[k])[0]
+                k += 1
+    return EvolveResult(times=times, r=r, w=ws, w_t=vs, energy=energies, moduli=m, energy_scale=scale)
 
 
 def lift_hedgehog(profile: RadialProfile) -> HedgehogField:

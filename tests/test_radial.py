@@ -1,4 +1,5 @@
 import functools
+import math
 import warnings
 
 import numpy as np
@@ -87,23 +88,27 @@ def potential_U_one_line(w, m):
     return 2.0 * t * ((2.0 * m.lambda2 - 3.0 * m.lambda1) + m.lambda1 * sq) / (1.0 + sq) ** 2
 
 
-def leapfrog_checked_every_step(initial, dt, t_end, n_snapshots=101):
-    """Oracle: ``evolve_dynamic`` as it stepped before it checked finiteness once per snapshot interval.
+def leapfrog_difference_form(initial, dt, t_end, n_snapshots=101, dtype=float):
+    """Oracle: ``evolve_dynamic``'s arithmetic before its summed form, ``w^{n+1} = 2 w^n - w^{n-1} + dt^2 a(w^n)``.
 
-    The one-line U, the level slices taken at every step and a finiteness
-    check after every step.  Returns (times, w, w_t, parts) at the snapshots,
-    ``parts`` the kinetic, gradient and potential sums of each H, which is
-    ``dr * (kinetic + gradient - potential)``.
+    The one-line U, the flux-form force through ``lo`` and ``hi``, the Taylor
+    start ``w^{-1} = w - dt v + dt^2 a / 2`` and a finiteness check after every
+    step.  Returns (times, w, w_t, parts) at the snapshots, ``parts`` the
+    kinetic, gradient and potential sums of each H, which is
+    ``dr * (kinetic + gradient - potential)``.  With ``dtype=np.longdouble``
+    every array and constant is extended from the same doubles: the exact
+    discrete system, the reference of the rounding tests.
     """
-    m, r = initial.moduli, initial.r
+    m, r = initial.moduli, initial.r.astype(dtype)
+    dt = dtype(dt)
     dr = r[1] - r[0]
-    w = initial.w.copy()
-    v = initial.w_t.copy() if initial.w_t is not None else np.zeros_like(w)
+    w = initial.w.astype(dtype)
+    v = initial.w_t.astype(dtype) if initial.w_t is not None else np.zeros_like(w)
     edge = m.lambda1 * (0.5 * (r[:-1] + r[1:])) ** 2
     inv_rsq = 1.0 / (r[1:-1] * r[1:-1])
     lo = edge[:-1] * inv_rsq / (dr * dr)
     hi = edge[1:] * inv_rsq / (dr * dr)
-    diff, flux = np.empty(len(r) - 1), np.empty(len(r) - 2)
+    diff, flux = np.empty(len(r) - 1, dtype), np.empty(len(r) - 2, dtype)
 
     def accel(wc, acc):
         inner = acc[1:-1]
@@ -144,6 +149,71 @@ def leapfrog_checked_every_step(initial, dt, t_end, n_snapshots=101):
             vs.append(v_now)
             es.append(parts(w, v_now))
     return np.array(times), np.array(ws), np.array(vs), np.array(es)
+
+
+def leapfrog_checked_every_step(initial, dt, t_end, n_snapshots=101):
+    """Oracle: ``evolve_dynamic``'s summed-form leapfrog, written plainly.
+
+    The kick ``dt^2 a(w)`` is one expression with its own temporaries, over
+    the folded constants ``k1``, ``k0`` and ``ks`` of ``evolve_dynamic``; the
+    increment ``d`` starts at ``dt v - kick / 2``, and each step is
+    ``d = d + kick``, ``w = w + d`` on the interior and a finiteness check of
+    the whole level.  Returns (times, w, w_t, parts) at the snapshots, as
+    :func:`leapfrog_difference_form` does.
+    """
+    m, r = initial.moduli, initial.r
+    dr = r[1] - r[0]
+    w = initial.w.copy()
+    v = initial.w_t.copy() if initial.w_t is not None else np.zeros_like(w)
+    edge = m.lambda1 * (0.5 * (r[:-1] + r[1:])) ** 2
+    inv_rsq = 1.0 / (r[1:-1] * r[1:-1])
+    dt2 = dt * dt
+    k1 = (dt2 * 2.0 * m.lambda1) * inv_rsq
+    k0 = (dt2 * 2.0 * (2.0 * m.lambda2 - 3.0 * m.lambda1)) * inv_rsq
+    ks = (dt2 / (dr * dr)) * inv_rsq
+
+    def force(wc):
+        t = np.tan(wc[1:-1])
+        return t * (k1 * (t * t) + k0) / (1.0 + t * t) ** 2 + ks * np.diff(edge * np.diff(wc))
+
+    def parts(wc, vc):
+        diff = np.diff(wc)
+        return (0.5 * np.sum(r * r * vc * vc), np.sum(edge * diff * diff) / (2.0 * dr * dr),
+                np.sum(radial.potential_U_integral(wc, m)))
+
+    n_steps = int(round(t_end / dt))
+    snap_every = max(1, n_steps // max(1, n_snapshots - 1))
+    kick = force(w)
+    times, ws, vs, es = [0.0], [w.copy()], [v.copy()], [parts(w, v)]
+    w[0] = 0.0
+    d = dt * v[1:-1] - 0.5 * kick
+    for n in range(1, n_steps + 1):
+        d = d + kick
+        w[1:-1] = w[1:-1] + d
+        if not np.all(np.isfinite(w)):
+            raise InstabilityError(f"non-finite w at t = {n * dt:.6g}")
+        kick = force(w)
+        if n % snap_every == 0 or n == n_steps:
+            v_now = np.zeros_like(w)
+            v_now[1:-1] = (d + 0.5 * kick) / dt
+            times.append(n * dt)
+            ws.append(w.copy())
+            vs.append(v_now)
+            es.append(parts(w, v_now))
+    return np.array(times), np.array(ws), np.array(vs), np.array(es)
+
+
+def potential_U_zero_d(w, m):
+    """Oracle: ``potential_U`` on a 0-d array, the static solver's path before it took Python floats."""
+    t = np.tan(np.asarray(w, dtype=float))
+    sq = t * t
+    val = sq * (2.0 * m.lambda1)
+    val += 2.0 * (2.0 * m.lambda2 - 3.0 * m.lambda1)
+    val *= t
+    sq += 1.0
+    sq **= 2  # a 0-d array squares by pow
+    val /= sq
+    return float(val)
 
 
 @functools.cache
@@ -232,6 +302,26 @@ class TestPotentialU:
         assert same_bits((rl.potential_U(w, m), rl.potential_U(w[1:-1], m)),
                          (potential_U_one_line(w, m), potential_U_one_line(w[1:-1], m)))
         assert same_bits([rl.potential_U(x, m) for x in w[:4000]], [potential_U_one_line(x, m) for x in w[:4000]])
+
+    SWEEP = [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-170, 1e-8, 0.3, -1.0, 2.5, 1e6, -1e17, 1e300, -1e308,
+             np.finfo(float).max, np.nan]
+
+    @pytest.mark.parametrize("l1, l2", [(1.0, 1.0), (1.0, 1.25), (0.4, 2.3), (3.0, 0.1)])
+    def test_scalar_path_keeps_the_bits(self, l1, l2):
+        # a float or np.float64 takes np.tan and then Python floats: the bits of the 0-d array that the static
+        # solver passed before, and of the array path wherever libm's pow squares 1 + t^2 as multiplication
+        # does (a 0-d array squared by pow, an array squares by multiplication)
+        m = rl.Moduli.from_couplings(l1, l2)
+        w = np.concatenate((self.SWEEP, self.TAN_POLES, -self.TAN_POLES,
+                            np.random.default_rng(7).normal(scale=3.0, size=20000)))
+        oracle = [potential_U_zero_d(x, m) for x in w]
+        for kind in (float, np.float64):
+            got = [rl.potential_U(kind(x), m) for x in w.tolist()]
+            assert all(type(u) is float for u in got) and same_bits([got], [oracle])
+        t = np.tan(w)
+        den = (1.0 + t * t).tolist()
+        alike = np.array([math.pow(d, 2) == d * d or math.isnan(d) for d in den])
+        assert alike.mean() > 0.99 and same_bits([np.array(got)[alike]], [rl.potential_U(w, m)[alike]])
 
     def test_integral_is_antiderivative(self):
         m = rl.Moduli.from_couplings(0.7, 1.2)
@@ -369,21 +459,35 @@ class TestEvolveDynamic:
         assert same_bits((ev.times, ev.w, ev.w_t, ev.energy), (times, w, w_t, energy))
 
     @pytest.mark.parametrize("n, velocity, dt, t_end, n_snapshots, step",
-                             [(101, 1e307, 0.05, 2.0, 5, 19), (101, 1e307, 0.05, 0.95, 5, 19),
-                              (101, 1e307, 0.05, 1.9, 3, 19), (3, 1e308, 2.0, 4.0, 3, 1)],
+                             [(101, 1.7e307, 0.05, 2.0, 5, 5), (101, 1.7e307, 0.05, 0.25, 3, 5),
+                              (101, 1.7e307, 0.05, 0.5, 3, 5), (3, 1e308, 2.0, 4.0, 3, 1)],
                              ids=["inside_an_interval", "last_unaligned_step", "snapshot_step", "first_level"])
     @pytest.mark.filterwarnings("error")  # the steps, and the Taylor start, overflow without a warning
     def test_replay_names_the_first_non_finite_level(self, n, velocity, dt, t_end, n_snapshots, step):
-        # at 101 nodes the levels overflow first at step 19: inside the interval (10, 20] of a 40-step
-        # run, the last step of a 19-step run, whose intervals end at 4, 8, 12, 16 and 19, and the
-        # first snapshot of a 38-step run (snap_every = 19).  At 3 nodes (dr = 5), dt w_t = 2e308
-        # overflows the Taylor start, so level 1 is the first non-finite one
+        # at 101 nodes and 1.7e307 the oracle's levels overflow first at step 5: inside the interval (0, 10]
+        # of a 40-step run, the last step of a 5-step run, whose intervals end at 2, 4 and 5, and the first
+        # snapshot of a 10-step run (snap_every = 5).  At 3 nodes (dr = 5), dt w_t = 2e308 overflows the
+        # Taylor start, so level 1 is the first non-finite one
         p = huge_velocity_profile(velocity, n)
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(InstabilityError) as oracle:
             leapfrog_checked_every_step(p, dt, t_end, n_snapshots)
         assert str(oracle.value) == f"non-finite w at t = {step * dt:.6g}"
         with pytest.raises(InstabilityError) as new:
             rl.evolve_dynamic(p, dt=dt, t_end=t_end, n_snapshots=n_snapshots)
+        assert str(new.value) == str(oracle.value)
+
+    @pytest.mark.filterwarnings("error")
+    def test_a_level_overflows_before_its_increment(self):
+        # near the largest double, level 3 overflows while d = w^3 - w^2 is still finite (3 nodes on r <= 1,
+        # where the edge weights stay below 1): the check reads the level, not the increment
+        p = rl.RadialProfile(r=np.array([0.0, 0.5, 1.0]), w=np.array([0.0, 1.7e308, 1.7e308]),
+                             w_t=np.array([0.0, 1e308, 0.0]), moduli=rl.Moduli.from_couplings(1.0, 1.0),
+                             slope0=0.0, tol=1e-8)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(InstabilityError) as oracle:
+            leapfrog_checked_every_step(p, 0.05, 1.0, 3)
+        assert str(oracle.value) == "non-finite w at t = 0.15"
+        with pytest.raises(InstabilityError) as new:
+            rl.evolve_dynamic(p, dt=0.05, t_end=1.0, n_snapshots=3)
         assert str(new.value) == str(oracle.value)
 
     def test_overflow_free_huge_run_completes(self):
@@ -393,6 +497,64 @@ class TestEvolveDynamic:
             ev = rl.evolve_dynamic(p, dt=dt, t_end=2.0, n_snapshots=5)
             times, w, w_t, _ = leapfrog_checked_every_step(p, dt, 2.0, n_snapshots=5)
         assert np.all(np.isfinite(ev.w)) and same_bits((ev.times, ev.w, ev.w_t), (times, w, w_t))
+
+    def test_levels_are_clamped_at_both_ends(self):
+        # w(0) may start up to 1e-10 off zero; every later level is 0 there and keeps the far value
+        p = huge_velocity_profile(0.1)
+        p.w[0] = 1e-10
+        ev = rl.evolve_dynamic(p, dt=0.05, t_end=1.0, n_snapshots=5)
+        assert ev.w[0, 0] == 1e-10 and np.all(ev.w[1:, 0] == 0.0) and np.all(ev.w[:, -1] == p.w[-1])
+        _, w, w_t, parts = leapfrog_checked_every_step(p, 0.05, 1.0, n_snapshots=5)
+        energy = [float((p.r[1] - p.r[0]) * (kin + grad - pot)) for kin, grad, pot in parts]
+        assert same_bits((ev.w, ev.w_t, ev.energy), (w, w_t, energy))
+
+    def test_no_overflow_where_the_levels_are_finite(self):
+        # the difference form's 2 w^n overflows at t = 0.95 here, although in extended precision every
+        # level stays below 5.1e307; the summed form forms nothing larger than a level and runs to t = 20
+        p, dt = huge_velocity_profile(1e307), 0.05
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(InstabilityError, match="t = 0.95$"):
+                leapfrog_difference_form(p, dt, 20.0, n_snapshots=5)
+            _, exact, *_ = leapfrog_difference_form(p, dt, 20.0, n_snapshots=5, dtype=np.longdouble)
+            ev = rl.evolve_dynamic(p, dt=dt, t_end=20.0, n_snapshots=5)
+            times, w, w_t, _ = leapfrog_checked_every_step(p, dt, 20.0, n_snapshots=5)
+        assert np.abs(exact).max() < np.finfo(float).max
+        assert np.all(np.isfinite(ev.w)) and same_bits((ev.times, ev.w, ev.w_t), (times, w, w_t))
+        assert np.abs(ev.w - exact).max() <= 1e-13 * np.abs(exact).max()
+
+    @pytest.mark.parametrize("l1, l2", [(1.0, 1.0), (1.0, 1.25), (0.4, 2.3)])
+    @pytest.mark.parametrize("n", [801, 4001])
+    def test_matches_the_difference_form(self, l1, l2, n):
+        # the summed form changes the rounding only: the levels agree to 1e-12 of max|w| at t = 2 (the
+        # soliton's growing mode amplifies rounding past that near t = 11), w_t is a difference quotient
+        # of two levels over dt, and each H is compared to its own scale dr (|kin| + |grad| + |pot|), which
+        # is energy_scale at t = 0.  For (1, 1) and (1, 1.25) that scale holds to 3 digits; the ill-posed
+        # (0.4, 2.3) grows it from 1.4e-3 to about 4 by t = 2
+        uni = rl.resample_uniform(static_solution(l1, l2), n=n)
+        uni.w_t = 0.01 * uni.r * np.exp(-((uni.r - 2.0) ** 2))
+        dr = uni.r[1] - uni.r[0]
+        dt = 0.5 * dr / np.sqrt(l1)
+        ev = rl.evolve_dynamic(uni, dt=dt, t_end=2.0, n_snapshots=11)
+        times, w, w_t, parts = leapfrog_difference_form(uni, dt, 2.0, n_snapshots=11)
+        energy = [float(dr * (kin + grad - pot)) for kin, grad, pot in parts]
+        scale = np.abs(w).max()
+        assert np.array_equal(ev.times, times) and ev.energy[0] == energy[0]
+        assert np.abs(ev.w - w).max() <= 1e-12 * scale
+        assert np.abs(ev.w_t - w_t).max() <= 1e-12 * scale / dt
+        assert np.all(np.abs(ev.energy - energy) <= 1e-12 * dr * np.abs(parts).sum(axis=1))
+
+    @pytest.mark.parametrize("l1, l2", [(1.0, 1.0), (1.0, 1.25)])
+    @pytest.mark.parametrize("kicked", [True, False], ids=["w_t", "at_rest"])
+    def test_rounds_less_than_the_difference_form(self, l1, l2, kicked):
+        # against the exact discrete system (the difference form in extended precision) the summed form
+        # reads 1.7e-15 to 4.6e-15 here, the difference form 4.3e-15 to 1.3e-14
+        uni = rl.resample_uniform(static_solution(l1, l2), n=801)
+        uni.w_t = 0.01 * uni.r * np.exp(-((uni.r - 2.0) ** 2)) if kicked else None
+        dt = 0.5 * (uni.r[1] - uni.r[0]) / np.sqrt(l1)
+        _, exact, *_ = leapfrog_difference_form(uni, dt, 2.0, n_snapshots=11, dtype=np.longdouble)
+        _, difference, *_ = leapfrog_difference_form(uni, dt, 2.0, n_snapshots=11)
+        summed = rl.evolve_dynamic(uni, dt=dt, t_end=2.0, n_snapshots=11).w
+        assert np.abs(summed - exact).max() < np.abs(difference - exact).max()
 
     @pytest.mark.parametrize("l1, l2, kicked", [(1.0, 1.0, False), (1.0, 1.25, True), (0.4, 2.3, True)])
     def test_energy_scale_sums_the_absolute_parts(self, l1, l2, kicked):
