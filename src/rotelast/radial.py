@@ -565,7 +565,7 @@ def evolve_dynamic(initial: RadialProfile, dt: float, t_end: float,
     force()
     energies[0], scale = energy(v)
     ws[0], vs[0] = w, v
-    w[0] = 0.0  # every later level is 0 at r = 0 and w_far at r_max
+    w[0] = 0.0  # every later level is 0 at r = 0 and initial.w[-1] at r_max
     k, zero, caller = 1, np.zeros_like(inner), np.geterr()
     with np.errstate(over="ignore", invalid="ignore"):
         # the Taylor start: a non-finite value of it fails the check of level 1
