@@ -112,13 +112,13 @@ def potential_U(w, m: Moduli):
     ``U = 2t [(2 l2 - 3 l1) + l1 t^2] / (1 + t^2)^2``, one vectorized tan
     instead of a sin and a cos.  |tan w| stays below about 1e17 for every
     finite double, so ``t^4`` cannot overflow; a non-finite w gives NaN.
-    The factor 2 rides on the constants, which is exact.  A ``float`` (or
-    ``np.float64``) takes ``np.tan`` and then Python float arithmetic, whose
-    ``** 2`` is libm's ``pow`` as for a NumPy scalar; an array works in place
-    on three temporaries, where ``**= 2`` squares by multiplication.
+    The factor 2 rides on the constants, which is exact.  A 0-d input takes
+    ``np.tan`` of its double, then Python float arithmetic (``** 2`` is libm's
+    ``pow``), and returns a ``float``; an array works in place on three
+    temporaries, where ``**= 2`` squares by multiplication.
     """
-    if isinstance(w, float):
-        t = float(np.tan(w))
+    if isinstance(w, float) or np.ndim(w) == 0:  # the first test spares a float np.ndim's microsecond
+        t = float(np.tan(float(w)))
         sq = t * t
         return (sq * (2.0 * m.lambda1) + 2.0 * (2.0 * m.lambda2 - 3.0 * m.lambda1)) * t / (sq + 1.0) ** 2
     w = np.asarray(w, dtype=float)
@@ -130,7 +130,7 @@ def potential_U(w, m: Moduli):
     sq += 1.0
     sq **= 2
     val /= sq
-    return float(val) if val.ndim == 0 else val
+    return val
 
 
 def potential_U_integral(w, m: Moduli):

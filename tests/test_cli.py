@@ -360,23 +360,26 @@ class TestRuntimeFailures:
         code, _, _ = run_cli(capsys, "evolve", "--from-profile", str(fine), "--n-grid", "101", "--t-end", "0.5")
         assert code == 0
 
-    @pytest.mark.parametrize("w_t, error, detail", [
+    @pytest.mark.parametrize("w_t, ends, r_max, t_end, error, detail", [
         # the levels stay finite, but r^2 w_t^2 overflows the snapshot energy
-        (1e305, "instability", "non-finite energy at t = 0"),
+        (1e305, 0.0, 5.0, "1", "instability", "non-finite energy at t = 0"),
         # a finite column whose spline slopes overflow when evolve resamples it
-        (1e307, "solver_failure", "resampled w_t is not finite: its cubic spline overflowed"),
-    ], ids=["energy", "resample"])
-    def test_overflow_exit_3_with_strict_json(self, tmp_path, w_t, error, detail):
-        r = np.linspace(0.0, 5.0, 101)
+        (1e307, 0.0, 5.0, "1", "solver_failure", "resampled w_t is not finite: its cubic spline overflowed"),
+        # uniform to the ends, so the spline stays finite; the levels stay finite too, but the snapshot
+        # velocity (d + k / 2) / dt overflows from t = 9.6 on, after the energy at t = 0
+        (1.5e307, 1.5e307, 10.0, "20", "instability", "non-finite energy at t = 0"),
+    ], ids=["energy", "resample", "velocity"])
+    def test_overflow_exit_3_with_strict_json(self, tmp_path, w_t, ends, r_max, t_end, error, detail):
+        r = np.linspace(0.0, r_max, 101)
         column = np.full_like(r, w_t)
-        column[[0, -1]] = 0.0
+        column[[0, -1]] = ends
         path = tmp_path / "huge.csv"
         rl.save_profile_csv(rl.RadialProfile(r=r, w=np.zeros_like(r), w_t=column,
                                              moduli=rl.Moduli.from_couplings(1.0, 1.0), slope0=0.0, tol=1e-10),
                             path)
         # a real process, so that a RuntimeWarning would reach its stderr
         proc = subprocess.run([sys.executable, "-m", "rotelast.cli", "evolve", "--from-profile", str(path),
-                               "--n-grid", "101", "--dt", "0.05", "--t-end", "1", "-o", str(tmp_path / "final.csv")],
+                               "--n-grid", "101", "--dt", "0.05", "--t-end", t_end, "-o", str(tmp_path / "final.csv")],
                               capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC))
 
         def reject(constant):

@@ -308,14 +308,14 @@ class TestPotentialU:
 
     @pytest.mark.parametrize("l1, l2", [(1.0, 1.0), (1.0, 1.25), (0.4, 2.3), (3.0, 0.1)])
     def test_scalar_path_keeps_the_bits(self, l1, l2):
-        # a float or np.float64 takes np.tan and then Python floats: the bits of the 0-d array that the static
-        # solver passed before, and of the array path wherever libm's pow squares 1 + t^2 as multiplication
-        # does (a 0-d array squared by pow, an array squares by multiplication)
+        # a float, np.float64 or 0-d array takes np.tan and then Python floats: the bits of the 0-d array path
+        # that the static solver passed before, and of the array path wherever libm's pow squares 1 + t^2 as
+        # multiplication does (a 0-d array squared by pow, an array squares by multiplication)
         m = rl.Moduli.from_couplings(l1, l2)
         w = np.concatenate((self.SWEEP, self.TAN_POLES, -self.TAN_POLES,
                             np.random.default_rng(7).normal(scale=3.0, size=20000)))
         oracle = [potential_U_zero_d(x, m) for x in w]
-        for kind in (float, np.float64):
+        for kind in (float, np.float64, np.asarray):
             got = [rl.potential_U(kind(x), m) for x in w.tolist()]
             assert all(type(u) is float for u in got) and same_bits([got], [oracle])
         t = np.tan(w)
@@ -527,9 +527,9 @@ class TestEvolveDynamic:
     def test_matches_the_difference_form(self, l1, l2, n):
         # the summed form changes the rounding only: the levels agree to 1e-12 of max|w| at t = 2 (the
         # soliton's growing mode amplifies rounding past that near t = 11), w_t is a difference quotient
-        # of two levels over dt, and each H is compared to its own scale dr (|kin| + |grad| + |pot|), which
-        # is energy_scale at t = 0.  For (1, 1) and (1, 1.25) that scale holds to 3 digits; the ill-posed
-        # (0.4, 2.3) grows it from 1.4e-3 to about 4 by t = 2
+        # of two levels over dt, and the energies agree to 1e-12 of energy_scale.  The ill-posed (0.4, 2.3)
+        # grows its parts from energy_scale = 1.4e-3 to about 4 by t = 2, so each of its H is compared to
+        # its own dr (|kin| + |grad| + |pot|) instead, which is energy_scale at t = 0
         uni = rl.resample_uniform(static_solution(l1, l2), n=n)
         uni.w_t = 0.01 * uni.r * np.exp(-((uni.r - 2.0) ** 2))
         dr = uni.r[1] - uni.r[0]
@@ -541,7 +541,10 @@ class TestEvolveDynamic:
         assert np.array_equal(ev.times, times) and ev.energy[0] == energy[0]
         assert np.abs(ev.w - w).max() <= 1e-12 * scale
         assert np.abs(ev.w_t - w_t).max() <= 1e-12 * scale / dt
-        assert np.all(np.abs(ev.energy - energy) <= 1e-12 * dr * np.abs(parts).sum(axis=1))
+        if (l1, l2) == (0.4, 2.3):
+            assert np.all(np.abs(ev.energy - energy) <= 1e-12 * dr * np.abs(parts).sum(axis=1))
+        else:
+            assert np.abs(ev.energy - energy).max() <= 1e-12 * ev.energy_scale
 
     @pytest.mark.parametrize("l1, l2", [(1.0, 1.0), (1.0, 1.25)])
     @pytest.mark.parametrize("kicked", [True, False], ids=["w_t", "at_rest"])

@@ -30,13 +30,18 @@ Any other nonzero exit stops the tool.  The library results are:
   blocks the kernels read as strided views;
 * ``decompose``, ``quadratic_invariants``, ``potential_density`` and
   ``h_tensors`` on a random batch (the middle two on one matrix as well);
-* the grid and profile CSV round trips of ``grid.csv`` and ``final.csv``;
+* the grid CSV round trip of ``grid.csv``, and the profile CSV round trip
+  of ``profile.csv`` given the velocity ``w_t = 0.01 r exp(-(r - 2)^2)``,
+  whose CSV is saved as ``library/profile_moving.csv``;
 * ``charge_density`` on 2000 random points of the lifted ``profile.csv``
   and of a seeded ordered product of two translated copies of it, and
   ``u_and_du`` of the lifted ``profile.csv`` on the same points;
-* ``residual_eqs2_at`` of the lifted ``final.csv`` on those points: its
+* ``residual_eqs2_at`` of that moving profile, lifted, on those points: its
   ``w_t`` makes the time blocks, which the static grids above leave zero,
   take part.
+
+The library results read only the static profile and the grid, so a change
+to the leapfrog, which moves every ``evolve`` output, leaves them in place.
 
 Every file of the two checkouts is then compared.  A byte-identical file
 prints ``identical``, and a file that only one side wrote prints ``LAYOUT
@@ -64,10 +69,11 @@ and to 20, where rounding differences grow through the soliton's unstable
 mode (see ROADMAP aim 2); a difference above ``--rtol`` there is reported,
 not hidden.  Two more ``evolve`` runs start from ``INPUTS``' huge uniform
 velocities, which no command writes: the tool saves those profiles under
-``inputs`` in each work directory.  With 1e306 and 1e305 the levels stay
-finite but the energy overflows, and the run exits 3 with a record that
-names the first non-finite snapshot energy; a level that overflows first
-would be named instead.
+``inputs`` in each work directory.  With 3e307 the run exits 3 at a level
+inside a snapshot interval, so its record shows the time of the first
+non-finite level; with 1e305 the levels stay finite but the energy
+overflows, and the run exits 3 with a record that names the first
+non-finite snapshot energy.
 """
 
 from __future__ import annotations
@@ -109,8 +115,8 @@ RUNS = (
                 "-o", "final_c.csv", "--summary", "evolve_c.json"]),
     ("charge", ["--from-profile", "profile_c.csv", "--full-3d", "--radius", "3", "--spacing", "0.2",
                 "-o", "charge_3d_c.json"]),
-    # 400 steps in snapshot intervals of 4; every level stays finite, but r^2 w_t^2 overflows the energy at
-    # t = 0, so the run exits 3 and its instability record stands in for the summary
+    # 400 steps in snapshot intervals of 4; the levels overflow first at step 3, inside an interval, so
+    # the run exits 3 and its instability record stands in for the summary
     ("evolve", ["--from-profile", "../inputs/huge_velocity.csv", "--n-grid", "101", "--dt", "0.05",
                 "--t-end", "20", "-o", "final_huge.csv", "--summary", "evolve_huge.json"]),
     # every level stays finite, but r^2 w_t^2 overflows the energy at t = 0, so the run exits 3
@@ -126,7 +132,7 @@ def _uniform_velocity_csv(r_max: float, velocity: str) -> str:
 
 
 # inputs that no command writes, saved in the work directory's ``inputs``
-INPUTS = {"huge_velocity.csv": _uniform_velocity_csv(10.0, "1e+306"),
+INPUTS = {"huge_velocity.csv": _uniform_velocity_csv(10.0, "3e+307"),
           "overflow_energy.csv": _uniform_velocity_csv(5.0, "1e+305")}
 # what the current change moves on purpose, with the reason: per file, the keys or columns that may move,
 # or None for the whole file, its layout included
@@ -138,16 +144,14 @@ DECLARED_MOVES = {
     # the same rounding difference, grown through the soliton's unstable mode to t = 20 (ROADMAP aim 2)
     "cli/final_t20.csv": None,
     "cli/evolve_t20.json": None,
-    # the difference form overflowed its 2 w at t = 8.95; the summed form keeps every level finite, so
-    # the record names the energy at t = 0, which r^2 w_t^2 overflows
-    "cli/evolve_huge.json": None,
 }
 # the child process that runs write_library: argv is this file, the cli directory, the library directory
 LIBRARY = "import runpy, sys; runpy.run_path(sys.argv[1])['write_library'](*sys.argv[2:])"
 
 
 def write_library(cli: str, out: str) -> None:
-    """Save the library results that the module docstring lists, one ``<result>[.<part>].npy`` per array."""
+    """Save the library results that the module docstring lists, one ``<result>[.<part>].npy`` per array,
+    and the moving profile's CSV."""
     import rotelast as rl
     from rotelast.kinematics import _slabs
 
@@ -204,7 +208,10 @@ def write_library(cli: str, out: str) -> None:
 
     grid = rl.load_grid_csv(Path(cli) / "grid.csv")
     res.update({f"grid_roundtrip.{k}": getattr(grid, k) for k in ("alpha", "beta", "spacing", "origin")})
-    profile = rl.load_profile_csv(Path(cli) / "final.csv")
+    profile = rl.load_profile_csv(Path(cli) / "profile.csv")
+    profile.w_t = 0.01 * profile.r * np.exp(-((profile.r - 2.0) ** 2))
+    rl.save_profile_csv(profile, Path(out) / "profile_moving.csv")
+    profile = rl.load_profile_csv(Path(out) / "profile_moving.csv")
     res.update({f"profile_roundtrip.{k}": getattr(profile, k) for k in ("r", "w", "w_t", "slope0", "tol")})
     res["profile_roundtrip.moduli"] = dataclasses.astuple(profile.moduli)
 
