@@ -441,6 +441,36 @@ def _write_table(path, magic: str, meta, header: str, columns) -> None:
             f.write(_csv_rows(np.stack([np.ravel(c[lo:hi]) for c in columns], axis=-1, dtype=float)))
 
 
+def _read_rows(f, ncols: int) -> np.ndarray:
+    """``np.loadtxt(f, delimiter=",", ndmin=2)`` bit for bit.  orjson reads chunks of whole lines (64 KiB at the
+    default slab size) while each holds only ``0-9 . e + -`` and ``ncols - 1`` commas a line, parses as JSON and
+    has a sign bit set for each token that starts with ``-`` (orjson reads the integer ``-0`` as +0).  Any other
+    input (``nan``, ``+1``, ``.5``, ``1E5``, CRLF, blank or ``#`` lines) is np.loadtxt's from the first row."""
+    import orjson  # here, so that processes without CSV I/O never load it
+
+    start, row, blocks, tail = f.tell(), b"," * (ncols - 1) + b"\n", [], b""
+    f.buffer.seek(start)
+    while chunk := f.buffer.read(16 * _SLAB_POINTS):
+        cut = (chunk := tail + chunk).rfind(b"\n") + 1
+        chunk, tail, n = chunk[:cut], chunk[cut:], chunk.count(b"\n", 0, cut)
+        marks = chunk.translate(None, b"0123456789.+")  # a "-" not after an "e" starts a negative number
+        if marks.translate(None, b"e-") != row * n:
+            break
+        try:  # orjson's JSONDecodeError, or too few numbers for fromiter (blank lines of one column)
+            values = np.fromiter(orjson.loads(b"[" + chunk[:-1].replace(b"\n", b",") + b"]"), float, n * ncols)
+        except ValueError:
+            break
+        if np.count_nonzero(np.signbit(values)) != marks.count(b"-") - marks.count(b"e-"):
+            break
+        blocks.append(values)
+    if not chunk and blocks and not tail:  # every chunk read
+        return np.concatenate(blocks).reshape(-1, ncols)
+    f.seek(start)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # no rows at all: the row count check reports it
+        return np.loadtxt(f, delimiter=",", ndmin=2)
+
+
 def _read_table(path, magic: str, layout, headers, rows) -> tuple[dict, np.ndarray]:
     """Read a :func:`_write_table` file with the meta keys and value counts of ``layout``
     (``{"dims": 3}`` a line), one of ``headers`` and ``rows(meta) = (least, most)`` rows;
@@ -459,10 +489,8 @@ def _read_table(path, magic: str, layout, headers, rows) -> tuple[dict, np.ndarr
                 raise ValueError(f"bad meta line {line!r}: expected {keys} (key: number of values)")
             meta.update({key: [float(v) for v in text.split()] for key, text in match.groupdict().items()})
         header = f.readline().strip()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # no rows at all: the row count check reports it
-            data = np.loadtxt(f, delimiter=",", ndmin=2)
-    least, most = rows(meta)
+        least, most = rows(meta)
+        data = _read_rows(f, len(header.split(",")))
     if header not in headers or not least <= len(data) <= most or data.shape[1] != len(header.split(",")):
         raise ValueError(f"expected a header {' or '.join(headers)} over {least} to {most} rows, found "
                          f"{header!r} over {len(data)} rows of {data.shape[1]} columns")
@@ -480,11 +508,19 @@ def save_grid_csv(grid: RotorGrid, path) -> None:
     _write_table(path, GRID_MAGIC, meta, "alpha,beta_x,beta_y,beta_z", columns)
 
 
+def _grid_rows(meta) -> tuple[int, int]:
+    """The least and most rows of a grid file, ``nx ny nz`` both; ``# dims`` must hold three positive integers."""
+    if not all(1 <= d < np.inf and d % 1 == 0 for d in meta["dims"]):  # NaN fails the bound too
+        raise ValueError(f"dims must be three positive integers, got {meta['dims']}")
+    nx, ny, nz = (int(d) for d in meta["dims"])
+    return nx * ny * nz, nx * ny * nz
+
+
 def load_grid_csv(path) -> RotorGrid:
     """Read a grid written by :func:`save_grid_csv`; a malformed file, or one
     without ``nx ny nz`` rows of four columns, raises ``ValueError``."""
     meta, data = _read_table(path, GRID_MAGIC, ({"dims": 3}, {"spacing": 1}, {"origin": 3}),
-                             ("alpha,beta_x,beta_y,beta_z",), rows=lambda m: (int(np.prod(m["dims"])),) * 2)
+                             ("alpha,beta_x,beta_y,beta_z",), rows=_grid_rows)
     nx, ny, nz = (int(v) for v in meta["dims"])
     alpha = np.transpose(data[:, 0].reshape(nz, ny, nx), (2, 1, 0))
     beta = np.transpose(data[:, 1:].reshape(nz, ny, nx, 3), (2, 1, 0, 3))

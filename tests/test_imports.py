@@ -1,16 +1,19 @@
-"""Import guard: no scipy module loads at run time, and orjson only with a CSV writer.
+"""Import guard: no scipy module loads at run time, and orjson only with CSV I/O.
 
 The static solver and the profile spline are NumPy code, so importing the
 package, solving, lifting and every command must leave ``sys.modules`` free
 of scipy: importing it costs a fresh process most of its start-up time.
-orjson formats the rows of the CSV writers and is imported inside them, so
-only a process that writes a CSV file loads it; its import takes about
-8 ms and 0.7 MB.  The checks run in a subprocess, because the test process
-itself has loaded both long ago.  The commands read a profile that this
-process writes, so that ``static -o``, the only CSV writer among them, can
-run last and show orjson loaded; the script then imports
-``scipy.integrate`` itself, and the tracker must see it.  These positive
-controls keep the guard from passing by tracking nothing.
+orjson formats the rows of the CSV writers and parses those of the CSV
+reader, and is imported inside them, so only a process that writes or reads
+a CSV file loads it; its import takes about 8 ms and 0.7 MB.  The checks
+run in a subprocess, because the test process itself has loaded both long
+ago.  Before each command the script drops orjson from ``sys.modules``, so
+each command shows whether it imports orjson itself: ``evolve``, ``charge``
+and ``residual`` read a profile that this process writes, ``static -o`` and
+``identity-check --dump-grid`` write a CSV file, and the other commands touch
+none.  The script then imports ``scipy.integrate`` itself, and the tracker
+must see it.  These positive controls keep the guard from passing by
+tracking nothing.
 """
 
 import json
@@ -23,8 +26,9 @@ import pytest
 
 import rotelast
 
-# static, the CSV writer, runs last
-COMMANDS = ("decompose", "equilibria", "identity-check", "evolve", "charge", "residual", "static")
+# the commands that touch no CSV file, then those that read one, then those that write one
+COMMANDS = ("decompose", "equilibria", "identity-check", "evolve", "charge", "residual", "static",
+            "identity-check --dump-grid")
 
 SCRIPT = r"""
 import contextlib, io, json, os, sys
@@ -44,10 +48,13 @@ for argv in (["decompose", "--matrix", "1,2,3,4,5,6,7,8,9"],
              ["evolve", "--from-profile", csv, "--t-end", "0.1", "--n-grid", "101"],
              ["charge", "--from-profile", csv, "--radius", "2", "--spacing", "0.5", "--full-3d"],
              ["residual", "--from-profile", csv, "--h", "0.5", "--rmin", "1", "--rmax-annulus", "2"],
-             ["static", "--lambda1", "1", "--lambda2", "1", "--rmax", "5", "-o", os.path.join(tmp, "new.csv")]):
+             ["static", "--lambda1", "1", "--lambda2", "1", "--rmax", "5", "-o", os.path.join(tmp, "new.csv")],
+             ["identity-check", "--h", "0.4", "--extent", "1", "--dump-grid", os.path.join(tmp, "grid.csv")]):
+    for name in [name for name in sys.modules if name.split(".")[0] == "orjson"]:
+        del sys.modules[name]  # so that the command shows whether it imports orjson itself
     with contextlib.redirect_stdout(io.StringIO()):
         code = rotelast.cli.main(argv + (["--summary", out] if argv[0] in ("static", "evolve") else ["-o", out]))
-    seen[argv[0]] = (code, loaded())
+    seen[" ".join(argv[:1] + [a for a in argv if a == "--dump-grid"])] = (code, loaded())
 import scipy.integrate
 seen["control"] = loaded()
 print(json.dumps(seen))
@@ -77,10 +84,11 @@ def test_no_scipy_at_run_time(seen):
     assert {"scipy", "scipy.integrate"} <= set(seen["control"])
 
 
-def test_orjson_only_with_a_csv_writer(seen):
+def test_orjson_only_with_csv_io(seen):
     for step in ("import", "solve_static", "lift_hedgehog"):
         assert seen[step] == [], step
-    for command in COMMANDS[:-1]:
+    for command in COMMANDS[:3]:
         assert seen[command] == [0, []], command
-    # the positive control: static -o writes a profile CSV
-    assert seen["static"] == [0, ["orjson", "orjson.orjson"]]
+    # the readers (evolve, charge, residual) and the writers (static -o, identity-check --dump-grid)
+    for command in COMMANDS[3:]:
+        assert seen[command] == [0, ["orjson", "orjson.orjson"]], command

@@ -470,10 +470,17 @@ class TestGridSerialization:
             "wrong magic": (["# rotor-grid-csv 2\n"] + lines[1:], "not a 'rotor-grid-csv 1' file"),
             "bad header": (lines[:4] + ["alpha,beta\n"] + rows, "found 'alpha,beta'"),
             "no rows": (lines[:5], "over 0 rows"),
+            # dims: three positive integers before any row count, and nothing allocated from them
+            **{f"dims {dims}": ([lines[0], f"# dims {dims}\n"] + lines[2:], "dims must be three positive integers")
+               for dims in ("inf 4 5", "nan 4 5", "-3 -4 5", "0 4 5", "2.5 4 5", "3.9 4 5")},
+            "dims 1e6 1e6 1e6": ([lines[0], "# dims 1e6 1e6 1e6\n"] + lines[2:],
+                                 "over 1000000000000000000 to 1000000000000000000 rows"),
         }
 
     @pytest.mark.parametrize("case", ["missing row", "fifth column in one row", "fifth column in every row",
-                                      "swapped meta lines", "two dims", "wrong magic", "bad header", "no rows"])
+                                      "swapped meta lines", "two dims", "wrong magic", "bad header", "no rows",
+                                      "dims inf 4 5", "dims nan 4 5", "dims -3 -4 5", "dims 0 4 5",
+                                      "dims 2.5 4 5", "dims 3.9 4 5", "dims 1e6 1e6 1e6"])
     def test_malformed_file_named(self, tmp_path, case):
         path = tmp_path / "grid.csv"
         grid = rl.RotorGrid.from_field(rl.random_smooth_field(seed=3), dims=(3, 4, 5), spacing=0.1,

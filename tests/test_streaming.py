@@ -13,6 +13,7 @@ far below their whole-grid peaks.
 """
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -246,6 +247,97 @@ class TestCsvRows:
         slab_points(40)
         rl.save_profile_csv(p, tmp_path / "p.csv")
         assert (tmp_path / "p.csv").read_bytes() == self.profile_file_per_line(p).encode()
+
+
+def read_both(path, ncols, monkeypatch):
+    """What ``np.loadtxt`` and :func:`kinematics._read_rows` make of the rows after a file's first line:
+    ``("rows", shape, bytes)`` or ``("raises", type, message)`` each, and whether the reader fell back."""
+    def outcome(read):
+        with open(path) as f:
+            f.readline()
+            try:
+                data = read(f)
+            except Exception as exc:  # the oracle's own exception, whatever it is
+                return "raises", type(exc), str(exc)
+        return "rows", data.shape, data.tobytes()
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        expected = outcome(lambda f: np.loadtxt(f, delimiter=",", ndmin=2))
+    calls, loadtxt = [], np.loadtxt
+    monkeypatch.setattr(np, "loadtxt", lambda *a, **kw: calls.append(1) or loadtxt(*a, **kw))
+    return expected, outcome(lambda f: kinematics._read_rows(f, ncols)), bool(calls)
+
+
+# two rows of two columns in the writer's grammar, and hand edits of them: tokens off it, integer tokens,
+# line ends and ragged rows that keep the total, each with whether the orjson path may read it
+BODY = "0.5,-1.25\n3.0,4e-07\n"
+EDITS = {
+    "as written": (BODY, True),
+    "-0": (BODY.replace("0.5", "-0"), False),  # orjson reads +0; the sign count sends it to np.loadtxt
+    "-0.0 and -0e0": (BODY.replace("0.5", "-0.0").replace("3.0", "-0e0"), True),
+    "+1.0": (BODY.replace("0.5", "+1.0"), False),
+    ".5": (BODY.replace("0.5", ".5"), False),
+    "1.": (BODY.replace("3.0", "1."), False),
+    "1E5": (BODY.replace("3.0", "1E5"), False),
+    "01.5": (BODY.replace("0.5", "01.5"), False),
+    "1e400": (BODY.replace("3.0", "1e400"), False),
+    "-1e400": (BODY.replace("3.0", "-1e400"), False),
+    "1e-400": (BODY.replace("3.0", "1e-400"), True),
+    "-1e-400": (BODY.replace("3.0", "-1e-400"), True),
+    "nan": (BODY.replace("3.0", "nan"), False),
+    "CRLF": (BODY.replace("\n", "\r\n"), False),
+    "blank line": (BODY.replace("\n", "\n\n", 1), False),
+    "comment line": (BODY.replace("\n", "\n# note\n", 1), False),
+    "trailing comma": (BODY.replace("\n", ",\n", 1), False),
+    "empty field": (BODY.replace("0.5", ""), False),
+    "no last newline": (BODY[:-1], False),
+    "integer tokens": ("1,-2\n30,12345678901234567891\n", True),
+    "integer beyond 64 bits": ("1,-2\n30,123456789012345678901234567890\n", True),
+    "ragged rows of the same total": ("0.5,-1.25,3.0\n4e-07\n", False),
+    "one column": ("0.5,-1.25,3.0,4e-07\n", False),
+    "no rows": ("", False),
+}
+
+
+class TestReadRows:
+    """The table reader against ``np.loadtxt``, which it must match bit for bit: rows in the
+    writer's grammar through orjson, a chunk of whole lines at a time, and anything else through
+    ``np.loadtxt`` itself.  A small slab budget makes chunks of a few bytes, so rows straddle them."""
+
+    # the slab budget and the file stay the same for every example
+    @pytest.mark.parametrize("budget", [None, 1, 3])
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(arrays(np.float64, st.tuples(st.integers(1, 9), st.integers(1, 4)),
+                  elements=st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                                     st.sampled_from(DECADE_EDGES.tolist()))))
+    def test_written_tables_read_as_loadtxt_reads_them(self, tmp_path, slab_points, monkeypatch, budget, table):
+        if budget is not None:
+            slab_points(budget)
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"header\n" + kinematics._csv_rows(table))
+        expected, got, fell_back = read_both(path, table.shape[1], monkeypatch)
+        assert got == expected and not fell_back
+
+    @pytest.mark.parametrize("budget", [None, 1])
+    def test_decade_edges_read_as_loadtxt_reads_them(self, tmp_path, slab_points, monkeypatch, budget):
+        if budget is not None:
+            slab_points(budget)
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"header\n" + kinematics._csv_rows(DECADE_EDGES.reshape(-1, 3)))
+        expected, got, fell_back = read_both(path, 3, monkeypatch)
+        assert got == expected and not fell_back
+
+    @pytest.mark.parametrize("budget", [None, 1])
+    @pytest.mark.parametrize("edit", EDITS)
+    def test_hand_edited_rows_read_as_loadtxt_reads_them(self, tmp_path, slab_points, monkeypatch, budget, edit):
+        body, fast = EDITS[edit]
+        if budget is not None:
+            slab_points(budget)
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"r,w\n" + body.encode())
+        expected, got, fell_back = read_both(path, 2, monkeypatch)
+        assert got == expected and fell_back == (not fast)
 
 
 class TestMemoryBound:

@@ -59,6 +59,14 @@ class TestDifferences:
         assert diff["w"][0] == pytest.approx(1e-9, rel=1e-6)
         assert diff["r"] == (0.0, 0.0)
 
+    def test_csv_comment_line_among_rows(self, tmp_path):
+        # the header stays r,w and the first row is compared, with the "#" line skipped
+        text = CSV.replace("1.0,0.5\n", "1.0,0.5\n# note\n")
+        old, new = pair(tmp_path, "p.csv", text, text.replace("0.0,0.0", "0.0,0.0000000005"))
+        diff = differences(old, new)
+        assert diff.keys() == {"r", "w"}
+        assert diff["w"][0] == pytest.approx(1e-9, rel=1e-6)
+
     def test_csv_shape_mismatch(self, tmp_path):
         old, new = pair(tmp_path, "p.csv", CSV, CSV + "3.0,0.125\n")
         with pytest.raises(ValueError, match="shapes"):
