@@ -196,6 +196,8 @@ def cmd_residual(args) -> int:
     h = args.h
     if not h > 0:
         raise ValueError(f"--h must be positive, got {h}")
+    if not 0 <= args.rmin <= args.rmax_annulus:
+        raise ValueError(f"the annulus needs 0 <= --rmin <= --rmax-annulus, got [{args.rmin}, {args.rmax_annulus}]")
     profile = load_profile_csv(args.from_profile)
     field = lift_hedgehog(profile)
     # cell-centered even-count lattice: origin never on a grid node
@@ -210,6 +212,8 @@ def cmd_residual(args) -> int:
         n_cells += int(mask.sum())
         if mask.any():
             peaks.append(np.abs(res[lo:hi][mask]).max())
+    if not n_cells:
+        raise ValueError(f"no lattice node of --h {h} falls in the annulus [{args.rmin}, {args.rmax_annulus}]")
     _emit(
         {
             "command": "residual",

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .so3 import Rotor, _bl, _cf, _cross, _unit_defect, matrix_to_rotor, rotor_matrix
+from .so3 import _bl, _cf, _cross, _unit_defect, matrix_to_rotor, rotor_matrix
 
 __all__ = [
     "FieldPoint",
@@ -38,7 +38,6 @@ __all__ = [
     "RotorField",
     "AnalyticRotorField",
     "HedgehogField",
-    "ConstantField",
     "ProductField",
     "TranslatedField",
     "random_smooth_field",
@@ -316,26 +315,6 @@ class TranslatedField(RotorField):
 
     def u_and_nye(self, x, t: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
         return self.base.u_and_nye(self._shift(x), t)
-
-
-class ConstantField(RotorField):
-    """Spatially and temporally constant rotor."""
-
-    def __init__(self, rotor: Rotor):
-        self.rotor_value = rotor
-
-    def field_point(self, x, t: float = 0.0, order: int = 2) -> FieldPoint:
-        _check_order(order)
-        shp = np.shape(x)[:-1]
-        fp = FieldPoint(alpha=np.full(shp, self.rotor_value.alpha),
-                        beta=np.broadcast_to(self.rotor_value.beta, shp + (3,)).copy())
-        if order >= 1:
-            fp.d_beta, fp.d_alpha = np.zeros(shp + (3, 3)), np.zeros(shp + (3,))
-            fp.dt_beta, fp.dt_alpha = np.zeros(shp + (3,)), np.zeros(shp)
-        if order == 2:
-            fp.dd_beta, fp.dd_alpha = np.zeros(shp + (3, 3, 3)), np.zeros(shp + (3, 3))
-            fp.dtt_beta, fp.dtt_alpha = np.zeros(shp + (3,)), np.zeros(shp)
-        return fp
 
 
 class ProductField(RotorField):

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 # nye_matrix lives next to FieldPoint (fields builds u_and_nye from it) and is re-exported here
-from .fields import FieldPoint, RotorField, _nye_bracket, nye_matrix
-from .so3 import _bl, _cf, _dot, _eps_ddot, _rotor_matrix, _unit_defect, eps_ddot, rotor_matrix
+from .fields import FieldPoint, _nye_bracket, nye_matrix
+from .so3 import _bl, _cf, _dot, _eps_ddot, _rotor_matrix, _unit_defect, rotor_matrix
 
 __all__ = [
     "Moduli",
@@ -35,15 +35,12 @@ __all__ = [
     "RotorGrid",
     "nye_matrix",
     "nye_velocity_vector",
-    "nye_velocity",
-    "nye_fd",
     "nye_fd_grid",
     "torsion_from_nye",
     "decompose",
     "quadratic_invariants",
     "potential_density",
     "kinetic_density",
-    "linearized_lagrangian",
     "check_identity_TT",
     "save_grid_csv",
     "load_grid_csv",
@@ -95,9 +92,6 @@ class NyeDecomposition:
     trace_part: float
     antisym_part: np.ndarray
     sym_traceless_part: np.ndarray
-
-    def recompose(self) -> np.ndarray:
-        return (self.trace_part / 3.0) * np.eye(3) + self.antisym_part + self.sym_traceless_part
 
 
 def _trace_skew(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -158,11 +152,6 @@ def nye_velocity_vector(fp: FieldPoint) -> np.ndarray:
     return _bl(_nye_bracket(fp.alpha, _cf(fp.beta), fp.dt_alpha[None], _cf(fp.dt_beta)[:, None])[:, 0])
 
 
-def nye_velocity(field: RotorField, point, time: float = 0.0) -> np.ndarray:
-    """Velocity column A_lt of an analytic rotor field at a point."""
-    return nye_velocity_vector(field.field_point(np.asarray(point, dtype=float), time, order=1))
-
-
 def potential_density(a: np.ndarray, m: Moduli):
     """Quadratic potential density ``lambda1 (tr A)^2 + lambda2 |skew A|^2``."""
     a = np.asarray(a, dtype=float)
@@ -176,19 +165,6 @@ def kinetic_density(a_t: np.ndarray):
     a_t = np.asarray(a_t, dtype=float)
     val = np.einsum("...l,...l->...", a_t, a_t)
     return float(val) if a_t.ndim == 1 else val
-
-
-def linearized_lagrangian(beta_dot, grad_beta, m: Moduli) -> float:
-    """Small-amplitude Lagrangian ``4 bdot^2 - 4 l1 (div b)^2 - 2 l2 (curl b)^2``.
-
-    ``grad_beta[l, k] = d_k beta_l``.
-    """
-    beta_dot = np.asarray(beta_dot, dtype=float)
-    g = np.asarray(grad_beta, dtype=float)
-    div = np.trace(g)
-    curl = eps_ddot(g.T)
-    return float(4.0 * beta_dot @ beta_dot - 4.0 * m.lambda1 * div * div
-                 - 2.0 * m.lambda2 * curl @ curl)
 
 
 # ---------------------------------------------------------------------------
@@ -337,19 +313,6 @@ def _nye_fd(grid: RotorGrid) -> np.ndarray:
         for l, m, n in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
             np.multiply(0.5, np.subtract(dot(m, n, mn), dot(n, m, nm), out=A[l, k]), out=A[l, k])
     return A
-
-
-def nye_fd(grid: RotorGrid, index) -> np.ndarray:
-    """Nye tensor at one grid node by second-order central differences.
-
-    The index must be at least one cell from every boundary.
-    """
-    i, j, k = (int(v) for v in index)
-    for d, n in zip((i, j, k), grid.dims):
-        if d < 1 or d > n - 2:
-            raise IndexError(f"index {(i, j, k)} not interior to grid of dims {grid.dims}")
-    near = (slice(i - 1, i + 2), slice(j - 1, j + 2), slice(k - 1, k + 2))
-    return nye_fd_grid(RotorGrid(grid.alpha[near], grid.beta[near], grid.spacing, grid.origin))[0, 0, 0]
 
 
 def check_identity_TT(grid: RotorGrid) -> float:

@@ -42,7 +42,6 @@ __all__ = [
     "evolve_dynamic",
     "lift_hedgehog",
     "equilibria",
-    "autonomous_residual",
     "save_profile_csv",
     "load_profile_csv",
 ]
@@ -79,8 +78,8 @@ class RadialProfile:
     def __post_init__(self):
         self.r = np.asarray(self.r, dtype=float)
         self.w = np.asarray(self.w, dtype=float)
-        if self.r.ndim != 1 or self.r.shape != self.w.shape:
-            raise ValueError("r and w must be matching 1-d arrays")
+        if self.r.ndim != 1 or self.r.shape != self.w.shape or not self.r.size:
+            raise ValueError("r and w must be matching non-empty 1-d arrays")
         if not (self.r[0] >= 0 and np.all(np.diff(self.r) > 0)):
             raise ValueError("r must be strictly increasing and non-negative")
         if not np.isfinite(self.r[-1]):  # the order check passes an infinite last radius
@@ -602,24 +601,6 @@ def lift_hedgehog(profile: RadialProfile) -> HedgehogField:
     spline = _CoreSpline(profile, profile.w)
     wdot = None if profile.w_t is None else _CoreSpline(profile, profile.w_t)
     return HedgehogField(w=spline, wp=lambda r: spline(r, 1), wpp=lambda r: spline(r, 2), wdot=wdot)
-
-
-def _autonomous_force(f, m: Moduli):
-    """G(f) such that the autonomous equation is f_bb = G(f) - f_b + tanh(f) f_b^2."""
-    ratio = m.lambda2 / m.lambda1
-    return 2.0 * np.sinh(f) + 4.0 * np.tanh(f) - 2.0 * ratio * (np.sinh(f) + np.tanh(f))
-
-
-def autonomous_residual(f: float, f_b: float, f_bb: float, m: Moduli) -> float:
-    """Left side of the autonomous log-radius equation.
-
-    ``f_bb + f_b (1 - tanh(f) f_b) - 2 sinh f - 4 tanh f
-    + 2 (l2/l1)(sinh f + tanh f)``; zero along static solutions mapped
-    through ``w = arctan(sinh f)/2``, ``b = log r``.
-    """
-    if m.lambda1 <= 0:
-        raise ValueError("requires lambda1 > 0")
-    return float(f_bb + f_b * (1.0 - np.tanh(f) * f_b) - _autonomous_force(f, m))
 
 
 def _jacobian_eigenvalues(f_star: float, m: Moduli):

@@ -13,31 +13,16 @@ The Levi-Civita symbol uses ``eps[0,1,2] = +1``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
-    "LEVI_CIVITA",
-    "Rotor",
-    "make_rotor",
-    "is_special_orthogonal",
     "rotor_matrix",
     "matrix_to_rotor",
-    "align_rotor_signs",
     "eps_dot",
-    "eps_ddot",
 ]
 
-UNIT_TOL = 1e-12
-
-#: totally antisymmetric symbol, eps[0,1,2] = +1
-LEVI_CIVITA = np.zeros((3, 3, 3))
-LEVI_CIVITA[0, 1, 2] = LEVI_CIVITA[1, 2, 0] = LEVI_CIVITA[2, 0, 1] = 1.0
-LEVI_CIVITA[0, 2, 1] = LEVI_CIVITA[2, 1, 0] = LEVI_CIVITA[1, 0, 2] = -1.0
-
 # Contractions with the symbol are written out by component, eps_lij a_i b_j by
-# :func:`_cross`: an einsum against LEVI_CIVITA multiplies all 27 entries, 21 of them zero.
+# :func:`_cross`: an einsum against the dense symbol multiplies all 27 entries, 21 of them zero.
 
 
 def eps_dot(v: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -53,11 +38,6 @@ def eps_dot(v: np.ndarray, axis: int = -1) -> np.ndarray:
     out[0, 1], out[1, 2], out[2, 0] = v[2], v[0], v[1]
     out[1, 0], out[2, 1], out[0, 2] = -v[2], -v[0], -v[1]
     return np.moveaxis(out, (0, 1), (axis, axis + 1))
-
-
-def eps_ddot(w: np.ndarray) -> np.ndarray:
-    """Axial contraction ``[..., l] = eps_lij w_ij`` of a batch of 3x3 matrices."""
-    return np.stack(_eps_ddot(_cf(np.asarray(w, dtype=float), 2)), axis=-1)
 
 
 def _eps_ddot(w) -> list:
@@ -87,18 +67,6 @@ def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class Rotor:
-    """Immutable rotor value; construct through :func:`make_rotor`."""
-
-    beta: np.ndarray
-    alpha: float
-
-    def unit_defect(self) -> float:
-        """Return ``|alpha^2 + |beta|^2 - 1|``."""
-        return float(_unit_defect(self.alpha, self.beta))
-
-
 def _norm2(v) -> np.ndarray:
     """``|v|^2`` over the last axis in any memory order, as :func:`_dot` adds it."""
     return _dot(_cf(v), _cf(v))
@@ -119,30 +87,6 @@ def _dot(a, b, out=None, term=None) -> np.ndarray:
 def _unit_defect(alpha, beta) -> np.ndarray:
     """``|alpha^2 + |beta|^2 - 1|`` of a batch of rotors: every unit-constraint check reads it."""
     return np.abs(alpha**2 + _norm2(beta) - 1.0)
-
-
-def make_rotor(beta, sign: int = +1) -> Rotor:
-    """Build a rotor from ``beta``, with ``alpha = sign*sqrt(1 - |beta|^2)``.
-
-    The sign of alpha is an explicit argument rather than being recomputed
-    from beta; fields that cross alpha = 0 must carry it in their
-    representation.
-
-    Raises
-    ------
-    ValueError
-        If ``|beta|^2 > 1 + 1e-12`` (beta outside unit ball) or beta is NaN.
-    """
-    beta = np.asarray(beta, dtype=float)
-    if beta.shape != (3,):
-        raise ValueError("beta must be a 3-vector")
-    if sign not in (+1, -1):
-        raise ValueError("sign must be +1 or -1")
-    b2 = float(beta @ beta)
-    if not b2 <= 1.0 + UNIT_TOL:  # NaN fails the bound too
-        raise ValueError(f"beta outside unit ball: |beta|^2 = {b2!r}")
-    alpha = sign * np.sqrt(max(0.0, 1.0 - b2))
-    return Rotor(beta=beta, alpha=float(alpha))
 
 
 def rotor_matrix(alpha, beta) -> np.ndarray:
@@ -181,15 +125,6 @@ def _rotor_matrix(alpha, beta, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def is_special_orthogonal(m: np.ndarray, tol: float) -> bool:
-    """True iff ``max|m m^T - I| <= tol`` and ``det m > 0``."""
-    if not tol > 0:
-        raise ValueError("tol must be positive")
-    m = np.asarray(m, dtype=float)
-    defect = np.abs(m @ m.T - np.eye(3)).max()
-    return bool(defect <= tol and np.linalg.det(m) > 0.0)
-
-
 def matrix_to_rotor(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Recover (alpha, beta) from special orthogonal matrices, batched.
 
@@ -199,8 +134,7 @@ def matrix_to_rotor(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Markley 2008), where ``2 alpha beta`` is the axial vector of the skew
     part of u and ``2 beta_i beta_j`` the off-diagonal of its symmetric part.
     The sign ambiguity of the double cover is resolved per point by taking
-    alpha >= 0; callers that need sign continuity along a path should
-    realign with :func:`align_rotor_signs`.
+    alpha >= 0.
 
     Returns ``alpha (...,)`` and ``beta (..., 3)``.
     """
@@ -226,27 +160,3 @@ def matrix_to_rotor(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         q.append(np.where(at[r], q_pivot, pivot_row / (2.0 * q_pivot)))
     q = np.stack([np.where(q[0] < 0.0, -c, c) for c in q], axis=-1)
     return q[..., 0], q[..., 1:]
-
-
-def align_rotor_signs(alpha: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Fix double-cover signs along the flattened scan order.
-
-    For each sample after the first, the sign maximizing the 4-vector dot
-    product with the previous (already realigned) sample is chosen; a zero
-    dot product keeps the sample as it is.  The signs are therefore a
-    running product of the signs of consecutive raw dot products, restarted
-    at +1 wherever that dot product is zero.
-    """
-    alpha = np.array(alpha, dtype=float)
-    beta = np.array(beta, dtype=float)
-    flat_a = alpha.reshape(-1)
-    flat_b = beta.reshape(-1, 3)
-    dot = flat_a[1:] * flat_a[:-1] + np.einsum("ni,ni->n", flat_b[1:], flat_b[:-1])
-    flips = np.concatenate(([0], np.cumsum(dot < 0.0)))
-    # a zero (or NaN) dot product restarts the running product; sample 0 starts it
-    restarts = np.concatenate(([True], ~(dot != 0.0)))
-    last_restart = np.maximum.accumulate(np.where(restarts, np.arange(flat_a.size), 0))
-    sign = np.where((flips - flips[last_restart]) % 2 == 1, -1.0, 1.0)
-    flat_a *= sign
-    flat_b *= sign[:, None]
-    return alpha, beta

@@ -25,6 +25,7 @@ from scipy.optimize import brentq
 
 import rotelast as rl
 
+from conftest import LEVI_CIVITA, ConstantField, make_rotor
 from test_field_equations import centered_grid, plane_wave_field
 from test_radial import eigenvalues_closed_form
 
@@ -58,7 +59,7 @@ def hedgehog_current(field, y):
     c2, s2 = np.cos(2 * w)[..., None, None], np.sin(2 * w)[..., None, None]
     eye = np.eye(3)
     nn = n[..., :, None] * n[..., None, :]
-    cross = np.einsum("ijk,...k->...ij", rl.LEVI_CIVITA, n)
+    cross = np.einsum("ijk,...k->...ij", LEVI_CIVITA, n)
     dn = (eye - nn) / r[..., None, None]  # d_k n_i
     u = -c2 * eye + (1 + c2) * nn + s2 * cross
     du = (  # d_k u_ij at [..., i, j, k]
@@ -66,7 +67,7 @@ def hedgehog_current(field, y):
         + (1 + c2)[..., None] * (dn[..., :, None, :] * n[..., None, :, None]
                                  + n[..., :, None, None] * dn[..., None, :, :])
         + 2 * (c2 * cross)[..., None] * (wp[..., None] * n)[..., None, None, :]
-        + s2[..., None] * np.einsum("ijl,...lk->...ijk", rl.LEVI_CIVITA, dn)
+        + s2[..., None] * np.einsum("ijl,...lk->...ijk", LEVI_CIVITA, dn)
     )
     return u, np.einsum("...ia,...jak->...kij", u, du)
 
@@ -115,7 +116,7 @@ def product_surface_term(field, left, right, centre, radius):
     g, m_g = hedgehog_current(field, x - left)
     _, m_h = hedgehog_current(field, x - right)
     m_h_rot = g[..., None, :, :] @ m_h @ np.swapaxes(g, -1, -2)[..., None, :, :]
-    v = np.einsum("ijk,...iab,...jba->...k", rl.LEVI_CIVITA, m_g, m_h_rot)
+    v = np.einsum("ijk,...iab,...jba->...k", LEVI_CIVITA, m_g, m_h_rot)
     flux = np.einsum("...k,...k->...", v, normal)
     return 3 * CHARGE_NORM * radius**2 * (2 * np.pi / 128) * float(np.sum(wt[:, None] * flux))
 
@@ -243,7 +244,7 @@ class TestAcceptance:
         0.029).  The h = 0.25 value must match the oracle to 2e-3 and its
         Richardson extrapolation with h = 0.5 to 5e-4.
         """
-        ident = rl.ConstantField(rl.make_rotor([0, 0, 0]))
+        ident = ConstantField(make_rotor([0, 0, 0]))
         rep0 = rl.total_charge(ident, ball_radius=3.0, grid_spacing=0.3)
         ok0 = abs(rep0.charge) <= 1e-6
 
@@ -404,7 +405,7 @@ class TestAcceptance:
             for h in (0.02, 0.01):
                 grid = rl.RotorGrid.from_field(field, dims=(5, 5, 5), spacing=h,
                                                origin=pt - 2 * h)
-                errs.append(np.abs(rl.nye_fd(grid, (2, 2, 2)) - exact).max())
+                errs.append(np.abs(rl.nye_fd_grid(grid)[1, 1, 1] - exact).max())
             worst_ratio = min(worst_ratio, errs[0] / errs[1])
         ok = worst_ratio >= 3.5
         report(10, "kinematics-oracle", ok, f"worst Richardson ratio = {worst_ratio:.2f}")

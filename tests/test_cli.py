@@ -221,12 +221,27 @@ class TestResidualCommand:
         assert payload["max_residual"] == float(np.abs(res[mask]).max())
 
     def test_empty_annulus_exit_2(self, tmp_path, capsys):
+        self.assert_bad_annulus(tmp_path, capsys, "3", "2")
+
+    def test_negative_rmin_exit_2(self, tmp_path, capsys):
+        self.assert_bad_annulus(tmp_path, capsys, "-1", "2")
+
+    @staticmethod
+    def assert_bad_annulus(tmp_path, capsys, rmin, rmax):
+        # checked before the profile is read: the record names the annulus, not the missing file
+        code, out, err = run_cli(capsys, "residual", "--from-profile", str(tmp_path / "missing.csv"),
+                                 "--rmin", rmin, "--rmax-annulus", rmax)
+        assert code == 2 and out == ""
+        assert json.loads(err)["detail"] == (f"the annulus needs 0 <= --rmin <= --rmax-annulus, "
+                                             f"got [{float(rmin)}, {float(rmax)}]")
+
+    def test_annulus_between_nodes_exit_2(self, tmp_path, capsys):
         path, _ = make_soliton_csv(tmp_path, capsys, rmax="20")
-        code, _, _ = run_cli(
-            capsys, "residual", "--from-profile", str(path), "--h", "0.4",
-            "--rmin", "3", "--rmax-annulus", "2",
-        )
-        assert code == 2  # no cell in the annulus: the maximum of nothing is a usage error
+        # the nodes nearest the origin of the cell-centred lattice lie at radius sqrt(3) * 0.2
+        code, out, err = run_cli(capsys, "residual", "--from-profile", str(path), "--h", "0.4",
+                                 "--rmin", "0.1", "--rmax-annulus", "0.3")
+        assert code == 2 and out == ""
+        assert json.loads(err)["detail"] == "no lattice node of --h 0.4 falls in the annulus [0.1, 0.3]"
 
 
 class TestEvolveCommand:

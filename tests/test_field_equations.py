@@ -6,9 +6,9 @@ from hypothesis.extra.numpy import arrays
 import rotelast as rl
 from rotelast.field_equations import _axial
 from rotelast.fields import _nye_bracket
-from rotelast.so3 import LEVI_CIVITA, _bl, _cf
+from rotelast.so3 import _bl, _cf
 
-from conftest import random_rotor
+from conftest import LEVI_CIVITA, ConstantField, random_rotor
 from test_kernels import g_tensor_time
 
 
@@ -59,7 +59,7 @@ class TestGTensors:
         return rl.HedgehogField(w, wp, wpp), w, wp
 
     def test_constant_field_vanishes(self, rng):
-        f = rl.ConstantField(random_rotor(rng))
+        f = ConstantField(random_rotor(rng))
         fp = f.field_point(np.array([0.4, 0.2, -0.6]))
         assert np.abs(rl.g_tensor_space(fp)).max() == 0.0
         assert np.abs(g_tensor_time(fp)).max() == 0.0
@@ -157,7 +157,7 @@ class TestHTensors:
 
 class TestResidualEqs2:
     def test_constant_field_is_vacuum(self, rng, unit_moduli):
-        f = rl.ConstantField(random_rotor(rng))
+        f = ConstantField(random_rotor(rng))
         res = rl.residual_eqs2_at(f.field_point([0.2, -0.5, 0.9]), unit_moduli)
         assert np.abs(res).max() == 0.0
 

@@ -13,6 +13,8 @@ import rotelast as rl
 from rotelast.fields import nye_matrix
 from rotelast.so3 import rotor_matrix
 
+from conftest import ConstantField, make_rotor
+
 ORDER_BLOCKS = (
     ("alpha", "beta"),
     ("d_beta", "d_alpha", "dt_beta", "dt_alpha"),
@@ -61,7 +63,7 @@ def fields():
                                                      Counting(smooth._dd_beta)),
         "breathing_smooth_field": breathing_smooth_field(6),
         "translated": rl.TranslatedField(tanh_hedgehog(wdot=lambda r: np.sin(r)), [0.4, -0.3, 0.2]),
-        "constant": rl.ConstantField(rl.make_rotor([0.2, -0.5, 0.1], -1)),
+        "constant": ConstantField(make_rotor([0.2, -0.5, 0.1], -1)),
     }
 
 
@@ -142,7 +144,7 @@ class TestConsumerOrders:
     def test_nye_consumers_at_order_1(self, points):
         field = breathing_smooth_field(8)
         field.nye(points, 0.3)
-        rl.nye_velocity(field, points, 0.3)
+        rl.nye_velocity_vector(field.field_point(points, 0.3, order=1))
         field.u_and_nye(points, 0.3)
         rl.charge_density(field, points, 0.3)
         assert field._dd_beta.calls == 0 and field._dtt_beta.calls == 0

@@ -28,8 +28,9 @@ from rotelast.field_equations import _axial, _coupling, _d_nye, _nye_divergences
 from rotelast.fields import _components_first
 from rotelast.kinematics import (_central_diff, _central_diff2, _identity_residual, _slabs, _sym_traceless,
                                  _trace_skew)
-from rotelast.so3 import (LEVI_CIVITA, _bl, _cf, _cross, _dot, _norm2, align_rotor_signs, eps_ddot, eps_dot,
-                          matrix_to_rotor, rotor_matrix)
+from rotelast.so3 import _bl, _cf, _cross, _dot, _norm2, eps_dot, matrix_to_rotor, rotor_matrix
+
+from conftest import LEVI_CIVITA, ConstantField, eps_ddot, make_rotor
 
 REL = 1e-12
 
@@ -176,17 +177,6 @@ def matrix_to_rotor_oracle(u):
                 a, b = -a, -b
         flat_a[n] = a
         flat_b[n] = b
-    return alpha, beta
-
-
-def align_rotor_signs_oracle(alpha, beta):
-    alpha = np.array(alpha, dtype=float)
-    beta = np.array(beta, dtype=float)
-    flat_a, flat_b = alpha.reshape(-1), beta.reshape(-1, 3)
-    for n in range(1, flat_a.size):
-        if flat_a[n] * flat_a[n - 1] + flat_b[n] @ flat_b[n - 1] < 0.0:
-            flat_a[n] = -flat_a[n]
-            flat_b[n] = -flat_b[n]
     return alpha, beta
 
 
@@ -505,7 +495,7 @@ class TestFieldKernels:
 
     def test_three_factor_product_u_and_du(self, two_core_product):
         field, x = two_core_product
-        rot = rl.ConstantField(rl.make_rotor([0.3, -0.2, 0.5], sign=-1))
+        rot = ConstantField(make_rotor([0.3, -0.2, 0.5], sign=-1))
         three = rl.ProductField([field.factors[0], rot, field.factors[1]])
         u, du = three.u_and_du(x)
         u_ref, du_ref = product_u_and_du_oracle(three, x)
@@ -818,24 +808,3 @@ class TestRotorExtraction:
         field, x = two_core_product
         u = field.u(x.reshape(10, 50, 3))
         assert same_bits(matrix_to_rotor(u), matrix_to_rotor_oracle(u))
-
-    def test_align_signs_random_flips(self, two_core_product):
-        field, _ = two_core_product
-        line = np.linspace(-7.0, 7.0, 400)[:, None] * np.array([1.0, 0.1, -0.05])
-        alpha, beta = field.alpha_beta(line)
-        flip = np.random.default_rng(104).choice([-1.0, 1.0], size=400)
-        alpha, beta = alpha * flip, beta * flip[:, None]
-        assert same_bits(align_rotor_signs(alpha, beta), align_rotor_signs_oracle(alpha, beta))
-
-    def test_align_signs_restart_at_zero_dot(self):
-        # consecutive orthogonal 4-vectors have a zero dot product: the loop keeps the sample
-        q = np.array([[1, 0, 0, 0], [-1, 0, 0, 0], [0, 1, 0, 0], [0, -1, 0, 0], [0, -1, 0, 0],
-                      [0, 0, 0, 1], [0, 0, 0, -1], [0.6, 0, -0.8, 0], [-0.6, 0, 0.8, 0]], dtype=float)
-        alpha, beta = q[:, 0].reshape(3, 3), q[:, 1:].reshape(3, 3, 3)
-        new = align_rotor_signs(alpha, beta)
-        assert same_bits(new, align_rotor_signs_oracle(alpha, beta))
-        assert new[0].shape == (3, 3) and new[1].shape == (3, 3, 3)
-
-    def test_align_signs_single_sample(self):
-        assert same_bits(align_rotor_signs(-0.5, [0.5, 0.5, -0.5]),
-                         align_rotor_signs_oracle(-0.5, [0.5, 0.5, -0.5]))

@@ -4,9 +4,9 @@ from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import rotelast as rl
-from rotelast.so3 import align_rotor_signs, matrix_to_rotor, rotor_matrix
+from rotelast.so3 import matrix_to_rotor, rotor_matrix
 
-from conftest import random_rotor
+from conftest import Rotor, make_rotor, random_rotor
 
 
 def matrix(r):
@@ -26,51 +26,23 @@ def quat_mul(p, q):
     return a1 * a2 - b1 @ b2, a1 * b2 + a2 * b1 + np.cross(b1, b2)
 
 
-class TestMakeRotor:
-    def test_identity(self):
-        r = rl.make_rotor([0.0, 0.0, 0.0], +1)
-        assert r.alpha == 1.0
-        assert np.all(r.beta == 0.0)
-
-    def test_unit_ball_boundary(self):
-        r = rl.make_rotor([1.0, 0.0, 0.0], +1)
-        assert r.alpha == 0.0
-
-    def test_alpha_forced_to_zero(self):
-        r = rl.make_rotor([0.6, 0.0, 0.8], -1)
-        assert r.alpha == 0.0
-        assert r.unit_defect() <= 1e-12
-
-    def test_outside_unit_ball(self):
-        with pytest.raises(ValueError, match="unit ball"):
-            rl.make_rotor([1.0, 0.1, 0.0])
-
-    @pytest.mark.parametrize("beta", [[np.nan, 0.0, 0.0], [0.1, np.inf, 0.0]])
-    def test_non_finite_rejected(self, beta):
-        with pytest.raises(ValueError, match="unit ball"):
-            rl.make_rotor(beta)
-
-    def test_unit_invariant_random(self, rng):
-        for _ in range(200):
-            assert random_rotor(rng).unit_defect() <= 1e-12
-
-
 class TestRotorToMatrix:
     def test_identity_rotor(self):
-        assert np.array_equal(matrix(rl.make_rotor([0, 0, 0])), np.eye(3))
+        assert np.array_equal(rotor_matrix(1.0, [0.0, 0.0, 0.0]), np.eye(3))
 
     def test_pi_rotation(self):
-        u = matrix(rl.make_rotor([1.0, 0, 0]))
+        u = rotor_matrix(0.0, [1.0, 0.0, 0.0])
         assert np.allclose(u, np.diag([1.0, -1.0, -1.0]))
 
     def test_quarter_turn_about_z(self):
         # alpha = beta_3 = 1/sqrt(2): all beta^2 terms cancel the identity,
         # leaving e3 e3^T plus the Levi-Civita block
         s = 1.0 / np.sqrt(2.0)
-        u = matrix(rl.make_rotor([0.0, 0.0, s]))
+        u = rotor_matrix(s, [0.0, 0.0, s])
         expected = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
         assert np.abs(u - expected).max() <= 1e-15
-        assert rl.is_special_orthogonal(u, 1e-12)
+        assert np.abs(u @ u.T - np.eye(3)).max() <= 1e-12
+        assert np.linalg.det(u) > 0.0
 
     def test_special_orthogonal_random(self, rng):
         for _ in range(200):
@@ -81,13 +53,13 @@ class TestRotorToMatrix:
     def test_double_cover(self, rng):
         for _ in range(50):
             r = random_rotor(rng)
-            minus = rl.Rotor(beta=-r.beta, alpha=-r.alpha)
+            minus = Rotor(beta=-r.beta, alpha=-r.alpha)
             assert np.array_equal(matrix(r), matrix(minus))
 
 
 class TestInverse:
     def test_identity(self):
-        assert np.array_equal(inverse_matrix(rl.make_rotor([0, 0, 0])), np.eye(3))
+        assert np.array_equal(inverse_matrix(make_rotor([0, 0, 0])), np.eye(3))
 
     def test_inverse_by_construction(self, rng):
         for _ in range(100):
@@ -96,7 +68,7 @@ class TestInverse:
             assert np.abs(prod - np.eye(3)).max() <= 1e-12
 
     def test_symmetric_rotation_self_inverse(self):
-        r = rl.make_rotor([1.0, 0, 0])
+        r = make_rotor([1.0, 0, 0])
         assert np.allclose(inverse_matrix(r), np.diag([1.0, -1.0, -1.0]))
 
     def test_inverse_is_transpose(self, rng):
@@ -115,9 +87,9 @@ class TestMatrixProduct:
         assert np.abs(u @ u.T - np.eye(3)).max() <= 1e-14
 
     def test_pi_rotations_compose_to_third_axis(self):
-        ux = matrix(rl.make_rotor([1.0, 0, 0]))
-        uy = matrix(rl.make_rotor([0, 1.0, 0]))
-        uz = matrix(rl.make_rotor([0, 0, 1.0]))
+        ux = matrix(make_rotor([1.0, 0, 0]))
+        uy = matrix(make_rotor([0, 1.0, 0]))
+        uz = matrix(make_rotor([0, 0, 1.0]))
         assert np.allclose(ux @ uy, uz)
 
     def test_quaternion_composition_oracle(self, rng):
@@ -130,29 +102,6 @@ class TestMatrixProduct:
             assert np.abs(direct - composed).max() <= 1e-12
 
 
-class TestIsSpecialOrthogonal:
-    def test_identity(self):
-        assert rl.is_special_orthogonal(np.eye(3), 1e-12)
-
-    def test_scaled_identity(self):
-        assert not rl.is_special_orthogonal(2.0 * np.eye(3), 1e-12)
-
-    def test_reflection_rejected(self):
-        assert not rl.is_special_orthogonal(np.diag([1.0, 1.0, -1.0]), 1e-12)
-
-    def test_thousand_random_rotors(self, rng):
-        for _ in range(1000):
-            assert rl.is_special_orthogonal(matrix(random_rotor(rng)), 1e-12)
-
-    def test_bad_tol(self):
-        with pytest.raises(ValueError):
-            rl.is_special_orthogonal(np.eye(3), 0.0)
-
-    def test_nan_tol(self):
-        with pytest.raises(ValueError, match="tol must be positive"):
-            rl.is_special_orthogonal(np.eye(3), np.nan)
-
-
 class TestMatrixToRotor:
     def test_roundtrip_random(self, rng):
         for _ in range(300):
@@ -163,7 +112,7 @@ class TestMatrixToRotor:
             assert abs(abs(dot) - 1.0) <= 1e-10
 
     def test_near_zero_alpha_branch(self):
-        r = rl.make_rotor([0.6, 0.0, 0.8], +1)  # alpha exactly 0
+        r = make_rotor([0.6, 0.0, 0.8], +1)  # alpha exactly 0
         a, b = rl.matrix_to_rotor(matrix(r))
         assert abs(a) <= 1e-12
         assert min(np.abs(b - r.beta).max(), np.abs(b + r.beta).max()) <= 1e-12
@@ -203,27 +152,8 @@ class TestRotorAlgebraProperties:
     def test_decompose_recomposes(self, m):
         parts = rl.decompose(m)
         scale = max(1.0, float(np.abs(m).max()))
-        assert np.abs(parts.recompose() - m).max() <= 1e-14 * scale
+        recomposed = (parts.trace_part / 3.0) * np.eye(3) + parts.antisym_part + parts.sym_traceless_part
+        assert np.abs(recomposed - m).max() <= 1e-14 * scale
         assert np.array_equal(parts.antisym_part, -parts.antisym_part.T)
         assert np.array_equal(parts.sym_traceless_part, parts.sym_traceless_part.T)
         assert abs(np.trace(parts.sym_traceless_part)) <= 1e-14 * scale
-
-    @given(unit_rotors(max_rows=12))
-    def test_align_rotor_signs_gives_non_negative_steps(self, q):
-        alpha, beta = align_rotor_signs(q[:, 0], q[:, 1:])
-        out = np.concatenate([alpha[:, None], beta], axis=1)
-        assert np.all(np.einsum("ni,ni->n", out[1:], out[:-1]) >= 0.0)
-        # each sample keeps its rotation: it is the input or its negative
-        assert all(np.array_equal(o, x) or np.array_equal(o, -x) for o, x in zip(out, q))
-
-    @given(arrays(np.float64, 3, elements=st.floats(-1.0, 1.0)), st.floats(0.01, 1.0),
-           arrays(np.float64, 16, elements=st.sampled_from([-1.0, 1.0])))
-    def test_align_rotor_signs_recovers_a_smooth_path(self, axis, step, signs):
-        # a rotation about a fixed axis, sampled every `step` radians, with random sign flips
-        norm = np.linalg.norm(axis)
-        axis = axis / norm if norm > 1e-3 else np.array([0.0, 0.0, 1.0])
-        theta = step * np.arange(16)
-        path = np.concatenate([np.cos(theta)[:, None], np.sin(theta)[:, None] * axis], axis=1)
-        alpha, beta = align_rotor_signs(signs * path[:, 0], signs[:, None] * path[:, 1:])
-        out = np.concatenate([alpha[:, None], beta], axis=1)
-        assert np.array_equal(out, signs[0] * path)

@@ -23,7 +23,8 @@ from hypothesis.extra.numpy import arrays
 import rotelast as rl
 from rotelast import field_equations, kinematics
 from rotelast.kinematics import _slabs
-from rotelast.so3 import eps_ddot
+
+from conftest import eps_ddot
 
 
 @pytest.fixture()

@@ -1,4 +1,5 @@
-"""tools/compare_artifacts.py on small files: no command runs in a subprocess."""
+"""tools/compare_artifacts.py on small files, and the source counts of tools/bench_record.py: no command
+runs in a subprocess."""
 
 import argparse
 import importlib.util
@@ -9,11 +10,17 @@ import numpy as np
 import pytest
 
 import rotelast.cli
+from rotelast import field_equations, fields, kinematics, radial, so3, topology
 
-_PATH = Path(__file__).resolve().parent.parent / "tools" / "compare_artifacts.py"
-_SPEC = importlib.util.spec_from_file_location("compare_artifacts", _PATH)
-compare_artifacts = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(compare_artifacts)
+
+def load_tool(name):
+    spec = importlib.util.spec_from_file_location(name, Path(__file__).resolve().parent.parent / "tools" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+compare_artifacts = load_tool("compare_artifacts")
 differences, compare = compare_artifacts.differences, compare_artifacts.compare
 
 CSV = "# radial-profile-csv 1\n# slope0 1.0 tol 1e-09\nr,w\n0.0,0.0\n1.0,0.5\n2.0,0.25\n"
@@ -182,3 +189,13 @@ def test_solver_failure_record_stands_in_for_the_summary(tmp_path, monkeypatch):
     codes["charge"] = 1
     with pytest.raises(SystemExit, match="rotelast charge exited with code 1"):
         compare_artifacts.run_all(tmp_path / "checkout", tmp_path / "b")
+
+
+def test_bench_record_counts_the_public_names():
+    modules = (field_equations, fields, kinematics, radial, so3, topology)
+    lists = {module.__name__.removeprefix("rotelast.") + ".py": module.__all__ for module in modules}
+    assert load_tool("bench_record").public_names() == {
+        "files": {name: len(names) for name, names in lists.items()},
+        "total": sum(map(len, lists.values())),
+        "distinct": len(set().union(*lists.values())),
+    }

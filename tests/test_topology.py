@@ -6,7 +6,7 @@ import rotelast as rl
 from rotelast import kinematics
 from rotelast.topology import _centred_axis, _charge_midpoint_3d
 
-from conftest import random_rotor
+from conftest import ConstantField, make_rotor, random_rotor
 
 
 def tanh_hedgehog(w_from, w_to, scale):
@@ -60,7 +60,7 @@ def charge_midpoint_3d_planes(field, ball_radius, h, time=0.0):
 
 class TestChargeDensity:
     def test_constant_field(self, rng):
-        f = rl.ConstantField(random_rotor(rng))
+        f = ConstantField(random_rotor(rng))
         pts = rng.normal(size=(10, 3))
         assert np.abs(rl.charge_density(f, pts)).max() == 0.0
 
@@ -86,7 +86,7 @@ class TestChargeDensity:
         # constant left factor conjugates the connection; the trace density
         # is pointwise unchanged
         base = degree_one_field()
-        rot = rl.ConstantField(random_rotor(rng, max_norm=0.8))
+        rot = ConstantField(random_rotor(rng, max_norm=0.8))
         prod = rl.ProductField([rot, base])
         pts = rng.normal(size=(8, 3)) * 2.0
         assert np.abs(rl.charge_density(prod, pts) - rl.charge_density(base, pts)).max() <= 1e-12
@@ -94,7 +94,7 @@ class TestChargeDensity:
 
 class TestTotalCharge:
     def test_identity_field(self, rng):
-        f = rl.ConstantField(rl.make_rotor([0, 0, 0]))
+        f = ConstantField(make_rotor([0, 0, 0]))
         rep = rl.total_charge(f, ball_radius=3.0, grid_spacing=0.3)
         assert abs(rep.charge) <= 1e-6
 
@@ -142,7 +142,7 @@ class TestTotalCharge:
 
     def test_left_rotation_invariance(self, rng):
         base = degree_one_field()
-        rot = rl.ConstantField(random_rotor(rng, max_norm=0.8))
+        rot = ConstantField(random_rotor(rng, max_norm=0.8))
         prod = rl.ProductField([rot, base])
         rep = rl.total_charge(prod, ball_radius=10.0, grid_spacing=0.25, force_3d=True)
         assert rep.charge == pytest.approx(-1.0, abs=5e-3)
@@ -228,7 +228,7 @@ class TestProductField:
 
     def test_identity_factor_absorbed(self, rng):
         base = degree_one_field()
-        ident = rl.ConstantField(rl.make_rotor([0, 0, 0]))
+        ident = ConstantField(make_rotor([0, 0, 0]))
         prod = rl.ProductField([base, ident])
         pts = rng.normal(size=(5, 3))
         assert np.abs(prod.u(pts) - base.u(pts)).max() == 0.0
@@ -238,7 +238,7 @@ class TestProductField:
         f1 = rl.TranslatedField(degree_one_field(), [0.4, 0.0, -0.2])
         f2 = tanh_hedgehog(0.0, np.pi / 4, 1.5)
         # four factors: the inner ones have both prefix and suffix products
-        four = [f1, rl.ConstantField(rl.make_rotor([0.2, -0.3, 0.1])),
+        four = [f1, ConstantField(make_rotor([0.2, -0.3, 0.1])),
                 rl.TranslatedField(degree_one_field(0.8), [-0.5, 0.3, 0.1]),
                 rl.TranslatedField(f2, [0.1, 0.2, 0.3])]
         x = np.array([0.9, -0.3, 0.7])
@@ -278,13 +278,16 @@ class TestProductField:
             rl.ProductField([])
 
     def test_rotor_extraction_sign_alignment(self):
+        # the product's rotor comes back from its matrix with alpha >= 0: the base's, up to a sign per point
         base = degree_one_field()
-        prod = rl.ProductField([base, rl.ConstantField(rl.make_rotor([0, 0, 0]))])
+        prod = rl.ProductField([base, ConstantField(make_rotor([0, 0, 0]))])
         line = np.stack([np.linspace(0.2, 4.0, 50), np.zeros(50), np.zeros(50)], axis=-1)
-        alpha, beta = rl.align_rotor_signs(*prod.alpha_beta(line))
+        alpha, beta = prod.alpha_beta(line)
         four = np.concatenate([alpha[:, None], beta], axis=1)
-        dots = np.sum(four[1:] * four[:-1], axis=1)
-        assert dots.min() > 0.0  # no sign flips along the scan
+        base_alpha, base_beta = base.alpha_beta(line)
+        base_four = np.concatenate([base_alpha[:, None], base_beta], axis=1)
+        assert np.all(alpha >= 0.0)
+        assert np.minimum(np.abs(four - base_four).max(axis=1), np.abs(four + base_four).max(axis=1)).max() <= 1e-12
 
 
 class TestChargeReport:

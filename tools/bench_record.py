@@ -18,7 +18,9 @@ to run spread of the machine, so judge a change by alternating runs of
 ``perfbench/run.py`` on the two checkouts.
 
 It also records ``src_lines``, the line count of each ``src/rotelast/*.py``
-(as ``wc -l`` counts them) and their total.
+(as ``wc -l`` counts them) and their total, and ``public_names``, the length
+of each module's ``__all__``, their total and the number of distinct names
+(a module may re-export another's name), read without importing the package.
 
 Per workload it also derives points per second for every traced callable
 that reports a point count (``points_per_s``: points over self seconds).
@@ -34,6 +36,7 @@ Run nothing else on the machine meanwhile: the metrics are wall times.
 from __future__ import annotations
 
 import argparse
+import ast
 import datetime
 import importlib.metadata
 import json
@@ -110,6 +113,18 @@ def src_lines() -> dict:
     return {"files": files, "total": sum(files.values())}
 
 
+def public_names() -> dict:
+    """Length of the ``__all__`` list of each ``src/rotelast/*.py`` that has one, their total and the
+    number of distinct names, read from the source with ``ast``."""
+    lists = {}
+    for path in sorted((ROOT / "src" / "rotelast").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["__all__"]:
+                lists[path.name] = ast.literal_eval(node.value)
+    return {"files": {name: len(names) for name, names in lists.items()},
+            "total": sum(map(len, lists.values())), "distinct": len(set().union(*lists.values()))}
+
+
 def src_dirty() -> bool | None:
     """Whether ``src/`` differs from the git HEAD; None outside a git checkout."""
     proc = subprocess.run(["git", "status", "--porcelain", "--", "src"], cwd=ROOT,
@@ -142,6 +157,7 @@ def record_bench(label: str) -> dict:
         "src_differs_from_git_sha": src_dirty(),
         "source_sha256": env["source_sha256"],
         "src_lines": src_lines(),
+        "public_names": public_names(),
         "python": env["python"],
         "numpy": env["numpy"],
         "scipy": env["scipy"],
