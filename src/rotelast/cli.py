@@ -31,10 +31,11 @@ from .kinematics import (
     quadratic_invariants,
     save_grid_csv,
 )
-from .field_equations import residual_grid
+from .field_equations import _MARGIN, residual_grid
 from .radial import (
     DivergenceError,
     InstabilityError,
+    _dU0,
     equilibria,
     evolve_dynamic,
     lift_hedgehog,
@@ -150,7 +151,7 @@ def cmd_static(args) -> int:
 
 def cmd_evolve(args) -> int:
     initial = load_profile_csv(args.from_profile)
-    l1, slope = initial.moduli.lambda1, 2.0 * (2.0 * initial.moduli.lambda2 - 3.0 * initial.moduli.lambda1)
+    l1, slope = initial.moduli.lambda1, _dU0(initial.moduli)
     if slope > l1 / 4.0:
         # the growing mode would be set by the grid, not by the PDE
         raise _IllPosedError(f"U'(0) = 2 (2 lambda2 - 3 lambda1) = {slope:.6g} exceeds lambda1 / 4 = "
@@ -202,18 +203,17 @@ def cmd_residual(args) -> int:
     field = lift_hedgehog(profile)
     # cell-centered even-count lattice: origin never on a grid node
     axis = _centred_axis(args.rmax_annulus + 3 * h, h)
-    grid = RotorGrid.from_field(field, dims=(axis.size,) * 3, spacing=h, origin=np.full(3, axis[0]))
-    pts, res = residual_grid(grid, profile.moduli)
-    # annulus count and max |res| per x-slab: both exact, so equal to the whole-grid reduction
-    n_cells, peaks = 0, []
-    for lo, hi in _slabs(len(pts), pts.shape[1] * pts.shape[2]):
-        rr = np.linalg.norm(pts[lo:hi], axis=-1)
-        mask = (rr >= args.rmin) & (rr <= args.rmax_annulus)
-        n_cells += int(mask.sum())
-        if mask.any():
-            peaks.append(np.abs(res[lo:hi][mask]).max())
+    inner = axis[0] + h * np.arange(axis.size)[_MARGIN:-_MARGIN]  # residual_grid's node coordinates, bit for bit
+    masks = []  # the annulus per x-slab, before the field is sampled; exact counts and maxima, as over the grid
+    for lo, hi in _slabs(inner.size, inner.size**2):
+        rr = np.linalg.norm(np.stack(np.meshgrid(inner[lo:hi], inner, inner, indexing="ij"), axis=-1), axis=-1)
+        masks.append((lo, hi, (rr >= args.rmin) & (rr <= args.rmax_annulus)))
+    n_cells = sum(int(mask.sum()) for _, _, mask in masks)
     if not n_cells:
         raise ValueError(f"no lattice node of --h {h} falls in the annulus [{args.rmin}, {args.rmax_annulus}]")
+    grid = RotorGrid.from_field(field, dims=(axis.size,) * 3, spacing=h, origin=np.full(3, axis[0]))
+    _, res = residual_grid(grid, profile.moduli)
+    peaks = [np.abs(res[lo:hi][mask]).max() for lo, hi, mask in masks if mask.any()]
     _emit(
         {
             "command": "residual",

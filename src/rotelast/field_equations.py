@@ -5,12 +5,13 @@ The residual :func:`residual_eqs2_at` is polynomial in (alpha, beta) and reads
     d_t H^it - d_k H^ik + 2 (H^jt G_tj^i - H^jk G_kj^i) = 0 ,
 
 with H the derivatives of the quadratic Lagrangian with respect to the Nye
-blocks and G built from first derivatives of the rotor.  A field's residual
-at points x and time t is ``residual_eqs2_at(field.field_point(x, t), moduli)``.
+blocks and G built from first derivatives of the rotor.  A field is a
+snapshot that carries its time derivatives, and its residual at points x
+is ``residual_eqs2_at(field.field_point(x), moduli)``.
 
 All evaluators accept batched FieldPoints.  :func:`residual_grid` feeds
 them a grid in x-slabs of about ``kinematics._SLAB_POINTS`` (4096) interior
-points, each read with ``margin`` halo planes per side, so the FieldPoint
+points, each read with two halo planes per side, so the FieldPoint
 blocks (60 doubles per point) and the kernel's temporaries never exist for
 more than one slab: beyond the grid and its outputs, memory stays bounded by
 the slab, and the pointwise kernels give results bit-identical to one
@@ -70,6 +71,8 @@ __all__ = [
     "grid_field_point",
     "residual_grid",
 ]
+
+_MARGIN = 2  # cells left out on every side of a grid; the stencils reach one
 
 
 def _axial(beta, d_alpha, a) -> np.ndarray:
@@ -174,22 +177,19 @@ def residual_eqs2_at(fp: FieldPoint, m: Moduli) -> np.ndarray:
     return _bl(2.0 * _dt_nye_velocity(p) - div_h + coupling)
 
 
-def _check_margin(grid: RotorGrid, margin: int) -> None:
-    if margin < 1:
-        raise ValueError("margin must be at least 1")
-    if min(grid.dims) < 2 * margin + 1:
-        raise ValueError("grid too small for the requested margin")
+def _check_dims(grid: RotorGrid) -> None:
+    if min(grid.dims) < 2 * _MARGIN + 1:
+        raise ValueError(f"grid too small for the margin of {_MARGIN} cells")
 
 
-def grid_field_point(grid: RotorGrid, margin: int = 2) -> FieldPoint:
-    """Batched FieldPoint over the interior of a grid, by central differences.
+def grid_field_point(grid: RotorGrid) -> FieldPoint:
+    """Batched FieldPoint over the grid's nodes two cells or more inside every face, by central differences.
 
-    Needs ``margin >= 1`` cell on every side, the reach of the stencils.
     Time blocks are zero: grids are static snapshots.  Every block is a
     ``[..., l, k]`` view of a contiguous array with the component axes first.
     """
-    _check_margin(grid, margin)
-    h = grid.spacing
+    _check_dims(grid)
+    h, margin = grid.spacing, _MARGIN
     shp = tuple(n - 2 * margin for n in grid.dims)
 
     def blocks(arr):
@@ -213,23 +213,23 @@ def grid_field_point(grid: RotorGrid, margin: int = 2) -> FieldPoint:
                       dd_alpha=_bl(dd_alpha, 2), dtt_beta=_bl(zero_v.copy()), dtt_alpha=zero_s.copy())
 
 
-def residual_grid(grid: RotorGrid, m: Moduli, margin: int = 2):
+def residual_grid(grid: RotorGrid, m: Moduli):
     """Residual of the G-form equations over a grid interior.
 
     Returns ``(points, residuals)`` with residuals of shape
-    ``(nx-2m, ny-2m, nz-2m, 3)`` evaluated by central differences.  The
-    interior is processed in x-slabs that read ``margin`` halo planes per
+    ``(nx-4, ny-4, nz-4, 3)`` evaluated by central differences.  The
+    interior is processed in x-slabs that read two halo planes per
     side: each slab's :func:`grid_field_point` and kernel temporaries exist
     only while it runs, so memory beyond the grid and the outputs stays
     bounded by the slab, and the results equal one whole-grid call bit for
     bit.
     """
-    _check_margin(grid, margin)
-    nx, ny, nz = grid.dims
+    _check_dims(grid)
+    nx, ny, nz, margin = *grid.dims, _MARGIN
     axes = [grid.origin[d] + grid.spacing * np.arange(n)[margin:-margin] for d, n in enumerate(grid.dims)]
     pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
     res = np.empty(pts.shape)
     for lo, hi in _slabs(nx, (ny - 2 * margin) * (nz - 2 * margin), halo=margin):
-        fp = grid_field_point(grid._planes(lo - margin, hi + margin), margin=margin)
+        fp = grid_field_point(grid._planes(lo - margin, hi + margin))
         res[lo - margin:hi - margin] = residual_eqs2_at(fp, m)
     return pts, res

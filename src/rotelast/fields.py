@@ -5,12 +5,13 @@ consumer needs, either exactly (analytic ansatz) or by central differences
 (grids).  All evaluators are batched: points have shape ``(..., 3)`` and
 results carry the same leading axes.
 
-``field_point(x, t, order)`` builds the blocks up to derivative ``order``
-(0, 1 or 2, default 2) and leaves the higher ones ``None``.  Each consumer
-asks for what it reads: the rotor values (:meth:`RotorField.alpha_beta`,
-hence grids and matrix products) need order 0; the Nye tensor, its
-velocity column and the charge density need order 1; only the field
-equations need order 2.
+A field is a snapshot, built at its instant: ``field_point(x, order=...)``
+builds its blocks, time derivatives included, up to derivative ``order`` (0,
+1 or 2, default 2) and leaves the higher ones ``None``.  Each consumer asks
+for what it reads: the rotor values (:meth:`RotorField.alpha_beta`, hence
+grids and matrix products) need order 0; the Nye tensor, its velocity
+column and the charge density need order 1; only the field equations need
+order 2.
 
 Array index conventions (matching the matrix convention in :mod:`so3`):
 
@@ -122,49 +123,49 @@ class RotorField:
     the gradient of u follows from it.
     """
 
-    def field_point(self, x, t: float = 0.0, order: int = 2) -> FieldPoint:
+    def field_point(self, x, *, order: int = 2) -> FieldPoint:
         raise NotImplementedError
 
-    def alpha_beta(self, x, t: float = 0.0):
-        fp = self.field_point(x, t, order=0)
+    def alpha_beta(self, x):
+        fp = self.field_point(x, order=0)
         return fp.alpha, fp.beta
 
-    def u(self, x, t: float = 0.0) -> np.ndarray:
+    def u(self, x) -> np.ndarray:
         """Orthogonal matrix field, shape ``(..., 3, 3)``."""
-        alpha, beta = self.alpha_beta(x, t)
+        alpha, beta = self.alpha_beta(x)
         return rotor_matrix(alpha, beta)
 
-    def nye(self, x, t: float = 0.0) -> np.ndarray:
+    def nye(self, x) -> np.ndarray:
         """Nye tensor ``[..., l, k] = A_lk`` from an order-1 field evaluation."""
-        return nye_matrix(self.field_point(x, t, order=1))
+        return nye_matrix(self.field_point(x, order=1))
 
-    def u_and_nye(self, x, t: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    def u_and_nye(self, x) -> tuple[np.ndarray, np.ndarray]:
         """Matrix and Nye tensor ``[..., l, k] = A_lk`` from one field evaluation."""
-        fp = self.field_point(x, t, order=1)
+        fp = self.field_point(x, order=1)
         return rotor_matrix(fp.alpha, fp.beta), nye_matrix(fp)
 
-    def u_and_du(self, x, t: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    def u_and_du(self, x) -> tuple[np.ndarray, np.ndarray]:
         """Matrix and its spatial gradient ``[..., i, j, k] = d_k u_ij``.
 
         Column by column ``d_k u_{.j} = A_{.k} x u_{.j}`` (:func:`so3._cross`):
         ``d_k u u^T`` is the cross-product matrix of the Nye column ``A_{.k}``.
         """
-        u, a = self.u_and_nye(x, t)
+        u, a = self.u_and_nye(x)
         return u, _bl(_cross(_cf(a, 2)[:, None], _cf(u, 2)[:, :, None]), 3)
 
 
 class AnalyticRotorField(RotorField):
-    """Field defined by a closed-form ``beta(x, t)`` with exact derivatives.
+    """Field defined by a closed-form ``beta(x)`` with exact derivatives, at one instant.
 
     ``alpha`` is derived from the unit constraint with the plus branch, so
     the supplied beta must keep ``|beta| < 1`` on the evaluation domain.
 
     Parameters
     ----------
-    beta, d_beta, dd_beta : callables ``(x, t) -> array``
+    beta, d_beta, dd_beta : callables ``x -> array``
         Values and exact spatial derivatives, shaped per the module table.
-    dt_beta, dtt_beta : callables or None
-        First/second time derivatives; None means static.
+    dt_beta, dtt_beta : callables ``x -> array`` or None
+        First/second time derivatives at that instant; None means zero.
     """
 
     def __init__(self, beta, d_beta, dd_beta, dt_beta=None, dtt_beta=None):
@@ -174,10 +175,10 @@ class AnalyticRotorField(RotorField):
         self._dt_beta = dt_beta
         self._dtt_beta = dtt_beta
 
-    def field_point(self, x, t: float = 0.0, order: int = 2) -> FieldPoint:
+    def field_point(self, x, *, order: int = 2) -> FieldPoint:
         _check_order(order)
         x = np.asarray(x, dtype=float)
-        b = np.asarray(self._beta(x, t), dtype=float)
+        b = np.asarray(self._beta(x), dtype=float)
         b2 = np.einsum("...i,...i->...", b, b)
         if not np.all(b2 < 1.0):  # NaN fails the bound too
             raise ValueError("analytic field left the unit ball: |beta| >= 1 or NaN")
@@ -185,16 +186,16 @@ class AnalyticRotorField(RotorField):
         fp = FieldPoint(alpha=a, beta=b)
         if order == 0:
             return fp
-        db = np.asarray(self._d_beta(x, t), dtype=float)
-        dtb = self._time_block(self._dt_beta, x, t, b.shape)
+        db = np.asarray(self._d_beta(x), dtype=float)
+        dtb = np.zeros(b.shape) if self._dt_beta is None else np.asarray(self._dt_beta(x), dtype=float)
         # alpha-derivatives from alpha d alpha = -beta . d beta
         da = -np.einsum("...l,...lk->...k", b, db) / a[..., None]
         dta = -np.einsum("...l,...l->...", b, dtb) / a
         fp.d_beta, fp.d_alpha, fp.dt_beta, fp.dt_alpha = db, da, dtb, dta
         if order == 1:
             return fp
-        ddb = np.asarray(self._dd_beta(x, t), dtype=float)
-        dttb = self._time_block(self._dtt_beta, x, t, b.shape)
+        ddb = np.asarray(self._dd_beta(x), dtype=float)
+        dttb = np.zeros(b.shape) if self._dtt_beta is None else np.asarray(self._dtt_beta(x), dtype=float)
         # d_j d_k alpha from differentiating the constraint once more
         fp.dd_alpha = (
             -np.einsum("...lj,...lk->...jk", db, db)
@@ -208,11 +209,6 @@ class AnalyticRotorField(RotorField):
         ) / a
         fp.dd_beta, fp.dtt_beta = ddb, dttb
         return fp
-
-    @staticmethod
-    def _time_block(fn, x, t, shape) -> np.ndarray:
-        """A time derivative of beta; ``None`` means static (zeros)."""
-        return np.zeros(shape) if fn is None else np.asarray(fn(x, t), dtype=float)
 
 
 class HedgehogField(RotorField):
@@ -233,7 +229,7 @@ class HedgehogField(RotorField):
         self.wpp = wpp
         self.wdot = wdot
 
-    def field_point(self, x, t: float = 0.0, order: int = 2) -> FieldPoint:
+    def field_point(self, x, *, order: int = 2) -> FieldPoint:
         _check_order(order)
         x = np.asarray(x, dtype=float)
         r = np.sqrt(np.einsum("...i,...i->...", x, x))
@@ -260,9 +256,8 @@ class HedgehogField(RotorField):
             fp.dt_beta = _bl(-xhat * (s * wd))
             fp.dt_alpha = c * wd
         else:
-            shp = np.shape(r)
-            wd = np.zeros(shp)
-            fp.dt_beta, fp.dt_alpha = _bl(np.zeros((3,) + shp)), np.zeros(shp)
+            wd = np.zeros(r.shape)
+            fp.dt_beta, fp.dt_alpha = _bl(np.zeros((3,) + r.shape)), np.zeros(r.shape)
         if order == 1:
             return fp
         wpp = np.asarray(self.wpp(r), dtype=float)
@@ -301,20 +296,20 @@ class TranslatedField(RotorField):
     def _shift(self, x) -> np.ndarray:
         return np.asarray(x, dtype=float) - self.offset
 
-    def field_point(self, x, t: float = 0.0, order: int = 2) -> FieldPoint:
-        return self.base.field_point(self._shift(x), t, order)
+    def field_point(self, x, *, order: int = 2) -> FieldPoint:
+        return self.base.field_point(self._shift(x), order=order)
 
-    def alpha_beta(self, x, t: float = 0.0):
-        return self.base.alpha_beta(self._shift(x), t)
+    def alpha_beta(self, x):
+        return self.base.alpha_beta(self._shift(x))
 
-    def u(self, x, t: float = 0.0) -> np.ndarray:
-        return self.base.u(self._shift(x), t)
+    def u(self, x) -> np.ndarray:
+        return self.base.u(self._shift(x))
 
-    def nye(self, x, t: float = 0.0) -> np.ndarray:
-        return self.base.nye(self._shift(x), t)
+    def nye(self, x) -> np.ndarray:
+        return self.base.nye(self._shift(x))
 
-    def u_and_nye(self, x, t: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-        return self.base.u_and_nye(self._shift(x), t)
+    def u_and_nye(self, x) -> tuple[np.ndarray, np.ndarray]:
+        return self.base.u_and_nye(self._shift(x))
 
 
 class ProductField(RotorField):
@@ -334,31 +329,31 @@ class ProductField(RotorField):
             raise ValueError("product of zero fields")
         self.factors = factors
 
-    def u(self, x, t: float = 0.0) -> np.ndarray:
-        out = self.factors[0].u(x, t)
+    def u(self, x) -> np.ndarray:
+        out = self.factors[0].u(x)
         for f in self.factors[1:]:
-            out = out @ f.u(x, t)
+            out = out @ f.u(x)
         return out
 
-    def nye(self, x, t: float = 0.0) -> np.ndarray:
+    def nye(self, x) -> np.ndarray:
         """Nye tensor by the product rule of :meth:`u_and_nye`, without the last factor's matrix."""
         *head, last = self.factors
         if not head:
-            return last.nye(x, t)
-        left, a = ProductField(head).u_and_nye(x, t)
-        return a + left @ np.ascontiguousarray(last.nye(x, t))  # a component-first view: matmul is faster on C order
+            return last.nye(x)
+        left, a = ProductField(head).u_and_nye(x)
+        return a + left @ np.ascontiguousarray(last.nye(x))  # a component-first view: matmul is faster on C order
 
-    def u_and_nye(self, x, t: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    def u_and_nye(self, x) -> tuple[np.ndarray, np.ndarray]:
         """Matrix and Nye tensor; ``left`` runs over the prefix products."""
-        left, a = self.factors[0].u_and_nye(x, t)
+        left, a = self.factors[0].u_and_nye(x)
         for f in self.factors[1:]:
-            u, a_f = f.u_and_nye(x, t)
+            u, a_f = f.u_and_nye(x)
             a = a + left @ np.ascontiguousarray(a_f)  # as in nye
             left = left @ u
         return left, a
 
-    def alpha_beta(self, x, t: float = 0.0):
-        return matrix_to_rotor(self.u(x, t))
+    def alpha_beta(self, x):
+        return matrix_to_rotor(self.u(x))
 
 
 def random_smooth_field(seed: int) -> AnalyticRotorField:
@@ -389,16 +384,16 @@ def random_smooth_field(seed: int) -> AnalyticRotorField:
                 sums[2] = sums[2] + np.einsum("...,l,j,k->...ljk", -np.cos(ph), c, k, k)
         return np.exp(-np.einsum("...i,...i->...", x, x) / R2), sums
 
-    def beta(x, t=0.0):
+    def beta(x):
         env, (val,) = series(x, 0)
         return env[..., None] * val
 
-    def d_beta(x, t=0.0):
+    def d_beta(x):
         env, (val, dval) = series(x, 1)
         denv = -2.0 * x / R2 * env[..., None]  # [..., k]
         return env[..., None, None] * dval + np.einsum("...l,...k->...lk", val, denv)
 
-    def dd_beta(x, t=0.0):
+    def dd_beta(x):
         env, (val, dval, ddval) = series(x, 2)
         denv = -2.0 * x / R2 * env[..., None]
         # d_j d_k env = (-2/R^2) (d_jk env + x_k d_j env * (-2/R^2) ... ) expand directly

@@ -130,19 +130,19 @@ def torsion_from_nye(a: np.ndarray) -> np.ndarray:
     return _minus_scalar(a, np.trace(a, axis1=-2, axis2=-1))
 
 
-def quadratic_invariants(t: np.ndarray) -> tuple[float, float]:
+def quadratic_invariants(torsion: np.ndarray) -> tuple[float, float]:
     """Densities of the two surviving quadratic torsion invariants.
 
-    For the torsion matrix t these are the Frobenius square of the skew
+    For the torsion matrix T these are the Frobenius square of the skew
     part (``trace_sq``, the square of the torsion trace vector) and
-    ``tr(t)^2 / 3`` (``axial_sq``, the square of the axial trace).  Both
+    ``tr(T)^2 / 3`` (``axial_sq``, the square of the axial trace).  Both
     are non-negative.
     """
-    t = np.asarray(t, dtype=float)
-    tr, skew = _trace_skew(t)
+    torsion = np.asarray(torsion, dtype=float)
+    tr, skew = _trace_skew(torsion)
     trace_sq = np.einsum("...ij,...ij->...", skew, skew)
     axial_sq = tr * tr / 3.0
-    if t.ndim == 2:
+    if torsion.ndim == 2:
         return float(trace_sq), float(axial_sq)
     return trace_sq, axial_sq
 
@@ -244,7 +244,7 @@ class RotorGrid:
         return sub
 
     @classmethod
-    def from_field(cls, field, dims, spacing: float, origin, time: float = 0.0) -> "RotorGrid":
+    def from_field(cls, field, dims, spacing: float, origin) -> "RotorGrid":
         """Sample ``field.alpha_beta`` on the grid, one x-slab of points at a time.
 
         Only a slab's coordinates and field temporaries exist at once; the
@@ -255,7 +255,7 @@ class RotorGrid:
         alpha, beta = np.empty(dims), np.empty(dims + (3,))
         for lo, hi in _slabs(dims[0], dims[1] * dims[2]):
             pts = np.stack(np.meshgrid(axes[0][lo:hi], *axes[1:], indexing="ij"), axis=-1)
-            alpha[lo:hi], beta[lo:hi] = field.alpha_beta(pts, time)
+            alpha[lo:hi], beta[lo:hi] = field.alpha_beta(pts)
         return cls(alpha=alpha, beta=beta, spacing=spacing, origin=origin)
 
 

@@ -103,6 +103,11 @@ class Equilibrium:
     eigenvalues: tuple[complex, complex]
 
 
+def _dU0(m: Moduli) -> float:
+    """``U'(0) = 2 (2 l2 - 3 l1)``, the slope of the radial nonlinearity at w = 0."""
+    return 2.0 * (2.0 * m.lambda2 - 3.0 * m.lambda1)
+
+
 def potential_U(w, m: Moduli):
     """Radial nonlinearity ``U(w) = sin 2w [(l2 - l1) + (l2 - 2 l1) cos 2w]``.
 
@@ -119,12 +124,12 @@ def potential_U(w, m: Moduli):
     if isinstance(w, float) or np.ndim(w) == 0:  # the first test spares a float np.ndim's microsecond
         t = float(np.tan(float(w)))
         sq = t * t
-        return (sq * (2.0 * m.lambda1) + 2.0 * (2.0 * m.lambda2 - 3.0 * m.lambda1)) * t / (sq + 1.0) ** 2
+        return (sq * (2.0 * m.lambda1) + _dU0(m)) * t / (sq + 1.0) ** 2
     w = np.asarray(w, dtype=float)
     t = np.tan(w)
     sq = t * t
     val = sq * (2.0 * m.lambda1)
-    val += 2.0 * (2.0 * m.lambda2 - 3.0 * m.lambda1)
+    val += _dU0(m)
     val *= t
     sq += 1.0
     sq **= 2
@@ -154,7 +159,7 @@ def indicial_exponent(m: Moduli) -> float:
     origin is then oscillatory for the linearized flow and outward
     integration is insensitive to the start), fall back to s = 1.
     """
-    q = 2.0 * (2.0 * m.lambda2 - 3.0 * m.lambda1) / m.lambda1
+    q = _dU0(m) / m.lambda1
     disc = 1.0 - 4.0 * q
     if disc <= 0.0:
         return 1.0
@@ -522,7 +527,7 @@ def evolve_dynamic(initial: RadialProfile, dt: float, t_end: float,
     # flux = edge (w_{i+1} - w_i): potential_U's constants and dt^2 folded into the stencil
     dt2 = dt * dt
     k1 = (dt2 * 2.0 * m.lambda1) * inv_rsq
-    k0 = (dt2 * 2.0 * (2.0 * m.lambda2 - 3.0 * m.lambda1)) * inv_rsq
+    k0 = (dt2 * _dU0(m)) * inv_rsq  # doubling is exact: the bits of (dt2 * 2.0 * ...)
     ks = (dt2 / (dr * dr)) * inv_rsq
     inner, upper, lower = w[1:-1], w[1:], w[:-1]
     kick, t, sq = np.empty_like(inner), np.empty_like(inner), np.empty_like(inner)

@@ -65,10 +65,10 @@ class ChargeReport:
             raise ValueError("estimated_error must be non-negative")
 
 
-def charge_density(field, point, time: float = 0.0):
+def charge_density(field, point):
     """Triple-product charge density ``det(A) / 16 pi^2`` at a point (batched over leading axes)."""
     x = np.asarray(point, dtype=float)
-    a = _cf(field.nye(x, time), 2)
+    a = _cf(field.nye(x), 2)
     c = _cross(a[:, 1], a[:, 2])
     val = _NORM * (0.0 + a[0, 0] * c[0] + a[1, 0] * c[1] + a[2, 0] * c[2])  # einsum's order over a strided axis
     return float(val) if val.ndim == 0 else val
@@ -94,21 +94,20 @@ def _centred_axis(half_width: float, h: float) -> np.ndarray:
     return h * (np.arange(n) - (n - 1) / 2)
 
 
-def _charge_midpoint_3d(field, ball_radius: float, h: float, time: float) -> float:
+def _charge_midpoint_3d(field, ball_radius: float, h: float) -> float:
     axis = _centred_axis(ball_radius, h)
     total = 0.0
     for lo, hi in _slabs(axis.size, axis.size**2):
         pts = np.stack(np.meshgrid(axis[lo:hi], axis, axis, indexing="ij"), axis=-1)
         pts = pts[(pts * pts).sum(axis=-1) <= ball_radius * ball_radius]
-        rho = charge_density(field, pts, time)
+        rho = charge_density(field, pts)
         if not np.all(np.isfinite(rho)):
             raise ValueError("non-finite charge density inside the ball")
         total += float(np.sum(rho))
     return total * h**3
 
 
-def total_charge(field, ball_radius: float, grid_spacing: float,
-                 time: float = 0.0, force_3d: bool = False) -> ChargeReport:
+def total_charge(field, ball_radius: float, grid_spacing: float, *, force_3d: bool = False) -> ChargeReport:
     """Charge over a ball, with a two-spacing Richardson error estimate.
 
     Uses the midpoint rule on a uniform Cartesian grid restricted to the
@@ -122,8 +121,8 @@ def total_charge(field, ball_radius: float, grid_spacing: float,
         q = hedgehog_charge_profile(float(field.w(0.0)), float(field.w(ball_radius)))
         err = 0.0
     else:
-        q = _charge_midpoint_3d(field, ball_radius, grid_spacing, time)
-        q_coarse = _charge_midpoint_3d(field, ball_radius, 2.0 * grid_spacing, time)
+        q = _charge_midpoint_3d(field, ball_radius, grid_spacing)
+        q_coarse = _charge_midpoint_3d(field, ball_radius, 2.0 * grid_spacing)
         err = abs(q - q_coarse) / 3.0
     return ChargeReport(charge=q, ball_radius=float(ball_radius),
                         grid_spacing=float(grid_spacing), estimated_error=err)

@@ -67,7 +67,7 @@ class ConstantField(rl.RotorField):
     def __init__(self, rotor: Rotor):
         self.rotor_value = rotor
 
-    def field_point(self, x, t: float = 0.0, order: int = 2) -> rl.FieldPoint:
+    def field_point(self, x, *, order: int = 2) -> rl.FieldPoint:
         _check_order(order)
         shp = np.shape(x)[:-1]
         fp = rl.FieldPoint(alpha=np.full(shp, self.rotor_value.alpha),

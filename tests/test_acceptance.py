@@ -344,7 +344,7 @@ class TestAcceptance:
         for name, pol in [("long", (1.0, 0, 0)), ("trans", (0, 1.0, 0))]:
             def pol_residual(om):
                 f = plane_wave_field(amp, (1, 0, 0), pol, kmag, om)
-                return rl.residual_eqs2_at(f.field_point(x0, 0.0), m) @ np.asarray(pol)
+                return rl.residual_eqs2_at(f.field_point(x0), m) @ np.asarray(pol)
 
             om1, om2 = 0.5 * kmag, 2.5 * kmag
             r1, r2 = pol_residual(om1), pol_residual(om2)

@@ -7,7 +7,9 @@
   ``__version__`` and its submodules;
 * every public name has a caller in the package, its tools or its benchmark,
   or is a callable that the benchmark traces: a name that only the tests use
-  belongs in the tests.
+  belongs in the tests;
+* a field is a snapshot, so no public callable takes a time, and the grid
+  residual's margin is fixed, so neither grid evaluator takes one.
 """
 
 import ast
@@ -23,6 +25,23 @@ from rotelast import field_equations, fields, kinematics, radial, so3, topology
 from test_traced_names import traced_callables
 
 MODULES = (so3, fields, kinematics, field_equations, radial, topology)
+
+
+def public_callables(module):
+    """``(name, function)`` of each public function that ``module`` defines, and of the ``__init__`` and
+    public methods of each public class that it defines; a dataclass's generated ``__init__`` is left out."""
+    for name in module.__all__:
+        obj = getattr(module, name)
+        if obj.__module__ != module.__name__:
+            continue  # a re-export, listed where it is defined
+        if inspect.isfunction(obj):
+            yield name, obj
+        elif inspect.isclass(obj):
+            for attr, value in vars(obj).items():
+                fn = getattr(value, "__func__", value)  # a classmethod's function
+                if (inspect.isfunction(fn) and (attr == "__init__" or not attr.startswith("_"))
+                        and fn.__code__.co_filename == module.__file__):
+                    yield f"{name}.{attr}", fn
 
 
 @pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
@@ -78,3 +97,12 @@ def test_every_public_name_has_a_caller():
     unused = [f"{module.__name__}.{name}" for module in MODULES for name in module.__all__
               if name not in read | NO_CALLER and f"{module.__name__.removeprefix('rotelast.')}.{name}" not in traced]
     assert unused == [], "public names that only the tests use; move them into the tests"
+
+
+def test_no_time_and_no_margin_parameters():
+    params = {f"{module.__name__}.{name}": set(inspect.signature(fn).parameters)
+              for module in MODULES for name, fn in public_callables(module)}
+    assert "rotelast.fields.RotorField.field_point" in params and "rotelast.kinematics.RotorGrid.from_field" in params
+    assert [name for name, p in params.items() if p & {"t", "time"}] == []
+    assert "margin" not in (params["rotelast.field_equations.grid_field_point"]
+                            | params["rotelast.field_equations.residual_grid"])

@@ -235,8 +235,13 @@ class TestResidualCommand:
         assert json.loads(err)["detail"] == (f"the annulus needs 0 <= --rmin <= --rmax-annulus, "
                                              f"got [{float(rmin)}, {float(rmax)}]")
 
-    def test_annulus_between_nodes_exit_2(self, tmp_path, capsys):
+    def test_annulus_between_nodes_exit_2(self, tmp_path, capsys, monkeypatch):
         path, _ = make_soliton_csv(tmp_path, capsys, rmax="20")
+
+        def no_field(*args, **kwargs):
+            raise AssertionError("the annulus is counted before the field is sampled")
+
+        monkeypatch.setattr(rotelast.cli.RotorGrid, "from_field", no_field)
         # the nodes nearest the origin of the cell-centred lattice lie at radius sqrt(3) * 0.2
         code, out, err = run_cli(capsys, "residual", "--from-profile", str(path), "--h", "0.4",
                                  "--rmin", "0.1", "--rmax-annulus", "0.3")

@@ -12,20 +12,20 @@ from conftest import LEVI_CIVITA, ConstantField, random_rotor
 from test_kernels import g_tensor_time
 
 
-def plane_wave_field(amp, khat, pol, kmag, omega):
-    """Single polarized plane wave with exact derivative callables."""
+def plane_wave_field(amp, khat, pol, kmag, omega, t=0.0):
+    """Single polarized plane wave at time t with exact derivative callables."""
     k = kmag * np.asarray(khat, dtype=float)
     e = np.asarray(pol, dtype=float)
 
-    def ph(x, t):
+    def ph(x):
         return x @ k - omega * t
 
     return rl.AnalyticRotorField(
-        beta=lambda x, t: np.multiply.outer(np.sin(ph(x, t)), amp * e),
-        d_beta=lambda x, t: np.einsum("...,l,k->...lk", np.cos(ph(x, t)), amp * e, k),
-        dd_beta=lambda x, t: np.einsum("...,l,j,k->...ljk", -np.sin(ph(x, t)), amp * e, k, k),
-        dt_beta=lambda x, t: np.einsum("...,l->...l", -omega * np.cos(ph(x, t)), amp * e),
-        dtt_beta=lambda x, t: np.einsum("...,l->...l", -omega**2 * np.sin(ph(x, t)), amp * e),
+        beta=lambda x: np.multiply.outer(np.sin(ph(x)), amp * e),
+        d_beta=lambda x: np.einsum("...,l,k->...lk", np.cos(ph(x)), amp * e, k),
+        dd_beta=lambda x: np.einsum("...,l,j,k->...ljk", -np.sin(ph(x)), amp * e, k, k),
+        dt_beta=lambda x: np.einsum("...,l->...l", -omega * np.cos(ph(x)), amp * e),
+        dtt_beta=lambda x: np.einsum("...,l->...l", -omega**2 * np.sin(ph(x)), amp * e),
     )
 
 
@@ -188,8 +188,8 @@ class TestResidualEqs2:
         kmag = 1.7
         x0 = np.array([0.23, 0.41, -0.31])
         for pol, speed_sq in [((1, 0, 0), m.lambda1), ((0, 1, 0), m.lambda2 / 2)]:
-            f = plane_wave_field(0.05, (1, 0, 0), pol, kmag, np.sqrt(speed_sq) * kmag)
-            res = rl.residual_eqs2_at(f.field_point(x0, 0.3), m)
+            f = plane_wave_field(0.05, (1, 0, 0), pol, kmag, np.sqrt(speed_sq) * kmag, t=0.3)
+            res = rl.residual_eqs2_at(f.field_point(x0), m)
             assert np.abs(res).max() <= 1e-12
 
     def test_mixed_wave_residual_quadratic_in_amplitude(self):
@@ -200,27 +200,27 @@ class TestResidualEqs2:
         eL, eT = np.array([1.0, 0, 0]), np.array([0, 1.0, 0])
         x0 = np.array([0.23, 0.41, -0.31])
 
-        def mixed(amp):
+        def mixed(amp, t):
             def term(e, om):
                 return (
-                    lambda x, t: np.multiply.outer(np.sin(x @ k - om * t), amp * e),
-                    lambda x, t: np.einsum("...,l,k->...lk", np.cos(x @ k - om * t), amp * e, k),
-                    lambda x, t: np.einsum("...,l,j,k->...ljk", -np.sin(x @ k - om * t), amp * e, k, k),
-                    lambda x, t: np.einsum("...,l->...l", -om * np.cos(x @ k - om * t), amp * e),
-                    lambda x, t: np.einsum("...,l->...l", -om**2 * np.sin(x @ k - om * t), amp * e),
+                    lambda x: np.multiply.outer(np.sin(x @ k - om * t), amp * e),
+                    lambda x: np.einsum("...,l,k->...lk", np.cos(x @ k - om * t), amp * e, k),
+                    lambda x: np.einsum("...,l,j,k->...ljk", -np.sin(x @ k - om * t), amp * e, k, k),
+                    lambda x: np.einsum("...,l->...l", -om * np.cos(x @ k - om * t), amp * e),
+                    lambda x: np.einsum("...,l->...l", -om**2 * np.sin(x @ k - om * t), amp * e),
                 )
 
             L, T = term(eL, oL), term(eT, oT)
             return rl.AnalyticRotorField(
-                beta=lambda x, t: L[0](x, t) + T[0](x, t),
-                d_beta=lambda x, t: L[1](x, t) + T[1](x, t),
-                dd_beta=lambda x, t: L[2](x, t) + T[2](x, t),
-                dt_beta=lambda x, t: L[3](x, t) + T[3](x, t),
-                dtt_beta=lambda x, t: L[4](x, t) + T[4](x, t),
+                beta=lambda x: L[0](x) + T[0](x),
+                d_beta=lambda x: L[1](x) + T[1](x),
+                dd_beta=lambda x: L[2](x) + T[2](x),
+                dt_beta=lambda x: L[3](x) + T[3](x),
+                dtt_beta=lambda x: L[4](x) + T[4](x),
             )
 
-        r_big = np.abs(rl.residual_eqs2_at(mixed(2e-3).field_point(x0, 0.2), m)).max()
-        r_small = np.abs(rl.residual_eqs2_at(mixed(1e-3).field_point(x0, 0.2), m)).max()
+        r_big = np.abs(rl.residual_eqs2_at(mixed(2e-3, t=0.2).field_point(x0), m)).max()
+        r_small = np.abs(rl.residual_eqs2_at(mixed(1e-3, t=0.2).field_point(x0), m)).max()
         assert 3.5 <= r_big / r_small <= 4.5
 
 
@@ -240,32 +240,3 @@ class TestFieldPointConsistency:
         for _ in range(20):
             fp = f.field_point(rng.normal(size=3))
             assert fp.constraint_residual() <= 1e-10
-
-
-class TestGridMargin:
-    """Every stencil reaches one cell, so margin 1 is enough and adds a ring of nodes."""
-
-    @pytest.fixture()
-    def grid(self):
-        return rl.RotorGrid.from_field(rl.random_smooth_field(seed=43), dims=(9, 8, 10),
-                                       spacing=0.3, origin=(-1.2, -1.0, -1.4))
-
-    def test_margin_one_blocks_equal_margin_two_on_overlap(self, grid):
-        wide, narrow = rl.grid_field_point(grid, margin=1), rl.grid_field_point(grid, margin=2)
-        inner = (slice(1, -1),) * 3
-        for name in ("alpha", "beta", "d_alpha", "d_beta", "dd_alpha", "dd_beta",
-                     "dt_alpha", "dt_beta", "dtt_alpha", "dtt_beta"):
-            a, b = getattr(wide, name), getattr(narrow, name)
-            assert a.shape[:3] == tuple(n - 2 for n in grid.dims)
-            assert np.array_equal(a[inner], b), name
-
-    def test_margin_one_residual_grid(self, grid, unit_moduli):
-        pts1, res1 = rl.residual_grid(grid, unit_moduli, margin=1)
-        pts2, res2 = rl.residual_grid(grid, unit_moduli, margin=2)
-        inner = (slice(1, -1),) * 3
-        assert res1.shape == (7, 6, 8, 3)
-        assert np.array_equal(pts1[inner], pts2) and np.array_equal(res1[inner], res2)
-
-    def test_margin_zero_rejected(self, grid):
-        with pytest.raises(ValueError, match="margin"):
-            rl.grid_field_point(grid, margin=0)

@@ -1,4 +1,4 @@
-"""The derivative-order contract of ``field_point(x, t, order)``.
+"""The derivative-order contract of ``field_point(x, order=...)``.
 
 A field evaluated at order 0, 1 or 2 builds the blocks up to that order and
 leaves the higher ones ``None``.  Every block that is built must equal the
@@ -42,15 +42,15 @@ def tanh_hedgehog(wdot=None):
                             wdot=None if wdot is None else Counting(wdot))
 
 
-def breathing_smooth_field(seed):
-    """``beta(x, t) = cos(t) beta_s(x)`` for a seeded smooth ``beta_s``, every callable counted."""
+def breathing_smooth_field(seed, t):
+    """``beta(x) = cos(t) beta_s(x)`` at time t for a seeded smooth ``beta_s``, every callable counted."""
     s = rl.random_smooth_field(seed=seed)
     return rl.AnalyticRotorField(
-        Counting(lambda x, t: np.cos(t) * s._beta(x)),
-        Counting(lambda x, t: np.cos(t) * s._d_beta(x)),
-        Counting(lambda x, t: np.cos(t) * s._dd_beta(x)),
-        dt_beta=Counting(lambda x, t: -np.sin(t) * s._beta(x)),
-        dtt_beta=Counting(lambda x, t: -np.cos(t) * s._beta(x)),
+        Counting(lambda x: np.cos(t) * s._beta(x)),
+        Counting(lambda x: np.cos(t) * s._d_beta(x)),
+        Counting(lambda x: np.cos(t) * s._dd_beta(x)),
+        dt_beta=Counting(lambda x: -np.sin(t) * s._beta(x)),
+        dtt_beta=Counting(lambda x: -np.cos(t) * s._beta(x)),
     )
 
 
@@ -61,7 +61,7 @@ def fields():
         "hedgehog_wdot": tanh_hedgehog(wdot=lambda r: 0.3 * np.exp(-r)),
         "random_smooth_field": rl.AnalyticRotorField(Counting(smooth._beta), Counting(smooth._d_beta),
                                                      Counting(smooth._dd_beta)),
-        "breathing_smooth_field": breathing_smooth_field(6),
+        "breathing_smooth_field": breathing_smooth_field(6, t=0.7),
         "translated": rl.TranslatedField(tanh_hedgehog(wdot=lambda r: np.sin(r)), [0.4, -0.3, 0.2]),
         "constant": ConstantField(make_rotor([0.2, -0.5, 0.1], -1)),
     }
@@ -97,8 +97,8 @@ class TestOrderContract:
     @pytest.mark.parametrize("order", [0, 1])
     def test_built_blocks_equal_order_2_and_higher_are_none(self, name, order, points):
         field = fields()[name]
-        full = field.field_point(points, 0.7)
-        low = field.field_point(points, 0.7, order=order)
+        full = field.field_point(points)
+        low = field.field_point(points, order=order)
         for level, blocks in enumerate(ORDER_BLOCKS):
             for block in blocks:
                 if level <= order:
@@ -109,7 +109,7 @@ class TestOrderContract:
                     assert getattr(low, block) is None, block
 
     def test_order_2_builds_every_block(self, name, points):
-        fp = fields()[name].field_point(points, 0.7)
+        fp = fields()[name].field_point(points)
         for blocks in ORDER_BLOCKS:
             for block in blocks:
                 assert getattr(fp, block).shape[:1] == (len(points),), block
@@ -117,19 +117,24 @@ class TestOrderContract:
     @pytest.mark.parametrize("order", [0, 1, 2])
     def test_calls_only_the_callables_of_the_order(self, name, order, points):
         field = fields()[name]
-        field.field_point(points, 0.7, order=order)
+        field.field_point(points, order=order)
         calls = {n: fn.calls for n, fn in counted(field).items()}
         assert {n for n, c in calls.items() if c} == set(calls) & ALLOWED[order]
         assert all(c <= 1 for c in calls.values())
 
     @pytest.mark.parametrize("order", [0, 1, 2])
     def test_constraint_residual_at_every_order(self, name, order, points):
-        assert fields()[name].field_point(points, 0.7, order=order).constraint_residual() <= 1e-12
+        assert fields()[name].field_point(points, order=order).constraint_residual() <= 1e-12
 
     @pytest.mark.parametrize("order", [-1, 3, 1.5])
     def test_invalid_order_rejected(self, name, order, points):
         with pytest.raises(ValueError, match="order"):
             fields()[name].field_point(points, order=order)
+
+    def test_stale_positional_time_rejected(self, name, points):
+        # a field is a snapshot: a second positional argument, once the time, is no order either
+        with pytest.raises(TypeError):
+            fields()[name].field_point(points, 1)
 
 
 class TestConsumerOrders:
@@ -142,11 +147,11 @@ class TestConsumerOrders:
         assert alpha.tobytes() == full.alpha.tobytes() and beta.tobytes() == full.beta.tobytes()
 
     def test_nye_consumers_at_order_1(self, points):
-        field = breathing_smooth_field(8)
-        field.nye(points, 0.3)
-        rl.nye_velocity_vector(field.field_point(points, 0.3, order=1))
-        field.u_and_nye(points, 0.3)
-        rl.charge_density(field, points, 0.3)
+        field = breathing_smooth_field(8, t=0.3)
+        field.nye(points)
+        rl.nye_velocity_vector(field.field_point(points, order=1))
+        field.u_and_nye(points)
+        rl.charge_density(field, points)
         assert field._dd_beta.calls == 0 and field._dtt_beta.calls == 0
         assert field._d_beta.calls == 4
 

@@ -238,9 +238,9 @@ def residual_np_cross(fp, m):
     return 2.0 * dt_a_t - div_h + 2.0 * coupling_batch_first(fp, a, a_t, h_t, h_s)
 
 
-def grid_field_point_batch_first(grid, margin=2):
+def grid_field_point_batch_first(grid):
     """``grid_field_point`` with batch-first blocks: each stencil along the trailing axes."""
-    h = grid.spacing
+    h, margin = grid.spacing, 2
     shp = tuple(n - 2 * margin for n in grid.dims)
 
     def blocks(arr):
@@ -380,23 +380,23 @@ def grid_batch():
     return rl.grid_field_point(grid)
 
 
-def travelling_field(seed, amplitude=0.3, n_modes=3):
-    """Superposed travelling waves ``beta = sum_m a e_m sin(k_m . x - om_m t + phi_m)``."""
+def travelling_field(seed, t, amplitude=0.3, n_modes=3):
+    """Superposed travelling waves ``beta = sum_m a e_m sin(k_m . x - om_m t + phi_m)`` at time t."""
     rng = np.random.default_rng(seed)
     ks = rng.normal(size=(n_modes, 3))
     es = rng.normal(size=(n_modes, 3))
     es *= amplitude / np.linalg.norm(es, axis=1, keepdims=True) / n_modes
     oms, phis = rng.uniform(0.5, 2.0, size=(2, n_modes))
 
-    def phase(x, t):
+    def phase(x):
         return x @ ks.T - oms * t + phis  # [..., m]
 
     return rl.AnalyticRotorField(
-        beta=lambda x, t: np.sin(phase(x, t)) @ es,
-        d_beta=lambda x, t: np.einsum("...m,ml,mk->...lk", np.cos(phase(x, t)), es, ks),
-        dd_beta=lambda x, t: np.einsum("...m,ml,mj,mk->...ljk", -np.sin(phase(x, t)), es, ks, ks),
-        dt_beta=lambda x, t: (-oms * np.cos(phase(x, t))) @ es,
-        dtt_beta=lambda x, t: (-oms**2 * np.sin(phase(x, t))) @ es,
+        beta=lambda x: np.sin(phase(x)) @ es,
+        d_beta=lambda x: np.einsum("...m,ml,mk->...lk", np.cos(phase(x)), es, ks),
+        dd_beta=lambda x: np.einsum("...m,ml,mj,mk->...ljk", -np.sin(phase(x)), es, ks, ks),
+        dt_beta=lambda x: (-oms * np.cos(phase(x))) @ es,
+        dtt_beta=lambda x: (-oms**2 * np.sin(phase(x))) @ es,
     )
 
 
@@ -412,7 +412,7 @@ def breathing_hedgehog():
 def residual_batches(smooth_batch, grid_batch):
     x = np.random.default_rng(105).uniform(-3.0, 3.0, size=(400, 3))
     return {"smooth": smooth_batch[2],
-            "travelling": travelling_field(seed=13).field_point(x, 0.3),
+            "travelling": travelling_field(seed=13, t=0.3).field_point(x),
             "hedgehog": breathing_hedgehog().field_point(x),
             "grid": grid_batch}
 
@@ -635,27 +635,25 @@ class TestComponentFirstBits:
         shift = np.random.default_rng(1).uniform(-0.25, 0.25, size=3)
         return rl.RotorGrid.from_field(field, dims=(n, n, n), spacing=h, origin=(shift - (n / 2 - 0.5)) * h)
 
-    @pytest.mark.parametrize("margin", [1, 2])
-    def test_grid_slab(self, soliton_field, margin):
-        slab = self.residual_3d_grid(soliton_field, 0.1)._planes(14, 18 + 2 * margin)  # 4 planes and halos
-        new, old = rl.grid_field_point(slab, margin), grid_field_point_batch_first(slab, margin)
+    def test_grid_slab(self, soliton_field):
+        slab = self.residual_3d_grid(soliton_field, 0.1)._planes(14, 22)  # 4 planes and halos
+        new, old = rl.grid_field_point(slab), grid_field_point_batch_first(slab)
         assert list(vars(new)) == list(vars(old)) and same_bits(vars(new).values(), vars(old).values())
         assert new.dd_beta.base is not None and _cf(new.dd_beta, 3).flags.c_contiguous
         for couplings in ((1.0, 1.0), (0.4, 2.3)):
             m = rl.Moduli.from_couplings(*couplings)
             assert same_bits((rl.residual_eqs2_at(new, m),), (residual_np_cross(old, m),))
 
-    @pytest.mark.parametrize("margin", [1, 2])
-    def test_residual_grid(self, soliton_field, unit_moduli, margin):
+    def test_residual_grid(self, soliton_field, unit_moduli):
         grid = self.residual_3d_grid(soliton_field, 0.2)
-        _, res = rl.residual_grid(grid, unit_moduli, margin=margin)
-        assert same_bits((res,), (residual_np_cross(grid_field_point_batch_first(grid, margin), unit_moduli),))
+        _, res = rl.residual_grid(grid, unit_moduli)
+        assert same_bits((res,), (residual_np_cross(grid_field_point_batch_first(grid), unit_moduli),))
 
     @pytest.mark.parametrize("make_field", [breathing_hedgehog, lambda: rl.random_smooth_field(seed=11),
-                                            lambda: travelling_field(seed=13)])
+                                            lambda: travelling_field(seed=13, t=0.3)])
     @pytest.mark.parametrize("couplings", [(1.0, 1.0), (0.4, 2.3)])
     def test_fields(self, make_field, couplings, cross_points):
-        fp, m = make_field().field_point(cross_points, 0.3), rl.Moduli.from_couplings(*couplings)
+        fp, m = make_field().field_point(cross_points), rl.Moduli.from_couplings(*couplings)
         a, a_t = nye_np_cross(fp), nye_velocity_np_cross(fp)
         assert same_bits((rl.nye_matrix(fp), rl.nye_velocity_vector(fp), *rl.h_tensors(a, a_t, m)),
                          (a, a_t, *h_tensors_batch_first(a, a_t, m)))
@@ -664,7 +662,7 @@ class TestComponentFirstBits:
         assert same_bits((rl.g_tensor_space(fp),), (g_oracle,))
 
     def test_travelling_field_has_second_time_blocks(self):
-        fp = travelling_field(seed=13).field_point(np.random.default_rng(108).uniform(-3, 3, (50, 3)), 0.3)
+        fp = travelling_field(seed=13, t=0.3).field_point(np.random.default_rng(108).uniform(-3, 3, (50, 3)))
         assert np.abs(fp.dtt_beta).min() > 0 and np.abs(fp.dtt_alpha).min() > 0
 
     @settings(max_examples=200)
@@ -773,7 +771,7 @@ class FixedNye:
     def __init__(self, a):
         self.a = a
 
-    def nye(self, x, t=0.0):
+    def nye(self, x):
         return self.a
 
 

@@ -155,9 +155,9 @@ class TestNyeAnalytic:
 
         def make(eps):
             return rl.AnalyticRotorField(
-                beta=lambda x, t: eps * np.einsum("lk,...k->...l", M, x),
-                d_beta=lambda x, t: np.broadcast_to(eps * M, x.shape[:-1] + (3, 3)).copy(),
-                dd_beta=lambda x, t: np.zeros(x.shape[:-1] + (3, 3, 3)),
+                beta=lambda x: eps * np.einsum("lk,...k->...l", M, x),
+                d_beta=lambda x: np.broadcast_to(eps * M, x.shape[:-1] + (3, 3)).copy(),
+                dd_beta=lambda x: np.zeros(x.shape[:-1] + (3, 3, 3)),
             )
 
         errs = []
@@ -173,7 +173,7 @@ class TestNyeAnalytic:
             assert np.abs(field.nye(x) - nye_hedgehog_oracle(x, w, wp)).max() <= 1e-13
 
     def test_nan_beta_rejected(self):
-        f = rl.AnalyticRotorField(beta=lambda x, t: np.where(x[..., :1] > 0, np.nan, 0.1 * x),
+        f = rl.AnalyticRotorField(beta=lambda x: np.where(x[..., :1] > 0, np.nan, 0.1 * x),
                                   d_beta=None, dd_beta=None)
         with pytest.raises(ValueError, match="left the unit ball"):
             f.alpha_beta(np.array([[-0.5, 0.0, 0.0], [0.5, 0.0, 0.0]]))
@@ -202,13 +202,13 @@ class TestNyeVelocity:
         w0, B = 0.9, 0.6
         beta_t = lambda t: B * np.array([np.cos(w0 * t), np.sin(w0 * t), 0.3])
         dbeta_t = lambda t: B * w0 * np.array([-np.sin(w0 * t), np.cos(w0 * t), 0.0])
-        f = rl.AnalyticRotorField(
-            beta=lambda x, t: np.broadcast_to(beta_t(t), x.shape[:-1] + (3,)).copy(),
-            d_beta=lambda x, t: np.zeros(x.shape[:-1] + (3, 3)),
-            dd_beta=lambda x, t: np.zeros(x.shape[:-1] + (3, 3, 3)),
-            dt_beta=lambda x, t: np.broadcast_to(dbeta_t(t), x.shape[:-1] + (3,)).copy(),
-        )
         t0, d = 0.4, 1e-6
+        f = rl.AnalyticRotorField(  # the field at t0
+            beta=lambda x: np.broadcast_to(beta_t(t0), x.shape[:-1] + (3,)).copy(),
+            d_beta=lambda x: np.zeros(x.shape[:-1] + (3, 3)),
+            dd_beta=lambda x: np.zeros(x.shape[:-1] + (3, 3, 3)),
+            dt_beta=lambda x: np.broadcast_to(dbeta_t(t0), x.shape[:-1] + (3,)).copy(),
+        )
 
         def u_of(t):
             b = beta_t(t)
@@ -216,7 +216,7 @@ class TestNyeVelocity:
 
         du = (u_of(t0 + d) - u_of(t0 - d)) / (2 * d)
         oracle = 0.5 * np.einsum("lij,ij->l", LEVI_CIVITA, u_of(t0) @ du.T)
-        assert np.abs(rl.nye_velocity_vector(f.field_point(np.zeros(3), t0, order=1)) - oracle).max() <= 1e-9
+        assert np.abs(rl.nye_velocity_vector(f.field_point(np.zeros(3), order=1)) - oracle).max() <= 1e-9
 
 
 class TestNyeFiniteDifference:
@@ -313,10 +313,10 @@ class TestLinearizedLagrangian:
 
         def full_minus_lin(eps):
             f = rl.AnalyticRotorField(
-                beta=lambda x, t: eps * np.einsum("lk,...k->...l", M, x),
-                d_beta=lambda x, t: np.broadcast_to(eps * M, x.shape[:-1] + (3, 3)).copy(),
-                dd_beta=lambda x, t: np.zeros(x.shape[:-1] + (3, 3, 3)),
-                dt_beta=lambda x, t: np.broadcast_to(eps * bdot0, x.shape[:-1] + (3,)).copy(),
+                beta=lambda x: eps * np.einsum("lk,...k->...l", M, x),
+                d_beta=lambda x: np.broadcast_to(eps * M, x.shape[:-1] + (3, 3)).copy(),
+                dd_beta=lambda x: np.zeros(x.shape[:-1] + (3, 3, 3)),
+                dt_beta=lambda x: np.broadcast_to(eps * bdot0, x.shape[:-1] + (3,)).copy(),
             )
             fp = f.field_point(x0)
             full = rl.kinetic_density(rl.nye_velocity_vector(fp)) - rl.potential_density(

@@ -94,8 +94,8 @@ class TestFromField:
         class Stretched(rl.RotorField):
             """A unit field except on the last x-plane, where alpha is 2."""
 
-            def field_point(self, x, t=0.0, order=2):
-                fp = rl.random_smooth_field(seed=3).field_point(x, t, order=0)
+            def field_point(self, x, *, order=2):
+                fp = rl.random_smooth_field(seed=3).field_point(x, order=0)
                 fp.alpha = np.where(x[..., 0] > 0.45, 2.0, fp.alpha)
                 return fp
 
@@ -105,24 +105,22 @@ class TestFromField:
 
 
 class TestResidualGrid:
-    @pytest.mark.parametrize("margin", [1, 2])
     @pytest.mark.parametrize("planes", [1, 3, 100], ids=["plane", "uneven", "one-slab"])
-    def test_residual_equals_whole_grid_kernel(self, slab_points, soliton_field, unit_moduli,
-                                               margin, planes):
-        # 3 planes: 14 interior planes (margin 2) split 3, 3, 4, 4 and 16 (margin 1) 3, 3, 3, 3, 4
+    def test_residual_equals_whole_grid_kernel(self, slab_points, soliton_field, unit_moduli, planes):
+        # 3 planes: 14 interior planes split 3, 3, 4, 4
         grid = soliton_grid(soliton_field, (18, 13, 11))
-        slab_points(planes * (13 - 2 * margin) * (11 - 2 * margin))
-        pts, res = rl.residual_grid(grid, unit_moduli, margin=margin)
-        whole = field_equations.residual_eqs2_at(field_equations.grid_field_point(grid, margin), unit_moduli)
+        slab_points(planes * (13 - 4) * (11 - 4))
+        pts, res = rl.residual_grid(grid, unit_moduli)
+        whole = field_equations.residual_eqs2_at(field_equations.grid_field_point(grid), unit_moduli)
         assert np.array_equal(res, whole)
-        assert np.array_equal(pts, grid.points()[(slice(margin, -margin),) * 3])
+        assert np.array_equal(pts, grid.points()[(slice(2, -2),) * 3])
 
     def test_margin_still_checked(self, soliton_field, unit_moduli):
         grid = soliton_grid(soliton_field, (8, 5, 3))
-        with pytest.raises(ValueError, match="margin must be at least 1"):
-            rl.residual_grid(grid, unit_moduli, margin=0)
         with pytest.raises(ValueError, match="grid too small"):
-            rl.residual_grid(grid, unit_moduli, margin=2)  # 3 nodes along z
+            rl.residual_grid(grid, unit_moduli)  # 3 nodes along z: the margin of 2 needs 5
+        with pytest.raises(ValueError, match="grid too small"):
+            field_equations.grid_field_point(grid)
 
 
 class TestIdentityCheck:

@@ -3,6 +3,7 @@ runs in a subprocess."""
 
 import argparse
 import importlib.util
+import inspect
 import json
 from pathlib import Path
 
@@ -11,6 +12,8 @@ import pytest
 
 import rotelast.cli
 from rotelast import field_equations, fields, kinematics, radial, so3, topology
+
+from test_api import public_callables
 
 
 def load_tool(name):
@@ -199,3 +202,14 @@ def test_bench_record_counts_the_public_names():
         "total": sum(map(len, lists.values())),
         "distinct": len(set().union(*lists.values())),
     }
+
+
+def test_bench_record_counts_the_public_options():
+    """The ``ast`` count against the signatures of the imported callables."""
+    files = {module.__name__.removeprefix("rotelast.") + ".py":
+             sum(p.default is not p.empty for _, fn in public_callables(module)
+                 for p in inspect.signature(fn).parameters.values())
+             for module in (field_equations, fields, kinematics, radial, so3, topology)}
+    options = load_tool("bench_record").public_options()
+    assert options == {"files": files, "total": sum(files.values())}
+    assert files["fields.py"] > 0  # field_point's order, keyword-only, is counted

@@ -46,7 +46,7 @@ def charge_radial_midpoint(field, ball_radius, h):
     return float(np.sum(dens) * step)
 
 
-def charge_midpoint_3d_planes(field, ball_radius, h, time=0.0):
+def charge_midpoint_3d_planes(field, ball_radius, h):
     """The 3-d midpoint rule one z-plane of the centred lattice at a time."""
     axis = _centred_axis(ball_radius, h)
     total = 0.0
@@ -54,7 +54,7 @@ def charge_midpoint_3d_planes(field, ball_radius, h, time=0.0):
     for z in axis:
         pts = np.concatenate([xy, np.full((xy.shape[0], 1), z)], axis=1)
         pts = pts[(pts * pts).sum(axis=1) <= ball_radius * ball_radius]
-        total += float(np.sum(rl.charge_density(field, pts, time)))
+        total += float(np.sum(rl.charge_density(field, pts)))
     return total * h**3
 
 
@@ -154,6 +154,11 @@ class TestTotalCharge:
         with pytest.raises(ValueError):
             rl.total_charge(f, ball_radius=1.0, grid_spacing=0.0)
 
+    def test_stale_positional_time_rejected(self):
+        # a fourth positional argument, once the time, must not select the 3-d path
+        with pytest.raises(TypeError):
+            rl.total_charge(degree_one_field(), 3.0, 0.3, 0.3)
+
     @pytest.mark.parametrize("force_3d", [False, True])
     @pytest.mark.parametrize("ball_radius, grid_spacing",
                              [(np.nan, 0.5), (np.inf, 0.5), (2.0, np.nan), (2.0, np.inf)])
@@ -191,7 +196,7 @@ def assert_slabs_match_planes(monkeypatch, field, ball_radius, h):
     monkeypatch.setattr(kinematics, "_SLAB_POINTS", 3 * n * n)
     slabs = list(kinematics._slabs(n, n * n))
     assert len(slabs) >= 3 and min(hi - lo for lo, hi in slabs) >= 3
-    new = _charge_midpoint_3d(field, ball_radius, h, 0.0)
+    new = _charge_midpoint_3d(field, ball_radius, h)
     old = charge_midpoint_3d_planes(field, ball_radius, h)
     assert abs(new - old) <= 1e-14 * abs(old)
 
@@ -215,7 +220,7 @@ class TestSlabStream:
     def test_non_finite_density_raises(self):
         f = tanh_hedgehog(0.0, np.nan, 1.0)
         with pytest.raises(ValueError, match="non-finite"):
-            _charge_midpoint_3d(f, 2.0, 0.5, 0.0)
+            _charge_midpoint_3d(f, 2.0, 0.5)
 
 
 class TestProductField:

@@ -18,9 +18,11 @@ to run spread of the machine, so judge a change by alternating runs of
 ``perfbench/run.py`` on the two checkouts.
 
 It also records ``src_lines``, the line count of each ``src/rotelast/*.py``
-(as ``wc -l`` counts them) and their total, and ``public_names``, the length
+(as ``wc -l`` counts them) and their total, ``public_names``, the length
 of each module's ``__all__``, their total and the number of distinct names
-(a module may re-export another's name), read without importing the package.
+(a module may re-export another's name), and ``public_options``, the number
+of defaulted parameters of each module's public callables and their total,
+all read without importing the package.
 
 Per workload it also derives points per second for every traced callable
 that reports a point count (``points_per_s``: points over self seconds).
@@ -113,14 +115,36 @@ def src_lines() -> dict:
     return {"files": files, "total": sum(files.values())}
 
 
+def _public_lists() -> dict:
+    """The ``__all__`` list of each ``src/rotelast/*.py`` that has one, with the module's ``ast``."""
+    lists = {}
+    for path in sorted((ROOT / "src" / "rotelast").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["__all__"]:
+                lists[path.name] = (ast.literal_eval(node.value), tree)
+    return lists
+
+
+def public_options() -> dict:
+    """Defaulted parameters of each module's public callables, per ``src/rotelast/*.py`` and in total:
+    of every public function that the module defines, and of the ``__init__`` and public methods of
+    every public class that it defines, as their ``def`` statements declare them (a dataclass's generated
+    ``__init__`` has none)."""
+    files = {}
+    for name, (names, tree) in _public_lists().items():
+        defs = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name in names]
+        for cls in (n for n in tree.body if isinstance(n, ast.ClassDef) and n.name in names):
+            defs += [n for n in cls.body if isinstance(n, ast.FunctionDef)
+                     and (n.name == "__init__" or not n.name.startswith("_"))]
+        files[name] = sum(len(d.args.defaults) + sum(v is not None for v in d.args.kw_defaults) for d in defs)
+    return {"files": files, "total": sum(files.values())}
+
+
 def public_names() -> dict:
     """Length of the ``__all__`` list of each ``src/rotelast/*.py`` that has one, their total and the
     number of distinct names, read from the source with ``ast``."""
-    lists = {}
-    for path in sorted((ROOT / "src" / "rotelast").glob("*.py")):
-        for node in ast.parse(path.read_text()).body:
-            if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["__all__"]:
-                lists[path.name] = ast.literal_eval(node.value)
+    lists = {name: names for name, (names, _) in _public_lists().items()}
     return {"files": {name: len(names) for name, names in lists.items()},
             "total": sum(map(len, lists.values())), "distinct": len(set().union(*lists.values()))}
 
@@ -158,6 +182,7 @@ def record_bench(label: str) -> dict:
         "source_sha256": env["source_sha256"],
         "src_lines": src_lines(),
         "public_names": public_names(),
+        "public_options": public_options(),
         "python": env["python"],
         "numpy": env["numpy"],
         "scipy": env["scipy"],

@@ -181,7 +181,7 @@ def write_library(cli: str, out: str) -> None:
         res[f"residual_grid_{name}.points"], res[f"residual_grid_{name}.residuals"] = rl.residual_grid(grid, moduli)
         if name == "residual_3d_h0.1":
             lo, hi = next(_slabs(n, (n - 4) ** 2, halo=2))
-            fp = rl.grid_field_point(grid._planes(lo - 2, hi + 2), margin=2)
+            fp = rl.grid_field_point(grid._planes(lo - 2, hi + 2))
             res.update({f"grid_field_point_{name}.{k}": v for k, v in vars(fp).items()})
         del grid
 
@@ -205,7 +205,7 @@ def write_library(cli: str, out: str) -> None:
     rng = np.random.default_rng(3)
     x = rng.uniform(-1.5, 1.5, size=(500, 3))
     for order in (0, 1, 2):
-        fp = rl.random_smooth_field(seed=11).field_point(x, 0.0, order=order)
+        fp = rl.random_smooth_field(seed=11).field_point(x, order=order)
         res.update({f"random_smooth_field_order{order}.{k}": v for k, v in vars(fp).items()})
         res[f"constraint_residual_order{order}"] = fp.constraint_residual()
     res["residual_eqs2_at.random_smooth_field"] = rl.residual_eqs2_at(fp, rl.Moduli.from_couplings(0.4, 2.3))
