@@ -6,10 +6,11 @@ or the couplings (--lambda1 --lambda2), never both.  Flags override an
 optional key=value config file (--config), where the on/off flags take
 ``true`` or ``false``; identical configuration and seed produce
 bit-identical outputs.  Exit codes: 0 success, 2 bad usage or configuration
-(argparse's own errors included, with a JSON record on stderr), 3 solver
-failure (divergence, instability, a failed integration, an ill-posed evolve
-coupling, a profile whose resampling overflows or an evolve energy that
-overflows, with a one-line diagnostic JSON record on stdout).
+(argparse's own errors and a grid too large to allocate included, with a
+JSON record on stderr), 3 solver failure (divergence, instability, a failed
+integration, an ill-posed evolve coupling, a profile whose resampling
+overflows or an evolve energy that overflows, with a one-line diagnostic
+JSON record on stdout).
 """
 
 from __future__ import annotations
@@ -400,7 +401,7 @@ def main(argv=None) -> int:
         if bad:
             raise ValueError("; ".join(bad))
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         return _fail_usage(str(exc))
     except RuntimeError as exc:
         return _fail_runtime(exc)

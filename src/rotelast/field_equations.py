@@ -60,7 +60,8 @@ from __future__ import annotations
 import numpy as np
 
 from .fields import FieldPoint, _components_first, _nye_bracket
-from .kinematics import Moduli, RotorGrid, _central_diff, _central_diff2, _slabs, _trace_skew, nye_matrix
+from .kinematics import (Moduli, RotorGrid, _central_diff, _central_diff2, _slabs, _trace_skew, nye_matrix,
+                         nye_velocity_vector)
 from .so3 import _bl, _cf, _cross, _eps_ddot, eps_dot
 
 __all__ = [
@@ -166,11 +167,9 @@ def _coupling(p: FieldPoint, a: np.ndarray, a_t: np.ndarray, h_t: np.ndarray,
 
 def residual_eqs2_at(fp: FieldPoint, m: Moduli) -> np.ndarray:
     """G-form residual vector at a FieldPoint (batched), a view of a component-first array."""
-    p = _components_first(fp)
-    a = _nye_bracket(p.alpha, p.beta, p.d_alpha, p.d_beta)
-    a_t = _nye_bracket(p.alpha, p.beta, p.dt_alpha[None], p.dt_beta[:, None])[:, 0]
-    h_t, h_s = h_tensors(_bl(a, 2), a_t, m)
-    coupling = 2.0 * _coupling(p, a, a_t, h_t, _cf(h_s, 2))  # first: fewer arrays are alive at its peak
+    p, a, a_t = _components_first(fp), nye_matrix(fp), nye_velocity_vector(fp)
+    h_t, h_s = h_tensors(a, a_t, m)
+    coupling = 2.0 * _coupling(p, _cf(a, 2), _cf(a_t), _cf(h_t), _cf(h_s, 2))  # first: fewer arrays alive at its peak
     row, col, d_tr = _nye_divergences(p)
     # d_k H^ik = 2 l1 d_i tr A + l2 d_k (A_ik - A_ki)
     div_h = 2.0 * m.lambda1 * d_tr + m.lambda2 * (row - col)

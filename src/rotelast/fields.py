@@ -119,8 +119,7 @@ def nye_matrix(fp: FieldPoint) -> np.ndarray:
 class RotorField:
     """Base class; subclasses implement :meth:`field_point`.
 
-    The pair (u, A) of :meth:`u_and_nye` is the only first-order output;
-    the gradient of u follows from it.
+    The gradient of u follows from the pair (u, A) of :meth:`u_and_nye`.
     """
 
     def field_point(self, x, *, order: int = 2) -> FieldPoint:

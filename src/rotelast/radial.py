@@ -171,6 +171,7 @@ W_BLOWUP = 10.0
 R0 = 1e-6  # radius where the static integration leaves the origin series
 N_SAMPLES = 2001  # uniform samples of a static profile, w(0) = 0 not counted
 N_PROBE = 400  # log-spaced probe radii of static_residual
+N_SNAPSHOTS = 101  # evolve_dynamic snapshots level 0, every max(1, n_steps // 100)-th and the last
 
 # Dormand-Prince 5(4) as in scipy's RK45: nodes, stages, 5th-order weights, error weights
 # (5th minus 4th order, FSAL stage last) and the quartic dense output of Shampine's c6
@@ -416,8 +417,8 @@ class _CoreSpline:
         return self.g(rho, 2) * d_rho * d_rho + self.g(rho, 1) * (s * (s - 1.0)) * r ** (s - 2.0)
 
 
-def resample_uniform(profile: RadialProfile, n: int, r_max: float | None = None) -> RadialProfile:
-    """Resample a profile onto ``linspace(0, r_max, n)`` by cubic interpolation.
+def resample_uniform(profile: RadialProfile, n: int) -> RadialProfile:
+    """Resample a profile onto ``linspace(0, profile.r[-1], n)`` by cubic interpolation.
 
     The dynamic solver needs a uniform grid including the origin.  The
     spline runs in ``r^s`` (:class:`_CoreSpline`), so profiles with a core
@@ -426,8 +427,7 @@ def resample_uniform(profile: RadialProfile, n: int, r_max: float | None = None)
     """
     if n < 3:
         raise ValueError(f"resampling needs at least 3 points, got n = {n}")
-    r_max = profile.r[-1] if r_max is None else min(r_max, profile.r[-1])
-    r = np.linspace(0.0, r_max, n)
+    r = np.linspace(0.0, profile.r[-1], n)
     with np.errstate(over="ignore", invalid="ignore"):
         w = _CoreSpline(profile, profile.w)(r)
         w_t = None if profile.w_t is None else _CoreSpline(profile, profile.w_t)(r)
@@ -482,8 +482,7 @@ class EvolveResult:
                              moduli=self.moduli, slope0=np.nan, tol=np.nan)
 
 
-def evolve_dynamic(initial: RadialProfile, dt: float, t_end: float,
-                   n_snapshots: int = 101) -> EvolveResult:
+def evolve_dynamic(initial: RadialProfile, dt: float, t_end: float) -> EvolveResult:
     """Leapfrog integration of ``w_tt = l1 (r^2 w_r)_r / r^2 + U(w)/r^2``.
 
     The initial profile must live on a uniform grid including r = 0 with
@@ -562,7 +561,7 @@ def evolve_dynamic(initial: RadialProfile, dt: float, t_end: float,
             return float(dr * (parts[0] + parts[1] - parts[2])), float(dr * sum(abs(p) for p in parts))
 
     n_steps = int(round(t_end / dt))
-    snap_every = max(1, n_steps // max(1, n_snapshots - 1))
+    snap_every = max(1, n_steps // (N_SNAPSHOTS - 1))
     n_snap = 1 + n_steps // snap_every + (n_steps % snap_every > 0)
     times, energies = np.zeros(n_snap), np.empty(n_snap)
     ws, vs = np.empty((n_snap, len(r))), np.zeros((n_snap, len(r)))

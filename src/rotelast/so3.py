@@ -56,14 +56,14 @@ def _bl(x, n: int = 1):
 
 
 def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``(a x b)_l = a_m b_n - a_n b_m``, (l, m, n) cyclic, over the first axis, with np.cross's bits:
-    C-order loops along the batch axes; ``a_m b_n`` into a strided scratch and ``a_n b_m`` into a
-    fresh array, as in np.cross, so NumPy picks its loops and NaN payloads."""
+    """``(a x b)_l = a_m b_n - a_n b_m``, (l, m, n) cyclic, over the first axis, in C-order loops
+    along the batch axes: np.cross's bits for every finite, infinite and signed-zero input and the
+    place of every NaN, though a NaN's payload may differ."""
     a, b = np.broadcast_arrays(a, b)
-    out, first = np.empty(a.shape), np.empty(a.shape[1:] + (2,))[..., 0]
+    out = np.empty(a.shape)
     for l, m, n in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        np.multiply(a[m], b[n], out=first, order="C")
-        np.subtract(first, np.multiply(a[n], b[m], order="C"), out=out[l, ...], order="C")
+        np.multiply(a[m], b[n], out=out[l, ...], order="C")
+        np.subtract(out[l, ...], np.multiply(a[n], b[m], order="C"), out=out[l, ...], order="C")
     return out
 
 

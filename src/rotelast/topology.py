@@ -111,7 +111,9 @@ def total_charge(field, ball_radius: float, grid_spacing: float, *, force_3d: bo
     """Charge over a ball, with a two-spacing Richardson error estimate.
 
     Uses the midpoint rule on a uniform Cartesian grid restricted to the
-    ball.  A hedgehog field, unless ``force_3d`` is set, takes the closed form
+    ball.  ``estimated_error = |q_h - q_2h| / 3`` assumes second order; near
+    a singular core the rule is first order and the estimate about 3x too
+    small.  A hedgehog field, unless ``force_3d`` is set, takes the closed form
     :func:`hedgehog_charge_profile` of ``w(0)`` and ``w(ball_radius)`` instead,
     with zero error; ``grid_spacing`` is validated and reported but unused there.
     """

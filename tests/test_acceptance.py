@@ -358,8 +358,8 @@ class TestAcceptance:
                f"trans speed^2={measured['trans']:.6f} (l2/2={m.lambda2 / 2})")
         assert ok
 
-    def test_08_dynamic_stability(self, soliton_profile):
-        uniform = rl.resample_uniform(soliton_profile, n=4001, r_max=50.0)
+    def test_08_dynamic_stability(self, unit_moduli):
+        uniform = rl.resample_uniform(rl.solve_static(unit_moduli, slope0=1.0, r_max=50.0, tol=1e-10), n=4001)
         uniform.w_t = np.zeros_like(uniform.w)
         dr = uniform.r[1] - uniform.r[0]
         result = rl.evolve_dynamic(uniform, dt=0.5 * dr, t_end=10.0)

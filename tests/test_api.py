@@ -9,7 +9,10 @@
   or is a callable that the benchmark traces: a name that only the tests use
   belongs in the tests;
 * a field is a snapshot, so no public callable takes a time, and the grid
-  residual's margin is fixed, so neither grid evaluator takes one.
+  residual's margin is fixed, so neither grid evaluator takes one;
+* every defaulted parameter of a public callable is set by some call in the
+  package, its tools or its benchmark: an option that no program call sets
+  has one value in use, and belongs in the code as a constant.
 """
 
 import ast
@@ -73,7 +76,7 @@ def test_package_exports_exactly_the_module_lists():
 
 
 # The kinetic half of the Lagrangian: it pairs with potential_density, which tools/compare_artifacts.py calls.
-NO_CALLER = {"kinetic_density", "nye_velocity_vector"}
+NO_CALLER = {"kinetic_density"}
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -89,9 +92,12 @@ def referenced_names(path: Path) -> set:
             | {n.attr for n in nodes if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)})
 
 
+def program_paths() -> list:
+    return [p for d in ("src/rotelast", "tools", "perfbench") for p in sorted((ROOT / d).glob("*.py"))]
+
+
 def test_every_public_name_has_a_caller():
-    paths = [p for d in ("src/rotelast", "tools", "perfbench") for p in sorted((ROOT / d).glob("*.py"))]
-    read = set().union(*map(referenced_names, paths))
+    read = set().union(*map(referenced_names, program_paths()))
     traced = set(traced_callables())
     assert NO_CALLER <= {name for module in MODULES for name in module.__all__}
     unused = [f"{module.__name__}.{name}" for module in MODULES for name in module.__all__
@@ -106,3 +112,24 @@ def test_no_time_and_no_margin_parameters():
     assert [name for name, p in params.items() if p & {"t", "time"}] == []
     assert "margin" not in (params["rotelast.field_equations.grid_field_point"]
                             | params["rotelast.field_equations.residual_grid"])
+
+
+# The moving analytic snapshot: the README documents it, and the tests' travelling fields build it.
+UNSET_OPTIONS = {"rotelast.fields.AnalyticRotorField.__init__(dt_beta)",
+                 "rotelast.fields.AnalyticRotorField.__init__(dtt_beta)"}
+
+
+def test_every_public_option_is_set_by_a_program_call():
+    keywords = {}  # callable name -> keywords that some program call passes it
+    for path in program_paths():
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                keywords.setdefault(name, set()).update(kw.arg for kw in node.keywords)
+    unset = set()
+    for module in MODULES:
+        for name, fn in public_callables(module):
+            called = name.split(".")[0] if name.endswith(".__init__") else name.split(".")[-1]
+            unset |= {f"{module.__name__}.{name}({p.name})" for p in inspect.signature(fn).parameters.values()
+                      if p.default is not p.empty and p.name not in keywords.get(called, set())}
+    assert unset == UNSET_OPTIONS, "options that no program call sets; make each a constant"

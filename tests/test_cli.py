@@ -314,6 +314,18 @@ class TestBadNumericOptions:
             assert record["detail"] == f"--extent must be positive, got {float(argv[2])}"
         assert not out_path.exists()
 
+    def test_grid_too_large_to_allocate_exits_2(self, tmp_path):
+        # --h 1e-4 sizes a 40001^3 grid of 466 TiB: no machine maps it, so numpy raises MemoryError at once.
+        # A real process, so that a traceback would reach its stderr
+        out_path = tmp_path / "out.json"
+        argv = ["identity-check", "--h", "1e-4", "-o", str(out_path)]
+        proc = subprocess.run([sys.executable, "-m", "rotelast.cli", *argv], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=SRC))
+        assert proc.returncode == 2 and proc.stdout == "" and not out_path.exists()
+        record = json.loads(proc.stderr)
+        assert record["error"] == "usage" and record["detail"].startswith("Unable to allocate")
+        assert "(40001, 40001, 40001)" in record["detail"]
+
 
 class TestNonFiniteOptions:
     """A non-finite number, from a flag or from the config file, exits 2 with the usage record."""

@@ -162,19 +162,22 @@ class TestResidualEqs2:
         assert np.abs(res).max() == 0.0
 
     def test_hedgehog_reduces_to_radial_form(self):
-        # the full residual must collapse to 4 x/r [ -l1 (w'' + 2w'/r) - U/r^2 ]
+        # at w_tt = 0 the full residual collapses to 4 x/r [ -l1 (w'' + 2w'/r) - U/r^2 ] whatever w_t is:
+        # A_t = 2 x_hat w_t, so the kinetic terms leave no w_t^2.  It reads 3e-15 of the terms' scale
         w = lambda r: 0.4 * r * np.exp(-0.5 * r)
         wp = lambda r: 0.4 * np.exp(-0.5 * r) * (1 - 0.5 * r)
         wpp = lambda r: 0.4 * np.exp(-0.5 * r) * (0.25 * r - 1.0)
-        field = rl.HedgehogField(w, wp, wpp)
-        x = np.array([0.7, -0.4, 1.1])
-        r = np.linalg.norm(x)
-        for l1, l2 in [(1.0, 1.0), (1.0, 2.0), (0.7, 0.9)]:
-            m = rl.Moduli.from_couplings(l1, l2)
-            res = rl.residual_eqs2_at(field.field_point(x), m)
-            radial = 4 * x / r * (-l1 * (wpp(r) + 2 * wp(r) / r)
-                                  - rl.potential_U(w(r), m) / r**2)
-            assert np.abs(res - radial).max() <= 1e-12
+        x = np.random.default_rng(5).uniform(-4.0, 4.0, size=(200, 3))
+        r = np.linalg.norm(x, axis=-1)
+        for wdot in (None, lambda r: 1.3 * np.sin(1.7 * r) * np.exp(-0.2 * r)):
+            fp = rl.HedgehogField(w, wp, wpp, wdot=wdot).field_point(x)
+            assert (np.abs(fp.dt_beta).max() > 0.1) == (wdot is not None)
+            for l1, l2 in [(1.0, 1.0), (1.0, 2.0), (0.7, 0.9), (1.0, 1.25), (0.6, 1.7)]:
+                m = rl.Moduli.from_couplings(l1, l2)
+                lap, pot = l1 * (wpp(r) + 2 * wp(r) / r), rl.potential_U(w(r), m) / r**2
+                radial = 4 * x / r[:, None] * (-lap - pot)[:, None]
+                scale = 4 * (l1 * (np.abs(wpp(r)) + 2 * np.abs(wp(r)) / r) + np.abs(pot))
+                assert np.all(np.abs(rl.residual_eqs2_at(fp, m) - radial) <= 1e-13 * scale[:, None])
 
     def test_static_soliton_residual_second_order(self, soliton_field, unit_moduli):
         r1 = soliton_annulus_residual(soliton_field, unit_moduli, 0.4, r_in=1.5, r_out=3.0)

@@ -41,7 +41,7 @@ def static_residual_loop(profile, n_probe=400):
     return worst
 
 
-def leapfrog_allocating(initial, dt, t_end, n_snapshots=101):
+def leapfrog_allocating(initial, dt, t_end):
     """Oracle: the leapfrog with a freshly allocated flux-form force per step and the sin/cos U.
 
     Returns (w, w_t, energy) at the snapshots, as ``evolve_dynamic`` does.
@@ -67,7 +67,7 @@ def leapfrog_allocating(initial, dt, t_end, n_snapshots=101):
         return float(dr * (np.sum(0.5 * rsq * vc * vc) + np.sum(0.5 * grad) - np.sum(potential_V_sincos(wc, m))))
 
     n_steps = int(round(t_end / dt))
-    snap_every = max(1, n_steps // max(1, n_snapshots - 1))
+    snap_every = max(1, n_steps // 100)  # 101 snapshots, as evolve_dynamic keeps
     ws, vs, es = [w.copy()], [v.copy()], [energy(w, v)]
     w_prev = w - dt * v + 0.5 * dt * dt * accel(w)
     for n in range(1, n_steps + 1):
@@ -90,7 +90,7 @@ def potential_U_one_line(w, m):
     return 2.0 * t * ((2.0 * m.lambda2 - 3.0 * m.lambda1) + m.lambda1 * sq) / (1.0 + sq) ** 2
 
 
-def leapfrog_difference_form(initial, dt, t_end, n_snapshots=101, dtype=float):
+def leapfrog_difference_form(initial, dt, t_end, dtype=float):
     """Oracle: ``evolve_dynamic``'s arithmetic before its summed form, ``w^{n+1} = 2 w^n - w^{n-1} + dt^2 a(w^n)``.
 
     The one-line U, the flux-form force through ``lo`` and ``hi``, the Taylor
@@ -127,7 +127,7 @@ def leapfrog_difference_form(initial, dt, t_end, n_snapshots=101, dtype=float):
                 np.sum(radial.potential_U_integral(wc, m)))
 
     n_steps = int(round(t_end / dt))
-    snap_every = max(1, n_steps // max(1, n_snapshots - 1))
+    snap_every = max(1, n_steps // 100)  # 101 snapshots, as evolve_dynamic keeps
     acc = accel(w, np.zeros_like(w))
     times, ws, vs, es = [0.0], [w.copy()], [v.copy()], [parts(w, v)]
     w_prev = w - dt * v + 0.5 * dt * dt * acc
@@ -153,7 +153,7 @@ def leapfrog_difference_form(initial, dt, t_end, n_snapshots=101, dtype=float):
     return np.array(times), np.array(ws), np.array(vs), np.array(es)
 
 
-def leapfrog_checked_every_step(initial, dt, t_end, n_snapshots=101):
+def leapfrog_checked_every_step(initial, dt, t_end):
     """Oracle: ``evolve_dynamic``'s summed-form leapfrog, written plainly.
 
     The kick ``dt^2 a(w)`` is one expression with its own temporaries, over
@@ -184,7 +184,7 @@ def leapfrog_checked_every_step(initial, dt, t_end, n_snapshots=101):
                 np.sum(radial.potential_U_integral(wc, m)))
 
     n_steps = int(round(t_end / dt))
-    snap_every = max(1, n_steps // max(1, n_snapshots - 1))
+    snap_every = max(1, n_steps // 100)  # 101 snapshots, as evolve_dynamic keeps
     kick = force(w)
     times, ws, vs, es = [0.0], [w.copy()], [v.copy()], [parts(w, v)]
     w[0] = 0.0
@@ -435,8 +435,8 @@ class TestEvolveDynamic:
         with pytest.raises(ValueError, match="CFL"):
             rl.evolve_dynamic(p, dt=1.0, t_end=2.0)
 
-    def test_static_soliton_is_stationary(self, soliton_profile):
-        uni = rl.resample_uniform(soliton_profile, n=2001, r_max=50.0)
+    def test_static_soliton_is_stationary(self):
+        uni = rl.resample_uniform(static_solution(1.0, 1.0), n=2001)  # dr = 0.025 on [0, 50]
         uni.w_t = np.zeros_like(uni.w)
         dr = uni.r[1] - uni.r[0]
         ev = rl.evolve_dynamic(uni, dt=0.5 * dr, t_end=2.0)
@@ -452,8 +452,8 @@ class TestEvolveDynamic:
         uni = rl.resample_uniform(rl.solve_static(m, slope0=1.0, r_max=50.0, tol=1e-10), n=n)
         uni.w_t = 0.01 * uni.r * np.exp(-((uni.r - 2.0) ** 2))
         dt = 0.5 * (uni.r[1] - uni.r[0]) / np.sqrt(l1)
-        ev = rl.evolve_dynamic(uni, dt=dt, t_end=2.0, n_snapshots=11)
-        w, w_t, energy = leapfrog_allocating(uni, dt, 2.0, n_snapshots=11)
+        ev = rl.evolve_dynamic(uni, dt=dt, t_end=2.0)
+        w, w_t, energy = leapfrog_allocating(uni, dt, 2.0)
         scale = np.abs(w).max()
         # the tan form changes U in the last bits, so the levels agree to
         # rounding; w_t is a difference quotient of two levels over dt.  An
@@ -467,33 +467,42 @@ class TestEvolveDynamic:
     @pytest.mark.parametrize("n", [801, 4001])
     @pytest.mark.parametrize("kicked", [True, False], ids=["w_t", "at_rest"])
     def test_same_bits_as_the_per_step_check(self, l1, l2, n, kicked):
-        # 11 snapshots: (1, 1) takes 64 steps at 801 nodes, not a multiple of snap_every = 6, and 320
-        # at 4001 nodes, ten intervals of 32
+        # 101 snapshots: (1, 1) takes 64 steps at 801 nodes, each a snapshot, and 320 at 4001 nodes, not
+        # a multiple of snap_every = 3, so the last snapshot ends a short interval
         uni = rl.resample_uniform(static_solution(l1, l2), n=n)
         uni.w_t = 0.01 * uni.r * np.exp(-((uni.r - 2.0) ** 2)) if kicked else None
         dr = uni.r[1] - uni.r[0]
         dt = 0.5 * dr / np.sqrt(l1)
-        ev = rl.evolve_dynamic(uni, dt=dt, t_end=2.0, n_snapshots=11)
-        times, w, w_t, parts = leapfrog_checked_every_step(uni, dt, 2.0, n_snapshots=11)
+        ev = rl.evolve_dynamic(uni, dt=dt, t_end=2.0)
+        times, w, w_t, parts = leapfrog_checked_every_step(uni, dt, 2.0)
         energy = [float(dr * (kin + grad - pot)) for kin, grad, pot in parts]
         assert same_bits((ev.times, ev.w, ev.w_t, ev.energy), (times, w, w_t, energy))
 
-    @pytest.mark.parametrize("n, velocity, dt, t_end, n_snapshots, step",
-                             [(101, 1.7e307, 0.05, 2.0, 5, 5), (101, 1.7e307, 0.05, 0.25, 3, 5),
-                              (101, 1.7e307, 0.05, 0.5, 3, 5), (3, 1e308, 2.0, 4.0, 3, 1)],
+    @pytest.mark.parametrize("where, n, velocity, dt, t_end, step",
+                             [("inside_an_interval", 101, 1.7e307, 0.05, 40.0, 5),
+                              ("last_unaligned_step", 11, 1.56e306, 0.5, 416.5, 833),
+                              ("snapshot_step", 101, 1.7e307, 0.05, 25.0, 5), ("first_level", 3, 1e308, 2.0, 4.0, 1)],
                              ids=["inside_an_interval", "last_unaligned_step", "snapshot_step", "first_level"])
     @pytest.mark.filterwarnings("error")  # the steps, and the Taylor start, overflow without a warning
-    def test_replay_names_the_first_non_finite_level(self, n, velocity, dt, t_end, n_snapshots, step):
-        # at 101 nodes and 1.7e307 the oracle's levels overflow first at step 5: inside the interval (0, 10]
-        # of a 40-step run, the last step of a 5-step run, whose intervals end at 2, 4 and 5, and the first
-        # snapshot of a 10-step run (snap_every = 5).  At 3 nodes (dr = 5), dt w_t = 2e308 overflows the
-        # Taylor start, so level 1 is the first non-finite one
+    def test_replay_names_the_first_non_finite_level(self, where, n, velocity, dt, t_end, step):
+        # at 101 nodes and 1.7e307 the oracle's levels overflow first at step 5: inside the interval (0, 8]
+        # of an 800-step run, and at the first snapshot of a 500-step run (snap_every = 5).  At 11 nodes
+        # (dr = 1) and 1.56e306 they overflow first at step 833, the last step of an 833-step run whose
+        # intervals end at 8, 16, ..., 832 and 833; its snapshot velocities stay finite, as they do not
+        # on a 101-node run as long.  At 3 nodes (dr = 5), dt w_t = 2e308 overflows the Taylor start, so
+        # level 1 is the first non-finite one
+        n_steps = round(t_end / dt)
+        snap_every = max(1, n_steps // 100)
+        assert {"inside_an_interval": step < n_steps and step % snap_every > 0,
+                "last_unaligned_step": step == n_steps and step % snap_every > 0,
+                "snapshot_step": step < n_steps and step % snap_every == 0 and snap_every > 1,
+                "first_level": step == 1}[where]
         p = huge_velocity_profile(velocity, n)
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(InstabilityError) as oracle:
-            leapfrog_checked_every_step(p, dt, t_end, n_snapshots)
+            leapfrog_checked_every_step(p, dt, t_end)
         assert str(oracle.value) == f"non-finite w at t = {step * dt:.6g}"
         with pytest.raises(InstabilityError) as new:
-            rl.evolve_dynamic(p, dt=dt, t_end=t_end, n_snapshots=n_snapshots)
+            rl.evolve_dynamic(p, dt=dt, t_end=t_end)
         assert str(new.value) == str(oracle.value)
 
     @pytest.mark.filterwarnings("error")
@@ -504,27 +513,27 @@ class TestEvolveDynamic:
                              w_t=np.array([0.0, 1e308, 0.0]), moduli=rl.Moduli.from_couplings(1.0, 1.0),
                              slope0=0.0, tol=1e-8)
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(InstabilityError) as oracle:
-            leapfrog_checked_every_step(p, 0.05, 1.0, 3)
+            leapfrog_checked_every_step(p, 0.05, 1.0)
         assert str(oracle.value) == "non-finite w at t = 0.15"
         with pytest.raises(InstabilityError) as new:
-            rl.evolve_dynamic(p, dt=0.05, t_end=1.0, n_snapshots=3)
+            rl.evolve_dynamic(p, dt=0.05, t_end=1.0)
         assert str(new.value) == str(oracle.value)
 
     def test_overflow_free_huge_run_completes(self):
         # huge but finite all the way: no check fails, and the levels keep their bits
         p, dt = huge_velocity_profile(1e306), 0.05
         with np.errstate(over="ignore", invalid="ignore"):
-            ev = rl.evolve_dynamic(p, dt=dt, t_end=2.0, n_snapshots=5)
-            times, w, w_t, _ = leapfrog_checked_every_step(p, dt, 2.0, n_snapshots=5)
+            ev = rl.evolve_dynamic(p, dt=dt, t_end=2.0)
+            times, w, w_t, _ = leapfrog_checked_every_step(p, dt, 2.0)
         assert np.all(np.isfinite(ev.w)) and same_bits((ev.times, ev.w, ev.w_t), (times, w, w_t))
 
     def test_levels_are_clamped_at_both_ends(self):
         # w(0) may start up to 1e-10 off zero; every later level is 0 there and keeps the far value
         p = huge_velocity_profile(0.1)
         p.w[0] = 1e-10
-        ev = rl.evolve_dynamic(p, dt=0.05, t_end=1.0, n_snapshots=5)
+        ev = rl.evolve_dynamic(p, dt=0.05, t_end=1.0)
         assert ev.w[0, 0] == 1e-10 and np.all(ev.w[1:, 0] == 0.0) and np.all(ev.w[:, -1] == p.w[-1])
-        _, w, w_t, parts = leapfrog_checked_every_step(p, 0.05, 1.0, n_snapshots=5)
+        _, w, w_t, parts = leapfrog_checked_every_step(p, 0.05, 1.0)
         energy = [float((p.r[1] - p.r[0]) * (kin + grad - pot)) for kin, grad, pot in parts]
         assert same_bits((ev.w, ev.w_t, ev.energy), (w, w_t, energy))
 
@@ -534,10 +543,10 @@ class TestEvolveDynamic:
         p, dt = huge_velocity_profile(1e307), 0.05
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(InstabilityError, match="t = 0.95$"):
-                leapfrog_difference_form(p, dt, 20.0, n_snapshots=5)
-            _, exact, *_ = leapfrog_difference_form(p, dt, 20.0, n_snapshots=5, dtype=np.longdouble)
-            ev = rl.evolve_dynamic(p, dt=dt, t_end=20.0, n_snapshots=5)
-            times, w, w_t, _ = leapfrog_checked_every_step(p, dt, 20.0, n_snapshots=5)
+                leapfrog_difference_form(p, dt, 20.0)
+            _, exact, *_ = leapfrog_difference_form(p, dt, 20.0, dtype=np.longdouble)
+            ev = rl.evolve_dynamic(p, dt=dt, t_end=20.0)
+            times, w, w_t, _ = leapfrog_checked_every_step(p, dt, 20.0)
         assert np.abs(exact).max() < np.finfo(float).max
         assert np.all(np.isfinite(ev.w)) and same_bits((ev.times, ev.w, ev.w_t), (times, w, w_t))
         assert np.abs(ev.w - exact).max() <= 1e-13 * np.abs(exact).max()
@@ -554,8 +563,8 @@ class TestEvolveDynamic:
         uni.w_t = 0.01 * uni.r * np.exp(-((uni.r - 2.0) ** 2))
         dr = uni.r[1] - uni.r[0]
         dt = 0.5 * dr / np.sqrt(l1)
-        ev = rl.evolve_dynamic(uni, dt=dt, t_end=2.0, n_snapshots=11)
-        times, w, w_t, parts = leapfrog_difference_form(uni, dt, 2.0, n_snapshots=11)
+        ev = rl.evolve_dynamic(uni, dt=dt, t_end=2.0)
+        times, w, w_t, parts = leapfrog_difference_form(uni, dt, 2.0)
         energy = [float(dr * (kin + grad - pot)) for kin, grad, pot in parts]
         scale = np.abs(w).max()
         assert np.array_equal(ev.times, times) and ev.energy[0] == energy[0]
@@ -574,9 +583,9 @@ class TestEvolveDynamic:
         uni = rl.resample_uniform(static_solution(l1, l2), n=801)
         uni.w_t = 0.01 * uni.r * np.exp(-((uni.r - 2.0) ** 2)) if kicked else None
         dt = 0.5 * (uni.r[1] - uni.r[0]) / np.sqrt(l1)
-        _, exact, *_ = leapfrog_difference_form(uni, dt, 2.0, n_snapshots=11, dtype=np.longdouble)
-        _, difference, *_ = leapfrog_difference_form(uni, dt, 2.0, n_snapshots=11)
-        summed = rl.evolve_dynamic(uni, dt=dt, t_end=2.0, n_snapshots=11).w
+        _, exact, *_ = leapfrog_difference_form(uni, dt, 2.0, dtype=np.longdouble)
+        _, difference, *_ = leapfrog_difference_form(uni, dt, 2.0)
+        summed = rl.evolve_dynamic(uni, dt=dt, t_end=2.0).w
         assert np.abs(summed - exact).max() < np.abs(difference - exact).max()
 
     @pytest.mark.parametrize("l1, l2, kicked", [(1.0, 1.0, False), (1.0, 1.25, True), (0.4, 2.3, True)])
@@ -611,8 +620,7 @@ class TestEvolveDynamic:
                              slope0=0.0, tol=1e-8)
         dr = r[1] - r[0]
         t_end = 12.0
-        ev = rl.evolve_dynamic(p, dt=0.5 * dr / np.sqrt(m.lambda1), t_end=t_end,
-                               n_snapshots=2)
+        ev = rl.evolve_dynamic(p, dt=0.5 * dr / np.sqrt(m.lambda1), t_end=t_end)
         # track the outward-moving peak of the final snapshot
         final = ev.w[-1]
         outer = r > 30.0 + 2.0
@@ -851,8 +859,8 @@ class TestProfileSerialization:
             rl.RadialProfile(r=[0.0, 1.0, np.inf], w=np.zeros(3), moduli=unit_moduli, slope0=1.0, tol=1e-9)
 
     def test_resample_uniform(self, soliton_profile):
-        uni = rl.resample_uniform(soliton_profile, n=501, r_max=40.0)
-        assert uni.r[0] == 0.0 and uni.r[-1] == 40.0
+        uni = rl.resample_uniform(soliton_profile, n=751)  # dr = 0.08 on [0, 60]
+        assert uni.r[0] == 0.0 and uni.r[-1] == 60.0
         assert np.allclose(np.diff(uni.r), uni.r[1] - uni.r[0])
         assert uni.w[0] == 0.0
 
