@@ -5,12 +5,15 @@ identity-check.  Moduli are given either as the c-triple (--c1 --c2 --c3)
 or the couplings (--lambda1 --lambda2), never both.  Flags override an
 optional key=value config file (--config), where the on/off flags take
 ``true`` or ``false``; identical configuration and seed produce
-bit-identical outputs.  Exit codes: 0 success, 2 bad usage or configuration
-(argparse's own errors and a grid too large to allocate included, with a
-JSON record on stderr), 3 solver failure (divergence, instability, a failed
-integration, an ill-posed evolve coupling, a profile whose resampling
-overflows or an evolve energy that overflows, with a one-line diagnostic
-JSON record on stdout).
+bit-identical outputs.  ``residual`` samples the field and reduces the
+residual one block of x-planes at a time, so its memory is set by a block,
+not by ``--h``.  Exit codes: 0 success, 2 bad usage or configuration
+(argparse's own errors, a grid too large to allocate, a node or step count
+too large for an integer and a record that holds NaN or an infinity
+included, with a JSON record on stderr), 3 solver failure (divergence,
+instability, a failed integration, an ill-posed evolve coupling, a profile
+whose resampling overflows or an evolve energy that overflows, with a
+one-line diagnostic JSON record on stdout).
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ SCHEMA_VERSION = 1
 
 
 def _emit(payload: dict, path: str | None) -> None:
-    text = json.dumps({"schema_version": SCHEMA_VERSION, **payload}, sort_keys=True, indent=2)
+    text = json.dumps({"schema_version": SCHEMA_VERSION, **payload}, sort_keys=True, indent=2, allow_nan=False)
     if path:
         with open(path, "w", newline="\n") as f:
             f.write(text + "\n")
@@ -202,19 +205,19 @@ def cmd_residual(args) -> int:
         raise ValueError(f"the annulus needs 0 <= --rmin <= --rmax-annulus, got [{args.rmin}, {args.rmax_annulus}]")
     profile = load_profile_csv(args.from_profile)
     field = lift_hedgehog(profile)
-    # cell-centered even-count lattice: origin never on a grid node
-    axis = _centred_axis(args.rmax_annulus + 3 * h, h)
-    inner = axis[0] + h * np.arange(axis.size)[_MARGIN:-_MARGIN]  # residual_grid's node coordinates, bit for bit
-    masks = []  # the annulus per x-slab, before the field is sampled; exact counts and maxima, as over the grid
-    for lo, hi in _slabs(inner.size, inner.size**2):
-        rr = np.linalg.norm(np.stack(np.meshgrid(inner[lo:hi], inner, inner, indexing="ij"), axis=-1), axis=-1)
-        masks.append((lo, hi, (rr >= args.rmin) & (rr <= args.rmax_annulus)))
-    n_cells = sum(int(mask.sum()) for _, _, mask in masks)
+    axis = _centred_axis(args.rmax_annulus + 3 * h, h)  # cell-centered even-count lattice: no node at the origin
+    nodes = axis[0] + h * np.arange(axis.size)  # RotorGrid.from_field's coordinates, bit for bit
+    inner, n_cells, peaks = nodes[_MARGIN:-_MARGIN], 0, []  # exact counts and maxima, as over the whole grid
+    for lo, hi in _slabs(axis.size, axis.size**2, halo=_MARGIN, min_planes=12):  # x-blocks, two halo planes a side
+        rr = np.linalg.norm(np.stack(np.meshgrid(nodes[lo:hi], inner, inner, indexing="ij"), axis=-1), axis=-1)
+        mask = (rr >= args.rmin) & (rr <= args.rmax_annulus)
+        if mask.any():  # the field is sampled only on blocks that hold an annulus node
+            pts = np.stack(np.meshgrid(nodes[lo - _MARGIN:hi + _MARGIN], nodes, nodes, indexing="ij"), axis=-1)
+            _, res = residual_grid(RotorGrid(*field.alpha_beta(pts), spacing=h, origin=pts[0, 0, 0]), profile.moduli)
+            n_cells += int(mask.sum())
+            peaks.append(np.abs(res[mask]).max())
     if not n_cells:
         raise ValueError(f"no lattice node of --h {h} falls in the annulus [{args.rmin}, {args.rmax_annulus}]")
-    grid = RotorGrid.from_field(field, dims=(axis.size,) * 3, spacing=h, origin=np.full(3, axis[0]))
-    _, res = residual_grid(grid, profile.moduli)
-    peaks = [np.abs(res[lo:hi][mask]).max() for lo, hi, mask in masks if mask.any()]
     _emit(
         {
             "command": "residual",
@@ -401,7 +404,7 @@ def main(argv=None) -> int:
         if bad:
             raise ValueError("; ".join(bad))
         return args.func(args)
-    except (ValueError, OSError, MemoryError) as exc:
+    except (ValueError, OSError, MemoryError, OverflowError) as exc:
         return _fail_usage(str(exc))
     except RuntimeError as exc:
         return _fail_runtime(exc)

@@ -96,14 +96,17 @@ def _centred_axis(half_width: float, h: float) -> np.ndarray:
 
 def _charge_midpoint_3d(field, ball_radius: float, h: float) -> float:
     axis = _centred_axis(ball_radius, h)
-    total = 0.0
+    total, nodes = 0.0, 0
     for lo, hi in _slabs(axis.size, axis.size**2):
         pts = np.stack(np.meshgrid(axis[lo:hi], axis, axis, indexing="ij"), axis=-1)
         pts = pts[(pts * pts).sum(axis=-1) <= ball_radius * ball_radius]
+        nodes += len(pts)
         rho = charge_density(field, pts)
         if not np.all(np.isfinite(rho)):
             raise ValueError("non-finite charge density inside the ball")
         total += float(np.sum(rho))
+    if not nodes:  # an empty sum is no estimate of the charge
+        raise ValueError(f"no lattice node of spacing {h} falls in the ball of radius {ball_radius}")
     return total * h**3
 
 
@@ -116,6 +119,8 @@ def total_charge(field, ball_radius: float, grid_spacing: float, *, force_3d: bo
     small.  A hedgehog field, unless ``force_3d`` is set, takes the closed form
     :func:`hedgehog_charge_profile` of ``w(0)`` and ``w(ball_radius)`` instead,
     with zero error; ``grid_spacing`` is validated and reported but unused there.
+    The 3-d rule raises ``ValueError`` when the ball holds no lattice node at
+    ``grid_spacing`` or at twice it.
     """
     if not (0 < ball_radius < np.inf and 0 < grid_spacing < np.inf):
         raise ValueError("ball_radius and grid_spacing must be positive and finite")

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -126,6 +127,15 @@ class TestCharge:
         # midpoint error around the singular core is first order, about -0.28 h
         assert 0.0 < exact - json.loads(out)["charge"] < 0.3 * 0.4
 
+    def test_ball_without_a_node_exit_2(self, tmp_path, capsys):
+        # the nearest nodes of the h = 0.4 lattice lie at radius sqrt(3) * 0.2; this used to print charge 0.0
+        path, _ = make_soliton_csv(tmp_path, capsys, rmax="10")
+        out_path = tmp_path / "charge.json"
+        code, out, err = run_cli(capsys, "charge", "--from-profile", str(path), "--full-3d", "--radius", "0.1",
+                                 "--spacing", "0.4", "-o", str(out_path))
+        assert code == 2 and out == "" and not out_path.exists()
+        assert json.loads(err)["detail"] == "no lattice node of spacing 0.4 falls in the ball of radius 0.1"
+
     def test_malformed_profile_exit_2(self, tmp_path, capsys):
         path, _ = make_soliton_csv(tmp_path, capsys, rmax="10")
         lines = path.read_text().splitlines(keepends=True)
@@ -200,25 +210,46 @@ class TestResidualCommand:
 
     def test_slab_reduction_matches_whole_grid(self, tmp_path, capsys, monkeypatch):
         path, _ = make_soliton_csv(tmp_path, capsys, rmax="20")
-        h, rmin, rmax = 0.4, 1.5, 3.0
-        # 18^3 interior points in slabs of 2 x-planes; the outer planes hold no annulus point
-        monkeypatch.setattr(rotelast.kinematics, "_SLAB_POINTS", 2 * 18 * 18)
+        h, rmin, rmax = 0.2, 1.5, 3.0
+        sampled, alpha_beta = [], rl.HedgehogField.alpha_beta
+
+        def spy(self, x):
+            sampled.append(np.shape(x)[:3])
+            return alpha_beta(self, x)
+
+        monkeypatch.setattr(rl.HedgehogField, "alpha_beta", spy)
         code, out, _ = run_cli(
             capsys, "residual", "--from-profile", str(path), "--h", str(h),
             "--rmin", str(rmin), "--rmax-annulus", str(rmax),
         )
+        monkeypatch.undo()
         assert code == 0
+        # 32^3 interior nodes in x-blocks of 12 planes or more, each sampled with two halo planes a side
+        assert len(sampled) >= 2 and sum(nx - 4 for nx, _, _ in sampled) == 32
+        assert all(shape[1:] == (36, 36) for shape in sampled)
         payload = json.loads(out)
         profile = rl.load_profile_csv(path)
         axis = rl.topology._centred_axis(rmax + 3 * h, h)
         grid = rl.RotorGrid.from_field(rl.lift_hedgehog(profile), dims=(axis.size,) * 3, spacing=h,
                                        origin=np.full(3, axis[0]))
         pts, res = rl.residual_grid(grid, profile.moduli)
-        assert pts.shape[:3] == (18, 18, 18)
+        assert pts.shape[:3] == (32, 32, 32)
         rr = np.linalg.norm(pts, axis=-1)
         mask = (rr >= rmin) & (rr <= rmax)
         assert payload["n_cells"] == int(mask.sum())
         assert payload["max_residual"] == float(np.abs(res[mask]).max())
+
+    def test_memory_is_set_by_the_block(self, tmp_path, capsys):
+        # the whole h = 0.1 lattice (106^3 nodes) with its whole-grid residual traced 96 MB
+        path, _ = make_soliton_csv(tmp_path, capsys, rmax="20")
+        tracemalloc.start()
+        try:
+            code, out, _ = run_cli(capsys, "residual", "--from-profile", str(path), "--h", "0.1")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and json.loads(out)["n_cells"] == 519760
+        assert peak <= 50e6
 
     def test_empty_annulus_exit_2(self, tmp_path, capsys):
         self.assert_bad_annulus(tmp_path, capsys, "3", "2")
@@ -241,7 +272,7 @@ class TestResidualCommand:
         def no_field(*args, **kwargs):
             raise AssertionError("the annulus is counted before the field is sampled")
 
-        monkeypatch.setattr(rotelast.cli.RotorGrid, "from_field", no_field)
+        monkeypatch.setattr(rl.HedgehogField, "alpha_beta", no_field)
         # the nodes nearest the origin of the cell-centred lattice lie at radius sqrt(3) * 0.2
         code, out, err = run_cli(capsys, "residual", "--from-profile", str(path), "--h", "0.4",
                                  "--rmin", "0.1", "--rmax-annulus", "0.3")
@@ -325,6 +356,41 @@ class TestBadNumericOptions:
         record = json.loads(proc.stderr)
         assert record["error"] == "usage" and record["detail"].startswith("Unable to allocate")
         assert "(40001, 40001, 40001)" in record["detail"]
+
+    @pytest.mark.parametrize("argv", [
+        ("residual", "--h", "5e-324"),
+        ("charge", "--full-3d", "--radius", "6", "--spacing", "5e-324"),
+        ("identity-check", "--h", "5e-324"),
+        ("identity-check", "--extent", "1e308", "--h", "1e-10"),
+        ("evolve", "--dt", "5e-324"),
+    ], ids=" ".join)
+    def test_count_too_large_for_an_integer_exits_2(self, tmp_path, capsys, argv):
+        # the node or step count is infinite, so int() raises OverflowError.  A real process, so that a
+        # traceback would reach its stderr
+        path, _ = make_soliton_csv(tmp_path, capsys, rmax="10")
+        profile = () if argv[0] == "identity-check" else ("--from-profile", str(path))
+        out_path = tmp_path / "out.json"
+        proc = subprocess.run([sys.executable, "-m", "rotelast.cli", *argv, *profile, "-o", str(out_path)],
+                              capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC))
+        assert proc.returncode == 2 and proc.stdout == "" and not out_path.exists()
+        assert json.loads(proc.stderr) == {"schema_version": 1, "error": "usage",
+                                           "detail": "cannot convert float infinity to integer"}
+
+
+class TestStrictJson:
+    """A record that JSON cannot hold, NaN or an infinity, is the usage record, not a file for a lax parser."""
+
+    @pytest.mark.parametrize("argv, bad", [
+        (("decompose", "--matrix", "1e308,2,3,4,1e308,6,7,8,1e308"), "inf"),  # the trace overflows
+        (("equilibria", "--lambda1", "1e-320", "--lambda2", "1"), "nan"),  # so do the eigenvalues
+    ], ids=lambda v: v[0] if isinstance(v, tuple) else v)
+    def test_non_finite_record_exits_2(self, tmp_path, capsys, argv, bad):
+        out_path = tmp_path / "out.json"
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, out, err = run_cli(capsys, *argv, "-o", str(out_path))
+        assert code == 2 and out == "" and not out_path.exists()
+        assert json.loads(err) == {"schema_version": 1, "error": "usage",
+                                   "detail": f"Out of range float values are not JSON compliant: {bad}"}
 
 
 class TestNonFiniteOptions:

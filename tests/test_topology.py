@@ -159,6 +159,19 @@ class TestTotalCharge:
         with pytest.raises(TypeError):
             rl.total_charge(degree_one_field(), 3.0, 0.3, 0.3)
 
+    @pytest.mark.parametrize("ball_radius, grid_spacing, empty", [
+        (0.1, 0.4, 0.4),  # the nearest nodes of either lattice lie at radius sqrt(3) h / 2 = 0.35 and 0.69
+        (0.3, 0.3, 0.6),  # the h lattice has 8 nodes at radius 0.26, the 2h lattice none
+    ])
+    def test_ball_without_a_node_rejected(self, ball_radius, grid_spacing, empty):
+        # an empty midpoint sum is no estimate: it used to report charge 0.0 with estimated_error 0.0
+        detail = f"no lattice node of spacing {empty} falls in the ball of radius {ball_radius}"
+        for field, force_3d in ((rl.ProductField([degree_one_field()]), False), (degree_one_field(), True)):
+            with pytest.raises(ValueError) as info:
+                rl.total_charge(field, ball_radius=ball_radius, grid_spacing=grid_spacing, force_3d=force_3d)
+            assert str(info.value) == detail
+        assert _charge_midpoint_3d(degree_one_field(), 0.3, 0.3) != 0.0
+
     @pytest.mark.parametrize("force_3d", [False, True])
     @pytest.mark.parametrize("ball_radius, grid_spacing",
                              [(np.nan, 0.5), (np.inf, 0.5), (2.0, np.nan), (2.0, np.inf)])

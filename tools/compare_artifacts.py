@@ -111,6 +111,9 @@ RUNS = (
     ("charge", ["--from-profile", "profile.csv", "--full-3d", "--radius", "3", "--spacing", "0.2",
                 "-o", "charge_3d.json"]),
     ("residual", ["--from-profile", "profile.csv", "--h", "0.2", "-o", "residual.json"]),
+    # 52 interior x-planes in four blocks, each sampled with two halo planes a side
+    ("residual", ["--from-profile", "profile.csv", "--h", "0.1", "--rmin", "0.5", "--rmax-annulus", "2.5",
+                  "-o", "residual_b.json"]),
     ("decompose", ["--matrix", "1,2,3,4,5,-6,7.5,8,1e-300", "-o", "decompose.json"]),
     ("equilibria", ["--lambda1", "1", "--lambda2", "1.25", "-o", "equilibria.json"]),
     ("identity-check", ["--h", "0.2", "--refine", "--dump-grid", "grid.csv", "-o", "identity.json"]),
