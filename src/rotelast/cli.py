@@ -163,8 +163,7 @@ def cmd_evolve(args) -> int:
     uniform = resample_uniform(initial, n=args.n_grid)
     dr = uniform.r[1] - uniform.r[0]
     dt = args.dt if args.dt is not None else 0.5 * dr / np.sqrt(uniform.moduli.lambda1)
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed velocity makes its energy non-finite
-        result = evolve_dynamic(uniform, dt=dt, t_end=args.t_end)
+    result = evolve_dynamic(uniform, dt=dt, t_end=args.t_end)
     bad = np.flatnonzero(~np.isfinite(result.energy))
     if bad.size:  # the levels stayed finite, but the velocity, r^2 v^2 or the gradient term overflowed
         raise InstabilityError(f"non-finite energy at t = {result.times[bad[0]]:.6g}")
@@ -190,6 +189,8 @@ def cmd_evolve(args) -> int:
 
 def cmd_charge(args) -> int:
     profile = load_profile_csv(args.from_profile)
+    if args.radius > profile.r[-1]:  # the lifted profile's spline would extrapolate its end cubic
+        raise ValueError(f"--radius {args.radius} exceeds the profile's last radius r_max = {profile.r[-1]}")
     field = lift_hedgehog(profile)
     report = total_charge(field, ball_radius=args.radius, grid_spacing=args.spacing,
                           force_3d=args.full_3d)
@@ -204,6 +205,10 @@ def cmd_residual(args) -> int:
     if not 0 <= args.rmin <= args.rmax_annulus:
         raise ValueError(f"the annulus needs 0 <= --rmin <= --rmax-annulus, got [{args.rmin}, {args.rmax_annulus}]")
     profile = load_profile_csv(args.from_profile)
+    reach = args.rmax_annulus + np.sqrt(2.0) * h  # a mixed second difference steps one cell along two axes
+    if reach > profile.r[-1]:
+        raise ValueError(f"--rmax-annulus {args.rmax_annulus} + sqrt(2) --h {h} = {reach} exceeds the profile's "
+                         f"last radius r_max = {profile.r[-1]}")
     field = lift_hedgehog(profile)
     axis = _centred_axis(args.rmax_annulus + 3 * h, h)  # cell-centered even-count lattice: no node at the origin
     nodes = axis[0] + h * np.arange(axis.size)  # RotorGrid.from_field's coordinates, bit for bit
@@ -403,7 +408,8 @@ def main(argv=None) -> int:
                 if isinstance(val, float) and not np.isfinite(val)]
         if bad:
             raise ValueError("; ".join(bad))
-        return args.func(args)
+        with np.errstate(all="ignore"):  # stderr holds only the JSON record; every output passes a finiteness check
+            return args.func(args)
     except (ValueError, OSError, MemoryError, OverflowError) as exc:
         return _fail_usage(str(exc))
     except RuntimeError as exc:

@@ -65,7 +65,6 @@ from .kinematics import (Moduli, RotorGrid, _central_diff, _central_diff2, _slab
 from .so3 import _bl, _cf, _cross, _eps_ddot, eps_dot
 
 __all__ = [
-    "FieldPoint",
     "g_tensor_space",
     "h_tensors",
     "residual_eqs2_at",

@@ -92,7 +92,8 @@ def _check_order(order) -> None:
 
 def _components_first(fp: FieldPoint) -> FieldPoint:
     """``fp`` with every block viewed component axes first (:func:`so3._cf`): contiguous views of
-    :func:`field_equations.grid_field_point`'s blocks, strided ones of batch-first blocks."""
+    :func:`field_equations.grid_field_point`'s and :class:`HedgehogField`'s blocks, strided ones of
+    :class:`AnalyticRotorField`'s batch-first blocks."""
     nb = np.ndim(fp.alpha)
     return FieldPoint(**{k: None if v is None else _cf(v, v.ndim - nb) for k, v in vars(fp).items()})
 
@@ -236,19 +237,20 @@ class HedgehogField(RotorField):
             raise ValueError("hedgehog field is direction-dependent at the origin")
         w = np.asarray(self.w(r), dtype=float)
         c, s = np.cos(w), np.sin(w)
-        xc = np.ascontiguousarray(_cf(x))  # the vector and matrix blocks are built component axes first
+        xc = np.ascontiguousarray(_cf(x))  # every vector and matrix block is built component axes first
         xhat = xc / r
         # alpha = sin(w(r)), beta_l = x_l g(r) with g = cos(w)/r
         fp = FieldPoint(alpha=s, beta=_bl(xhat * c))
         if order == 0:
             return fp
         wp = np.asarray(self.wp(r), dtype=float)
-        eye = np.eye(3)
+        eye = np.eye(3).reshape((3, 3) + (1,) * r.ndim)
         g = c / r
         cp = -s * wp
         gp = cp / r - c / r**2
+        gpr = gp / r
         sp = c * wp
-        fp.d_beta = _bl(g * eye.reshape((3, 3) + (1,) * r.ndim) + (gp / r) * xc[:, None] * xc[None], 2)
+        fp.d_beta = _bl(g * eye + gpr * xc[:, None] * xc[None], 2)
         fp.d_alpha = _bl(sp * xhat)
         if self.wdot is not None:
             wd = np.asarray(self.wdot(r), dtype=float)
@@ -262,21 +264,18 @@ class HedgehogField(RotorField):
         wpp = np.asarray(self.wpp(r), dtype=float)
         cpp = -c * wp * wp - s * wpp
         gpp = cpp / r - 2.0 * cp / r**2 + 2.0 * c / r**3
-        xhat = _bl(xhat)  # the second-order blocks are built batch first
-        # d_j d_k beta_l, symmetric in (j, k)
-        fp.dd_beta = (
-            np.einsum("...,lk,...j->...ljk", gp, eye, xhat)
-            + np.einsum("...,lj,...k->...ljk", gp / r, eye, x)
-            + np.einsum("...,jk,...l->...ljk", gp / r, eye, x)
-            + np.einsum("...,...l,...k,...j->...ljk", gpp / r - gp / r**2, x, x, xhat)
+        # d_j d_k beta_l at [l, j, k], symmetric in (j, k); the sum starts at 0.0 so that an entry whose
+        # four terms are all -0.0 (off the diagonal, on a coordinate plane) reads +0.0
+        fp.dd_beta = _bl(
+            0.0 + gp * eye[:, None] * xhat[None, :, None]
+            + gpr * eye[:, :, None] * xc[None, None]
+            + gpr * eye[None] * xc[:, None, None]
+            + (gpp / r - gp / r**2) * xc[:, None, None] * xc[None, None] * xhat[None, :, None],
+            3,
         )
         spp = -s * wp * wp + c * wpp
-        fp.dd_alpha = (
-            spp[..., None, None] * xhat[..., :, None] * xhat[..., None, :]
-            + (sp / r)[..., None, None]
-            * (eye - xhat[..., :, None] * xhat[..., None, :])
-        )
-        fp.dtt_beta = -xhat * (c * wd * wd)[..., None]
+        fp.dd_alpha = _bl(spp * xhat[:, None] * xhat[None] + (sp / r) * (eye - xhat[:, None] * xhat[None]), 2)
+        fp.dtt_beta = _bl(-xhat * (c * wd * wd))
         fp.dtt_alpha = -s * wd * wd
         return fp
 
@@ -395,7 +394,7 @@ def random_smooth_field(seed: int) -> AnalyticRotorField:
     def dd_beta(x):
         env, (val, dval, ddval) = series(x, 2)
         denv = -2.0 * x / R2 * env[..., None]
-        # d_j d_k env = (-2/R^2) (d_jk env + x_k d_j env * (-2/R^2) ... ) expand directly
+        # d_j d_k env = (-2/R^2) (delta_jk env + x_k d_j env)
         eye = np.eye(3)
         ddenv = (-2.0 / R2) * (
             np.einsum("jk,...->...jk", eye, env)

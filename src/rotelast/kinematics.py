@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# nye_matrix lives next to FieldPoint (fields builds u_and_nye from it) and is re-exported here
+# nye_matrix is public in fields, next to FieldPoint; this binding is the name the benchmark traces
 from .fields import FieldPoint, _nye_bracket, nye_matrix
 from .so3 import _bl, _cf, _dot, _eps_ddot, _rotor_matrix, _unit_defect, rotor_matrix
 
@@ -33,7 +33,6 @@ __all__ = [
     "Moduli",
     "NyeDecomposition",
     "RotorGrid",
-    "nye_matrix",
     "nye_velocity_vector",
     "nye_fd_grid",
     "torsion_from_nye",

@@ -116,25 +116,14 @@ def potential_U(w, m: Moduli):
     ``U = 2t [(2 l2 - 3 l1) + l1 t^2] / (1 + t^2)^2``, one vectorized tan
     instead of a sin and a cos.  |tan w| stays below about 1e17 for every
     finite double, so ``t^4`` cannot overflow; a non-finite w gives NaN.
-    The factor 2 rides on the constants, which is exact.  A 0-d input takes
-    ``np.tan`` of its double, then Python float arithmetic (``** 2`` is libm's
-    ``pow``), and returns a ``float``; an array works in place on three
-    temporaries, where ``**= 2`` squares by multiplication.
+    The factor 2 rides on the constants, which is exact.  A 0-d input returns
+    a ``float`` (its ``** 2`` is libm's ``pow``), an array an array (``** 2``
+    squares by multiplication) of its own float dtype.
     """
-    if isinstance(w, float) or np.ndim(w) == 0:  # the first test spares a float np.ndim's microsecond
-        t = float(np.tan(float(w)))
-        sq = t * t
-        return (sq * (2.0 * m.lambda1) + _dU0(m)) * t / (sq + 1.0) ** 2
-    w = np.asarray(w, dtype=float)
     t = np.tan(w)
     sq = t * t
-    val = sq * (2.0 * m.lambda1)
-    val += _dU0(m)
-    val *= t
-    sq += 1.0
-    sq **= 2
-    val /= sq
-    return val
+    val = (sq * (2.0 * m.lambda1) + _dU0(m)) * t / (sq + 1.0) ** 2
+    return float(val) if val.ndim == 0 else val
 
 
 def potential_U_integral(w, m: Moduli):

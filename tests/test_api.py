@@ -2,7 +2,7 @@
 
 * every name in a module's ``__all__`` resolves;
 * every function or class that a module defines is in its ``__all__`` or
-  starts with ``_``;
+  starts with ``_``, and a module lists only names that it defines itself;
 * ``rotelast`` exports exactly the union of the six lists, plus
   ``__version__`` and its submodules;
 * every public name has a caller in the package, its tools or its benchmark,
@@ -35,8 +35,6 @@ def public_callables(module):
     public methods of each public class that it defines; a dataclass's generated ``__init__`` is left out."""
     for name in module.__all__:
         obj = getattr(module, name)
-        if obj.__module__ != module.__name__:
-            continue  # a re-export, listed where it is defined
         if inspect.isfunction(obj):
             yield name, obj
         elif inspect.isclass(obj):
@@ -61,6 +59,17 @@ def test_defined_names_public_or_private(module):
     assert defined
     stray = [name for name in defined if name not in module.__all__ and not name.startswith("_")]
     assert stray == []
+
+
+def test_every_public_name_is_defined_in_its_own_module():
+    # one home per public name: a name that a module imports is listed where it is defined
+    def defined(module):
+        body = ast.parse(Path(module.__file__).read_text()).body
+        return ({n.name for n in body if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+                | {t.id for n in body if isinstance(n, ast.Assign) for t in n.targets if isinstance(t, ast.Name)}
+                | {n.target.id for n in body if isinstance(n, ast.AnnAssign) and isinstance(n.target, ast.Name)})
+
+    assert [f"{m.__name__}.{name}" for m in MODULES for name in m.__all__ if name not in defined(m)] == []
 
 
 def test_package_exports_exactly_the_module_lists():

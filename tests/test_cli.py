@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -280,6 +281,33 @@ class TestResidualCommand:
         assert json.loads(err)["detail"] == "no lattice node of --h 0.4 falls in the annulus [0.1, 0.3]"
 
 
+class TestProfileDomain:
+    """``charge`` and ``residual`` read the lifted profile only up to its last radius r_max."""
+
+    def test_charge_beyond_r_max_exit_2(self, tmp_path, capsys):
+        path, _ = make_soliton_csv(tmp_path, capsys, rmax="3")
+        out_path = tmp_path / "charge.json"
+        for mode in ((), ("--full-3d", "--spacing", "0.5")):
+            code, out, err = run_cli(capsys, "charge", "--from-profile", str(path), "--radius", "3.5", *mode,
+                                     "-o", str(out_path))
+            assert code == 2 and out == "" and not out_path.exists()
+            assert json.loads(err)["detail"] == "--radius 3.5 exceeds the profile's last radius r_max = 3.0"
+            code, out, _ = run_cli(capsys, "charge", "--from-profile", str(path), "--radius", "3", *mode)
+            assert code == 0 and json.loads(out)["ball_radius"] == 3.0
+
+    def test_residual_stencil_beyond_r_max_exit_2(self, tmp_path, capsys):
+        # annulus nodes to 2.2 and 2.4 at h = 0.5: the stencil reaches 2.907 and 3.107 of r_max = 3
+        path, _ = make_soliton_csv(tmp_path, capsys, rmax="3")
+        code, out, _ = run_cli(capsys, "residual", "--from-profile", str(path), "--h", "0.5",
+                               "--rmin", "1", "--rmax-annulus", "2.2")
+        assert code == 0 and json.loads(out)["n_cells"] > 0
+        code, out, err = run_cli(capsys, "residual", "--from-profile", str(path), "--h", "0.5",
+                                 "--rmin", "1", "--rmax-annulus", "2.4")
+        assert code == 2 and out == ""
+        assert json.loads(err)["detail"] == (f"--rmax-annulus 2.4 + sqrt(2) --h 0.5 = {2.4 + np.sqrt(2.0) * 0.5} "
+                                             "exceeds the profile's last radius r_max = 3.0")
+
+
 class TestEvolveCommand:
     def test_stationary_soliton(self, tmp_path, capsys):
         path, _ = make_soliton_csv(tmp_path, capsys, rmax="30")
@@ -378,7 +406,10 @@ class TestBadNumericOptions:
 
 
 class TestStrictJson:
-    """A record that JSON cannot hold, NaN or an infinity, is the usage record, not a file for a lax parser."""
+    """A record that JSON cannot hold, NaN or an infinity, is the usage record, not a file for a lax parser.
+
+    The overflow that makes it warns nothing: stderr holds only the record.
+    """
 
     @pytest.mark.parametrize("argv, bad", [
         (("decompose", "--matrix", "1e308,2,3,4,1e308,6,7,8,1e308"), "inf"),  # the trace overflows
@@ -386,7 +417,8 @@ class TestStrictJson:
     ], ids=lambda v: v[0] if isinstance(v, tuple) else v)
     def test_non_finite_record_exits_2(self, tmp_path, capsys, argv, bad):
         out_path = tmp_path / "out.json"
-        with np.errstate(over="ignore", invalid="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a RuntimeWarning would raise
             code, out, err = run_cli(capsys, *argv, "-o", str(out_path))
         assert code == 2 and out == "" and not out_path.exists()
         assert json.loads(err) == {"schema_version": 1, "error": "usage",

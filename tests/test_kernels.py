@@ -408,6 +408,33 @@ def breathing_hedgehog():
                             wdot=lambda r: 0.7 * np.cos(r))
 
 
+def plane_zero_hedgehog():
+    """Hedgehog with ``g = cos(w) / r = -r^3`` on r < 1: ``g' < 0`` and ``g''/r - g'/r^2 < 0``, so on a
+    coordinate plane all four terms of some off-diagonal ``dd_beta`` entries are -0.0."""
+    return rl.HedgehogField(lambda r: np.arccos(-r**4), lambda r: 4 * r**3 / np.sqrt(1 - r**8),
+                            lambda r: (12 * r**2 * (1 - r**8) + 16 * r**10) / (1 - r**8) ** 1.5)
+
+
+def hedgehog_second_order_einsum(field, x):
+    """Oracle: ``HedgehogField``'s ``dd_beta``, ``dd_alpha`` and ``dtt_beta`` built batch first, the
+    four ``dd_beta`` terms by ``np.einsum``, which adds each product to a zeroed output."""
+    r = np.sqrt(np.einsum("...i,...i->...", x, x))
+    w, wp, wpp = field.w(r), field.wp(r), field.wpp(r)
+    wd = np.zeros(r.shape) if field.wdot is None else field.wdot(r)
+    c, s, eye, xhat = np.cos(w), np.sin(w), np.eye(3), x / r[..., None]
+    cp = -s * wp
+    gp = cp / r - c / r**2
+    gpp = (-c * wp * wp - s * wpp) / r - 2.0 * cp / r**2 + 2.0 * c / r**3
+    dd_beta = (np.einsum("...,lk,...j->...ljk", gp, eye, xhat)
+               + np.einsum("...,lj,...k->...ljk", gp / r, eye, x)
+               + np.einsum("...,jk,...l->...ljk", gp / r, eye, x)
+               + np.einsum("...,...l,...k,...j->...ljk", gpp / r - gp / r**2, x, x, xhat))
+    xx = xhat[..., :, None] * xhat[..., None, :]
+    dd_alpha = ((-s * wp * wp + c * wpp)[..., None, None] * xhat[..., :, None] * xhat[..., None, :]
+                + (c * wp / r)[..., None, None] * (eye - xx))
+    return dd_beta, dd_alpha, -xhat * (c * wd * wd)[..., None]
+
+
 @pytest.fixture(scope="module")
 def residual_batches(smooth_batch, grid_batch):
     x = np.random.default_rng(105).uniform(-3.0, 3.0, size=(400, 3))
@@ -645,6 +672,20 @@ class TestComponentFirstBits:
         assert same_bits((rl.residual_eqs2_at(fp, m),), (residual_np_cross(fp, m),))
         g_oracle = np.moveaxis(eps_dot(axial_batch_first(fp.beta, fp.d_alpha, a), axis=-2), -1, -3)
         assert same_bits((rl.g_tensor_space(fp),), (g_oracle,))
+
+    def test_hedgehog_second_order_blocks(self):
+        # random points with w_t != 0, signed-zero coordinates, and coordinate planes where every
+        # term of an off-diagonal dd_beta entry is -0.0
+        axis = 0.2 * np.arange(-2, 3)
+        plane = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+        plane = plane[np.abs(plane).sum(axis=1) > 0]
+        for field, x in ((breathing_hedgehog(), np.random.default_rng(109).uniform(-3.0, 3.0, (2000, 3))),
+                         (breathing_hedgehog(), SIGNED_ZERO_POINTS), (breathing_hedgehog(), np.array([0.4, -1.1, 0.8])),
+                         (plane_zero_hedgehog(), plane), (plane_zero_hedgehog(), -plane)):
+            fp = field.field_point(x)
+            assert same_bits((fp.dd_beta, fp.dd_alpha, fp.dtt_beta), hedgehog_second_order_einsum(field, x))
+            cf = _components_first(fp)
+            assert all(getattr(cf, k).flags.c_contiguous for k in ("dd_beta", "dd_alpha", "dtt_beta"))
 
     def test_travelling_field_has_second_time_blocks(self):
         fp = travelling_field(seed=13, t=0.3).field_point(np.random.default_rng(108).uniform(-3, 3, (50, 3)))

@@ -306,6 +306,15 @@ class TestPotentialU:
             assert np.abs(rl.potential_U(w, m) - potential_U_sincos(w, m)).max() <= tol
             assert np.abs(rl.potential_U_integral(w, m) - potential_V_sincos(w, m)).max() <= tol
 
+    @pytest.mark.parametrize("l1, l2", [(1.0, 1.0), (1.0, 1.25), (0.4, 2.3), (3.0, 0.1)])
+    def test_float_and_array_elements_agree(self, l1, l2):
+        # one expression for a float and an array: the same bits at the poles of tan, +-1e6, NaN and +-0
+        m = rl.Moduli.from_couplings(l1, l2)
+        w = np.concatenate((self.TAN_POLES, -self.TAN_POLES, [1e6, -1e6, np.nan, 0.0, -0.0]))
+        for fn in (rl.potential_U, rl.potential_U_integral):
+            got = [fn(x, m) for x in w.tolist()]
+            assert all(type(u) is float for u in got) and same_bits([np.array(got)], [fn(w, m)])
+
     def test_scalar_in_float_out(self, unit_moduli):
         for fn in (rl.potential_U, rl.potential_U_integral):
             assert type(fn(0.3, unit_moduli)) is float
@@ -314,7 +323,7 @@ class TestPotentialU:
 
     @pytest.mark.parametrize("l1, l2", [(1.0, 1.0), (1.0, 1.25), (0.4, 2.3), (3.0, 0.1)])
     def test_in_place_steps_keep_the_one_line_bits(self, l1, l2):
-        # arrays square in place, while a scalar (the static solver's right-hand side) keeps pow's bits
+        # an array squares by multiplication, while a scalar (the static solver's right-hand side) keeps pow's bits
         m = rl.Moduli.from_couplings(l1, l2)
         w = np.random.default_rng(5).normal(scale=3.0, size=20000)
         assert same_bits((rl.potential_U(w, m), rl.potential_U(w[1:-1], m)),

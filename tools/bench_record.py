@@ -20,9 +20,10 @@ to run spread of the machine, so judge a change by alternating runs of
 It also records ``src_lines``, the line count of each ``src/rotelast/*.py``
 (as ``wc -l`` counts them) and their total, ``public_names``, the length
 of each module's ``__all__``, their total and the number of distinct names
-(a module may re-export another's name), and ``public_options``, the number
-of defaulted parameters of each module's public callables and their total,
-all read without importing the package.
+(equal to the total while each module lists only the names it defines),
+and ``public_options``, the number of defaulted parameters of each
+module's public callables and their total, all read without importing the
+package.
 
 Per workload it also derives points per second for every traced callable
 that reports a point count (``points_per_s``: points over self seconds).

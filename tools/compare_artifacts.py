@@ -38,7 +38,13 @@ Any other nonzero exit stops the tool.  The library results are:
   ``u_and_du`` of the lifted ``profile.csv`` on the same points;
 * ``residual_eqs2_at`` of that moving profile, lifted, on those points: its
   ``w_t`` makes the time blocks, which the static grids above leave zero,
-  take part.
+  take part; and the ten order-2 blocks of that lifted field on those
+  points and on the nodes of the coordinate planes of a 9^3 lattice of
+  [-2, 2]^3, with both signs of zero;
+* ``static_residual`` of the three static profiles that ``RUNS`` solves,
+  solved in process with the command's defaults;
+* ``potential_U`` on a seeded batch with the doubles nearest the poles of
+  tan, +-1e6, NaN and +-0, as an array and one float at a time.
 
 The library results read only the static profile and the grid, so a change
 to the leapfrog, which moves every ``evolve`` output, leaves them in place.
@@ -238,8 +244,22 @@ def write_library(cli: str, out: str) -> None:
     res["charge_density.soliton"], res["charge_density.product"] = (rl.charge_density(soliton, x),
                                                                      rl.charge_density(product, x))
     res["u_and_du.u"], res["u_and_du.du"] = soliton.u_and_du(x)
-    res["residual_eqs2_at.moving"] = rl.residual_eqs2_at(rl.lift_hedgehog(profile).field_point(x),
-                                                          profile.moduli)
+    moving = rl.lift_hedgehog(profile)
+    res["residual_eqs2_at.moving"] = rl.residual_eqs2_at(moving.field_point(x), profile.moduli)
+    axis = 0.5 * np.arange(-4, 5)
+    plane = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+    plane = plane[(plane == 0).any(axis=1) & (plane != 0).any(axis=1)]
+    fp = moving.field_point(np.concatenate((x, plane, -plane)))
+    res.update({f"hedgehog_moving.{k}": v for k, v in vars(fp).items()})
+
+    for l1, l2 in ((1.0, 1.0), (0.4, 2.3), (1.0, 1.25)):  # the static profiles of RUNS
+        res[f"static_residual.l{l1}_{l2}"] = rl.static_residual(
+            rl.solve_static(rl.Moduli.from_couplings(l1, l2), slope0=1.0, r_max=50.0, tol=1e-10))
+    poles = np.array([np.nextafter(np.pi / 2 + k * np.pi, side) for k in range(11) for side in (0.0, 40.0)])
+    w = np.concatenate((rng.normal(scale=3.0, size=4000), poles, -poles, [1e6, -1e6, np.nan, 0.0, -0.0]))
+    moduli = rl.Moduli.from_couplings(1.0, 1.25)
+    res["potential_U.array"] = rl.potential_U(w, moduli)
+    res["potential_U.floats"] = [rl.potential_U(v, moduli) for v in w.tolist()]
     for name, value in res.items():
         if value is not None:  # a block above the order built, or a profile without w_t
             np.save(Path(out) / f"{name}.npy", np.asarray(value, order="C"))
