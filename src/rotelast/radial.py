@@ -9,7 +9,12 @@ with the nonlinearity ``U(w) = sin(2w) [(l2 - l1) + (l2 - 2 l1) cos(2w)]``.
 The static case is an ODE with a regular singular point at the origin; the
 solver starts from a leading-power series there and integrates outward with
 the Dormand-Prince 5(4) pair (Dormand & Prince 1980), its quartic dense
-output and scipy's ``RK45`` step control, reproduced in NumPy; profiles are
+output and scipy's ``RK45`` step control, reproduced bit for bit.  The sums
+over stages (the stage, weight and error dot products, the error norm
+``x . x`` and the dense-output coefficients) stay the NumPy calls that scipy
+makes, as a BLAS dot may fuse or reorder its products; the rest of a step
+runs on Python floats, whose elementwise operations are the same IEEE
+operations as NumPy's on a 2-vector, without FMA.  Profiles are
 interpolated by a not-a-knot cubic spline.  Dynamics uses a fixed-step
 second-order leapfrog in Stormer's summed form (the increment of the level is
 carried from step to step) on a three-point stencil with a clamped far
@@ -219,29 +224,42 @@ class _DenseRK:
         return ys
 
 
-def _rk45(fun, t0: float, y0, t_bound: float, tol: float, event):
-    """Dormand-Prince 5(4) from t0 up to t_bound > t0 with rtol = atol = tol.
+def _rk45(fun, t0: float, y0: tuple[float, float], t_bound: float, tol: float, event):
+    """Dormand-Prince 5(4) for ``(w, w')`` from t0 up to t_bound > t0 with rtol = atol = tol.
 
     Step for step scipy's ``RK45``: the same initial step, RMS error norm,
-    step-factor rules, FSAL stage and NumPy expressions, so the same steps
-    are accepted with the same bits.  Returns ``(dense, None)``, or
-    ``(dense, root)`` at the first step where ``event(y)`` changes sign, the
-    root bisected on that step's interpolant to the spacing of doubles.
+    step-factor rules and FSAL stage, so the same steps are accepted with the
+    same bits.  ``fun(t, w, dw)`` returns the two derivatives as floats.  The
+    calls that scipy makes stay NumPy calls where a BLAS dot may fuse or
+    reorder products: the stage sums ``K[:s].T . a``, the 5th-order and error
+    weights, the error norm's ``x . x`` (what ``np.linalg.norm`` computes) and
+    the dense-output coefficients ``K.T . P``; so does ``np.maximum`` in the
+    error scale, which keeps a NaN that Python's ``max`` may drop.  The rest
+    (t, h, the nodes, each stage argument ``y + h d``, the error scale and the
+    step factor) is Python-float arithmetic, elementwise the same IEEE
+    operations in the same order as NumPy's on a 2-vector, without FMA.
+    Returns ``(dense, None)``, or ``(dense, root)`` at the first step where
+    ``event(w)`` changes sign, the root bisected on that step's interpolant
+    to the spacing of doubles.
     """
-    y = np.asarray(y0, dtype=float)
-    t, f, g = t0, fun(t0, y), event(y)
-    # initial step of an error estimator of order 4
+    w, dw = y0
+    f, g = fun(t0, w, dw), event(w)
+    # initial step of an error estimator of order 4, on arrays as in scipy
+    y, f0 = np.array(y0), np.array(f)
     span = abs(t_bound - t0)
     scale = tol + np.abs(y) * tol
-    d0, d1 = _rms(y / scale), _rms(f / scale)
+    d0, d1 = _rms(y / scale), _rms(f0 / scale)
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, span)
-    d2 = _rms((fun(t0 + h0, y + h0 * f) - f) / scale) / h0
+    d2 = _rms((np.array(fun(t0 + h0, *(y + h0 * f0).tolist())) - f0) / scale) / h0
     h1 = max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15 else (0.01 / max(d1, d2)) ** (1 / 5)
-    h_abs = min(100 * h0, h1, span)
-    K = np.empty((7, y.size))
-    ts, steps = [t0], []
+    h_abs = float(min(100 * h0, h1, span))
+    K = np.empty((7, 2))
+    # the stage sums read views of K fixed for the run
+    stages = [(s, K[:s].T, a[:s], c) for s, (a, c) in enumerate(zip(_RK_A[1:], _RK_C[1:].tolist()), start=1)]
+    KT_b, KT = K[:-1].T, K.T
+    t, ts, steps = t0, [t0], []
     while t < t_bound:
-        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        min_step = 10 * abs(math.nextafter(t, math.inf) - t)
         h_abs = max(h_abs, min_step)
         rejected = False
         while True:
@@ -250,29 +268,33 @@ def _rk45(fun, t0: float, y0, t_bound: float, tol: float, event):
                                    "Required step size is less than spacing between numbers.")
             t_new = min(t + h_abs, t_bound)
             h = t_new - t
-            h_abs = np.abs(h)
+            h_abs = abs(h)
             K[0] = f
-            for s, (a, c) in enumerate(zip(_RK_A[1:], _RK_C[1:]), start=1):
-                K[s] = fun(t + c * h, y + np.dot(K[:s].T, a[:s]) * h)
-            y_new = y + h * np.dot(K[:-1].T, _RK_B)
-            K[-1] = f_new = fun(t + h, y_new)
-            scale = tol + np.maximum(np.abs(y), np.abs(y_new)) * tol
-            error = _rms(np.dot(K.T, _RK_E) * h / scale)
+            for s, KT_s, a, c in stages:
+                d_w, d_dw = np.dot(KT_s, a).tolist()
+                K[s] = fun(t + c * h, w + d_w * h, dw + d_dw * h)
+            d_w, d_dw = np.dot(KT_b, _RK_B).tolist()
+            w_new, dw_new = w + h * d_w, dw + h * d_dw
+            K[-1] = f_new = fun(t + h, w_new, dw_new)
+            big_w, big_dw = np.maximum((abs(w), abs(dw)), (abs(w_new), abs(dw_new))).tolist()
+            e_w, e_dw = np.dot(KT, _RK_E).tolist()
+            x = np.array((e_w * h / (tol + big_w * tol), e_dw * h / (tol + big_dw * tol)))
+            error = math.sqrt(x.dot(x)) / 2 ** 0.5
             if error < 1:
                 factor = 10 if error == 0 else min(10, 0.9 * error ** -0.2)
                 h_abs *= min(1, factor) if rejected else factor
                 break
             h_abs *= max(0.2, 0.9 * error ** -0.2)
             rejected = True
-        steps.append((t, h, y, K.T.dot(_RK_P)))
-        t, y, f = t_new, y_new, f_new
+        steps.append((t, h, np.array((w, dw)), KT.dot(_RK_P)))
+        t, w, dw, f = t_new, w_new, dw_new, f_new
         ts.append(t)
-        g_new = event(y)
+        g_new = event(w)
         if (g <= 0 <= g_new) or (g >= 0 >= g_new):
             # bisect on this step's interpolant, which starts at y_old, where event is g
             dense, lo, hi = _DenseRK(ts, steps), steps[-1][0], t
             while g != 0 and lo < (mid := 0.5 * (lo + hi)) < hi:
-                if (event(dense._step(-1, np.asarray(mid))) < 0) == (g < 0):
+                if (event(dense._step(-1, mid)[0]) < 0) == (g < 0):
                     lo = mid
                 else:
                     hi = mid
@@ -308,16 +330,15 @@ def solve_static(m: Moduli, slope0: float, r_max: float, tol: float = 1e-10) -> 
 
     l1 = m.lambda1
 
-    def rhs(r, y):
-        w, dw = y.tolist()
-        return np.array((dw, -2.0 * dw / r - potential_U(w, m) / (l1 * r * r)))
+    def rhs(r, w, dw):
+        return dw, -2.0 * dw / r - potential_U(w, m) / (l1 * r * r)
 
     s = indicial_exponent(m)
     y0 = (slope0 * R0**s, slope0 * s * R0 ** (s - 1.0))
     if abs(y0[0]) > W_BLOWUP:
         raise DivergenceError(f"|w| exceeds {W_BLOWUP} already at the series start", radius=R0)
     tol_int = max(tol / 100.0, 1e-13)
-    dense, r_blowup = _rk45(rhs, R0, y0, r_max, tol_int, lambda y: abs(y[0]) - W_BLOWUP)
+    dense, r_blowup = _rk45(rhs, R0, y0, r_max, tol_int, lambda w: abs(w) - W_BLOWUP)
     if r_blowup is not None:
         raise DivergenceError(f"|w| exceeded {W_BLOWUP} at r = {r_blowup:.6g}", radius=float(r_blowup))
 

@@ -323,6 +323,40 @@ class TestEvolveCommand:
         final = rl.load_profile_csv(out_csv)
         assert final.w_t is not None
 
+    @staticmethod
+    def evolve_in_process(path, n_grid, t_end):
+        """The run of ``evolve --from-profile path --n-grid n_grid --t-end t_end`` at its default dt."""
+        uniform = rl.resample_uniform(rl.load_profile_csv(path), n=n_grid)
+        dr = uniform.r[1] - uniform.r[0]
+        return rl.evolve_dynamic(uniform, dt=0.5 * dr / np.sqrt(uniform.moduli.lambda1), t_end=t_end)
+
+    @pytest.mark.parametrize("kicked", [False, True])
+    def test_sup_drift_is_the_max_over_the_trajectory(self, tmp_path, capsys, kicked):
+        path, _ = make_soliton_csv(tmp_path, capsys, rmax="20")
+        if kicked:
+            p = rl.load_profile_csv(path)
+            w_t = 0.01 * p.r * np.exp(-(p.r - 2.0) ** 2)
+            rl.save_profile_csv(rl.RadialProfile(r=p.r, w=p.w, w_t=w_t, moduli=p.moduli, slope0=p.slope0,
+                                                 tol=p.tol), path)
+        code, out, _ = run_cli(capsys, "evolve", "--from-profile", str(path), "--n-grid", "801", "--t-end", "2")
+        assert code == 0
+        ev = self.evolve_in_process(path, 801, 2.0)
+        drift = float(np.abs(ev.w - ev.w[0]).max())
+        assert drift > 0 and json.loads(out)["sup_drift"] == drift
+
+    def test_memory_holds_the_trajectory_once(self, tmp_path, capsys):
+        # the whole-trajectory difference and its absolute value traced 2.02 times the trajectory
+        path, _ = make_soliton_csv(tmp_path, capsys)
+        tracemalloc.start()
+        try:
+            code, _, _ = run_cli(capsys, "evolve", "--from-profile", str(path), "--n-grid", "4001", "--t-end", "2",
+                                 "-o", str(tmp_path / "final.csv"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        ev = self.evolve_in_process(path, 4001, 2.0)
+        assert code == 0 and peak <= 1.25 * (ev.w.nbytes + ev.w_t.nbytes)
+
 
 class TestIdentityCheckCommand:
     def test_refine_ratio_and_determinism(self, tmp_path, capsys):

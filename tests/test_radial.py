@@ -908,24 +908,35 @@ def solve_static_scipy(m, slope0, r_max, tol=1e-10):
 class TestSchemesAgainstScipy:
     """The NumPy Dormand-Prince integrator and spline against the scipy code they reproduce."""
 
-    @pytest.mark.parametrize("l1, l2", [(1.0, 1.0), (1.0, 1.25), (0.4, 2.3)])
-    def test_solve_static_bit_identical_to_solve_ivp(self, l1, l2):
+    @pytest.mark.parametrize("l1, l2, slope0, r_max, tol", [
+        pytest.param(1.0, 1.0, 1.0, 50.0, 1e-10, id="1.0-1.0"),
+        pytest.param(1.0, 1.25, 1.0, 50.0, 1e-10, id="1.0-1.25"),
+        pytest.param(0.4, 2.3, 1.0, 50.0, 1e-10, id="0.4-2.3"),
+        # the slopes of the radial_dynamics benchmark, the residual_3d radius and a looser tolerance
+        pytest.param(1.0, 1.0, 0.95, 50.0, 1e-10, id="slope0-0.95"),
+        pytest.param(1.0, 1.0, 1.05, 50.0, 1e-10, id="slope0-1.05"),
+        pytest.param(1.0, 1.0, 1.0, 60.0, 1e-10, id="r_max-60"),
+        pytest.param(1.0, 1.0, 1.0, 50.0, 1e-8, id="tol-1e-8"),
+    ])
+    def test_solve_static_bit_identical_to_solve_ivp(self, l1, l2, slope0, r_max, tol):
         m = rl.Moduli.from_couplings(l1, l2)
-        p = rl.solve_static(m, slope0=1.0, r_max=50.0)
-        sol = solve_static_scipy(m, slope0=1.0, r_max=50.0)
+        p = rl.solve_static(m, slope0=slope0, r_max=r_max, tol=tol)
+        sol = solve_static_scipy(m, slope0=slope0, r_max=r_max, tol=tol)
         assert sol.status == 0
+        # two evaluations for the initial step and six per attempted step: some steps were rejected
+        assert (sol.nfev - 2) // 6 > len(sol.t) - 1
         # the same steps are accepted, so the step ends and every dense value agree bit for bit
         assert np.array_equal(p.dense.ts, sol.t)
-        r = np.linspace(radial.R0, 50.0, radial.N_SAMPLES)
+        r = np.linspace(radial.R0, r_max, radial.N_SAMPLES)
         assert np.array_equal(p.r, np.concatenate(([0.0], r)))
         assert np.array_equal(p.w, np.concatenate(([0.0], sol.sol(r)[0])))
-        rs = np.geomspace(p.r[1], 50.0, radial.N_PROBE)
+        rs = np.geomspace(p.r[1], r_max, radial.N_PROBE)
         xg, _ = np.polynomial.legendre.leggauss(5)
         gauss = (0.5 * (rs[:-1] + rs[1:]))[:, None] + (0.5 * (rs[1:] - rs[:-1]))[:, None] * xg
-        unsorted = np.random.default_rng(3).permutation(np.concatenate((gauss.ravel(), sol.t, [0.0, 60.0])))
+        unsorted = np.random.default_rng(3).permutation(np.concatenate((gauss.ravel(), sol.t, [0.0, r_max + 10.0])))
         for x in (r, rs, gauss.ravel(), unsorted):
             assert np.array_equal(p.dense(x), sol.sol(x))
-        for x in (radial.R0, 3.3, sol.t[7], 50.0, 0.0, 51.0):
+        for x in (radial.R0, 3.3, sol.t[7], r_max, 0.0, r_max + 1.0):
             assert np.array_equal(p.dense(x), sol.sol(x))
 
     @pytest.mark.parametrize("l1, l2, slope0", [(1.0, 1.0, 6e6), (1.0, 3.0, 9e6), (0.4, 2.3, -9.5e6)])
