@@ -29,7 +29,8 @@ from .fields import random_smooth_field
 from .kinematics import (
     Moduli,
     RotorGrid,
-    _slabs,
+    _blocks,
+    _centred_axis,
     check_identity_TT,
     decompose,
     quadratic_invariants,
@@ -48,7 +49,7 @@ from .radial import (
     save_profile_csv,
     solve_static,
 )
-from .topology import _centred_axis, total_charge
+from .topology import total_charge
 
 SCHEMA_VERSION = 1
 
@@ -215,12 +216,11 @@ def cmd_residual(args) -> int:
     field = lift_hedgehog(profile)
     axis = _centred_axis(args.rmax_annulus + 3 * h, h)  # cell-centered even-count lattice: no node at the origin
     nodes = axis[0] + h * np.arange(axis.size)  # RotorGrid.from_field's coordinates, bit for bit
-    inner, n_cells, peaks = nodes[_MARGIN:-_MARGIN], 0, []  # exact counts and maxima, as over the whole grid
-    for lo, hi in _slabs(axis.size, axis.size**2, halo=_MARGIN, min_planes=12):  # x-blocks, two halo planes a side
-        rr = np.linalg.norm(np.stack(np.meshgrid(nodes[lo:hi], inner, inner, indexing="ij"), axis=-1), axis=-1)
+    n_cells, peaks = 0, []  # exact counts and maxima, as over the whole grid
+    for _, _, pts in _blocks((nodes,) * 3, halo=_MARGIN, min_planes=12):  # x-blocks, two halo planes a side
+        rr = np.linalg.norm(pts[(slice(_MARGIN, -_MARGIN),) * 3], axis=-1)  # the residual's nodes
         mask = (rr >= args.rmin) & (rr <= args.rmax_annulus)
         if mask.any():  # the field is sampled only on blocks that hold an annulus node
-            pts = np.stack(np.meshgrid(nodes[lo - _MARGIN:hi + _MARGIN], nodes, nodes, indexing="ij"), axis=-1)
             _, res = residual_grid(RotorGrid(*field.alpha_beta(pts), spacing=h, origin=pts[0, 0, 0]), profile.moduli)
             n_cells += int(mask.sum())
             peaks.append(np.abs(res[mask]).max())

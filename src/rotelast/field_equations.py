@@ -11,11 +11,11 @@ is ``residual_eqs2_at(field.field_point(x), moduli)``.
 
 All evaluators accept batched FieldPoints.  :func:`residual_grid` feeds
 them a grid in x-slabs of about ``kinematics._SLAB_POINTS`` (4096) interior
-points, each read with two halo planes per side, so the FieldPoint
-blocks (60 doubles per point) and the kernel's temporaries never exist for
-more than one slab: beyond the grid and its outputs, memory stays bounded by
-the slab, and the pointwise kernels give results bit-identical to one
-whole-grid batch.
+points from the grid walker ``RotorGrid._slabs``, two halo planes per side,
+so the FieldPoint blocks (60 doubles per point) and the kernel's temporaries
+exist for at most two slabs at once: beyond the grid and its outputs, memory
+stays bounded by two slabs, and the pointwise kernels give results
+bit-identical to one whole-grid batch.
 
 The residual reads four 3-vectors of the 27-entry ``d_k A_lm`` and
 ``G_kj^i``, and :func:`residual_eqs2_at` builds each in closed form.  With
@@ -60,7 +60,7 @@ from __future__ import annotations
 import numpy as np
 
 from .fields import FieldPoint, _components_first, _nye_bracket
-from .kinematics import (Moduli, RotorGrid, _central_diff, _central_diff2, _slabs, _trace_skew, nye_matrix,
+from .kinematics import (Moduli, RotorGrid, _central_diff, _central_diff2, _trace_skew, nye_matrix,
                          nye_velocity_vector)
 from .so3 import _bl, _cf, _cross, _eps_ddot, eps_dot
 
@@ -215,19 +215,17 @@ def residual_grid(grid: RotorGrid, m: Moduli):
     """Residual of the G-form equations over a grid interior.
 
     Returns ``(points, residuals)`` with residuals of shape
-    ``(nx-4, ny-4, nz-4, 3)`` evaluated by central differences.  The
-    interior is processed in x-slabs that read two halo planes per
-    side: each slab's :func:`grid_field_point` and kernel temporaries exist
-    only while it runs, so memory beyond the grid and the outputs stays
-    bounded by the slab, and the results equal one whole-grid call bit for
-    bit.
+    ``(nx-4, ny-4, nz-4, 3)`` evaluated by central differences, slab by
+    slab (see the module docstring): memory beyond the grid and the outputs
+    stays bounded by two slabs, and the results equal one whole-grid call
+    bit for bit.
     """
     _check_dims(grid)
-    nx, ny, nz, margin = *grid.dims, _MARGIN
-    axes = [grid.origin[d] + grid.spacing * np.arange(n)[margin:-margin] for d, n in enumerate(grid.dims)]
+    axes = [grid.origin[d] + grid.spacing * np.arange(n)[_MARGIN:-_MARGIN] for d, n in enumerate(grid.dims)]
     pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
     res = np.empty(pts.shape)
-    for lo, hi in _slabs(nx, (ny - 2 * margin) * (nz - 2 * margin), halo=margin):
-        fp = grid_field_point(grid._planes(lo - margin, hi + margin))
-        res[lo - margin:hi - margin] = residual_eqs2_at(fp, m)
+    for lo, hi, slab in grid._slabs(_MARGIN):
+        # fp holds the last slab's blocks while these are built: freed first, glibc trims them and they re-fault
+        fp = grid_field_point(slab)
+        res[lo - _MARGIN:hi - _MARGIN] = residual_eqs2_at(fp, m)
     return pts, res

@@ -171,7 +171,8 @@ def kinetic_density(a_t: np.ndarray):
 
 # Whole-grid consumers work through a grid in slabs of whole planes, each of
 # about this many output points (under twice as many), so their temporaries
-# stay bounded by the slab rather than the grid (see _slabs).
+# stay bounded by the slab rather than the grid (see _slabs).  The two walkers
+# are _blocks over a lattice's axes and RotorGrid._slabs over a grid's planes.
 _SLAB_POINTS = 4096
 
 
@@ -190,6 +191,21 @@ def _slabs(n: int, plane_points: int, halo: int = 0, min_planes: int = 1):
     count = max(planes // thickness, 1) if planes > 0 else 0
     for i in range(count):
         yield halo + i * planes // count, halo + (i + 1) * planes // count
+
+
+def _blocks(axes, halo: int = 0, min_planes: int = 1):
+    """Walk the lattice ``axes[0] x axes[1] x axes[2]`` in x-blocks: yield ``lo, hi`` of each
+    :func:`_slabs` slab and the ``[..., 3]`` coordinates of its planes ``lo - halo .. hi + halo - 1``."""
+    for lo, hi in _slabs(len(axes[0]), len(axes[1]) * len(axes[2]), halo, min_planes):
+        yield lo, hi, np.stack(np.meshgrid(axes[0][lo - halo:hi + halo], *axes[1:], indexing="ij"), axis=-1)
+
+
+def _centred_axis(half_width: float, h: float) -> np.ndarray:
+    """Centres of the even count ``ceil(2 half_width / h)`` (rounded up) of cells of
+    width h that cover ``[-half_width, half_width]``: symmetric, none lands on 0."""
+    n = int(np.ceil(2.0 * half_width / h))
+    n += n % 2
+    return h * (np.arange(n) - (n - 1) / 2)
 
 
 class RotorGrid:
@@ -234,13 +250,15 @@ class RotorGrid:
         """Orthogonal matrices at every node, shape dims + (3, 3)."""
         return rotor_matrix(self.alpha, self.beta)
 
-    def _planes(self, lo: int, hi: int) -> "RotorGrid":
-        """The x-planes ``lo .. hi - 1`` as a grid of views, not checked again."""
-        sub = object.__new__(RotorGrid)
-        sub.alpha, sub.beta = self.alpha[lo:hi], self.beta[lo:hi]
-        sub.spacing = self.spacing
-        sub.origin = self.origin + self.spacing * np.array([lo, 0.0, 0.0])
-        return sub
+    def _slabs(self, halo: int, min_planes: int = 1):
+        """Walk the grid in the x-slabs of :func:`_slabs` with ``halo`` planes a side: yield ``lo, hi``
+        and the planes ``lo - halo .. hi + halo - 1`` as a grid of views, not checked again."""
+        nx, ny, nz = self.dims
+        for lo, hi in _slabs(nx, (ny - 2 * halo) * (nz - 2 * halo), halo, min_planes):
+            sub, x = object.__new__(RotorGrid), slice(lo - halo, hi + halo)
+            sub.alpha, sub.beta, sub.spacing = self.alpha[x], self.beta[x], self.spacing
+            sub.origin = self.origin + self.spacing * np.array([lo - halo, 0.0, 0.0])
+            yield lo, hi, sub
 
     @classmethod
     def from_field(cls, field, dims, spacing: float, origin) -> "RotorGrid":
@@ -252,8 +270,7 @@ class RotorGrid:
         dims = tuple(int(d) for d in dims)
         axes = [np.asarray(origin, dtype=float)[d] + spacing * np.arange(dims[d]) for d in range(3)]
         alpha, beta = np.empty(dims), np.empty(dims + (3,))
-        for lo, hi in _slabs(dims[0], dims[1] * dims[2]):
-            pts = np.stack(np.meshgrid(axes[0][lo:hi], *axes[1:], indexing="ij"), axis=-1)
+        for lo, hi, pts in _blocks(axes):
             alpha[lo:hi], beta[lo:hi] = field.alpha_beta(pts)
         return cls(alpha=alpha, beta=beta, spacing=spacing, origin=origin)
 
@@ -335,11 +352,8 @@ def check_identity_TT(grid: RotorGrid) -> float:
     """
     if min(grid.dims) < 5:
         raise ValueError("identity check needs a grid of at least 5 cells per axis")
-    nx, ny, nz = grid.dims
-    # neighbouring slabs both compute the Nye tensor on the plane either side of
-    # their boundary: at least 12 planes a slab keep those 2 planes to 1/6 of the work
-    slabs = _slabs(nx, (ny - 4) * (nz - 4), halo=2, min_planes=12)
-    return float(np.max([_identity_residual(grid._planes(lo - 2, hi + 2)) for lo, hi in slabs]))
+    # neighbours both compute the Nye tensor on the 2 planes at their boundary: 12-plane slabs keep that to 1/6
+    return float(np.max([_identity_residual(slab) for _, _, slab in grid._slabs(2, min_planes=12)]))
 
 
 def _identity_residual(grid: RotorGrid) -> float:

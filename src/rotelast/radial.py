@@ -325,7 +325,7 @@ def solve_static(m: Moduli, slope0: float, r_max: float, tol: float = 1e-10) -> 
     """
     if m.lambda1 <= 0:
         raise ValueError("solver requires lambda1 > 0")
-    if not (R0 < r_max < np.inf and tol > 0 and np.isfinite(slope0)):
+    if not (R0 < r_max < np.inf and tol > 0 and np.isfinite(slope0) and m.lambda1 * R0 * R0 > 0):
         raise ValueError("bad solver configuration")
 
     l1 = m.lambda1

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import HedgehogField
-from .kinematics import _slabs
+from .kinematics import _blocks, _centred_axis
 from .so3 import _cf, _cross
 
 __all__ = [
@@ -86,19 +86,9 @@ def hedgehog_charge_profile(w0: float, w1: float) -> float:
     return float(antider(w1) - antider(w0))
 
 
-def _centred_axis(half_width: float, h: float) -> np.ndarray:
-    """Centres of the even count ``ceil(2 half_width / h)`` (rounded up) of cells of
-    width h that cover ``[-half_width, half_width]``: symmetric, none lands on 0."""
-    n = int(np.ceil(2.0 * half_width / h))
-    n += n % 2
-    return h * (np.arange(n) - (n - 1) / 2)
-
-
 def _charge_midpoint_3d(field, ball_radius: float, h: float) -> float:
-    axis = _centred_axis(ball_radius, h)
     total, nodes = 0.0, 0
-    for lo, hi in _slabs(axis.size, axis.size**2):
-        pts = np.stack(np.meshgrid(axis[lo:hi], axis, axis, indexing="ij"), axis=-1)
+    for _, _, pts in _blocks((_centred_axis(ball_radius, h),) * 3):
         pts = pts[(pts * pts).sum(axis=-1) <= ball_radius * ball_radius]
         nodes += len(pts)
         rho = charge_density(field, pts)

@@ -12,7 +12,8 @@
   residual's margin is fixed, so neither grid evaluator takes one;
 * every defaulted parameter of a public callable is set by some call in the
   package, its tools or its benchmark: an option that no program call sets
-  has one value in use, and belongs in the code as a constant.
+  has one value in use, and belongs in the code as a constant;
+* the x-slab walk over a lattice or a grid lives in ``kinematics`` alone.
 """
 
 import ast
@@ -112,6 +113,22 @@ def test_every_public_name_has_a_caller():
     unused = [f"{module.__name__}.{name}" for module in MODULES for name in module.__all__
               if name not in read | NO_CALLER and f"{module.__name__.removeprefix('rotelast.')}.{name}" not in traced]
     assert unused == [], "public names that only the tests use; move them into the tests"
+
+
+def test_the_slab_walk_has_one_home():
+    """Every x-slab loop over a lattice goes through ``kinematics._blocks`` or ``RotorGrid._slabs``: no other
+    module names the slab splitter ``kinematics._slabs``, and none builds a ``np.meshgrid`` in a loop."""
+    for path in sorted((ROOT / "src" / "rotelast").glob("*.py")):
+        if path.name == "kinematics.py":
+            continue
+        nodes = list(ast.walk(ast.parse(path.read_text())))
+        imported = {a.name for n in nodes if isinstance(n, ast.ImportFrom) for a in n.names}
+        named = {n.id for n in nodes if isinstance(n, ast.Name)}
+        qualified = {ast.unparse(n) for n in nodes if isinstance(n, ast.Attribute)}
+        assert "_slabs" not in imported | named and "kinematics._slabs" not in qualified, path.name
+        loops = [m for n in nodes if isinstance(n, (ast.For, ast.While)) for m in ast.walk(n)]
+        assert not [m for m in loops if isinstance(m, ast.Attribute) and m.attr == "meshgrid"], path.name
+    assert not hasattr(kinematics.RotorGrid, "_planes")
 
 
 def test_no_time_and_no_margin_parameters():

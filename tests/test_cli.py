@@ -210,15 +210,34 @@ class TestResidualCommand:
         assert payload["n_cells"] > 0
 
     def test_slab_reduction_matches_whole_grid(self, tmp_path, capsys, monkeypatch):
+        self.assert_blocks_match_whole_grid(tmp_path, capsys, monkeypatch, {4 + 4})
+
+    # one plane a residual_grid slab, and slabs of 3 and 4 planes of 32 x 32 (all of 4 by default); the
+    # blocks keep 12 planes or more, so each of them crosses the annulus
+    @pytest.mark.parametrize("budget, slab_planes", [(1, {1 + 4}), (3500, {3 + 4, 4 + 4})], ids=["plane", "uneven"])
+    def test_small_slab_budget_matches_whole_grid(self, tmp_path, capsys, monkeypatch, budget, slab_planes):
+        monkeypatch.setattr(rl.kinematics, "_SLAB_POINTS", budget)
+        self.assert_blocks_match_whole_grid(tmp_path, capsys, monkeypatch, slab_planes)
+
+    @staticmethod
+    def assert_blocks_match_whole_grid(tmp_path, capsys, monkeypatch, slab_planes):
+        """``residual``'s count and maximum against one whole-grid residual; ``slab_planes``: the planes,
+        halos included, of the residual_grid slabs that the command's blocks read."""
         path, _ = make_soliton_csv(tmp_path, capsys, rmax="20")
         h, rmin, rmax = 0.2, 1.5, 3.0
         sampled, alpha_beta = [], rl.HedgehogField.alpha_beta
+        slabs, grid_field_point = set(), rl.field_equations.grid_field_point
 
         def spy(self, x):
             sampled.append(np.shape(x)[:3])
             return alpha_beta(self, x)
 
+        def slab_spy(grid):
+            slabs.add(grid.dims[0])
+            return grid_field_point(grid)
+
         monkeypatch.setattr(rl.HedgehogField, "alpha_beta", spy)
+        monkeypatch.setattr(rl.field_equations, "grid_field_point", slab_spy)
         code, out, _ = run_cli(
             capsys, "residual", "--from-profile", str(path), "--h", str(h),
             "--rmin", str(rmin), "--rmax-annulus", str(rmax),
@@ -228,9 +247,10 @@ class TestResidualCommand:
         # 32^3 interior nodes in x-blocks of 12 planes or more, each sampled with two halo planes a side
         assert len(sampled) >= 2 and sum(nx - 4 for nx, _, _ in sampled) == 32
         assert all(shape[1:] == (36, 36) for shape in sampled)
+        assert slabs == slab_planes
         payload = json.loads(out)
         profile = rl.load_profile_csv(path)
-        axis = rl.topology._centred_axis(rmax + 3 * h, h)
+        axis = rl.kinematics._centred_axis(rmax + 3 * h, h)
         grid = rl.RotorGrid.from_field(rl.lift_hedgehog(profile), dims=(axis.size,) * 3, spacing=h,
                                        origin=np.full(3, axis[0]))
         pts, res = rl.residual_grid(grid, profile.moduli)
@@ -554,6 +574,16 @@ class TestRuntimeFailures:
                                                                    "detail": detail}
         assert proc.stderr == ""
         assert not (tmp_path / "final.csv").exists()
+
+    def test_static_vanishing_coupling_exit_2(self, tmp_path, capsys):
+        # lambda1 R0^2 rounds to 0: a usage record, not a ZeroDivisionError; 1e-310 R0^2 = 1e-322 still integrates
+        out_path = tmp_path / "profile.csv"
+        code, out, err = run_cli(capsys, "static", "--lambda1", "1e-320", "--lambda2", "1", "-o", str(out_path))
+        assert code == 2 and out == "" and not out_path.exists()
+        assert len(err.splitlines()) == 1
+        assert json.loads(err) == {"schema_version": 1, "error": "usage", "detail": "bad solver configuration"}
+        code, out, _ = run_cli(capsys, "static", "--lambda1", "1e-310", "--lambda2", "1", "-o", str(out_path))
+        assert code == 3 and json.loads(out)["error"] == "solver_failure"
 
     def test_static_integration_failure_exit_3(self, capsys, monkeypatch):
         def failing(*args, **kwargs):

@@ -26,7 +26,7 @@ from hypothesis.extra.numpy import arrays, mutually_broadcastable_shapes
 import rotelast as rl
 from rotelast.field_equations import _axial, _coupling, _d_nye, _nye_divergences
 from rotelast.fields import _components_first
-from rotelast.kinematics import (_central_diff, _central_diff2, _identity_residual, _slabs, _sym_traceless,
+from rotelast.kinematics import (_central_diff, _central_diff2, _identity_residual, _sym_traceless,
                                  _trace_skew)
 from rotelast.so3 import _bl, _cf, _cross, _dot, _norm2, eps_dot, matrix_to_rotor, rotor_matrix
 
@@ -648,7 +648,8 @@ class TestComponentFirstBits:
         return rl.RotorGrid.from_field(field, dims=(n, n, n), spacing=h, origin=(shift - (n / 2 - 0.5)) * h)
 
     def test_grid_slab(self, soliton_field):
-        slab = self.residual_3d_grid(soliton_field, 0.1)._planes(14, 22)  # 4 planes and halos
+        grid = self.residual_3d_grid(soliton_field, 0.1)
+        slab = rl.RotorGrid(grid.alpha[14:22], grid.beta[14:22], spacing=0.1, origin=grid.origin)  # 4 planes and halos
         new, old = rl.grid_field_point(slab), grid_field_point_batch_first(slab)
         assert list(vars(new)) == list(vars(old)) and same_bits(vars(new).values(), vars(old).values())
         assert new.dd_beta.base is not None and _cf(new.dd_beta, 3).flags.c_contiguous
@@ -754,9 +755,7 @@ class TestKinematicsBits:
         assert same_bits((rl.check_identity_TT(identity_grid),), (identity_residual_batch_first(identity_grid),))
 
     def test_slab(self, identity_grid):
-        n = identity_grid.dims[0]
-        lo, hi = next(_slabs(n, (n - 4) ** 2, halo=2, min_planes=12))
-        slab = identity_grid._planes(lo - 2, hi + 2)
+        _, _, slab = next(identity_grid._slabs(2, min_planes=12))
         nye = rl.nye_fd_grid(slab)
         assert nye.flags.c_contiguous and same_bits((nye,), (nye_fd_grid_batch_first(slab),))
         assert same_bits((_identity_residual(slab),), (identity_residual_batch_first(slab),))

@@ -423,6 +423,11 @@ class TestSolveStatic:
         with pytest.raises(ValueError, match="bad solver configuration"):
             rl.solve_static(unit_moduli, slope0=1.0, r_max=r_max, tol=tol)
 
+    def test_coupling_that_vanishes_at_the_start_rejected(self):
+        # lambda1 R0^2 rounds to 0 at lambda1 = 1e-320, and would divide the first step's U
+        with pytest.raises(ValueError, match="bad solver configuration"):
+            rl.solve_static(rl.Moduli.from_couplings(1e-320, 1.0), slope0=1.0, r_max=10.0)
+
     def test_non_finite_velocity_rejected(self, unit_moduli):
         with pytest.raises(ValueError, match="w_t must be finite"):
             rl.RadialProfile(r=np.array([0.0, 1.0, 2.0]), w=np.zeros(3), w_t=np.array([0.0, np.inf, 0.0]),

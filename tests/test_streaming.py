@@ -77,6 +77,33 @@ class TestSlabs:
         assert max(thickness, default=0) - min(thickness, default=0) <= 1
         assert all(min(target, planes) <= t < max(2 * target, planes + 1) for t in thickness)
 
+    @pytest.mark.parametrize("halo, min_planes", [(0, 1), (2, 1), (0, 12), (2, 12)])
+    def test_blocks_tile_the_lattice(self, slab_points, halo, min_planes):
+        slab_points(3 * 5 * 4)  # 3 planes of 5 x 4 a block, or min_planes
+        axes = [-0.7 + 0.13 * np.arange(31), 0.2 * np.arange(5) - 0.41, np.linspace(-1.0, 1.0, 4)]
+        whole = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+        blocks = list(kinematics._blocks(axes, halo, min_planes))
+        assert [(lo, hi) for lo, hi, _ in blocks] == list(_slabs(31, 5 * 4, halo, min_planes))
+        assert np.array_equal(np.concatenate([pts[halo:len(pts) - halo] for _, _, pts in blocks]),
+                              whole[halo:31 - halo])
+        for lo, hi, pts in blocks:  # the halo planes are the neighbouring blocks' nodes, or the lattice's edge
+            assert pts.shape == (hi - lo + 2 * halo, 5, 4, 3)
+            assert np.array_equal(pts, whole[lo - halo:hi + halo])
+
+    @pytest.mark.parametrize("halo", [0, 2])
+    def test_grid_slabs_are_views_of_the_planes(self, slab_points, halo):
+        slab_points(2 * 5 * 3)
+        grid = rl.RotorGrid.from_field(rl.random_smooth_field(seed=9), dims=(13, 5 + 2 * halo, 3 + 2 * halo),
+                                       spacing=0.17, origin=[-0.9, 0.3, -0.2])
+        slabs = list(grid._slabs(halo))
+        assert [(lo, hi) for lo, hi, _ in slabs] == list(_slabs(13, 5 * 3, halo))
+        for lo, hi, slab in slabs:
+            assert slab.alpha.base is not None and slab.beta.base is not None
+            assert np.array_equal(slab.alpha, grid.alpha[lo - halo:hi + halo])
+            assert np.array_equal(slab.beta, grid.beta[lo - halo:hi + halo])
+            assert slab.spacing == grid.spacing
+            assert np.array_equal(slab.origin, grid.origin + grid.spacing * np.array([lo - halo, 0, 0]))
+
 
 class TestFromField:
     @pytest.mark.parametrize("make", [tanh_hedgehog, lambda: rl.random_smooth_field(seed=21),

@@ -1,7 +1,8 @@
 """tools/compare_artifacts.py on small files, and the source counts of tools/bench_record.py: no command
-runs in a subprocess."""
+runs in a subprocess.  The tools and the benchmark read only public rotelast names."""
 
 import argparse
+import ast
 import importlib.util
 import inspect
 import json
@@ -13,7 +14,7 @@ import pytest
 import rotelast.cli
 from rotelast import field_equations, fields, kinematics, radial, so3, topology
 
-from test_api import public_callables
+from test_api import ROOT, public_callables
 
 
 def load_tool(name):
@@ -213,3 +214,21 @@ def test_bench_record_counts_the_public_options():
     options = load_tool("bench_record").public_options()
     assert options == {"files": files, "total": sum(files.values())}
     assert files["fields.py"] > 0  # field_point's order, keyword-only, is counted
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "tools").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py")),
+                         ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_reads_no_private_name(path):
+    """compare_artifacts runs its own code on both checkouts, so a private name that one side lacks breaks the
+    comparison: no ``from rotelast... import _x``, and no ``_x`` attribute read but the file's own ``self._x``
+    or a dunder."""
+    private = lambda name: name.startswith("_") and not name.endswith("__")
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "rotelast":
+            found += [alias.name for alias in node.names if private(alias.name)]
+        elif isinstance(node, ast.Attribute) and private(node.attr) and ast.unparse(node.value) != "self":
+            found.append(ast.unparse(node))
+        elif isinstance(node, ast.Call) and ast.unparse(node.func) in ("getattr", "hasattr", "setattr"):
+            found += [a.value for a in node.args[1:2] if isinstance(a, ast.Constant) and private(str(a.value))]
+    assert found == []

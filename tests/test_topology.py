@@ -4,7 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 import rotelast as rl
 from rotelast import kinematics
-from rotelast.topology import _centred_axis, _charge_midpoint_3d
+from rotelast.kinematics import _centred_axis
+from rotelast.topology import _charge_midpoint_3d
 
 from conftest import ConstantField, make_rotor, random_rotor
 

@@ -17,8 +17,8 @@ Any other nonzero exit stops the tool.  The library results are:
 * ``residual_grid`` (points and residuals) on the two grids of the
   ``residual_3d`` workload and on the criterion-3 grid (h = 0.1, annulus to
   r = 5), which takes a few seconds and about 250 MB;
-* all ten ``grid_field_point`` blocks of the first slab that ``residual_grid``
-  reads of the ``residual_3d`` h = 0.1 grid;
+* all ten ``grid_field_point`` blocks of the first eight x-planes of the
+  ``residual_3d`` h = 0.1 grid, the first slab that ``residual_grid`` reads;
 * ``check_identity_TT`` at h = 0.1 and 0.05 on the box [-1, 1]^3, and on
   the h = 0.1 grid ``RotorGrid.u_array``, ``nye_fd_grid`` and
   ``torsion_from_nye`` of that Nye tensor;
@@ -176,7 +176,6 @@ def write_library(cli: str, out: str) -> None:
     """Save the library results that the module docstring lists, one ``<result>[.<part>].npy`` per array,
     and the moving profile's CSV."""
     import rotelast as rl
-    from rotelast.kinematics import _slabs
 
     res = {}
     moduli = rl.Moduli.from_couplings(1.0, 1.0)
@@ -189,8 +188,7 @@ def write_library(cli: str, out: str) -> None:
         grid = rl.RotorGrid.from_field(field, dims=(n, n, n), spacing=h, origin=(s - (n / 2 - 0.5)) * h)
         res[f"residual_grid_{name}.points"], res[f"residual_grid_{name}.residuals"] = rl.residual_grid(grid, moduli)
         if name == "residual_3d_h0.1":
-            lo, hi = next(_slabs(n, (n - 4) ** 2, halo=2))
-            fp = rl.grid_field_point(grid._planes(lo - 2, hi + 2))
+            fp = rl.grid_field_point(rl.RotorGrid(grid.alpha[:8], grid.beta[:8], spacing=h, origin=grid.origin))
             res.update({f"grid_field_point_{name}.{k}": v for k, v in vars(fp).items()})
         del grid
 
