@@ -19,6 +19,7 @@ one-line diagnostic JSON record on stdout).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -388,9 +389,15 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser without a config file, built once per process; parsing leaves it as it was."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         if args.config:
             # precedence: defaults < config file < flags
             config = _load_config(args.config)

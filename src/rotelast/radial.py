@@ -492,6 +492,20 @@ class EvolveResult:
                              moduli=self.moduli, slope0=np.nan, tol=np.nan)
 
 
+def _aligned(a, head=0):
+    """A copy of the 1-d float array ``a`` whose entry ``head`` starts a 64-byte cache line.
+
+    NumPy aligns its buffers to 16 bytes, so most vector loads of an AVX-512
+    loop straddle two cache lines; on aligned buffers the leapfrog's 13-pass
+    force takes about a sixth less time, with the same bits.
+    """
+    buf = np.empty(a.size + 7)
+    start = -(buf.ctypes.data // 8 + head) % 8
+    out = buf[start:start + a.size]
+    out[...] = a
+    return out
+
+
 def evolve_dynamic(initial: RadialProfile, dt: float, t_end: float) -> EvolveResult:
     """Leapfrog integration of ``w_tt = l1 (r^2 w_r)_r / r^2 + U(w)/r^2``.
 
@@ -509,9 +523,13 @@ def evolve_dynamic(initial: RadialProfile, dt: float, t_end: float) -> EvolveRes
     ``H = dr [sum r_i^2 v_i^2 / 2 + sum e_i (w_{i+1} - w_i)^2 / (2 dr^2) - sum V(w_i)]``
     over the edge weights ``e_i = l1 r_{i+1/2}^2`` of the stencil.
 
-    Every level is checked for finiteness in the step that makes it, with
-    overflow and invalid-value warnings off while stepping, so the error
-    names the first non-finite level.
+    The steps run with overflow and invalid-value warnings off.  A
+    non-finite interior entry stays non-finite at every later level (its
+    ``tan`` is NaN, and ``d += k`` and ``w += d`` carry the NaN; the two
+    boundary nodes are not stepped), so each snapshot interval is stepped
+    unchecked and only its last level is checked.  On a hit the interval is
+    replayed from the previous snapshot's level and the increment saved with
+    it, checking every level, so the error names the first non-finite level.
     """
     if not (dt > 0 and t_end >= 0):
         raise ValueError(f"need dt > 0 and t_end >= 0, got dt = {dt}, t_end = {t_end}")
@@ -525,39 +543,42 @@ def evolve_dynamic(initial: RadialProfile, dt: float, t_end: float) -> EvolveRes
     if dt > dr / np.sqrt(m.lambda1):
         raise ValueError(f"CFL violation: dt = {dt} > dr/sqrt(l1) = {dr / np.sqrt(m.lambda1)}")
 
-    w = initial.w.copy()
+    w = _aligned(initial.w, head=1)  # the interior w[1:-1] starts a cache line
     v = initial.w_t if initial.w_t is not None else np.zeros_like(w)
     # conservative radial Laplacian as a three-point stencil on the interior:
     # l1 (r^2 w_r)_r / r^2 = (edge_{i+1/2} (w_{i+1} - w_i) - edge_{i-1/2} (w_i - w_{i-1})) / (dr^2 r_i^2)
     # with edge = l1 r_{i+1/2}^2; the endpoints are set by the b.c.
-    edge = m.lambda1 * (0.5 * (r[:-1] + r[1:])) ** 2
+    edge = _aligned(m.lambda1 * (0.5 * (r[:-1] + r[1:])) ** 2)
     inv_rsq = 1.0 / (r[1:-1] * r[1:-1])
     # dt^2 a = t (k1 t^2 + k0) / (1 + t^2)^2 + ks (flux_{i+1/2} - flux_{i-1/2}), t = tan w and
     # flux = edge (w_{i+1} - w_i): potential_U's constants and dt^2 folded into the stencil
     dt2 = dt * dt
-    k1 = (dt2 * 2.0 * m.lambda1) * inv_rsq
-    k0 = (dt2 * _dU0(m)) * inv_rsq  # doubling is exact: the bits of (dt2 * 2.0 * ...)
-    ks = (dt2 / (dr * dr)) * inv_rsq
+    k1 = _aligned((dt2 * 2.0 * m.lambda1) * inv_rsq)
+    k0 = _aligned((dt2 * _dU0(m)) * inv_rsq)  # doubling is exact: the bits of (dt2 * 2.0 * ...)
+    ks = _aligned((dt2 / (dr * dr)) * inv_rsq)
     inner, upper, lower = w[1:-1], w[1:], w[:-1]
-    kick, t, sq = np.empty_like(inner), np.empty_like(inner), np.empty_like(inner)
-    flux, grad, kin = np.empty_like(upper), np.empty_like(upper), np.empty_like(w)
+    kick, t, sq = _aligned(inner), _aligned(inner), _aligned(inner)
+    flux, grad, kin = _aligned(upper), np.empty_like(upper), np.empty_like(w)
     flux_hi, flux_lo, rsq = flux[1:], flux[:-1], r * r
+
+    # the ufuncs bound once per run and their outputs passed positionally: the same passes, less dispatch
+    tan, mul, add, sub, div = np.tan, np.multiply, np.add, np.subtract, np.divide
 
     def force():
         # kick = dt^2 a(w) in 13 passes; flux keeps edge (w_{i+1} - w_i) for the energy
-        np.tan(inner, out=t)
-        np.multiply(t, t, out=sq)
-        np.multiply(sq, k1, out=kick)
-        np.add(kick, k0, out=kick)
-        np.multiply(kick, t, out=kick)
-        np.add(sq, 1.0, out=sq)
-        np.multiply(sq, sq, out=sq)
-        np.divide(kick, sq, out=kick)
-        np.subtract(upper, lower, out=flux)
-        np.multiply(flux, edge, out=flux)
-        np.subtract(flux_hi, flux_lo, out=t)
-        np.multiply(t, ks, out=t)
-        np.add(kick, t, out=kick)
+        tan(inner, t)
+        mul(t, t, sq)
+        mul(sq, k1, kick)
+        add(kick, k0, kick)
+        mul(kick, t, kick)
+        add(sq, 1.0, sq)
+        mul(sq, sq, sq)
+        div(kick, sq, kick)
+        sub(upper, lower, flux)
+        mul(flux, edge, flux)
+        sub(flux_hi, flux_lo, t)
+        mul(t, ks, t)
+        add(kick, t, kick)
 
     def energy(vc):
         # H of the docstring and dr (|kinetic| + |gradient| + |potential|) of the level force() saw
@@ -579,26 +600,37 @@ def evolve_dynamic(initial: RadialProfile, dt: float, t_end: float) -> EvolveRes
     energies[0], scale = energy(v)
     ws[0], vs[0] = w, v
     w[0] = 0.0  # every later level is 0 at r = 0 and initial.w[-1] at r_max
-    k, zero, caller = 1, np.zeros_like(inner), np.geterr()
+    zero, d_start, caller = np.zeros_like(inner), np.empty_like(inner), np.geterr()
     with np.errstate(over="ignore", invalid="ignore"):
-        # the Taylor start: a non-finite value of it fails the check of level 1
-        d = dt * v[1:-1] - 0.5 * kick
-        for n in range(1, n_steps + 1):
-            d += kick
-            inner += d
-            # x . 0 is NaN exactly when some entry of x is not finite, and costs one BLAS pass
+        # the Taylor start: a non-finite value of it makes level 1 non-finite
+        d = _aligned(dt * v[1:-1] - 0.5 * kick)
+        for k in range(1, n_snap):
+            # the interval of steps n0 + 1 .. n1 ends at snapshot k and starts from level ws[k - 1]
+            n0, n1 = (k - 1) * snap_every, min(k * snap_every, n_steps)
+            d_start[:] = d
+            for _ in range(n0, n1):
+                add(d, kick, d)
+                add(inner, d, inner)
+                force()
+            # a non-finite interior entry stays non-finite at every later level, so one check of the last
+            # level sees any in the interval; x . 0 is NaN exactly when some entry of x is not finite
             if not math.isfinite(np.dot(inner, zero)):
-                raise InstabilityError(f"non-finite w at t = {n * dt:.6g}")
-            force()
-            if n % snap_every == 0 or n == n_steps:
-                vel = vs[k, 1:-1]
-                with np.errstate(**caller):  # the snapshot velocity warns as the caller asks
-                    np.multiply(kick, 0.5, out=vel)
-                    vel += d
-                    vel /= dt
-                times[k], ws[k] = n * dt, w
-                energies[k] = energy(vs[k])[0]
-                k += 1
+                # replay the interval from its start, checking every level, to name the first non-finite one
+                inner[:], d[:] = ws[k - 1, 1:-1], d_start
+                force()
+                for n in range(n0 + 1, n1 + 1):
+                    add(d, kick, d)
+                    add(inner, d, inner)
+                    if not math.isfinite(np.dot(inner, zero)):
+                        raise InstabilityError(f"non-finite w at t = {n * dt:.6g}")
+                    force()
+            vel = vs[k, 1:-1]
+            with np.errstate(**caller):  # the snapshot velocity warns as the caller asks
+                np.multiply(kick, 0.5, out=vel)
+                vel += d
+                vel /= dt
+            times[k], ws[k] = n1 * dt, w
+            energies[k] = energy(vs[k])[0]
     return EvolveResult(times=times, r=r, w=ws, w_t=vs, energy=energies, moduli=m, energy_scale=scale)
 
 

@@ -95,6 +95,17 @@ class TestStatic:
         assert [r["h"] for r in payload["results"]] == [0.4, 0.2]
         assert "richardson_ratio" in payload
 
+    def test_config_defaults_stay_out_of_the_cached_parser(self, tmp_path, capsys):
+        # a process parses every command line with one parser; a config file's defaults go to a parser
+        # of their own, so the next command line without --config reads the built-in defaults
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("rmax = 12\n")
+        argv = ("static", "--lambda1", "1", "--lambda2", "1", "-o", str(tmp_path / "x.csv"))
+        code, out, _ = run_cli(capsys, *argv, "--config", str(cfg))
+        assert code == 0 and json.loads(out)["r_max"] == 12
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and json.loads(out)["r_max"] == 50
+
     def test_unknown_config_key_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("nonsense = 1\n")

@@ -160,7 +160,8 @@ def leapfrog_checked_every_step(initial, dt, t_end):
     the folded constants ``k1``, ``k0`` and ``ks`` of ``evolve_dynamic``; the
     increment ``d`` starts at ``dt v - kick / 2``, and each step is
     ``d = d + kick``, ``w = w + d`` on the interior and a finiteness check of
-    the whole level.  Returns (times, w, w_t, parts) at the snapshots, as
+    the whole level, whose ``InstabilityError`` carries the first non-finite
+    level as ``level``.  Returns (times, w, w_t, parts) at the snapshots, as
     :func:`leapfrog_difference_form` does.
     """
     m, r = initial.moduli, initial.r
@@ -193,7 +194,9 @@ def leapfrog_checked_every_step(initial, dt, t_end):
         d = d + kick
         w[1:-1] = w[1:-1] + d
         if not np.all(np.isfinite(w)):
-            raise InstabilityError(f"non-finite w at t = {n * dt:.6g}")
+            error = InstabilityError(f"non-finite w at t = {n * dt:.6g}")
+            error.level = w
+            raise error
         kick = force(w)
         if n % snap_every == 0 or n == n_steps:
             v_now = np.zeros_like(w)
@@ -495,29 +498,44 @@ class TestEvolveDynamic:
     @pytest.mark.parametrize("where, n, velocity, dt, t_end, step",
                              [("inside_an_interval", 101, 1.7e307, 0.05, 40.0, 5),
                               ("last_unaligned_step", 11, 1.56e306, 0.5, 416.5, 833),
-                              ("snapshot_step", 101, 1.7e307, 0.05, 25.0, 5), ("first_level", 3, 1e308, 2.0, 4.0, 1)],
-                             ids=["inside_an_interval", "last_unaligned_step", "snapshot_step", "first_level"])
+                              ("snapshot_step", 101, 1.7e307, 0.05, 25.0, 5), ("first_level", 3, 1e308, 2.0, 4.0, 1),
+                              ("after_a_snapshot", 101, 1.7e307, 0.05, 20.0, 5),
+                              ("minus_infinity", 101, -8e306, 0.1, 50.0, 49)],
+                             ids=["inside_an_interval", "last_unaligned_step", "snapshot_step", "first_level",
+                                  "after_a_snapshot", "minus_infinity"])
     @pytest.mark.filterwarnings("error")  # the steps, and the Taylor start, overflow without a warning
     def test_replay_names_the_first_non_finite_level(self, where, n, velocity, dt, t_end, step):
         # at 101 nodes and 1.7e307 the oracle's levels overflow first at step 5: inside the interval (0, 8]
-        # of an 800-step run, and at the first snapshot of a 500-step run (snap_every = 5).  At 11 nodes
-        # (dr = 1) and 1.56e306 they overflow first at step 833, the last step of an 833-step run whose
-        # intervals end at 8, 16, ..., 832 and 833; its snapshot velocities stay finite, as they do not
-        # on a 101-node run as long.  At 3 nodes (dr = 5), dt w_t = 2e308 overflows the Taylor start, so
-        # level 1 is the first non-finite one
+        # of an 800-step run, at the first snapshot of a 500-step run (snap_every = 5), and at the first step
+        # of the interval (4, 8] of a 400-step run, whose replay starts from the level of the snapshot at
+        # step 4.  At 11 nodes (dr = 1) and 1.56e306 they overflow first at step 833, the last step of an
+        # 833-step run whose intervals end at 8, 16, ..., 832 and 833; its snapshot velocities stay finite,
+        # as they do not on a 101-node run as long.  At 3 nodes (dr = 5), dt w_t = 2e308 overflows the
+        # Taylor start, so level 1 is the first non-finite one.  At 101 nodes, dt = dr and -8e306 the first
+        # non-finite level, step 49 in the interval (45, 50] of a 500-step run, holds -inf
         n_steps = round(t_end / dt)
         snap_every = max(1, n_steps // 100)
         assert {"inside_an_interval": step < n_steps and step % snap_every > 0,
                 "last_unaligned_step": step == n_steps and step % snap_every > 0,
                 "snapshot_step": step < n_steps and step % snap_every == 0 and snap_every > 1,
-                "first_level": step == 1}[where]
+                "first_level": step == 1,
+                "after_a_snapshot": 1 < step < n_steps and step % snap_every == 1 and snap_every > 1,
+                "minus_infinity": step < n_steps and step % snap_every > 0}[where]
         p = huge_velocity_profile(velocity, n)
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(InstabilityError) as oracle:
             leapfrog_checked_every_step(p, dt, t_end)
         assert str(oracle.value) == f"non-finite w at t = {step * dt:.6g}"
+        level = oracle.value.level
+        assert where != "minus_infinity" or np.all(level[~np.isfinite(level)] == -np.inf)
         with pytest.raises(InstabilityError) as new:
             rl.evolve_dynamic(p, dt=dt, t_end=t_end)
         assert str(new.value) == str(oracle.value)
+
+    @pytest.mark.parametrize("head", range(8))
+    def test_aligned_copy_starts_a_cache_line(self, head):
+        a = np.arange(4001.0)
+        b = radial._aligned(a, head)
+        assert (b.ctypes.data + 8 * head) % 64 == 0 and b.dtype == float and same_bits([b], [a])
 
     @pytest.mark.filterwarnings("error")
     def test_a_level_overflows_before_its_increment(self):

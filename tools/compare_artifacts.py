@@ -133,6 +133,12 @@ RUNS = (
     # the run exits 3 and its instability record stands in for the summary
     ("evolve", ["--from-profile", "../inputs/huge_velocity.csv", "--n-grid", "101", "--dt", "0.05",
                 "--t-end", "20", "-o", "final_huge.csv", "--summary", "evolve_huge.json"]),
+    # 300 steps in intervals of 3: the same levels overflow first at step 3, the first snapshot
+    ("evolve", ["--from-profile", "../inputs/huge_velocity.csv", "--n-grid", "101", "--dt", "0.05",
+                "--t-end", "15", "-o", "final_huge_snap.csv", "--summary", "evolve_huge_snap.json"]),
+    # 411 steps in intervals of 4 and a last one of 3, (408, 411]; the levels overflow first at step 410
+    ("evolve", ["--from-profile", "../inputs/late_overflow.csv", "--n-grid", "101", "--dt", "0.05",
+                "--t-end", "20.55", "-o", "final_late.csv", "--summary", "evolve_late.json"]),
     # every level stays finite, but r^2 w_t^2 overflows the energy at t = 0, so the run exits 3
     ("evolve", ["--from-profile", "../inputs/overflow_energy.csv", "--n-grid", "101", "--dt", "0.05",
                 "--t-end", "1", "--summary", "evolve_overflow.json"]),
@@ -163,6 +169,7 @@ def _off_grammar_csv() -> str:
 
 # inputs that no command writes, saved in the work directory's ``inputs``
 INPUTS = {"huge_velocity.csv": _uniform_velocity_csv(10.0, "3e+307"),
+          "late_overflow.csv": _uniform_velocity_csv(10.0, "1.5e+307"),
           "overflow_energy.csv": _uniform_velocity_csv(5.0, "1e+305"),
           "off_grammar.csv": _off_grammar_csv()}
 # what the current change moves on purpose, with the reason: per file, the keys or columns that may move,
