@@ -612,8 +612,8 @@ def evolve_dynamic(initial: RadialProfile, dt: float, t_end: float) -> EvolveRes
                 add(d, kick, d)
                 add(inner, d, inner)
                 force()
-            # a non-finite interior entry stays non-finite at every later level, so one check of the last
-            # level sees any in the interval; x . 0 is NaN exactly when some entry of x is not finite
+            # one check sees any non-finite level of the interval (see the docstring); x . 0 is NaN
+            # exactly when some entry of x is not finite
             if not math.isfinite(np.dot(inner, zero)):
                 # replay the interval from its start, checking every level, to name the first non-finite one
                 inner[:], d[:] = ws[k - 1, 1:-1], d_start
