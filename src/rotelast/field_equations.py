@@ -11,10 +11,11 @@ is ``residual_eqs2_at(field.field_point(x), moduli)``.
 
 All evaluators accept batched FieldPoints.  :func:`residual_grid` feeds
 them a grid in x-slabs of about ``kinematics._SLAB_POINTS`` (4096) interior
-points from the grid walker ``RotorGrid._slabs``, two halo planes per side,
-so the FieldPoint blocks (60 doubles per point) and the kernel's temporaries
-exist for at most two slabs at once: beyond the grid and its outputs, memory
-stays bounded by two slabs, and the pointwise kernels give results
+points from the grid walker ``RotorGrid._slabs``, two halo planes per side.
+Every slab's FieldPoint is built in one workspace that the call allocates
+once, sized for the thickest slab and starting on a cache line: beyond the
+grid, its outputs and the workspace, memory holds one slab's stencil
+scratch or kernel temporaries, and the pointwise kernels give results
 bit-identical to one whole-grid batch.
 
 The residual reads four 3-vectors of the 27-entry ``d_k A_lm`` and
@@ -44,14 +45,17 @@ unfused reference forms of these contractions; the residual calls neither.
 They stay as the references that the tests compare against, and the
 benchmark traces both by name.
 
-Memory layout.  :func:`grid_field_point` stores its blocks component axes
-first, batch axes last, and the kernels take component-first views
-(:func:`fields._components_first`), so each ufunc loop runs along the batch,
-strided for batch-first points.  Public shapes stay ``[..., l, k]``: blocks,
-``H^ik`` and the residual are views.  Each hand-written sum over a 3-axis
-adds in the order of the NumPy reduction it replaced, so bits, signed zeros
-included, are kept: ``np.trace``, ``.sum(axis=-1)`` and ``np.einsum`` over a
-strided axis give ``((0 + t_0) + t_1) + t_2``, ``np.einsum`` over a
+Memory layout.  :func:`grid_field_point` writes its blocks into one buffer,
+component axes first and batch axes last, and the kernels take
+component-first views (:func:`fields._components_first`), so each ufunc loop
+runs along the batch, strided for batch-first points.  Its stencils run on a
+contiguous component-first copy of the grid, where a shift by ``(i, j, k)``
+cells is a shift of the flat index by ``i ny nz + j nz + k``, so each pass
+is one loop over whole interior planes.  Public shapes stay ``[..., l, k]``:
+blocks, ``H^ik`` and the residual are views.  Each hand-written sum over a
+3-axis adds in the order of the NumPy reduction it replaced, so bits, signed
+zeros included, are kept: ``np.trace``, ``.sum(axis=-1)`` and ``np.einsum``
+over a strided axis give ``((0 + t_0) + t_1) + t_2``, ``np.einsum`` over a
 contiguous axis ``(0 + (t_0 + t_2)) + t_1`` (NumPy 2.4, pinned by the tests).
 """
 
@@ -60,8 +64,7 @@ from __future__ import annotations
 import numpy as np
 
 from .fields import FieldPoint, _components_first, _nye_bracket
-from .kinematics import (Moduli, RotorGrid, _central_diff, _central_diff2, _trace_skew, nye_matrix,
-                         nye_velocity_vector)
+from .kinematics import Moduli, RotorGrid, _aligned_empty, _trace_skew, nye_matrix, nye_velocity_vector
 from .so3 import _bl, _cf, _cross, _eps_ddot, eps_dot
 
 __all__ = [
@@ -180,35 +183,61 @@ def _check_dims(grid: RotorGrid) -> None:
         raise ValueError(f"grid too small for the margin of {_MARGIN} cells")
 
 
-def grid_field_point(grid: RotorGrid) -> FieldPoint:
+def grid_field_point(grid: RotorGrid, *, out=None) -> FieldPoint:
     """Batched FieldPoint over the grid's nodes two cells or more inside every face, by central differences.
 
-    Time blocks are zero: grids are static snapshots.  Every block is a
-    ``[..., l, k]`` view of a contiguous array with the component axes first.
+    Time blocks are zero: grids are static snapshots.  Every block but alpha,
+    a view of the grid, is a ``[..., l, k]`` view of a contiguous part of
+    ``out`` with the component axes first.  ``out`` is a contiguous 1-d float
+    array whose first 59 entries per interior node the call overwrites; the
+    stencils' scratch is allocated apart, as it would stay resident while the
+    kernels run.  Without ``out`` the call allocates its own, so two calls
+    share no memory.  Each stencil repeats the operations of the central
+    differences, so the bits do not depend on where the blocks are written.
     """
     _check_dims(grid)
-    h, margin = grid.spacing, _MARGIN
-    shp = tuple(n - 2 * margin for n in grid.dims)
+    nx, ny, nz = grid.dims
+    h, mg = grid.spacing, _MARGIN
+    shp = (nx - 2 * mg, ny - 2 * mg, nz - 2 * mg)
+    n, plane = shp[0] * shp[1] * shp[2], ny * nz
+    if out is None:
+        out = np.empty(59 * n)
+    elif out.dtype != float or out.ndim != 1 or not out.flags.c_contiguous or out.size < 59 * n:
+        raise ValueError(f"out must be a contiguous 1-d float array of {59 * n} entries or more")
+    # d, dd and the copy u have a row for alpha, then three for beta's components
+    sizes, shapes = (12 * n, 36 * n, 3 * n, 8 * n), ((4, 3) + shp, (4, 3, 3) + shp, (3,) + shp, (8 * n,))
+    d, dd, beta, zero = (out[e - s:e].reshape(shape) for s, e, shape in zip(sizes, np.cumsum(sizes), shapes))
+    u, t = np.empty((4, nx, ny, nz)), np.empty((4, shp[0] * plane))
+    # in the flat copy, a shift by one cell along axis j is a shift by step[j]
+    u[0], u[1:] = grid.alpha, _cf(grid.beta)
+    flat, step = u.reshape(4, -1), (plane, nz, 1)
+    interior = t.reshape((4, shp[0], ny, nz))[:, :, mg:-mg, mg:-mg]
+    lo, hi = mg * plane, (nx - mg) * plane  # the interior planes, whole rows included
 
-    def blocks(arr):
-        """Gradient ``[..., j, x, y, z]`` and symmetric Hessian ``[..., j, k, x, y, z]`` of a grid array."""
-        n = arr.ndim - 3  # component axes, moved in front of the grid axes
-        d, dd = np.empty(arr.shape[3:] + (3,) + shp), np.empty(arr.shape[3:] + (3, 3) + shp)
-        for j in range(3):
-            d[..., j, :, :, :] = _cf(_central_diff(arr, j, h, margin), n)
-            for k in range(j, 3):
-                dd[..., j, k, :, :, :] = _cf(_central_diff2(arr, j, k, h, margin), n)
-                if k != j:  # each diagonal block is written once
-                    dd[..., k, j, :, :, :] = dd[..., j, k, :, :, :]
-        return d, dd
+    def shifted(offset):
+        return flat[:, lo + offset:hi + offset]
 
-    d_alpha, dd_alpha = blocks(grid.alpha)
-    d_beta, dd_beta = blocks(grid.beta)
-    c = (slice(margin, -margin),) * 3
-    zero_v, zero_s = np.zeros((3,) + shp), np.zeros(shp)
-    return FieldPoint(alpha=grid.alpha[c], beta=_bl(np.ascontiguousarray(_cf(grid.beta[c]))), d_beta=_bl(d_beta, 2),
-                      d_alpha=_bl(d_alpha), dt_beta=_bl(zero_v), dt_alpha=zero_s, dd_beta=_bl(dd_beta, 3),
-                      dd_alpha=_bl(dd_alpha, 2), dtt_beta=_bl(zero_v.copy()), dtt_alpha=zero_s.copy())
+    # kinematics._central_diff's operations, and those of the three-point and cross stencils
+    for j, s in enumerate(step):
+        np.divide(np.subtract(shifted(s), shifted(-s), out=t), 2.0 * h, out=t)
+        d[:, j] = interior
+        for k, r in enumerate(step[j:], j):
+            if k == j:
+                np.subtract(shifted(s), np.multiply(shifted(0), 2.0, out=t), out=t)
+                np.divide(np.add(t, shifted(-s), out=t), h * h, out=t)
+            else:
+                np.subtract(np.subtract(shifted(s + r), shifted(s - r), out=t), shifted(r - s), out=t)
+                np.divide(np.add(t, shifted(-s - r), out=t), 4 * h * h, out=t)
+            dd[:, j, k] = interior
+            if k != j:
+                dd[:, k, j] = dd[:, j, k]
+    beta[...] = u[1:, mg:-mg, mg:-mg, mg:-mg]
+    zero[...] = 0.0
+    zero_v, zero_s = zero[:6 * n].reshape((2, 3) + shp), zero[6 * n:].reshape((2,) + shp)
+    c = (slice(mg, -mg),) * 3
+    return FieldPoint(alpha=grid.alpha[c], beta=_bl(beta), d_beta=_bl(d[1:], 2), d_alpha=_bl(d[0]),
+                      dt_beta=_bl(zero_v[0]), dt_alpha=zero_s[0], dd_beta=_bl(dd[1:], 3), dd_alpha=_bl(dd[0], 2),
+                      dtt_beta=_bl(zero_v[1]), dtt_alpha=zero_s[1])
 
 
 def residual_grid(grid: RotorGrid, m: Moduli):
@@ -216,16 +245,17 @@ def residual_grid(grid: RotorGrid, m: Moduli):
 
     Returns ``(points, residuals)`` with residuals of shape
     ``(nx-4, ny-4, nz-4, 3)`` evaluated by central differences, slab by
-    slab (see the module docstring): memory beyond the grid and the outputs
-    stays bounded by two slabs, and the results equal one whole-grid call
-    bit for bit.
+    slab (see the module docstring).  Every slab's FieldPoint is written to
+    a prefix of one workspace, allocated once on a cache line for the
+    thickest slab, so no slab allocates its blocks; the results equal one
+    whole-grid call bit for bit.
     """
     _check_dims(grid)
     axes = [grid.origin[d] + grid.spacing * np.arange(n)[_MARGIN:-_MARGIN] for d, n in enumerate(grid.dims)]
     pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
     res = np.empty(pts.shape)
+    thickest = max(hi - lo for lo, hi, _ in grid._slabs(_MARGIN))
+    work = _aligned_empty(59 * thickest * (grid.dims[1] - 2 * _MARGIN) * (grid.dims[2] - 2 * _MARGIN))
     for lo, hi, slab in grid._slabs(_MARGIN):
-        # fp holds the last slab's blocks while these are built: freed first, glibc trims them and they re-fault
-        fp = grid_field_point(slab)
-        res[lo - _MARGIN:hi - _MARGIN] = residual_eqs2_at(fp, m)
+        res[lo - _MARGIN:hi - _MARGIN] = residual_eqs2_at(grid_field_point(slab, out=work), m)
     return pts, res

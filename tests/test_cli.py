@@ -243,9 +243,9 @@ class TestResidualCommand:
             sampled.append(np.shape(x)[:3])
             return alpha_beta(self, x)
 
-        def slab_spy(grid):
+        def slab_spy(grid, **kw):
             slabs.add(grid.dims[0])
-            return grid_field_point(grid)
+            return grid_field_point(grid, **kw)
 
         monkeypatch.setattr(rl.HedgehogField, "alpha_beta", spy)
         monkeypatch.setattr(rl.field_equations, "grid_field_point", slab_spy)

@@ -26,8 +26,7 @@ from hypothesis.extra.numpy import arrays, mutually_broadcastable_shapes
 import rotelast as rl
 from rotelast.field_equations import _axial, _coupling, _d_nye, _nye_divergences
 from rotelast.fields import _components_first
-from rotelast.kinematics import (_central_diff, _central_diff2, _identity_residual, _sym_traceless,
-                                 _trace_skew)
+from rotelast.kinematics import _central_diff, _identity_residual, _shifted, _sym_traceless, _trace_skew
 from rotelast.so3 import _bl, _cf, _cross, _dot, _norm2, eps_dot, matrix_to_rotor, rotor_matrix
 
 from conftest import LEVI_CIVITA, ConstantField, eps_ddot, make_rotor
@@ -238,6 +237,17 @@ def residual_np_cross(fp, m):
     return 2.0 * dt_a_t - div_h + 2.0 * coupling_batch_first(fp, a, a_t, h_t, h_s)
 
 
+def central_diff2(arr, ax1, ax2, h, margin):
+    """Second-order central ``d_ax1 d_ax2``: three-point stencil on the diagonal, four-point cross
+    stencil off it; layout as ``kinematics._central_diff``."""
+    e1, e2 = np.eye(3, dtype=int)[[ax1, ax2]]
+    if ax1 == ax2:
+        return (_shifted(arr, margin, e1) - 2 * _shifted(arr, margin, (0, 0, 0))
+                + _shifted(arr, margin, -e1)) / (h * h)
+    return (_shifted(arr, margin, e1 + e2) - _shifted(arr, margin, e1 - e2)
+            - _shifted(arr, margin, e2 - e1) + _shifted(arr, margin, -e1 - e2)) / (4 * h * h)
+
+
 def grid_field_point_batch_first(grid):
     """``grid_field_point`` with batch-first blocks: each stencil along the trailing axes."""
     h, margin = grid.spacing, 2
@@ -249,7 +259,7 @@ def grid_field_point_batch_first(grid):
         for j in range(3):
             d[..., j] = _central_diff(arr, j, h, margin)
             for k in range(j, 3):
-                block = _central_diff2(arr, j, k, h, margin)
+                block = central_diff2(arr, j, k, h, margin)
                 dd[..., j, k] = block
                 if k != j:
                     dd[..., k, j] = block
@@ -733,6 +743,45 @@ class TestComponentFirstBits:
             ]
         for new, oracle in pairs:
             assert same_bits((nan_places(new),), (nan_places(oracle),))
+
+
+class TestGridFieldPointWorkspace:
+    """``grid_field_point(grid, out=buf)`` writes every block but alpha, a view of the grid, into ``buf``,
+    with the bits of a call that allocates its own buffer; calls without ``out`` share no memory."""
+
+    @staticmethod
+    def grid(dims, order="C"):
+        grid = rl.RotorGrid.from_field(rl.random_smooth_field(seed=12), dims=dims, spacing=0.25,
+                                       origin=(-1.0, -1.1, -1.2))
+        return rl.RotorGrid(np.asarray(grid.alpha, order=order), np.asarray(grid.beta, order=order),
+                            spacing=grid.spacing, origin=grid.origin)
+
+    @staticmethod
+    def blocks(fp):
+        return [v for k, v in vars(fp).items() if k != "alpha"]
+
+    # a residual_3d slab, the smallest grid, and a transposed grid as load_grid_csv may give
+    @pytest.mark.parametrize("dims, order", [((8, 36, 36), "C"), ((5, 5, 5), "C"), ((9, 10, 11), "F")])
+    def test_out_gives_the_same_bits_in_place(self, dims, order):
+        grid, size = self.grid(dims, order), 59 * np.prod(np.subtract(dims, 4))
+        buf = np.full(size + 5, np.nan)  # stale entries: the zero time blocks are written too
+        new, own = rl.grid_field_point(grid, out=buf), rl.grid_field_point(grid)
+        assert same_bits(vars(new).values(), vars(own).values())
+        assert all(np.shares_memory(block, buf) for block in self.blocks(new))
+        assert np.isnan(buf[size:]).all()
+
+    def test_calls_without_out_share_no_memory(self):
+        grid = self.grid((9, 10, 11))
+        first, second = self.blocks(rl.grid_field_point(grid)), self.blocks(rl.grid_field_point(grid))
+        assert not any(np.shares_memory(a, b) for a in first for b in second)
+        assert not any(np.shares_memory(a, b) for i, a in enumerate(first) for b in first[i + 1:])
+
+    def test_out_is_checked(self):
+        grid, size = self.grid((5, 5, 5)), 59
+        for buf in (np.empty(size - 1), np.empty(size, dtype=np.float32), np.empty((size, 2))[:, 0],
+                    np.empty((1, size))):
+            with pytest.raises(ValueError, match="out must be"):
+                rl.grid_field_point(grid, out=buf)
 
 
 class TestKinematicsBits:

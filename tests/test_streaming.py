@@ -150,6 +150,26 @@ class TestResidualGrid:
             field_equations.grid_field_point(grid)
 
 
+class TestResidualWorkspace:
+    def test_one_workspace_for_every_slab(self, slab_points, soliton_field, unit_moduli, monkeypatch):
+        # slabs of 3, 4, 3 and 4 planes: each calls grid_field_point through the module attribute, as the
+        # benchmark's tracer sees it, and writes its blocks to a prefix of one cache-aligned workspace
+        grid = soliton_grid(soliton_field, (18, 13, 11))
+        slab_points(3 * (13 - 4) * (11 - 4))
+        calls, grid_field_point = [], field_equations.grid_field_point
+
+        def slab_spy(slab, **kw):
+            calls.append((slab.dims[0], kw["out"]))
+            return grid_field_point(slab, **kw)
+
+        monkeypatch.setattr(field_equations, "grid_field_point", slab_spy)
+        rl.residual_grid(grid, unit_moduli)
+        assert [nx for nx, _ in calls] == [3 + 4, 4 + 4, 3 + 4, 4 + 4]
+        work = calls[0][1]
+        assert all(out is work for _, out in calls) and work.ctypes.data % 64 == 0
+        assert work.size == 59 * 4 * (13 - 4) * (11 - 4)
+
+
 class TestIdentityCheck:
     @pytest.mark.parametrize("nx", [9, 31, 43], ids=["thinner-than-a-slab", "two-uneven", "three"])
     def test_identity_equals_whole_grid(self, slab_points, nx):
