@@ -32,6 +32,7 @@ from .kinematics import (
     RotorGrid,
     _blocks,
     _centred_axis,
+    _lattice_axes,
     check_identity_TT,
     decompose,
     quadratic_invariants,
@@ -216,9 +217,9 @@ def cmd_residual(args) -> int:
                          f"last radius r_max = {profile.r[-1]}")
     field = lift_hedgehog(profile)
     axis = _centred_axis(args.rmax_annulus + 3 * h, h)  # cell-centered even-count lattice: no node at the origin
-    nodes = axis[0] + h * np.arange(axis.size)  # RotorGrid.from_field's coordinates, bit for bit
+    nodes = _lattice_axes([axis[0]] * 3, h, [axis.size] * 3)  # RotorGrid.from_field's coordinates
     n_cells, peaks = 0, []  # exact counts and maxima, as over the whole grid
-    for _, _, pts in _blocks((nodes,) * 3, halo=_MARGIN, min_planes=12):  # x-blocks, two halo planes a side
+    for _, _, pts in _blocks(nodes, halo=_MARGIN, min_planes=12):  # x-blocks, two halo planes a side
         rr = np.linalg.norm(pts[(slice(_MARGIN, -_MARGIN),) * 3], axis=-1)  # the residual's nodes
         mask = (rr >= args.rmin) & (rr <= args.rmax_annulus)
         if mask.any():  # the field is sampled only on blocks that hold an annulus node

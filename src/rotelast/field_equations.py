@@ -48,10 +48,9 @@ benchmark traces both by name.
 Memory layout.  :func:`grid_field_point` writes its blocks into one buffer,
 component axes first and batch axes last, and the kernels take
 component-first views (:func:`fields._components_first`), so each ufunc loop
-runs along the batch, strided for batch-first points.  Its stencils run on a
-contiguous component-first copy of the grid, where a shift by ``(i, j, k)``
-cells is a shift of the flat index by ``i ny nz + j nz + k``, so each pass
-is one loop over whole interior planes.  Public shapes stay ``[..., l, k]``:
+runs along the batch, strided for batch-first points.  Its differences are
+``kinematics._Stencil``'s, each one loop over whole interior planes of a
+contiguous component-first copy of the grid.  Public shapes stay ``[..., l, k]``:
 blocks, ``H^ik`` and the residual are views.  Each hand-written sum over a
 3-axis adds in the order of the NumPy reduction it replaced, so bits, signed
 zeros included, are kept: ``np.trace``, ``.sum(axis=-1)`` and ``np.einsum``
@@ -64,7 +63,8 @@ from __future__ import annotations
 import numpy as np
 
 from .fields import FieldPoint, _components_first, _nye_bracket
-from .kinematics import Moduli, RotorGrid, _aligned_empty, _trace_skew, nye_matrix, nye_velocity_vector
+from .kinematics import (Moduli, RotorGrid, _aligned_empty, _lattice_axes, _Stencil, _trace_skew, nye_matrix,
+                         nye_velocity_vector)
 from .so3 import _bl, _cf, _cross, _eps_ddot, eps_dot
 
 __all__ = [
@@ -192,14 +192,13 @@ def grid_field_point(grid: RotorGrid, *, out=None) -> FieldPoint:
     array whose first 59 entries per interior node the call overwrites; the
     stencils' scratch is allocated apart, as it would stay resident while the
     kernels run.  Without ``out`` the call allocates its own, so two calls
-    share no memory.  Each stencil repeats the operations of the central
-    differences, so the bits do not depend on where the blocks are written.
+    share no memory.  The differences are those of :class:`kinematics._Stencil`,
+    so the bits do not depend on where the blocks are written.
     """
     _check_dims(grid)
-    nx, ny, nz = grid.dims
-    h, mg = grid.spacing, _MARGIN
-    shp = (nx - 2 * mg, ny - 2 * mg, nz - 2 * mg)
-    n, plane = shp[0] * shp[1] * shp[2], ny * nz
+    mg = _MARGIN
+    shp = tuple(n - 2 * mg for n in grid.dims)
+    n = shp[0] * shp[1] * shp[2]
     if out is None:
         out = np.empty(59 * n)
     elif out.dtype != float or out.ndim != 1 or not out.flags.c_contiguous or out.size < 59 * n:
@@ -207,35 +206,19 @@ def grid_field_point(grid: RotorGrid, *, out=None) -> FieldPoint:
     # d, dd and the copy u have a row for alpha, then three for beta's components
     sizes, shapes = (12 * n, 36 * n, 3 * n, 8 * n), ((4, 3) + shp, (4, 3, 3) + shp, (3,) + shp, (8 * n,))
     d, dd, beta, zero = (out[e - s:e].reshape(shape) for s, e, shape in zip(sizes, np.cumsum(sizes), shapes))
-    u, t = np.empty((4, nx, ny, nz)), np.empty((4, shp[0] * plane))
-    # in the flat copy, a shift by one cell along axis j is a shift by step[j]
+    u, st = np.empty((4,) + grid.dims), _Stencil(grid.dims, grid.spacing, mg)
     u[0], u[1:] = grid.alpha, _cf(grid.beta)
-    flat, step = u.reshape(4, -1), (plane, nz, 1)
-    interior = t.reshape((4, shp[0], ny, nz))[:, :, mg:-mg, mg:-mg]
-    lo, hi = mg * plane, (nx - mg) * plane  # the interior planes, whole rows included
-
-    def shifted(offset):
-        return flat[:, lo + offset:hi + offset]
-
-    # kinematics._central_diff's operations, and those of the three-point and cross stencils
-    for j, s in enumerate(step):
-        np.divide(np.subtract(shifted(s), shifted(-s), out=t), 2.0 * h, out=t)
-        d[:, j] = interior
-        for k, r in enumerate(step[j:], j):
-            if k == j:
-                np.subtract(shifted(s), np.multiply(shifted(0), 2.0, out=t), out=t)
-                np.divide(np.add(t, shifted(-s), out=t), h * h, out=t)
-            else:
-                np.subtract(np.subtract(shifted(s + r), shifted(s - r), out=t), shifted(r - s), out=t)
-                np.divide(np.add(t, shifted(-s - r), out=t), 4 * h * h, out=t)
-            dd[:, j, k] = interior
+    t = np.empty(st.shifted(u, 0).shape)
+    for j in range(3):
+        d[:, j] = st.interior(st.first(u, j, out=t))
+        for k in range(j, 3):
+            dd[:, j, k] = st.interior(st.second(u, j, k, out=t))
             if k != j:
                 dd[:, k, j] = dd[:, j, k]
     beta[...] = u[1:, mg:-mg, mg:-mg, mg:-mg]
     zero[...] = 0.0
     zero_v, zero_s = zero[:6 * n].reshape((2, 3) + shp), zero[6 * n:].reshape((2,) + shp)
-    c = (slice(mg, -mg),) * 3
-    return FieldPoint(alpha=grid.alpha[c], beta=_bl(beta), d_beta=_bl(d[1:], 2), d_alpha=_bl(d[0]),
+    return FieldPoint(alpha=grid.alpha[mg:-mg, mg:-mg, mg:-mg], beta=_bl(beta), d_beta=_bl(d[1:], 2), d_alpha=_bl(d[0]),
                       dt_beta=_bl(zero_v[0]), dt_alpha=zero_s[0], dd_beta=_bl(dd[1:], 3), dd_alpha=_bl(dd[0], 2),
                       dtt_beta=_bl(zero_v[1]), dtt_alpha=zero_s[1])
 
@@ -251,7 +234,7 @@ def residual_grid(grid: RotorGrid, m: Moduli):
     whole-grid call bit for bit.
     """
     _check_dims(grid)
-    axes = [grid.origin[d] + grid.spacing * np.arange(n)[_MARGIN:-_MARGIN] for d, n in enumerate(grid.dims)]
+    axes = [axis[_MARGIN:-_MARGIN] for axis in _lattice_axes(grid.origin, grid.spacing, grid.dims)]
     pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
     res = np.empty(pts.shape)
     thickest = max(hi - lo for lo, hi, _ in grid._slabs(_MARGIN))

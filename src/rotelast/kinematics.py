@@ -10,11 +10,11 @@ matrix is the linear image ``T = A - tr(A) I``; its trace, antisymmetric and
 symmetric-traceless parts carry the quadratic invariants that build the
 potential energy density.
 
-The grid stencil builds u and the Nye tensor with the component axes first
-and the grid axes last, so each ufunc loop runs along the grid; the public
-results stay C-order ``[..., l, k]`` arrays.  The trace and part helpers
-keep the memory order they are given, so the identity check applies them to
-views of that layout.
+:class:`_Stencil` takes every grid difference, here and in
+``field_equations.grid_field_point``.  The grid Nye tensor is built with the
+component axes first and the grid axes last, so each ufunc loop runs along
+the grid; the public results stay C-order ``[..., l, k]`` arrays, and the
+trace and part helpers keep the memory order they are given.
 """
 
 from __future__ import annotations
@@ -99,6 +99,11 @@ def _trace_skew(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.trace(m, axis1=-2, axis2=-1), np.multiply(0.5, skew, out=skew)
 
 
+def _frobenius_sq(m: np.ndarray) -> np.ndarray:
+    """``sum_ij m_ij^2`` of a batch of 3x3 matrices, added as np.einsum adds it."""
+    return np.einsum("...ij,...ij->...", m, m)
+
+
 def _sym_traceless(m: np.ndarray, tr: np.ndarray) -> np.ndarray:
     """Symmetric traceless part ``(m + m^T) / 2 - (tr / 3) I`` of a batch of 3x3 matrices of trace tr."""
     sym = np.add(m, np.swapaxes(m, -1, -2))
@@ -137,13 +142,9 @@ def quadratic_invariants(torsion: np.ndarray) -> tuple[float, float]:
     ``tr(T)^2 / 3`` (``axial_sq``, the square of the axial trace).  Both
     are non-negative.
     """
-    torsion = np.asarray(torsion, dtype=float)
-    tr, skew = _trace_skew(torsion)
-    trace_sq = np.einsum("...ij,...ij->...", skew, skew)
-    axial_sq = tr * tr / 3.0
-    if torsion.ndim == 2:
-        return float(trace_sq), float(axial_sq)
-    return trace_sq, axial_sq
+    tr, skew = _trace_skew(np.asarray(torsion, dtype=float))
+    trace_sq, axial_sq = _frobenius_sq(skew), tr * tr / 3.0
+    return (float(trace_sq), float(axial_sq)) if np.ndim(tr) == 0 else (trace_sq, axial_sq)
 
 
 def nye_velocity_vector(fp: FieldPoint) -> np.ndarray:
@@ -155,7 +156,7 @@ def potential_density(a: np.ndarray, m: Moduli):
     """Quadratic potential density ``lambda1 (tr A)^2 + lambda2 |skew A|^2``."""
     a = np.asarray(a, dtype=float)
     tr, skew = _trace_skew(a)
-    val = m.lambda1 * tr * tr + m.lambda2 * np.einsum("...ij,...ij->...", skew, skew)
+    val = m.lambda1 * tr * tr + m.lambda2 * _frobenius_sq(skew)
     return float(val) if a.ndim == 2 else val
 
 
@@ -212,6 +213,11 @@ def _aligned_empty(size: int, head: int = 0) -> np.ndarray:
     return buf[start:start + size]
 
 
+def _lattice_axes(origin, spacing: float, dims) -> list[np.ndarray]:
+    """The node coordinates ``origin[d] + spacing * i``, i = 0 .. dims[d] - 1, along each axis d of a lattice."""
+    return [np.asarray(origin, dtype=float)[d] + spacing * np.arange(n) for d, n in enumerate(dims)]
+
+
 def _centred_axis(half_width: float, h: float) -> np.ndarray:
     """Centres of the even count ``ceil(2 half_width / h)`` (rounded up) of cells of
     width h that cover ``[-half_width, half_width]``: symmetric, none lands on 0."""
@@ -255,8 +261,7 @@ class RotorGrid:
 
     def points(self) -> np.ndarray:
         """All grid point coordinates, shape dims + (3,)."""
-        axes = [self.origin[d] + self.spacing * np.arange(self.dims[d]) for d in range(3)]
-        return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+        return np.stack(np.meshgrid(*_lattice_axes(self.origin, self.spacing, self.dims), indexing="ij"), axis=-1)
 
     def u_array(self) -> np.ndarray:
         """Orthogonal matrices at every node, shape dims + (3, 3)."""
@@ -280,30 +285,42 @@ class RotorGrid:
         values equal those of one whole-grid call bit for bit.
         """
         dims = tuple(int(d) for d in dims)
-        axes = [np.asarray(origin, dtype=float)[d] + spacing * np.arange(dims[d]) for d in range(3)]
         alpha, beta = np.empty(dims), np.empty(dims + (3,))
-        for lo, hi, pts in _blocks(axes):
+        for lo, hi, pts in _blocks(_lattice_axes(origin, spacing, dims)):
             alpha[lo:hi], beta[lo:hi] = field.alpha_beta(pts)
         return cls(alpha=alpha, beta=beta, spacing=spacing, origin=origin)
 
 
-def _shifted(arr: np.ndarray, margin: int, offset) -> np.ndarray:
-    """``arr`` over the nodes ``margin`` cells inside every face of the grid
-    axes, displaced by ``offset`` cells along each of them."""
-    return arr[tuple(slice(margin + o, n - margin + o) for n, o in zip(arr.shape, offset))]
+class _Stencil:
+    """The one finite-difference stencil: second-order central differences at spacing h over the planes
+    ``margin .. nx - margin - 1`` of a lattice of ``dims`` nodes, whole rows included.  In a C-contiguous
+    ``u[..., x, y, z]`` a shift by ``(i, j, k)`` cells shifts the flat grid index by ``i ny nz + j nz + k``,
+    so each difference is one loop into ``[..., (nx - 2 margin) ny nz]``; :meth:`interior` views its nodes
+    ``margin`` cells or more inside every face.  The operations run in this order: ``(f+ - f-) / 2h``,
+    ``((f+ - 2 f0) + f-) / h^2`` and, at margin 2 or more, ``(((f++ - f+-) - f-+) + f--) / 4h^2``."""
 
+    def __init__(self, dims, h: float, margin: int):
+        nx, ny, nz = dims
+        self.h, self.m, self.step, self.rows = h, margin, (ny * nz, nz, 1), (nx - 2 * margin, ny, nz)
+        self.lo, self.hi = margin * ny * nz, (nx - margin) * ny * nz
 
-def _central_diff(arr: np.ndarray, axis: int, h: float, margin: int = 1, out=None) -> np.ndarray:
-    """Second-order central first derivative along a grid axis.
+    def shifted(self, u: np.ndarray, offset: int) -> np.ndarray:
+        return u.reshape(u.shape[:-3] + (-1,))[..., self.lo + offset:self.hi + offset]
 
-    ``arr`` has the three grid axes first; trailing axes are carried along.
-    The output covers the nodes at least ``margin`` cells from every face,
-    so stacked derivatives stay index-aligned; callers track the margin.
-    It goes to ``out`` if given, else to an array in the memory order of ``arr``.
-    """
-    e = np.eye(3, dtype=int)[axis]
-    diff = np.subtract(_shifted(arr, margin, e), _shifted(arr, margin, -e), out=out)
-    return np.divide(diff, 2.0 * h, out=diff)
+    def interior(self, t: np.ndarray) -> np.ndarray:
+        return t.reshape(t.shape[:-1] + self.rows)[..., self.m:-self.m, self.m:-self.m]
+
+    def first(self, u: np.ndarray, j: int, out=None) -> np.ndarray:
+        out = np.subtract(self.shifted(u, self.step[j]), self.shifted(u, -self.step[j]), out=out)
+        return np.divide(out, 2.0 * self.h, out=out)
+
+    def second(self, u: np.ndarray, j: int, k: int, out: np.ndarray) -> np.ndarray:
+        s, r, f = self.step[j], self.step[k], lambda offset: self.shifted(u, offset)
+        if j == k:
+            np.subtract(f(s), np.multiply(f(0), 2.0, out=out), out=out)
+            return np.divide(np.add(out, f(-s), out=out), self.h * self.h, out=out)
+        np.subtract(np.subtract(f(s + r), f(s - r), out=out), f(r - s), out=out)
+        return np.divide(np.add(out, f(-s - r), out=out), 4 * self.h * self.h, out=out)
 
 
 def nye_fd_grid(grid: RotorGrid) -> np.ndarray:
@@ -316,16 +333,15 @@ def nye_fd_grid(grid: RotorGrid) -> np.ndarray:
 
 
 def _nye_fd(grid: RotorGrid) -> np.ndarray:
-    """:func:`nye_fd_grid` with the component axes first, ``[l, k, x, y, z]``: u is built component
-    axes first, every loop runs along the grid, and scratch arrays take the temporaries."""
-    u = _rotor_matrix(grid.alpha, grid.beta, np.empty((3, 3) + grid.dims))
-    core = u[:, :, 1:-1, 1:-1, 1:-1]
-    A, du = np.empty(core.shape), np.empty(core.shape)
+    """:func:`nye_fd_grid` with the component axes first, ``[l, k, x, y, z]``, each loop along the grid."""
+    u, st = _rotor_matrix(grid.alpha, grid.beta, np.empty((3, 3) + grid.dims)), _Stencil(grid.dims, grid.spacing, 1)
+    core, du = u[:, :, 1:-1, 1:-1, 1:-1], np.empty(st.shifted(u, 0).shape)
+    A, du_core = np.empty(core.shape), st.interior(du)
     mn, nm, term = (np.empty(core.shape[2:]) for _ in range(3))
     # (u d_k u^T)_ij
-    dot = lambda i, j, out: _dot(core[i], du[j], out, term)
+    dot = lambda i, j, out: _dot(core[i], du_core[j], out, term)
     for k in range(3):
-        _central_diff(_bl(u, 2), k, grid.spacing, out=_bl(du, 2))
+        st.first(u, k, out=du)
         # axial part of u d_k u^T, one component at a time: (1/2) sum_a u_{.a} x d_k u_{.a}
         for l, m, n in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
             np.multiply(0.5, np.subtract(dot(m, n, mn), dot(n, m, nm), out=A[l, k]), out=A[l, k])
@@ -362,13 +378,12 @@ def _identity_residual(grid: RotorGrid) -> float:
     is built component axes first, and T, tau, S, D, v and div v keep that memory order.  |D|^2
     and |S|^2 stay np.einsum on C-order copies: no plain order of adds reproduces its 9-term sums."""
     T = torsion_from_nye(_bl(_nye_fd(grid), 2))
-    v = _eps_ddot(_cf(T, 2))
-    div_v = sum(_central_diff(v[k], k, grid.spacing) for k in range(3))
+    v, st = _eps_ddot(_cf(T, 2)), _Stencil(T.shape[:3], grid.spacing, 1)
+    div_v = st.interior(sum(st.first(v[k], k) for k in range(3)))
     c = (slice(1, -1),) * 3
     tau, S = _trace_skew(T[c])
     D, S = np.ascontiguousarray(_sym_traceless(T[c], tau)), np.ascontiguousarray(S)
-    sq = lambda m: np.einsum("...ij,...ij->...", m, m)
-    return float(np.abs(sq(D) - ((sq(S) + tau * tau / 6.0) + 2.0 * div_v)).max())
+    return float(np.abs(_frobenius_sq(D) - ((_frobenius_sq(S) + tau * tau / 6.0) + 2.0 * div_v)).max())
 
 
 # ---------------------------------------------------------------------------

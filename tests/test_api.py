@@ -13,7 +13,8 @@
 * every defaulted parameter of a public callable is set by some call in the
   package, its tools or its benchmark: an option that no program call sets
   has one value in use, and belongs in the code as a constant;
-* the x-slab walk over a lattice or a grid lives in ``kinematics`` alone.
+* the x-slab walk over a lattice or a grid lives in ``kinematics`` alone, and
+  so does the finite-difference stencil.
 """
 
 import ast
@@ -129,6 +130,33 @@ def test_the_slab_walk_has_one_home():
         loops = [m for n in nodes if isinstance(n, (ast.For, ast.While)) for m in ast.walk(n)]
         assert not [m for m in loops if isinstance(m, ast.Attribute) and m.attr == "meshgrid"], path.name
     assert not hasattr(kinematics.RotorGrid, "_planes")
+
+
+def displaced_slices(tree):
+    """The slices in ``tree``, ``a:b`` or ``slice(a, b)``, whose bounds both end in the same ``+ offset`` or
+    ``- offset``, offset a variable: reads of an array displaced by a variable offset, as in ``u[lo + s:hi + s]``,
+    the mark of a finite-difference stencil (``res[lo - _MARGIN:hi - _MARGIN]`` places a slab)."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Slice) or (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "slice"):
+            bounds = (node.lower, node.upper) if isinstance(node, ast.Slice) else node.args[:2]
+            ends = {(type(b.op), ast.unparse(b.right)) if isinstance(b, ast.BinOp) else None for b in bounds}
+            if len(bounds) == 2 and len(ends) == 1 and None not in ends and not ends.pop()[1].isupper():
+                found.append(ast.unparse(node))
+    return found
+
+
+def test_the_stencil_has_one_home():
+    """Every finite difference on a grid is taken by ``kinematics._Stencil``: no other module reads an array at a
+    displaced slice or calls ``np.gradient`` or ``np.roll``, and the three grid consumers build a ``_Stencil``."""
+    for path in sorted((ROOT / "src" / "rotelast").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        calls = {ast.unparse(n.func) for n in ast.walk(tree) if isinstance(n, ast.Call)}
+        assert not calls & {"np.gradient", "np.roll"}, path.name
+        assert path.name == "kinematics.py" or displaced_slices(tree) == [], path.name
+    assert displaced_slices(ast.parse(inspect.getsource(kinematics._Stencil)))  # the rule sees the one home
+    for fn in (field_equations.grid_field_point, kinematics._nye_fd, kinematics._identity_residual):
+        assert "_Stencil(" in inspect.getsource(fn), fn.__name__
 
 
 def test_no_time_and_no_margin_parameters():

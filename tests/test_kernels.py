@@ -26,7 +26,7 @@ from hypothesis.extra.numpy import arrays, mutually_broadcastable_shapes
 import rotelast as rl
 from rotelast.field_equations import _axial, _coupling, _d_nye, _nye_divergences
 from rotelast.fields import _components_first
-from rotelast.kinematics import _central_diff, _identity_residual, _shifted, _sym_traceless, _trace_skew
+from rotelast.kinematics import _identity_residual, _sym_traceless, _trace_skew
 from rotelast.so3 import _bl, _cf, _cross, _dot, _norm2, eps_dot, matrix_to_rotor, rotor_matrix
 
 from conftest import LEVI_CIVITA, ConstantField, eps_ddot, make_rotor
@@ -237,9 +237,26 @@ def residual_np_cross(fp, m):
     return 2.0 * dt_a_t - div_h + 2.0 * coupling_batch_first(fp, a, a_t, h_t, h_s)
 
 
+def _shifted(arr, margin, offset):
+    """``arr`` over the nodes ``margin`` cells inside every face of the grid
+    axes, displaced by ``offset`` cells along each of them."""
+    return arr[tuple(slice(margin + o, n - margin + o) for n, o in zip(arr.shape, offset))]
+
+
+def _central_diff(arr, axis, h, margin=1):
+    """Second-order central first derivative along a grid axis.
+
+    ``arr`` has the three grid axes first; trailing axes are carried along.
+    The output covers the nodes at least ``margin`` cells from every face,
+    so stacked derivatives stay index-aligned; callers track the margin.
+    """
+    e = np.eye(3, dtype=int)[axis]
+    return (_shifted(arr, margin, e) - _shifted(arr, margin, -e)) / (2.0 * h)
+
+
 def central_diff2(arr, ax1, ax2, h, margin):
     """Second-order central ``d_ax1 d_ax2``: three-point stencil on the diagonal, four-point cross
-    stencil off it; layout as ``kinematics._central_diff``."""
+    stencil off it; layout as :func:`_central_diff`."""
     e1, e2 = np.eye(3, dtype=int)[[ax1, ax2]]
     if ax1 == ax2:
         return (_shifted(arr, margin, e1) - 2 * _shifted(arr, margin, (0, 0, 0))
@@ -272,6 +289,19 @@ def grid_field_point_batch_first(grid):
     return rl.FieldPoint(alpha=grid.alpha[c], beta=grid.beta[c], d_beta=d_beta, d_alpha=d_alpha, dt_beta=zero_v,
                          dt_alpha=zero_s, dd_beta=dd_beta, dd_alpha=dd_alpha, dtt_beta=zero_v.copy(),
                          dtt_alpha=zero_s.copy())
+
+
+def off_cube_grid(csv_dir=None):
+    """A 9 x 10 x 11 grid, whose three axes a stencil cannot mix up unnoticed; read back by ``load_grid_csv``
+    from ``csv_dir`` if given, so that its alpha is a transposed view."""
+    grid = rl.RotorGrid.from_field(rl.random_smooth_field(seed=7), dims=(9, 10, 11), spacing=0.15,
+                                   origin=[-0.6, -0.7, -0.8])
+    if csv_dir is None:
+        return grid
+    rl.save_grid_csv(grid, csv_dir / "grid.csv")
+    loaded = rl.load_grid_csv(csv_dir / "grid.csv")
+    assert not loaded.alpha.flags.c_contiguous and same_bits((loaded.alpha, loaded.beta), (grid.alpha, grid.beta))
+    return loaded
 
 
 # the batch-first kinematics that the component-first kernels replace: loops over the 3-entry axes
@@ -667,6 +697,12 @@ class TestComponentFirstBits:
             m = rl.Moduli.from_couplings(*couplings)
             assert same_bits((rl.residual_eqs2_at(new, m),), (residual_np_cross(old, m),))
 
+    @pytest.mark.parametrize("csv", [False, True], ids=["sampled", "csv"])
+    def test_grid_field_point_off_cube(self, csv, tmp_path):
+        grid = off_cube_grid(tmp_path if csv else None)
+        new, old = rl.grid_field_point(grid), grid_field_point_batch_first(grid)
+        assert same_bits(vars(new).values(), vars(old).values())
+
     def test_residual_grid(self, soliton_field, unit_moduli):
         grid = self.residual_3d_grid(soliton_field, 0.2)
         _, res = rl.residual_grid(grid, unit_moduli)
@@ -792,9 +828,12 @@ class TestKinematicsBits:
     SPECIAL = np.array([[0.0, 1.0, 0.0, -0.0], [-0.0, -0.0, 0.6, -0.8], [1.0, 0.0, -0.0, 0.0],
                         [-1.0, -0.0, -0.0, -0.0], [0.0, 0.0, -1.0, 0.0], [-0.6, 0.0, 0.8, -0.0]])
 
-    @pytest.fixture(scope="class", params=[0.1, 0.05])
-    def identity_grid(self, request):
-        """The identity-check grid of the box [-1, 1]^3 at spacing h (the grid_kinematics workload's)."""
+    @pytest.fixture(scope="class", params=[0.1, 0.05, "9x10x11", "csv"])
+    def identity_grid(self, request, tmp_path_factory):
+        """The identity-check grid of the box [-1, 1]^3 at spacing h (the grid_kinematics workload's), or
+        :func:`off_cube_grid` as sampled or read back from CSV."""
+        if isinstance(request.param, str):
+            return off_cube_grid(tmp_path_factory.mktemp("grid") if request.param == "csv" else None)
         h = request.param
         n = int(np.ceil(2.0 / h)) + 1
         return rl.RotorGrid.from_field(rl.random_smooth_field(seed=7), dims=(n, n, n), spacing=h,

@@ -4,6 +4,7 @@ import pytest
 import rotelast as rl
 
 from conftest import LEVI_CIVITA, ConstantField, eps_ddot, make_rotor, random_rotor
+from test_kernels import _central_diff
 
 
 def hedgehog_test_field():
@@ -253,7 +254,7 @@ class TestNyeFiniteDifference:
         u = g.u_array()
         oracle = np.empty((39, 39, 39, 3, 3))
         for k in range(3):
-            du = rl.kinematics._central_diff(u, k, g.spacing)
+            du = _central_diff(u, k, g.spacing)
             w = np.einsum("...ia,...ja->...ij", u[1:-1, 1:-1, 1:-1], du)
             oracle[..., :, k] = 0.5 * np.einsum("lij,...ij->...l", LEVI_CIVITA, w)
         assert np.abs(rl.nye_fd_grid(g) - oracle).max() <= 1e-14 * np.abs(oracle).max()
