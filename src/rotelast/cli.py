@@ -5,15 +5,18 @@ identity-check.  Moduli are given either as the c-triple (--c1 --c2 --c3)
 or the couplings (--lambda1 --lambda2), never both.  Flags override an
 optional key=value config file (--config), where the on/off flags take
 ``true`` or ``false``; identical configuration and seed produce
-bit-identical outputs.  ``residual`` samples the field and reduces the
-residual one block of x-planes at a time, so its memory is set by a block,
-not by ``--h``.  Exit codes: 0 success, 2 bad usage or configuration
-(argparse's own errors, a grid too large to allocate, a node or step count
-too large for an integer and a record that holds NaN or an infinity
-included, with a JSON record on stderr), 3 solver failure (divergence,
-instability, a failed integration, an ill-posed evolve coupling, a profile
-whose resampling overflows or an evolve energy that overflows, with a
-one-line diagnostic JSON record on stdout).
+bit-identical outputs.  Each ``cmd_*`` returns its record; :func:`main` prints
+it as JSON on stdout and writes the same bytes to ``--summary`` for static
+and evolve, whose ``-o`` is a profile CSV, and to ``-o`` for the rest.
+``residual`` samples the field and reduces the residual one block of
+x-planes at a time, so its memory is set by a block, not by ``--h``.  Exit
+codes: 0 success, 2 bad usage or configuration (argparse's own errors, a
+grid too large to allocate, a node or step count too large for an integer
+and a record that holds NaN or an infinity included, with a JSON record on
+stderr), 3 solver failure (divergence, instability, a failed integration,
+an ill-posed evolve coupling, a profile whose resampling overflows or an
+evolve energy that overflows, with a one-line diagnostic JSON record on
+stdout).
 """
 
 from __future__ import annotations
@@ -56,8 +59,13 @@ from .topology import total_charge
 SCHEMA_VERSION = 1
 
 
-def _emit(payload: dict, path: str | None) -> None:
-    text = json.dumps({"schema_version": SCHEMA_VERSION, **payload}, sort_keys=True, indent=2, allow_nan=False)
+def _dumps(record: dict, **kw) -> str:
+    """The record in the envelope that every record of the command line shares."""
+    return json.dumps({"schema_version": SCHEMA_VERSION, **record}, sort_keys=True, **kw)
+
+
+def _emit(record: dict, path: str | None) -> None:
+    text = _dumps(record, indent=2, allow_nan=False)
     if path:
         with open(path, "w", newline="\n") as f:
             f.write(text + "\n")
@@ -65,8 +73,7 @@ def _emit(payload: dict, path: str | None) -> None:
 
 
 def _fail_usage(message: str) -> int:
-    print(json.dumps({"schema_version": SCHEMA_VERSION, "error": "usage", "detail": message},
-                     sort_keys=True), file=sys.stderr)
+    print(_dumps({"error": "usage", "detail": message}), file=sys.stderr)
     return 2
 
 
@@ -86,14 +93,14 @@ class _IllPosedError(RuntimeError):
 
 
 def _fail_runtime(exc: RuntimeError) -> int:
-    record = {"schema_version": SCHEMA_VERSION, "error": "solver_failure", "detail": str(exc)}
+    record = {"error": "solver_failure", "detail": str(exc)}
     if isinstance(exc, DivergenceError):
         record.update(error="divergence", radius=exc.radius)
     elif isinstance(exc, InstabilityError):
         record["error"] = "instability"
     elif isinstance(exc, _IllPosedError):
         record["error"] = "ill_posed"
-    print(json.dumps(record, sort_keys=True))
+    print(_dumps(record))
     return 3
 
 
@@ -134,29 +141,24 @@ def _load_config(path: str) -> dict:
     return out
 
 
-def cmd_static(args) -> int:
+def cmd_static(args) -> dict:
     m = _moduli_from_args(args)
     profile = solve_static(m, slope0=args.slope0, r_max=args.rmax, tol=args.tol)
     if args.output:
         save_profile_csv(profile, args.output)
-    _emit(
-        {
-            "command": "static",
-            "lambda1": m.lambda1,
-            "lambda2": m.lambda2,
-            "slope0": args.slope0,
-            "r_max": args.rmax,
-            "tol": args.tol,
-            "w_end": float(profile.w[-1]),
-            "w_max": float(profile.w.max()),
-            "output": args.output,
-        },
-        args.summary,
-    )
-    return 0
+    return {
+        "lambda1": m.lambda1,
+        "lambda2": m.lambda2,
+        "slope0": args.slope0,
+        "r_max": args.rmax,
+        "tol": args.tol,
+        "w_end": float(profile.w[-1]),
+        "w_max": float(profile.w.max()),
+        "output": args.output,
+    }
 
 
-def cmd_evolve(args) -> int:
+def cmd_evolve(args) -> dict:
     initial = load_profile_csv(args.from_profile)
     l1, slope = initial.moduli.lambda1, _dU0(initial.moduli)
     if slope > l1 / 4.0:
@@ -177,34 +179,26 @@ def cmd_evolve(args) -> int:
     if args.output:
         save_profile_csv(final, args.output)
     e = result.energy
-    _emit(
-        {
-            "command": "evolve",
-            "dt": dt,
-            "t_end": args.t_end,
-            "n_grid": args.n_grid,
-            "sup_drift": float(sup_drift),
-            "energy_initial": float(e[0]),
-            "energy_rel_drift": float(np.abs(e - e[0]).max() / max(result.energy_scale, 1e-300)),
-            "output": args.output,
-        },
-        args.summary,
-    )
-    return 0
+    return {
+        "dt": dt,
+        "t_end": args.t_end,
+        "n_grid": args.n_grid,
+        "sup_drift": float(sup_drift),
+        "energy_initial": float(e[0]),
+        "energy_rel_drift": float(np.abs(e - e[0]).max() / max(result.energy_scale, 1e-300)),
+        "output": args.output,
+    }
 
 
-def cmd_charge(args) -> int:
+def cmd_charge(args) -> dict:
     profile = load_profile_csv(args.from_profile)
     if args.radius > profile.r[-1]:  # the lifted profile's spline would extrapolate its end cubic
         raise ValueError(f"--radius {args.radius} exceeds the profile's last radius r_max = {profile.r[-1]}")
     field = lift_hedgehog(profile)
-    report = total_charge(field, ball_radius=args.radius, grid_spacing=args.spacing,
-                          force_3d=args.full_3d)
-    _emit({"command": "charge", **vars(report)}, args.output)
-    return 0
+    return vars(total_charge(field, ball_radius=args.radius, grid_spacing=args.spacing, force_3d=args.full_3d))
 
 
-def cmd_residual(args) -> int:
+def cmd_residual(args) -> dict:
     h = args.h
     if not h > 0:
         raise ValueError(f"--h must be positive, got {h}")
@@ -228,64 +222,44 @@ def cmd_residual(args) -> int:
             peaks.append(np.abs(res[mask]).max())
     if not n_cells:
         raise ValueError(f"no lattice node of --h {h} falls in the annulus [{args.rmin}, {args.rmax_annulus}]")
-    _emit(
-        {
-            "command": "residual",
-            "h": h,
-            "annulus": [args.rmin, args.rmax_annulus],
-            "max_residual": float(np.max(peaks)),
-            "n_cells": n_cells,
-        },
-        args.output,
-    )
-    return 0
+    return {"h": h, "annulus": [args.rmin, args.rmax_annulus], "max_residual": float(np.max(peaks)),
+            "n_cells": n_cells}
 
 
-def cmd_decompose(args) -> int:
+def cmd_decompose(args) -> dict:
     vals = [float(v) for v in args.matrix.split(",")]
     if len(vals) != 9 or not np.all(np.isfinite(vals)):
         raise ValueError("--matrix needs 9 finite comma-separated entries (row major)")
     mat = np.array(vals).reshape(3, 3)
     parts = decompose(mat)
     trace_sq, axial_sq = quadratic_invariants(mat)
-    _emit(
-        {
-            "command": "decompose",
-            "trace_part": parts.trace_part,
-            "antisym_part": parts.antisym_part.tolist(),
-            "sym_traceless_part": parts.sym_traceless_part.tolist(),
-            "trace_sq_invariant": trace_sq,
-            "axial_sq_invariant": axial_sq,
-        },
-        args.output,
-    )
-    return 0
+    return {
+        "trace_part": parts.trace_part,
+        "antisym_part": parts.antisym_part.tolist(),
+        "sym_traceless_part": parts.sym_traceless_part.tolist(),
+        "trace_sq_invariant": trace_sq,
+        "axial_sq_invariant": axial_sq,
+    }
 
 
-def cmd_equilibria(args) -> int:
+def cmd_equilibria(args) -> dict:
     m = _moduli_from_args(args)
-    eqs = equilibria(m)
-    _emit(
-        {
-            "command": "equilibria",
-            "lambda1": m.lambda1,
-            "lambda2": m.lambda2,
-            "equilibria": [
-                {
-                    "f_star": e.f_star,
-                    "sinh_f_star": float(np.sinh(e.f_star)),
-                    "w_star": e.w_star,
-                    "eigenvalues": [[ev.real, ev.imag] for ev in e.eigenvalues],
-                }
-                for e in eqs
-            ],
-        },
-        args.output,
-    )
-    return 0
+    return {
+        "lambda1": m.lambda1,
+        "lambda2": m.lambda2,
+        "equilibria": [
+            {
+                "f_star": e.f_star,
+                "sinh_f_star": float(np.sinh(e.f_star)),
+                "w_star": e.w_star,
+                "eigenvalues": [[ev.real, ev.imag] for ev in e.eigenvalues],
+            }
+            for e in equilibria(m)
+        ],
+    }
 
 
-def cmd_identity_check(args) -> int:
+def cmd_identity_check(args) -> dict:
     for option, value in (("--h", args.h), ("--extent", args.extent)):
         if not value > 0:
             raise ValueError(f"{option} must be positive, got {value}")
@@ -299,11 +273,10 @@ def cmd_identity_check(args) -> int:
         results.append({"h": h, "n": n, "max_residual": check_identity_TT(grid)})
         if args.dump_grid and h == spacings[0]:
             save_grid_csv(grid, args.dump_grid)
-    payload = {"command": "identity-check", "seed": args.seed, "results": results}
+    record = {"seed": args.seed, "results": results}
     if args.refine:
-        payload["richardson_ratio"] = results[0]["max_residual"] / results[1]["max_residual"]
-    _emit(payload, args.output)
-    return 0
+        record["richardson_ratio"] = results[0]["max_residual"] / results[1]["max_residual"]
+    return record
 
 
 def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
@@ -403,7 +376,7 @@ def main(argv=None) -> int:
             # precedence: defaults < config file < flags
             config = _load_config(args.config)
             for key, val in config.items():
-                if key not in vars(args) or key in ("command", "func", "required"):
+                if key not in vars(args) or key in ("command", "config", "func", "required"):
                     raise ValueError(f"unknown config key: {key}")
                 # the on/off flags, and only they, parse as booleans
                 flag, option = isinstance(getattr(args, key), bool), f"--{key.replace('_', '-')}"
@@ -420,7 +393,10 @@ def main(argv=None) -> int:
         if bad:
             raise ValueError("; ".join(bad))
         with np.errstate(all="ignore"):  # stderr holds only the JSON record; every output passes a finiteness check
-            return args.func(args)
+            record = args.func(args)
+        # static and evolve write their profile to -o, so their record goes to --summary
+        _emit({"command": args.command, **record}, getattr(args, "summary", args.output))
+        return 0
     except (ValueError, OSError, MemoryError, OverflowError) as exc:
         return _fail_usage(str(exc))
     except RuntimeError as exc:

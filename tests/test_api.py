@@ -14,7 +14,8 @@
   package, its tools or its benchmark: an option that no program call sets
   has one value in use, and belongs in the code as a constant;
 * the x-slab walk over a lattice or a grid lives in ``kinematics`` alone, and
-  so does the finite-difference stencil.
+  so does the finite-difference stencil;
+* the command line writes every record in one place, ``cli.main``.
 """
 
 import ast
@@ -157,6 +158,24 @@ def test_the_stencil_has_one_home():
     assert displaced_slices(ast.parse(inspect.getsource(kinematics._Stencil)))  # the rule sees the one home
     for fn in (field_equations.grid_field_point, kinematics._nye_fd, kinematics._identity_residual):
         assert "_Stencil(" in inspect.getsource(fn), fn.__name__
+
+
+def test_the_record_has_one_writer():
+    """``cli.main`` writes every command's record: ``_emit`` has one call site, in ``main``, ``SCHEMA_VERSION``
+    is read in one place, and no ``cmd_*`` names ``SCHEMA_VERSION`` or a ``"command"`` key."""
+    tree = ast.parse((ROOT / "src" / "rotelast" / "cli.py").read_text())
+    functions = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    emits = [n for n in ast.walk(tree) if isinstance(n, ast.Call) and ast.unparse(n.func) == "_emit"]
+    assert len(emits) == 1 and emits[0] in ast.walk(functions["main"])
+    reads = [n for n in ast.walk(tree) if isinstance(n, ast.Name) and n.id == "SCHEMA_VERSION"
+             and isinstance(n.ctx, ast.Load)]
+    assert len(reads) == 1
+    commands = [fn for name, fn in functions.items() if name.startswith("cmd_")]
+    assert len(commands) == 7
+    for fn in commands:
+        nodes = list(ast.walk(fn))
+        assert not [n for n in nodes if isinstance(n, ast.Name) and n.id == "SCHEMA_VERSION"], fn.name
+        assert not [n for n in nodes if isinstance(n, ast.Constant) and n.value == "command"], fn.name
 
 
 def test_no_time_and_no_margin_parameters():

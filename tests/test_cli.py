@@ -107,11 +107,38 @@ class TestStatic:
         assert code == 0 and json.loads(out)["r_max"] == 50
 
     def test_unknown_config_key_exit_2(self, tmp_path, capsys):
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text("nonsense = 1\n")
-        code, _, err = run_cli(capsys, "static", "--config", str(cfg),
-                               "-o", str(tmp_path / "x.csv"))
-        assert code == 2
+        # a config file cannot name another one: its ``config`` key would be neither read nor reported
+        for argv, text, key in ((("static", "-o", str(tmp_path / "x.csv")), "nonsense = 1\n", "nonsense"),
+                                (("identity-check",), "config = nonexistent.cfg\nh = 0.3\n", "config")):
+            cfg = tmp_path / "bad.cfg"
+            cfg.write_text(text)
+            code, out, err = run_cli(capsys, *argv, "--config", str(cfg))
+            assert code == 2 and out == ""
+            assert json.loads(err)["detail"] == f"unknown config key: {key}"
+
+
+class TestRecordPath:
+    """Every command prints its record on stdout and writes the same bytes to its record file: ``--summary``
+    for static and evolve, whose ``-o`` is a profile CSV, and ``-o`` for the rest."""
+
+    @pytest.mark.parametrize("argv", [
+        ("static", "--lambda1", "1", "--lambda2", "1", "--rmax", "10", "-o", "profile.csv"),
+        ("evolve", "--from-profile", "soliton.csv", "--n-grid", "101", "--t-end", "0.5", "-o", "final.csv"),
+        ("charge", "--from-profile", "soliton.csv", "--radius", "6"),
+        ("residual", "--from-profile", "soliton.csv", "--h", "0.4", "--rmax-annulus", "2"),
+        ("decompose", "--matrix", "1,2,3,4,5,6,7,8,9"),
+        ("equilibria", "--lambda1", "1", "--lambda2", "1.25"),
+        ("identity-check", "--h", "0.4", "--extent", "1"),
+    ], ids=lambda argv: argv[0])
+    def test_record_file_holds_the_printed_bytes(self, tmp_path, capsys, monkeypatch, argv):
+        make_soliton_csv(tmp_path, capsys, rmax="10")
+        monkeypatch.chdir(tmp_path)
+        command = argv[0]
+        flag = "--summary" if command in ("static", "evolve") else "-o"
+        code, out, _ = run_cli(capsys, *argv, flag, "record.json")
+        assert code == 0
+        assert (tmp_path / "record.json").read_bytes() == out.encode()
+        assert json.loads(out)["command"] == command
 
 
 class TestCharge:

@@ -22,6 +22,11 @@ Any other nonzero exit stops the tool.  The library results are:
 * ``check_identity_TT`` at h = 0.1 and 0.05 on the box [-1, 1]^3, and on
   the h = 0.1 grid ``RotorGrid.u_array``, ``nye_fd_grid`` and
   ``torsion_from_nye`` of that Nye tensor;
+* on a 9 x 10 x 11 grid of the same field at h = 0.2, whose three axes
+  differ, so that a stencil that mixes up two axes moves a result:
+  ``residual_grid``, the ``grid_field_point`` blocks of its first slab (the
+  whole grid), ``check_identity_TT``, ``nye_fd_grid`` and the grid CSV round
+  trip, whose CSV is saved as ``library/grid_off_cube.csv``;
 * ``ProductField.u`` and ``alpha_beta`` (``matrix_to_rotor``) on the nodes of
   a 24^3 grid of [-6, 6]^3, for the ordered product of two tanh cores at
   +-5 e_x with seeded offsets (the ``grid_kinematics`` workload's grid);
@@ -207,6 +212,15 @@ def write_library(cli: str, out: str) -> None:
         if h == 0.1:
             res["identity_h0.1.u_array"], res["identity_h0.1.nye_fd_grid"] = grid.u_array(), rl.nye_fd_grid(grid)
             res["identity_h0.1.torsion_from_nye"] = rl.torsion_from_nye(res["identity_h0.1.nye_fd_grid"])
+    # nx, ny and nz all differ, so a stencil that takes one axis's step for another's moves these results
+    grid = rl.RotorGrid.from_field(rl.random_smooth_field(seed=7), dims=(9, 10, 11), spacing=0.2,
+                                   origin=(-0.8, -0.9, -1.0))
+    res["residual_grid_off_cube.points"], res["residual_grid_off_cube.residuals"] = rl.residual_grid(grid, moduli)
+    res.update({f"grid_field_point_off_cube.{k}": v for k, v in vars(rl.grid_field_point(grid)).items()})
+    res["check_identity_TT_off_cube"], res["nye_fd_grid_off_cube"] = rl.check_identity_TT(grid), rl.nye_fd_grid(grid)
+    rl.save_grid_csv(grid, Path(out) / "grid_off_cube.csv")
+    grid = rl.load_grid_csv(Path(out) / "grid_off_cube.csv")
+    res.update({f"grid_roundtrip_off_cube.{k}": getattr(grid, k) for k in ("alpha", "beta", "spacing", "origin")})
     core = rl.HedgehogField(lambda r: np.pi / 2 - np.pi * np.tanh(r / 0.8),
                             lambda r: -np.pi / 0.8 / np.cosh(r / 0.8) ** 2,
                             lambda r: 2 * np.pi / 0.8**2 * np.tanh(r / 0.8) / np.cosh(r / 0.8) ** 2)
