@@ -172,18 +172,14 @@ def cmd_evolve(args) -> dict:
     bad = np.flatnonzero(~np.isfinite(result.energy))
     if bad.size:  # the levels stayed finite, but the velocity, r^2 v^2 or the gradient term overflowed
         raise InstabilityError(f"non-finite energy at t = {result.times[bad[0]]:.6g}")
-    # the drift one snapshot at a time: the trajectory is held once, in the result
-    w0, diff = result.w[0], np.empty_like(result.w[0])
-    sup_drift = np.max([np.abs(np.subtract(row, w0, out=diff), out=diff).max() for row in result.w])
-    final = result.profile(len(result.times) - 1)
     if args.output:
-        save_profile_csv(final, args.output)
+        save_profile_csv(result.final, args.output)
     e = result.energy
     return {
         "dt": dt,
         "t_end": args.t_end,
         "n_grid": args.n_grid,
-        "sup_drift": float(sup_drift),
+        "sup_drift": result.sup_drift,
         "energy_initial": float(e[0]),
         "energy_rel_drift": float(np.abs(e - e[0]).max() / max(result.energy_scale, 1e-300)),
         "output": args.output,

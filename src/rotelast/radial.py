@@ -477,19 +477,13 @@ def static_residual(profile: RadialProfile) -> float:
 
 @dataclass
 class EvolveResult:
-    """Trajectory of the radial PDE on a fixed grid."""
+    """A run of the radial PDE on a fixed grid: each snapshot's time and energy, the drift and the last level."""
 
     times: np.ndarray
-    r: np.ndarray
-    w: np.ndarray  # (n_times, n_r)
-    w_t: np.ndarray  # (n_times, n_r)
     energy: np.ndarray
-    moduli: Moduli
     energy_scale: float  # dr (|kinetic| + |gradient| + |potential|) of energy[0], a drift base
-
-    def profile(self, i: int) -> RadialProfile:
-        return RadialProfile(r=self.r, w=self.w[i], w_t=self.w_t[i],
-                             moduli=self.moduli, slope0=np.nan, tol=np.nan)
+    sup_drift: float  # max over the snapshots k of max|w_k - w_0|
+    final: RadialProfile  # the level at times[-1], with its velocity
 
 
 def _aligned(a, head=0):
@@ -504,15 +498,21 @@ def evolve_dynamic(initial: RadialProfile, dt: float, t_end: float) -> EvolveRes
 
     The initial profile must live on a uniform grid including r = 0 with
     w(0) = 0; the far boundary value is clamped.  Enforces the CFL-type
-    bound ``dt <= dr / sqrt(l1)`` and raises on non-finite values.  The
-    leapfrog runs in Stormer's summed form (Henrici 1962): with the kick
-    ``k^n = dt^2 a(w^n)`` on the interior, ``d += k^n`` and then ``w += d``,
-    so ``d`` is ``w^{n+1} - w^n``.  It rounds less than ``2 w^n - w^{n-1} + k^n``
-    and forms nothing larger than the levels.  The Taylor start is
+    bound ``dt <= dr / sqrt(l1)`` and raises on non-finite values.  The run
+    takes ``round(t_end / dt)`` steps, so ``times[-1]``, the time it reached,
+    may differ from ``t_end`` by up to ``dt / 2``.  The leapfrog runs in
+    Stormer's summed form (Henrici 1962): with the kick ``k^n = dt^2 a(w^n)``
+    on the interior, ``d += k^n`` and then ``w += d``, so ``d`` is
+    ``w^{n+1} - w^n``.  It rounds less than ``2 w^n - w^{n-1} + k^n`` and
+    forms nothing larger than the levels.  The Taylor start is
     ``d = dt v - k^0 / 2``, and a snapshot's velocity is
-    ``(d + k^n / 2) / dt``, second order at level n.  The energy of a
-    snapshot is the Hamiltonian of the semi-discrete system that the
-    leapfrog integrates, with V the antiderivative of U:
+    ``(d + k^n / 2) / dt``, second order at level n.  The snapshots are
+    level 0, every ``max(1, n_steps // 100)``-th level and the last
+    (``N_SNAPSHOTS``).  Each is folded into the result as the run reaches
+    it: its time, its energy and its drift max|w_k - w_0|.  Of the levels
+    only the last is kept.  The energy of a snapshot is the Hamiltonian of
+    the semi-discrete system that the leapfrog integrates, with V the
+    antiderivative of U:
     ``H = dr [sum r_i^2 v_i^2 / 2 + sum e_i (w_{i+1} - w_i)^2 / (2 dr^2) - sum V(w_i)]``
     over the edge weights ``e_i = l1 r_{i+1/2}^2`` of the stencil.
 
@@ -521,8 +521,9 @@ def evolve_dynamic(initial: RadialProfile, dt: float, t_end: float) -> EvolveRes
     ``tan`` is NaN, and ``d += k`` and ``w += d`` carry the NaN; the two
     boundary nodes are not stepped), so each snapshot interval is stepped
     unchecked and only its last level is checked.  On a hit the interval is
-    replayed from the previous snapshot's level and the increment saved with
-    it, checking every level, so the error names the first non-finite level.
+    replayed from a copy of the previous snapshot's level and the increment
+    saved with it, checking every level, so the error names the first
+    non-finite level.
     """
     if not (dt > 0 and t_end >= 0):
         raise ValueError(f"need dt > 0 and t_end >= 0, got dt = {dt}, t_end = {t_end}")
@@ -550,15 +551,17 @@ def evolve_dynamic(initial: RadialProfile, dt: float, t_end: float) -> EvolveRes
     k0 = _aligned((dt2 * _dU0(m)) * inv_rsq)  # doubling is exact: the bits of (dt2 * 2.0 * ...)
     ks = _aligned((dt2 / (dr * dr)) * inv_rsq)
     inner, upper, lower = w[1:-1], w[1:], w[:-1]
-    kick, t, sq = _aligned(inner), _aligned(inner), _aligned(inner)
-    flux, grad, kin = _aligned(upper), np.empty_like(upper), np.empty_like(w)
-    flux_hi, flux_lo, rsq = flux[1:], flux[:-1], r * r
+    kick, t, sq, start = (_aligned_empty(inner.size) for _ in range(4))
+    flux, grad = _aligned(upper), _aligned_empty(upper.size)
+    kin, vel = _aligned_empty(w.size, head=1), np.zeros_like(w)
+    flux_hi, flux_lo, rsq, vel_in = flux[1:], flux[:-1], r * r, vel[1:-1]
+    c1, c2 = m.lambda2 - m.lambda1, m.lambda2 - 2.0 * m.lambda1  # potential_U_integral's constants
 
     # the ufuncs bound once per run and their outputs passed positionally: the same passes, less dispatch
     tan, mul, add, sub, div = np.tan, np.multiply, np.add, np.subtract, np.divide
 
     def force():
-        # kick = dt^2 a(w) in 13 passes; flux keeps edge (w_{i+1} - w_i) for the energy
+        # kick = dt^2 a(w) in 13 passes; t = tan w and flux = edge (w_{i+1} - w_i) stay for the energy
         tan(inner, t)
         mul(t, t, sq)
         mul(sq, k1, kick)
@@ -569,38 +572,51 @@ def evolve_dynamic(initial: RadialProfile, dt: float, t_end: float) -> EvolveRes
         div(kick, sq, kick)
         sub(upper, lower, flux)
         mul(flux, edge, flux)
-        sub(flux_hi, flux_lo, t)
-        mul(t, ks, t)
-        add(kick, t, kick)
+        sub(flux_hi, flux_lo, sq)
+        mul(sq, ks, sq)
+        add(kick, sq, kick)
+
+    def potential():
+        # pot_in = V of the level force() saw last, c1 f + c2 f / q with q = 1 + t^2 and f = t^2 / q:
+        # potential_U_integral's operations in its order, so the same bits.  The two end entries of pot
+        # stay as they are set; t is free until the next force()
+        mul(t, t, pot_in)
+        add(pot_in, 1.0, sq)
+        div(pot_in, sq, pot_in)
+        mul(pot_in, c2, t)
+        div(t, sq, t)
+        mul(pot_in, c1, pot_in)
+        add(pot_in, t, pot_in)
 
     def energy(vc):
         # H of the docstring and dr (|kinetic| + |gradient| + |potential|) of the level force() saw
-        # last.  An overflow is returned, not warned about
+        # last, whose V pot holds.  An overflow is returned, not warned about
         with np.errstate(over="ignore", invalid="ignore"):
-            np.multiply(rsq, vc, out=kin)
-            np.multiply(kin, vc, out=kin)
-            np.subtract(upper, lower, out=grad)
-            np.multiply(grad, flux, out=grad)
-            parts = (0.5 * np.sum(kin), np.sum(grad) / (2.0 * dr * dr), np.sum(potential_U_integral(w, m)))
+            mul(rsq, vc, kin)
+            mul(kin, vc, kin)
+            sub(upper, lower, grad)
+            mul(grad, flux, grad)
+            parts = (0.5 * np.sum(kin), np.sum(grad) / (2.0 * dr * dr), np.sum(pot))
             return float(dr * (parts[0] + parts[1] - parts[2])), float(dr * sum(abs(p) for p in parts))
 
     n_steps = int(round(t_end / dt))
     snap_every = max(1, n_steps // (N_SNAPSHOTS - 1))
     n_snap = 1 + n_steps // snap_every + (n_steps % snap_every > 0)
     times, energies = np.zeros(n_snap), np.empty(n_snap)
-    ws, vs = np.empty((n_snap, len(r))), np.zeros((n_snap, len(r)))
     force()
+    pot = _aligned(potential_U_integral(w, m), head=1)
     energies[0], scale = energy(v)
-    ws[0], vs[0] = w, v
-    w[0] = 0.0  # every later level is 0 at r = 0 and initial.w[-1] at r_max
-    zero, d_start, caller = np.zeros_like(inner), np.empty_like(inner), np.geterr()
+    # every later level is 0 at r = 0, where V is then V(0), and initial.w[-1] at r_max, whose V stays
+    w[0] = 0.0
+    pot[0], pot_in = potential_U_integral(0.0, m), pot[1:-1]
+    zero, d_start, caller, drift = np.zeros_like(inner), _aligned_empty(inner.size), np.geterr(), 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         # the Taylor start: a non-finite value of it makes level 1 non-finite
         d = _aligned(dt * v[1:-1] - 0.5 * kick)
         for k in range(1, n_snap):
-            # the interval of steps n0 + 1 .. n1 ends at snapshot k and starts from level ws[k - 1]
+            # the interval of steps n0 + 1 .. n1 ends at snapshot k and starts from the level in start
             n0, n1 = (k - 1) * snap_every, min(k * snap_every, n_steps)
-            d_start[:] = d
+            start[:], d_start[:] = inner, d
             for _ in range(n0, n1):
                 add(d, kick, d)
                 add(inner, d, inner)
@@ -609,7 +625,7 @@ def evolve_dynamic(initial: RadialProfile, dt: float, t_end: float) -> EvolveRes
             # exactly when some entry of x is not finite
             if not math.isfinite(np.dot(inner, zero)):
                 # replay the interval from its start, checking every level, to name the first non-finite one
-                inner[:], d[:] = ws[k - 1, 1:-1], d_start
+                inner[:], d[:] = start, d_start
                 force()
                 for n in range(n0 + 1, n1 + 1):
                     add(d, kick, d)
@@ -617,14 +633,20 @@ def evolve_dynamic(initial: RadialProfile, dt: float, t_end: float) -> EvolveRes
                     if not math.isfinite(np.dot(inner, zero)):
                         raise InstabilityError(f"non-finite w at t = {n * dt:.6g}")
                     force()
-            vel = vs[k, 1:-1]
-            with np.errstate(**caller):  # the snapshot velocity warns as the caller asks
-                np.multiply(kick, 0.5, out=vel)
-                vel += d
-                vel /= dt
-            times[k], ws[k] = n1 * dt, w
-            energies[k] = energy(vs[k])[0]
-    return EvolveResult(times=times, r=r, w=ws, w_t=vs, energy=energies, moduli=m, energy_scale=scale)
+            with np.errstate(**caller):  # the snapshot velocity and drift warn as the caller asks
+                np.multiply(kick, 0.5, out=vel_in)
+                vel_in += d
+                vel_in /= dt
+                # kin is free until energy() fills it
+                drift = max(drift, float(np.abs(np.subtract(w, initial.w, out=kin), out=kin).max()))
+            times[k] = n1 * dt
+            potential()
+            energies[k] = energy(vel)[0]
+    # with no step the last level is level 0 as given, w(0) not yet clamped
+    level, velocity = (w, vel) if n_snap > 1 else (initial.w.copy(), v.copy())
+    final = RadialProfile(r=r, w=level, moduli=m, slope0=np.nan, tol=np.nan)
+    final.w_t = velocity  # unchecked: a velocity that overflowed leaves energy[-1] non-finite
+    return EvolveResult(times=times, energy=energies, energy_scale=scale, sup_drift=drift, final=final)
 
 
 def lift_hedgehog(profile: RadialProfile) -> HedgehogField:

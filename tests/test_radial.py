@@ -208,6 +208,12 @@ def leapfrog_checked_every_step(initial, dt, t_end):
     return np.array(times), np.array(ws), np.array(vs), np.array(es)
 
 
+def last_and_drift(w, w_t):
+    """The last level of an oracle's snapshots, its velocity and max over the snapshots of max|w_k - w_0|:
+    what ``EvolveResult`` keeps of a run as ``final.w``, ``final.w_t`` and ``sup_drift``."""
+    return w[-1], w_t[-1], np.abs(w - w[0]).max()
+
+
 def potential_U_zero_d(w, m):
     """Oracle: ``potential_U`` on a 0-d array, the static solver's path before it took Python floats."""
     t = np.tan(np.asarray(w, dtype=float))
@@ -443,7 +449,7 @@ class TestEvolveDynamic:
         p = rl.RadialProfile(r=r, w=np.zeros_like(r), w_t=np.zeros_like(r),
                              moduli=unit_moduli, slope0=0.0, tol=1e-8)
         ev = rl.evolve_dynamic(p, dt=0.01, t_end=1.0)
-        assert np.abs(ev.w).max() == 0.0
+        assert ev.sup_drift == 0.0 and np.all(ev.final.w == 0.0) and np.all(ev.final.w_t == 0.0)
 
     def test_cfl_guard(self, unit_moduli):
         r = np.linspace(0.0, 10.0, 101)
@@ -457,7 +463,7 @@ class TestEvolveDynamic:
         uni.w_t = np.zeros_like(uni.w)
         dr = uni.r[1] - uni.r[0]
         ev = rl.evolve_dynamic(uni, dt=0.5 * dr, t_end=2.0)
-        assert np.abs(ev.w - ev.w[0]).max() <= 5e-4
+        assert ev.sup_drift <= 5e-4
         # the leapfrog keeps its own Hamiltonian: 2.7e-13 relative here
         assert np.abs(ev.energy - ev.energy[0]).max() <= 1e-11 * abs(ev.energy[0])
 
@@ -472,12 +478,14 @@ class TestEvolveDynamic:
         ev = rl.evolve_dynamic(uni, dt=dt, t_end=2.0)
         w, w_t, energy = leapfrog_allocating(uni, dt, 2.0)
         scale = np.abs(w).max()
+        last, last_t, drift = last_and_drift(w, w_t)
         # the tan form changes U in the last bits, so the levels agree to
-        # rounding; w_t is a difference quotient of two levels over dt.  An
-        # energy below 1 is compared absolutely: that of (0.4, 2.3) is 1.4e-3,
-        # and the oracle's (1 - cos 2w) / 2 rounds absolutely at small w
-        assert np.abs(ev.w - w).max() <= 1e-12 * scale
-        assert np.abs(ev.w_t - w_t).max() <= 1e-12 * scale / dt
+        # rounding, and so does the drift, a max of level differences; w_t is
+        # a difference quotient of two levels over dt.  An energy below 1 is
+        # compared absolutely: that of (0.4, 2.3) is 1.4e-3, and the oracle's
+        # (1 - cos 2w) / 2 rounds absolutely at small w
+        assert np.abs(ev.final.w - last).max() <= 1e-12 * scale and abs(ev.sup_drift - drift) <= 1e-12 * scale
+        assert np.abs(ev.final.w_t - last_t).max() <= 1e-12 * scale / dt
         assert np.abs(ev.energy - energy).max() <= 1e-12 * max(1.0, abs(energy[0]))
 
     @pytest.mark.parametrize("l1, l2", [(1.0, 1.0), (1.0, 1.25), (0.4, 2.3)])
@@ -493,7 +501,8 @@ class TestEvolveDynamic:
         ev = rl.evolve_dynamic(uni, dt=dt, t_end=2.0)
         times, w, w_t, parts = leapfrog_checked_every_step(uni, dt, 2.0)
         energy = [float(dr * (kin + grad - pot)) for kin, grad, pot in parts]
-        assert same_bits((ev.times, ev.w, ev.w_t, ev.energy), (times, w, w_t, energy))
+        assert same_bits((ev.times, ev.final.w, ev.final.w_t, ev.sup_drift, ev.energy),
+                         (times, *last_and_drift(w, w_t), energy))
 
     @pytest.mark.parametrize("where, n, velocity, dt, t_end, step",
                              [("inside_an_interval", 101, 1.7e307, 0.05, 40.0, 5),
@@ -557,17 +566,23 @@ class TestEvolveDynamic:
         with np.errstate(over="ignore", invalid="ignore"):
             ev = rl.evolve_dynamic(p, dt=dt, t_end=2.0)
             times, w, w_t, _ = leapfrog_checked_every_step(p, dt, 2.0)
-        assert np.all(np.isfinite(ev.w)) and same_bits((ev.times, ev.w, ev.w_t), (times, w, w_t))
+        assert math.isfinite(ev.sup_drift) and same_bits((ev.times, ev.final.w, ev.final.w_t, ev.sup_drift),
+                                                         (times, *last_and_drift(w, w_t)))
 
     def test_levels_are_clamped_at_both_ends(self):
-        # w(0) may start up to 1e-10 off zero; every later level is 0 there and keeps the far value
-        p = huge_velocity_profile(0.1)
+        # w(0) may start up to 1e-10 off zero; every later level is 0 there and keeps the far value, and the
+        # drift counts the 1e-10.  A run takes round(t_end / dt) steps: t_end = 2.5 dt takes round(2.5) = 2 and
+        # ends at 2 dt, short of t_end; with no step the last level is level 0 as given
+        p, dt = huge_velocity_profile(0.1), 0.05
         p.w[0] = 1e-10
-        ev = rl.evolve_dynamic(p, dt=0.05, t_end=1.0)
-        assert ev.w[0, 0] == 1e-10 and np.all(ev.w[1:, 0] == 0.0) and np.all(ev.w[:, -1] == p.w[-1])
-        _, w, w_t, parts = leapfrog_checked_every_step(p, 0.05, 1.0)
-        energy = [float((p.r[1] - p.r[0]) * (kin + grad - pot)) for kin, grad, pot in parts]
-        assert same_bits((ev.w, ev.w_t, ev.energy), (w, w_t, energy))
+        for t_end, steps in ((1.0, 20), (2.5 * dt, 2), (0.0, 0)):
+            ev = rl.evolve_dynamic(p, dt=dt, t_end=t_end)
+            assert ev.times[-1] == steps * dt and ev.final.w[0] == (0.0 if steps else 1e-10)
+            assert ev.final.w[-1] == p.w[-1] and ev.sup_drift >= abs(ev.final.w[0] - p.w[0])
+            times, w, w_t, parts = leapfrog_checked_every_step(p, dt, t_end)
+            energy = [float((p.r[1] - p.r[0]) * (kin + grad - pot)) for kin, grad, pot in parts]
+            assert same_bits((ev.times, ev.final.w, ev.final.w_t, ev.sup_drift, ev.energy),
+                             (times, *last_and_drift(w, w_t), energy))
 
     def test_no_overflow_where_the_levels_are_finite(self):
         # the difference form's 2 w^n overflows at t = 0.95 here, although in extended precision every
@@ -580,8 +595,11 @@ class TestEvolveDynamic:
             ev = rl.evolve_dynamic(p, dt=dt, t_end=20.0)
             times, w, w_t, _ = leapfrog_checked_every_step(p, dt, 20.0)
         assert np.abs(exact).max() < np.finfo(float).max
-        assert np.all(np.isfinite(ev.w)) and same_bits((ev.times, ev.w, ev.w_t), (times, w, w_t))
-        assert np.abs(ev.w - exact).max() <= 1e-13 * np.abs(exact).max()
+        bound = 1e-13 * np.abs(exact).max()
+        assert math.isfinite(ev.sup_drift) and same_bits((ev.times, ev.final.w, ev.final.w_t, ev.sup_drift),
+                                                         (times, *last_and_drift(w, w_t)))
+        assert np.abs(ev.final.w - exact[-1]).max() <= bound
+        assert abs(ev.sup_drift - np.abs(exact - exact[0]).max()) <= bound
 
     @pytest.mark.parametrize("l1, l2", [(1.0, 1.0), (1.0, 1.25), (0.4, 2.3)])
     @pytest.mark.parametrize("n", [801, 4001])
@@ -599,9 +617,10 @@ class TestEvolveDynamic:
         times, w, w_t, parts = leapfrog_difference_form(uni, dt, 2.0)
         energy = [float(dr * (kin + grad - pot)) for kin, grad, pot in parts]
         scale = np.abs(w).max()
+        last, last_t, drift = last_and_drift(w, w_t)
         assert np.array_equal(ev.times, times) and ev.energy[0] == energy[0]
-        assert np.abs(ev.w - w).max() <= 1e-12 * scale
-        assert np.abs(ev.w_t - w_t).max() <= 1e-12 * scale / dt
+        assert np.abs(ev.final.w - last).max() <= 1e-12 * scale and abs(ev.sup_drift - drift) <= 1e-12 * scale
+        assert np.abs(ev.final.w_t - last_t).max() <= 1e-12 * scale / dt
         if (l1, l2) == (0.4, 2.3):
             assert np.all(np.abs(ev.energy - energy) <= 1e-12 * dr * np.abs(parts).sum(axis=1))
         else:
@@ -610,15 +629,18 @@ class TestEvolveDynamic:
     @pytest.mark.parametrize("l1, l2", [(1.0, 1.0), (1.0, 1.25)])
     @pytest.mark.parametrize("kicked", [True, False], ids=["w_t", "at_rest"])
     def test_rounds_less_than_the_difference_form(self, l1, l2, kicked):
-        # against the exact discrete system (the difference form in extended precision) the summed form
-        # reads 1.7e-15 to 4.6e-15 here, the difference form 4.3e-15 to 1.3e-14
+        # against the exact discrete system (the difference form in extended precision) the summed form's
+        # last level reads 1.3e-15 to 4.6e-15 here, the difference form's 4.3e-15 to 1.3e-14.  The drift, a
+        # max of level differences, is off by 3.0e-18 to 1.2e-15 of max|w| (the difference form's by 1.8e-16
+        # to 1.8e-14)
         uni = rl.resample_uniform(static_solution(l1, l2), n=801)
         uni.w_t = 0.01 * uni.r * np.exp(-((uni.r - 2.0) ** 2)) if kicked else None
         dt = 0.5 * (uni.r[1] - uni.r[0]) / np.sqrt(l1)
         _, exact, *_ = leapfrog_difference_form(uni, dt, 2.0, dtype=np.longdouble)
         _, difference, *_ = leapfrog_difference_form(uni, dt, 2.0)
-        summed = rl.evolve_dynamic(uni, dt=dt, t_end=2.0).w
-        assert np.abs(summed - exact).max() < np.abs(difference - exact).max()
+        summed = rl.evolve_dynamic(uni, dt=dt, t_end=2.0)
+        assert np.abs(summed.final.w - exact[-1]).max() < np.abs(difference[-1] - exact[-1]).max()
+        assert abs(summed.sup_drift - np.abs(exact - exact[0]).max()) <= 2e-15 * np.abs(exact).max()
 
     @pytest.mark.parametrize("l1, l2, kicked", [(1.0, 1.0, False), (1.0, 1.25, True), (0.4, 2.3, True)])
     def test_energy_scale_sums_the_absolute_parts(self, l1, l2, kicked):
@@ -654,7 +676,7 @@ class TestEvolveDynamic:
         t_end = 12.0
         ev = rl.evolve_dynamic(p, dt=0.5 * dr / np.sqrt(m.lambda1), t_end=t_end)
         # track the outward-moving peak of the final snapshot
-        final = ev.w[-1]
+        final = ev.final.w
         outer = r > 30.0 + 2.0
         peak_r = r[outer][np.argmax(np.abs(final[outer]))]
         speed = (peak_r - 30.0) / t_end
